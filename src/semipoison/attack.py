@@ -58,9 +58,7 @@ class AttackConfig:
     curvature_bound is the L estimate behind the step rule: a direction
     with derivative dG gets the trial length -dG / curvature_bound, which
     fixed-L mode applies once and backtracking mode halves until the
-    objective decreases.  include_steepest adds the exact steepest
-    direction of the chosen point to the candidate set whenever the
-    per-iterate gradient is available.
+    objective decreases.
     """
 
     target: np.ndarray
@@ -72,7 +70,6 @@ class AttackConfig:
     curvature_bound: float = 1.0
     step_mode: str = "backtracking"
     num_random_dirs: int = 8
-    include_steepest: bool = True
     random_probe: bool = False
     tol_target: float = 1e-12
     tol_improve: float = 1e-12
@@ -234,40 +231,40 @@ def _point_slots(point_index: int, point_dim: int) -> slice:
     return slice(point_index * point_dim, (point_index + 1) * point_dim)
 
 
-def _step_stays_feasible(x, d, x_base, delta, lo, hi) -> bool:
-    trial = x + PROBE_STEP * d
-    if float(np.linalg.norm(trial - x_base)) > delta + BOUNDARY_SLACK * max(1.0, delta):
-        return False
-    if lo is not None and (
-        np.any(trial < lo - BOUNDARY_SLACK) or np.any(trial > hi + BOUNDARY_SLACK)
-    ):
-        return False
-    return True
+def _feasible_mask(x, D, x_base, delta, lo, hi) -> np.ndarray:
+    """Rows of D along which a tiny step stays inside the ball and the box."""
+    trial = x + PROBE_STEP * D
+    ok = np.linalg.norm(trial - x_base, axis=1) <= delta + BOUNDARY_SLACK * max(1.0, delta)
+    if lo is not None:
+        ok &= np.all((trial >= lo - BOUNDARY_SLACK) & (trial <= hi + BOUNDARY_SLACK), axis=1)
+    return ok
 
 
-def _coordinate_directions(point_index, point_dim, dim_data):
-    dirs = []
-    for j in range(point_index * point_dim, (point_index + 1) * point_dim):
-        for sign in (1.0, -1.0):
-            d = np.zeros(dim_data)
-            d[j] = sign
-            dirs.append(d)
-    return dirs
+def _axis_directions(slots: slice, dim_data: int) -> np.ndarray:
+    """Rows +e_j, -e_j for every coordinate j in slots, in that order.
+
+    Built from zeros so that every zero entry is +0.0: equal directions
+    then have equal bytes and share the derivative cache.
+    """
+    cols = np.arange(dim_data)[slots]
+    rows = 2 * np.arange(cols.size)
+    D = np.zeros((2 * cols.size, dim_data))
+    D[rows, cols] = 1.0
+    D[rows + 1, cols] = -1.0
+    return D
 
 
-def _random_directions(point_index, point_dim, dim_data, count, rng):
-    dirs = []
+def _random_directions(point_index, point_dim, dim_data, count, rng) -> np.ndarray:
+    D = np.zeros((count, dim_data))
     slots = _point_slots(point_index, point_dim)
-    for _ in range(count):
+    for d in D:
         v = rng.standard_normal(point_dim)
         nrm = float(np.linalg.norm(v))
         while nrm < 1e-12:  # essentially never; redraw rather than divide by 0
             v = rng.standard_normal(point_dim)
             nrm = float(np.linalg.norm(v))
-        d = np.zeros(dim_data)
         d[slots] = v / nrm
-        dirs.append(d)
-    return dirs
+    return D
 
 
 def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rng=None):
@@ -292,11 +289,11 @@ def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rn
     rng = np.random.default_rng(config.seed) if rng is None else rng
     lo, hi = _tile_bounds(config, x.size)
 
-    candidates = _coordinate_directions(point_index, config.point_dim, x.size)
-    candidates += _random_directions(
-        point_index, config.point_dim, x.size, config.num_random_dirs, rng
-    )
-    kept = [d for d in candidates if _step_stays_feasible(x, d, x_base, config.delta, lo, hi)]
+    D = np.vstack([
+        _axis_directions(_point_slots(point_index, config.point_dim), x.size),
+        _random_directions(point_index, config.point_dim, x.size, config.num_random_dirs, rng),
+    ])
+    kept = list(D[_feasible_mask(x, D, x_base, config.delta, lo, hi)])
     if not kept:
         raise EmptyDirectionSet(f"no feasible perturbation direction for point {point_index}")
     return kept
@@ -428,41 +425,37 @@ def _try_step(model, x, d, dg, value, config, x_base, lo, hi, selector, target):
     return None
 
 
-def _probe_directions(x, point_index, config, *, x_base, lo, hi, rng):
-    if config.random_probe:
-        candidates = _random_directions(point_index, config.point_dim, x.size, 1, rng)
-    else:
-        candidates = _coordinate_directions(point_index, config.point_dim, x.size)
-    return [d for d in candidates if _step_stays_feasible(x, d, x_base, config.delta, lo, hi)]
-
-
 def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector, lo, hi):
     """One accepted step, or the reason none exists.
 
-    Probes every point, then works through them in decreasing probe
-    magnitude; a point whose candidates yield no strict decrease is set
-    aside for the rest of the round.   Raises EmptyDirectionSet when no
-    point can move at all, Stalled when movable points admit no sampled
-    descent (with the smallest derivative seen as certificate when it
-    clears -tol_stall).
+    Probes every point at once, then works through the points in
+    decreasing probe magnitude; a point whose candidates, plus its
+    steepest direction when the data gradient is known, yield no strict
+    decrease is set aside for the rest of the round.  Raises
+    EmptyDirectionSet when no point can move at all, Stalled when movable
+    points admit no sampled descent (with the smallest derivative seen as
+    certificate when it clears -tol_stall).
     """
     target = config.target
     n_points = model.dim_data // config.point_dim
     ev = _ObjectiveDerivative(model, x, solution, selector, target, value)
 
-    evaluated: list[float] = []
-    scored: list[tuple[float, int]] = []
-    unscored: list[int] = []
-    for p in range(n_points):
-        dirs = _probe_directions(x, p, config, x_base=x_base, lo=lo, hi=hi, rng=rng)
-        if not dirs:
-            unscored.append(p)
-            continue
-        vals = [ev.dG(d)[0] for d in dirs]
-        evaluated.extend(vals)
-        scored.append((min(vals), p))
+    if config.random_probe:
+        D = np.vstack([_random_directions(p, config.point_dim, x.size, 1, rng)
+                       for p in range(n_points)])
+        owner = np.arange(n_points)
+    else:
+        D = _axis_directions(slice(None), x.size)
+        owner = np.arange(D.shape[0]) // (2 * config.point_dim)
+    ok = _feasible_mask(x, D, x_base, config.delta, lo, hi)
+    probe_vals = np.array([ev.dG(d)[0] for d in D[ok]], dtype=float)
+    evaluated: list[float] = probe_vals.tolist()
+    scores = np.full(n_points, np.inf)
+    np.minimum.at(scores, owner[ok], probe_vals)
+    probed = np.isfinite(scores)
+    # probed points by decreasing |score| (ties by index), then the unprobed ones
+    order = sorted(range(n_points), key=lambda p: (not probed[p], -abs(scores[p])))
 
-    order = [p for _, p in sorted(scored, key=lambda t: (-abs(t[0]), t[1]))] + unscored
     empty = 0
     for p in order:
         try:
@@ -470,18 +463,11 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
         except EmptyDirectionSet:
             empty += 1
             continue
-        vals = []
-        routes = []
-        for d in cands:
-            val, route = ev.dG(d)
-            vals.append(val)
-            routes.append(route)
-        if config.include_steepest:
-            d_st = ev.steepest_direction(_point_slots(p, config.point_dim))
-            if d_st is not None and _step_stays_feasible(x, d_st, x_base, config.delta, lo, hi):
-                cands.append(d_st)
-                vals.append(float(ev.gradient @ d_st))
-                routes.append("linear")
+        d_st = ev.steepest_direction(_point_slots(p, config.point_dim))
+        if d_st is not None and _feasible_mask(x, d_st[None], x_base, config.delta, lo, hi)[0]:
+            cands.append(d_st)
+        scored = [ev.dG(d) for d in cands]
+        vals = [v for v, _ in scored]
         evaluated.extend(vals)
         best = int(np.argmin(vals))
         if vals[best] >= -config.tol_stall:
@@ -500,7 +486,7 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
             derivative=vals[best],
             step=eta,
             distance=float(np.linalg.norm(trial - x_base)),
-            route=routes[best],
+            route=scored[best][1],
         )
         return trial, sol_new, record
 
@@ -512,6 +498,19 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
     raise Stalled("no candidate direction decreases the objective", certificate=certificate)
 
 
+def _one_round(round_fn, x, model, config, x_base, rng, solution, k):
+    """One round of round_fn at x, outside a driver; returns (x, solution, record)."""
+    x = np.asarray(x, dtype=float)
+    x_base = x if x_base is None else np.asarray(x_base, dtype=float)
+    selector = config.resolve_selector(model.dim_var)
+    lo, hi = _tile_bounds(config, model.dim_data)
+    sol = solution if solution is not None else solve_victim(model, x)
+    value = objective(selector @ sol.y, config.target)
+    return round_fn(
+        model, x, value, sol, config, x_base=x_base, rng=rng, k=k, selector=selector, lo=lo, hi=hi
+    )
+
+
 def attack_step(x, model: VictimModel, config: AttackConfig, *, x_base=None, rng=None,
                 solution: KktSolution | None = None, k: int = 1):
     """One attack iteration: probe, select a point, direction search, step.
@@ -521,26 +520,16 @@ def attack_step(x, model: VictimModel, config: AttackConfig, *, x_base=None, rng
     direction decreases the objective and EmptyDirectionSet when no point
     can move; training-solver errors propagate.
     """
-    x = np.asarray(x, dtype=float)
-    x_base = x if x_base is None else np.asarray(x_base, dtype=float)
     rng = np.random.default_rng(config.seed) if rng is None else rng
-    selector = config.resolve_selector(model.dim_var)
-    lo, hi = _tile_bounds(config, model.dim_data)
-    sol = solution if solution is not None else solve_victim(model, x)
-    value = objective(selector @ sol.y, config.target)
-    x_next, _, record = _attack_round(
-        model, x, value, sol, config, x_base=x_base, rng=rng, k=k, selector=selector, lo=lo, hi=hi
-    )
+    x_next, _, record = _one_round(_attack_round, x, model, config, x_base, rng, solution, k)
     return x_next, record
 
 
-def run_attack(x_bar, model: VictimModel, config: AttackConfig) -> AttackTrace:
-    """Iterate attack steps from pristine data until a stopping rule fires.
+def _drive(x_bar, model: VictimModel, config: AttackConfig, round_fn) -> AttackTrace:
+    """Repeat round_fn from pristine data until a stopping rule fires.
 
-    Termination reasons: "optimal" when the objective reaches tol_target,
-    "budget" when no point can move inside the ball and box, "stalled"
-    when no sampled direction descends or the last improvement fell below
-    tol_improve, "max_iters" otherwise.  Deterministic in config.seed.
+    round_fn has _attack_round's signature and returns (x, solution,
+    record); it raises EmptyDirectionSet or Stalled to end the run.
     """
     x_bar = np.asarray(x_bar, dtype=float).copy()
     if model.dim_data % config.point_dim:
@@ -564,7 +553,7 @@ def run_attack(x_bar, model: VictimModel, config: AttackConfig) -> AttackTrace:
             reason = "optimal"
             break
         try:
-            x, sol, record = _attack_round(
+            x, sol, record = round_fn(
                 model, x, value, sol, config,
                 x_base=x_bar, rng=rng, k=k, selector=selector, lo=lo, hi=hi,
             )
@@ -584,6 +573,17 @@ def run_attack(x_bar, model: VictimModel, config: AttackConfig) -> AttackTrace:
     else:
         reason = "optimal" if value <= config.tol_target else "max_iters"
     return AttackTrace(x_bar, x, initial_value, records, reason, sol, certificate)
+
+
+def run_attack(x_bar, model: VictimModel, config: AttackConfig) -> AttackTrace:
+    """Iterate attack steps from pristine data until a stopping rule fires.
+
+    Termination reasons: "optimal" when the objective reaches tol_target,
+    "budget" when no point can move inside the ball and box, "stalled"
+    when no sampled direction descends or the last improvement fell below
+    tol_improve, "max_iters" otherwise.  Deterministic in config.seed.
+    """
+    return _drive(x_bar, model, config, _attack_round)
 
 
 def _unconstrained_gradient(model, x, solution, selector, target):
@@ -607,24 +607,9 @@ def _unconstrained_gradient(model, x, solution, selector, target):
     return -(cross.T @ z)
 
 
-def gradient_baseline_step(x, model: VictimModel, config: AttackConfig, *, x_base=None,
-                           solution: KktSolution | None = None, k: int = 1):
-    """One projected step of the classical gradient attack.
-
-    Treats the trained parameters as an unconstrained stationary point,
-    moves the whole data vector down the resulting gradient, and projects
-    back into the ball and box.  Comparison baseline only.  Raises
-    SingularHessian, and Stalled when the gradient vanishes or no trial
-    length decreases the objective.
-    """
-    x = np.asarray(x, dtype=float)
-    x_base = x if x_base is None else np.asarray(x_base, dtype=float)
-    selector = config.resolve_selector(model.dim_var)
-    lo, hi = _tile_bounds(config, model.dim_data)
-    sol = solution if solution is not None else solve_victim(model, x)
-    value = objective(selector @ sol.y, config.target)
-
-    grad = _unconstrained_gradient(model, x, sol, selector, config.target)
+def _gradient_round(model, x, value, solution, config, *, x_base, rng, k, selector, lo, hi):
+    """One projected step down the unconstrained gradient; rng is unused."""
+    grad = _unconstrained_gradient(model, x, solution, selector, config.target)
     gnorm = float(np.linalg.norm(grad))
     if gnorm <= config.tol_stall:
         raise Stalled("objective gradient vanished", certificate=-gnorm)
@@ -645,44 +630,26 @@ def gradient_baseline_step(x, model: VictimModel, config: AttackConfig, *, x_bas
         distance=float(np.linalg.norm(trial - x_base)),
         route="grad",
     )
-    return trial, record, sol_new
+    return trial, sol_new, record
+
+
+def gradient_baseline_step(x, model: VictimModel, config: AttackConfig, *, x_base=None,
+                           solution: KktSolution | None = None, k: int = 1):
+    """One projected step of the classical gradient attack.
+
+    Treats the trained parameters as an unconstrained stationary point,
+    moves the whole data vector down the resulting gradient, and projects
+    back into the ball and box.  Comparison baseline only.  Returns
+    (x_next, record, solution).  Raises SingularHessian, and Stalled when
+    the gradient vanishes or no trial length decreases the objective.
+    """
+    x_next, sol, record = _one_round(_gradient_round, x, model, config, x_base, None, solution, k)
+    return x_next, record, sol
 
 
 def run_gradient_baseline(x_bar, model: VictimModel, config: AttackConfig) -> AttackTrace:
     """Iterate the gradient baseline with the same stopping rules as run_attack."""
-    x_bar = np.asarray(x_bar, dtype=float).copy()
-    selector = config.resolve_selector(model.dim_var)
-    lo, hi = _tile_bounds(config, model.dim_data)
-    if lo is not None and (np.any(x_bar < lo) or np.any(x_bar > hi)):
-        raise ValueError("pristine data violates the box bounds")
-
-    x = x_bar.copy()
-    sol = solve_victim(model, x)
-    value = objective(selector @ sol.y, config.target)
-    initial_value = value
-    records: list[StepRecord] = []
-    certificate = None
-    for k in range(1, config.max_iters + 1):
-        if value <= config.tol_target:
-            reason = "optimal"
-            break
-        try:
-            x, record, sol = gradient_baseline_step(
-                x, model, config, x_base=x_bar, solution=sol, k=k
-            )
-        except Stalled as exc:
-            reason = "stalled"
-            certificate = exc.certificate
-            break
-        improvement = value - record.objective_value
-        value = record.objective_value
-        records.append(record)
-        if improvement < config.tol_improve:
-            reason = "stalled"
-            break
-    else:
-        reason = "optimal" if value <= config.tol_target else "max_iters"
-    return AttackTrace(x_bar, x, initial_value, records, reason, sol, certificate)
+    return _drive(x_bar, model, config, _gradient_round)
 
 
 @dataclass

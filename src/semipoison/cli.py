@@ -105,6 +105,10 @@ ATTACK_DEFAULTS = {
     "num_random_dirs": 8,
     "random_probe": False,
 }
+SEARCH_KNOBS = (
+    "curvature_bound", "step_mode", "num_random_dirs", "random_probe",
+    "tol_target", "tol_improve", "max_iters", "seed",
+)
 
 DEFAULTS = {
     "train": {**COMMON_DEFAULTS, **DATA_DEFAULTS},
@@ -260,6 +264,13 @@ def _parse_target(text: str, dim_var: int):
     return selector, np.array(values)
 
 
+def _search_knobs(resolved: dict) -> dict:
+    """The AttackConfig search and stopping knobs every attack scenario shares."""
+    knobs = {key: resolved[key] for key in SEARCH_KNOBS}
+    knobs["random_probe"] = bool(knobs["random_probe"])
+    return knobs
+
+
 def _attack_config(resolved: dict, ds: Dataset, dim_var: int) -> AttackConfig:
     selector, target = _parse_target(resolved["target"], dim_var)
     delta = float(resolved["delta"])
@@ -279,8 +290,6 @@ def _attack_config(resolved: dict, ds: Dataset, dim_var: int) -> AttackConfig:
         if resolved["bounds_units"] == "raw":
             box_lo, box_hi = normalized_box(lo, hi, ds)
         else:
-            if np.any(lo > hi):
-                raise ValueError("box lower bounds exceed upper bounds")
             box_lo, box_hi = lo, hi
     return AttackConfig(
         target=target,
@@ -289,14 +298,7 @@ def _attack_config(resolved: dict, ds: Dataset, dim_var: int) -> AttackConfig:
         point_dim=2,
         box_lo=box_lo,
         box_hi=box_hi,
-        curvature_bound=resolved["curvature_bound"],
-        step_mode=resolved["step_mode"],
-        num_random_dirs=resolved["num_random_dirs"],
-        random_probe=bool(resolved["random_probe"]),
-        tol_target=resolved["tol_target"],
-        tol_improve=resolved["tol_improve"],
-        max_iters=resolved["max_iters"],
-        seed=resolved["seed"],
+        **_search_knobs(resolved),
     )
 
 
@@ -381,14 +383,7 @@ def _quadratic_scenario(resolved: dict):
         target=np.zeros(model.dim_var),
         delta=float(resolved["delta"]),
         point_dim=model.dim_data,
-        curvature_bound=resolved["curvature_bound"],
-        step_mode=resolved["step_mode"],
-        num_random_dirs=resolved["num_random_dirs"],
-        random_probe=bool(resolved["random_probe"]),
-        tol_target=resolved["tol_target"],
-        tol_improve=resolved["tol_improve"],
-        max_iters=resolved["max_iters"],
-        seed=resolved["seed"],
+        **_search_knobs(resolved),
     )
     return x0, model, config
 

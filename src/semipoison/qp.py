@@ -19,15 +19,15 @@ follow the same ordering, with stationarity
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, MaxIterations, Unbounded
 
-# Default tolerances.  tol_act / tol_mult classify active and weakly
-# active constraints and are configurable per call; the rest define when
-# a candidate point counts as a KKT point.
+# Default tolerances.  TOL_ACT / TOL_MULT are classify_active's defaults
+# for active and weakly active constraints; the rest define when a
+# candidate point counts as a KKT point.
 TOL_ACT = 1e-7
 TOL_MULT = 1e-7
 TOL_FEAS = 1e-8
@@ -135,17 +135,13 @@ class KktSolution:
     """Primal-dual solution of a QpProblem.
 
     lam holds one multiplier per constraint in problem order; inequality
-    multipliers are nonnegative.  active_set lists constraints with
-    |g_i| <= tol_act at y (equalities always qualify); weakly_active
-    lists the active inequalities whose multiplier is below tol_mult.
+    multipliers are nonnegative.  classify_active splits the constraints
+    into active, weakly active and strictly active ones.
     """
 
     y: np.ndarray
     lam: np.ndarray
     value: float
-    active_set: list[int] = field(default_factory=list)
-    weakly_active: list[int] = field(default_factory=list)
-    stationarity_residual: float = 0.0
 
 
 @dataclass
@@ -186,6 +182,42 @@ def kkt_residuals(problem: QpProblem, y: np.ndarray, lam: np.ndarray) -> KktResi
     dual = float(np.maximum(-lam[:r], 0.0).max(initial=0.0))
     complementarity = float(np.abs(lam[:r] * g[:r]).max(initial=0.0))
     return KktResiduals(stationarity, max(primal_ineq, primal_eq), dual, complementarity)
+
+
+@dataclass(eq=False)
+class ActiveStructure:
+    """Partition of the constraints at a solved point.
+
+    active lists every constraint with |g_i| <= tol_act plus all
+    equalities; weakly_active is the subset of active inequalities whose
+    multiplier is below tol_mult; strict is their complement in active.
+    """
+
+    active: list[int]
+    weakly_active: list[int]
+    strict: list[int]
+
+
+def classify_active(
+    problem: QpProblem,
+    solution: KktSolution,
+    *,
+    tol_act: float = TOL_ACT,
+    tol_mult: float = TOL_MULT,
+) -> ActiveStructure:
+    """Split constraints into active / weakly active / strictly active.
+
+    Equality constraints always count as active (and strict).  An active
+    inequality is weakly active when its multiplier magnitude is at most
+    tol_mult; those are the constraints whose one-sided behaviour the
+    auxiliary problem of the sensitivity module keeps as inequalities.
+    """
+    g = problem.constraint_values(solution.y)
+    r = problem.n_ineq
+    active = [i for i in range(problem.n_con) if i >= r or abs(g[i]) <= tol_act]
+    weakly = [i for i in active if i < r and abs(solution.lam[i]) <= tol_mult]
+    strict = [i for i in active if i not in weakly]
+    return ActiveStructure(active=active, weakly_active=weakly, strict=strict)
 
 
 # ---------------------------------------------------------------------------
@@ -389,30 +421,20 @@ def _phase1(problem: QpProblem) -> np.ndarray:
     return y_aux[:n]
 
 
-def solve_qp(
-    problem: QpProblem,
-    *,
-    tol_act: float = TOL_ACT,
-    tol_mult: float = TOL_MULT,
-    max_iter: int | None = None,
-) -> KktSolution:
+def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> KktSolution:
     """Solve a convex QP to a KKT point.
 
     Parameters
     ----------
     problem : QpProblem
-    tol_act : float
-        Absolute threshold on |g_i(y)| below which a constraint is
-        reported active.
-    tol_mult : float
-        Threshold on an active inequality's multiplier below which it is
-        reported weakly active.
     max_iter : int, optional
         Active-set iteration cap; defaults to max(200, 30 * (n_con + 1)).
 
     Returns
     -------
     KktSolution
+        The primal-dual pair; classify_active reports which constraints
+        are active at it.
 
     Raises
     ------
@@ -431,14 +453,6 @@ def solve_qp(
         keep = _independent_subset(rows, base)
         working.extend(candidates[j] for j in keep)
     y, lam, _ = _active_set_loop(problem, y0, working, max_iter)
-
-    g = problem.constraint_values(y)
-    active = [i for i in range(problem.n_con) if i >= r or abs(g[i]) <= tol_act]
-    weakly = [i for i in active if i < r and abs(lam[i]) <= tol_mult]
-    grad = problem.H @ y + problem.c
-    if problem.n_con:
-        A, _ = problem.stacked_rows()
-        grad = grad + A.T @ lam
     res = kkt_residuals(problem, y, lam)
     if not res.within_default_tolerances(float(np.abs(problem.c).max(initial=0.0))):
         raise MaxIterations(
@@ -446,11 +460,4 @@ def solve_qp(
             f"(stationarity {res.stationarity:.2e}, primal {res.primal:.2e}, "
             f"dual {res.dual:.2e}, complementarity {res.complementarity:.2e})"
         )
-    return KktSolution(
-        y=y,
-        lam=lam,
-        value=problem.objective_value(y),
-        active_set=active,
-        weakly_active=weakly,
-        stationarity_residual=float(np.abs(grad).max(initial=0.0)),
-    )
+    return KktSolution(y=y, lam=lam, value=problem.objective_value(y))

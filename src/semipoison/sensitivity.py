@@ -30,29 +30,16 @@ from .errors import (
     AuxUnbounded,
     DimensionMismatch,
     Infeasible,
+    MaxIterations,
     RegularityFailure,
     Unbounded,
 )
-from .qp import KktSolution, QpProblem, solve_qp
+from .qp import ActiveStructure, KktSolution, QpProblem, classify_active, solve_qp
 from .victims import VictimModel, generic_parametric_qp, solve_victim
 
 LICQ_RTOL = 1e-8
 SSOC_MIN_EIG = 1e-9
 FD_STEP = 1e-5
-
-
-@dataclass(eq=False)
-class ActiveStructure:
-    """Partition of the constraints at a solved point.
-
-    active lists every constraint with |g_i| <= tol_act plus all
-    equalities; weakly_active is the subset of active inequalities whose
-    multiplier is below tol_mult; strict is their complement in active.
-    """
-
-    active: list[int]
-    weakly_active: list[int]
-    strict: list[int]
 
 
 @dataclass
@@ -94,28 +81,6 @@ class SemiDerivative:
     dy: np.ndarray
     aux_solution: KktSolution
     regularity_report: RegularityReport
-
-
-def classify_active(
-    problem: QpProblem,
-    solution: KktSolution,
-    *,
-    tol_act: float = qp.TOL_ACT,
-    tol_mult: float = qp.TOL_MULT,
-) -> ActiveStructure:
-    """Split constraints into active / weakly active / strictly active.
-
-    Equality constraints always count as active (and strict).  An active
-    inequality is weakly active when its multiplier magnitude is at most
-    tol_mult; those are the constraints whose one-sided behaviour the
-    auxiliary problem keeps as inequalities.
-    """
-    g = problem.constraint_values(solution.y)
-    r = problem.n_ineq
-    active = [i for i in range(problem.n_con) if i >= r or abs(g[i]) <= tol_act]
-    weakly = [i for i in active if i < r and abs(solution.lam[i]) <= tol_mult]
-    strict = [i for i in active if i not in weakly]
-    return ActiveStructure(active=active, weakly_active=weakly, strict=strict)
 
 
 def check_licq(active_rows: np.ndarray) -> tuple[bool, float]:
@@ -183,8 +148,7 @@ def build_auxiliary(
     strict_rows = A[structure.strict] if structure.strict else np.zeros((0, problem.n_var))
     ssoc_ok, min_curv = check_ssoc(H_aux, strict_rows)
 
-    grads = np.array([model.grad_x_constraint(i, x, solution.y) for i in range(problem.n_con)])
-    grads = grads.reshape(problem.n_con, model.dim_data)
+    grads = np.asarray(model.grad_x_constraint(x, solution.y), dtype=float)
     B = np.vstack([model.cross_hessian(x, solution.y, solution.lam), -grads])
 
     report = RegularityReport(licq_ok, ssoc_ok, min_sv, min_curv)
@@ -353,7 +317,9 @@ def run_oracle_trials(
         x = 0.2 * rng.standard_normal(dim_data)
         try:
             sol = solve_victim(model, x)
-        except (Infeasible, Unbounded):
+        except (Infeasible, Unbounded, MaxIterations):
+            # MaxIterations: ill-conditioned active rows can push |lam * g|
+            # past the absolute complementarity tolerance
             results.append(OracleTrial(trial_seed, "skipped (solve)"))
             continue
         problem = model.assemble(x)

@@ -2,8 +2,8 @@
 the training data appears as a parameter.
 
 A VictimModel bundles the assembled QP with the analytic derivative
-callbacks that sensitivity analysis needs: the gradient of each
-constraint with respect to the data vector, and the mixed second
+callbacks that sensitivity analysis needs: the Jacobian of the
+constraints with respect to the data vector, and the mixed second
 derivative of the Lagrangian (solution variables by data coordinates).
 """
 
@@ -31,9 +31,9 @@ class VictimModel:
         Length of the learned variable vector y.
     assemble : callable(x) -> QpProblem
         Training problem at data x.
-    grad_x_constraint : callable(i, x, y) -> (dim_data,) array
-        Gradient of constraint i with respect to x, at fixed y.
-        Constraints are indexed as in the assembled problem
+    grad_x_constraint : callable(x, y) -> (n_con, dim_data) array
+        Jacobian of the constraint values with respect to x, at fixed y.
+        Row i is constraint i as indexed in the assembled problem
         (inequalities first, then equalities).
     cross_hessian : callable(x, y, lam) -> (dim_var, dim_data) array
         Mixed second derivative of the Lagrangian
@@ -44,7 +44,7 @@ class VictimModel:
     dim_data: int
     dim_var: int
     assemble: Callable[[np.ndarray], QpProblem]
-    grad_x_constraint: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+    grad_x_constraint: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cross_hessian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     description: str = ""
 
@@ -138,16 +138,14 @@ def svm_assemble(svm: SvmModel, x: np.ndarray) -> QpProblem:
     return QpProblem(H, c, A_ineq=A, b_ineq=b)
 
 
-def svm_grad_x_constraint(svm: SvmModel, i: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x = _check_x(x, svm.dim_data)
+def svm_grad_x_constraint(svm: SvmModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(2n, 2n) constraint Jacobian: margin row i depends on x only through point i."""
+    _check_x(x, svm.dim_data)
     n = svm.n_points
-    if not 0 <= i < 2 * n:
-        raise DimensionMismatch(f"constraint index {i} out of range [0, {2 * n})")
-    out = np.zeros(svm.dim_data)
-    if i < n:
-        # margin row i depends on x only through point i
-        out[2 * i] = -svm.labels[i] * y[0]
-        out[2 * i + 1] = -svm.labels[i] * y[1]
+    out = np.zeros((2 * n, svm.dim_data))
+    rows = np.arange(n)
+    out[rows, 2 * rows] = -svm.labels * y[0]
+    out[rows, 2 * rows + 1] = -svm.labels * y[1]
     return out
 
 
@@ -211,20 +209,12 @@ def toy_assemble(x: np.ndarray) -> QpProblem:
     )
 
 
-def _toy_grad_x(i: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if i == 0:
-        return np.array([-1.0])
-    if i == 1:
-        return np.array([1.0])
-    raise DimensionMismatch(f"toy constraint index {i} out of range")
-
-
 def toy_bilevel_model() -> VictimModel:
     return VictimModel(
         dim_data=1,
         dim_var=1,
         assemble=toy_assemble,
-        grad_x_constraint=_toy_grad_x,
+        grad_x_constraint=lambda x, y: np.array([[-1.0], [1.0]]),
         cross_hessian=lambda x, y, lam: np.zeros((1, 1)),
         description="1-d toy: y(x) = |x|",
     )
@@ -283,9 +273,9 @@ class _AffineQpFamily:
             b_eq=b[r:] if A.shape[0] > r else None,
         )
 
-    def grad_x_constraint(self, i, x, y):
+    def grad_x_constraint(self, x, y):
         _check_x(x, self.dim_data)
-        return self.rows_M[i].T @ y + self.rows_beta[i]
+        return np.einsum("ijk,j->ik", self.rows_M, y) + self.rows_beta
 
     def cross_hessian(self, x, y, lam):
         _check_x(x, self.dim_data)
@@ -306,8 +296,8 @@ class _AffineQpFamily:
 def validate_derivative_callbacks(model: VictimModel, x, y, lam, h=1e-6, tol=1e-5):
     """Check the analytic callbacks against central finite differences.
 
-    Raises AssertionError on disagreement.  Exercises every constraint
-    gradient and every column of the cross Hessian.
+    Raises AssertionError on disagreement.  Exercises every entry of the
+    constraint Jacobian and of the cross Hessian.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -332,10 +322,9 @@ def validate_derivative_callbacks(model: VictimModel, x, y, lam, h=1e-6, tol=1e-
         e[j] = h
         fd_rows[:, j] = (constraint_values(x + e) - constraint_values(x - e)) / (2 * h)
         fd_cross[:, j] = (lagrangian_grad(x + e) - lagrangian_grad(x - e)) / (2 * h)
-    for i in range(m):
-        got = model.grad_x_constraint(i, x, y)
-        if np.abs(got - fd_rows[i]).max(initial=0.0) > tol:
-            raise AssertionError(f"grad_x_constraint({i}) disagrees with finite differences")
+    got = np.asarray(model.grad_x_constraint(x, y), dtype=float)
+    if got.shape != fd_rows.shape or np.abs(got - fd_rows).max(initial=0.0) > tol:
+        raise AssertionError("grad_x_constraint disagrees with finite differences")
     got = model.cross_hessian(x, y, lam)
     if np.abs(got - fd_cross).max(initial=0.0) > tol:
         raise AssertionError("cross_hessian disagrees with finite differences")

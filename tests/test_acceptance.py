@@ -248,6 +248,15 @@ def test_criterion_5_attainable_target_convergence(kink_run, svm_runs, capsys):
     )
 
 
+def test_every_derivative_route_is_exercised(svm_runs):
+    # scenario 3 has a LICQ failure (fd route), scenario 4 weakly active
+    # constraints (aux route); these keep the per-direction probe path in use
+    routes = {seed: [r.route for r in run["semi"].records] for seed, run in svm_runs.items()}
+    assert all(set(r) <= {"linear", "aux", "fd"} for r in routes.values())
+    assert "fd" in routes[3]
+    assert "aux" in routes[4]
+
+
 def test_criterion_6_baseline_ordering(svm_runs, capsys):
     never_worse = all(
         run["semi"].final_objective <= run["grad"].final_objective

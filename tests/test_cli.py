@@ -173,6 +173,14 @@ def test_attack_bad_bounds_string(tmp_path, capsys):
     assert code == 2
 
 
+def test_attack_normalized_bounds_out_of_order(tmp_path, capsys):
+    code = run_cli(
+        "attack", "--out", tmp_path, "--bounds", "1,0,0,1", "--bounds-units", "normalized"
+    )
+    assert code == 2
+    assert "lower bounds exceed upper bounds" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- config file
 
 

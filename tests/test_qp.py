@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from semipoison import errors
-from semipoison.qp import QpProblem, kkt_residuals, solve_qp
+from semipoison.qp import QpProblem, classify_active, kkt_residuals, solve_qp
 
 from _oracles import enumerate_qp
 
@@ -41,8 +41,9 @@ def test_single_active_bound():
     sol = solve_qp(prob)
     assert_allclose(sol.y, [1.0], atol=1e-10)
     assert_allclose(sol.lam, [1.0], atol=1e-10)
-    assert sol.active_set == [0]
-    assert sol.weakly_active == []
+    st = classify_active(prob, sol)
+    assert st.active == [0]
+    assert st.weakly_active == []
 
 
 def test_unconstrained():
@@ -172,10 +173,9 @@ def test_kkt_residuals_exact_and_perturbed():
 def test_active_and_weakly_active_classification():
     # bound inactive at the optimum but multiplier-free: not listed
     prob = QpProblem([[1.0]], [-1.0], A_ineq=[[-1.0]], b_ineq=[0.0])
-    sol = solve_qp(prob)
-    assert sol.active_set == []
+    assert classify_active(prob, solve_qp(prob)).active == []
     # bound active with zero multiplier: weakly active
     prob2 = QpProblem([[1.0]], [0.0], A_ineq=[[-1.0]], b_ineq=[0.0])
-    sol2 = solve_qp(prob2)
-    assert sol2.active_set == [0]
-    assert sol2.weakly_active == [0]
+    st2 = classify_active(prob2, solve_qp(prob2))
+    assert st2.active == [0]
+    assert st2.weakly_active == [0]

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from semipoison import errors
-from semipoison.qp import KktSolution, QpProblem, solve_qp
+from semipoison import errors, qp, sensitivity
+from semipoison.qp import KktSolution, QpProblem, classify_active, solve_qp
 from semipoison.sensitivity import (
     build_auxiliary,
     check_licq,
     check_ssoc,
-    classify_active,
     fd_directional_derivative,
     run_oracle_trials,
     semi_derivative,
@@ -140,6 +139,35 @@ def test_oracle_agreement_randomized():
     assert worst <= 5e-4, f"worst deviation {worst}"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=errors.MaxIterations,
+    reason="absolute complementarity tolerance rejects this correct point (ROADMAP item 5)",
+)
+def test_ill_conditioned_fixture_solves_to_kkt_point():
+    # the two active rows have singular values 2.3 and 3.5e-4, so the
+    # multipliers reach 7e5 and |lam * g| at g = 5e-14 exceeds the absolute
+    # 1e-8 complementarity tolerance, although the point is a KKT point
+    model = generic_parametric_qp(2136513100, 2, 1, 5, 1)
+    x = np.array([-0.2112894533025275])
+    sol = solve_victim(model, x)
+    problem = model.assemble(x)
+    res = qp.kkt_residuals(problem, sol.y, sol.lam)
+    assert res.stationarity <= qp.TOL_STATIONARITY * (1.0 + np.abs(problem.c).max())
+    assert res.primal <= qp.TOL_FEAS
+    assert res.dual <= qp.TOL_DUAL
+    assert res.complementarity <= qp.TOL_COMPLEMENTARITY * (1.0 + np.abs(sol.lam).max())
+
+
+def test_oracle_trials_skip_base_solve_max_iterations(monkeypatch):
+    def failing_solve(model, x):
+        raise errors.MaxIterations("KKT tolerances violated")
+
+    monkeypatch.setattr(sensitivity, "solve_victim", failing_solve)
+    trials = run_oracle_trials(1, seed=0, max_attempts=3)
+    assert [t.status for t in trials] == ["skipped (solve)"] * 3
+
+
 def test_local_lipschitz_bound():
     # max semi-derivative norm over sampled directions bounds difference quotients
     h = 1e-4
@@ -202,7 +230,7 @@ def test_aux_unbounded_when_second_order_condition_fails():
         dim_data=2,
         dim_var=2,
         assemble=lambda x: QpProblem(np.diag([1.0, 0.0]), np.array([-x[0], -x[1]])),
-        grad_x_constraint=lambda i, x, y: np.zeros(2),
+        grad_x_constraint=lambda x, y: np.zeros((0, 2)),
         cross_hessian=lambda x, y, lam: -np.eye(2),
         description="flat direction fixture",
     )

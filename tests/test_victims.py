@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from semipoison import errors
+from semipoison.qp import classify_active
 from semipoison.victims import (
     SvmModel,
     bound_tracking_model,
@@ -71,11 +72,12 @@ def test_svm_grad_x_constraint():
     svm = separable_svm(n=4)
     x = svm.features.ravel()
     y = np.array([0.7, -0.3, 0.1, 0, 0, 0, 0])
-    g = svm_grad_x_constraint(svm, 1, x, y)
+    J = svm_grad_x_constraint(svm, x, y)
+    assert J.shape == (8, 8)
     expect = np.zeros(8)
     expect[2:4] = -svm.labels[1] * y[:2]
-    assert_allclose(g, expect)
-    assert_allclose(svm_grad_x_constraint(svm, 5, x, y), 0.0)  # slack-sign rows
+    assert_allclose(J[1], expect)
+    assert_allclose(J[4:], 0.0)  # slack-sign rows
 
 
 def test_svm_callbacks_match_finite_differences():
@@ -137,8 +139,9 @@ def test_kink_projection_solution_map():
         assert sol.y[0] == pytest.approx(expect, abs=1e-10)
     # at the kink the bound is active with zero multiplier
     sol = solve_victim(model, np.array([0.0]))
-    assert sol.active_set == [0]
-    assert sol.weakly_active == [0]
+    st = classify_active(model.assemble(np.array([0.0])), sol)
+    assert st.active == [0]
+    assert st.weakly_active == [0]
 
 
 def test_bound_tracking_solution_map():
