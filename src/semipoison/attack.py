@@ -43,6 +43,11 @@ from .victims import VictimModel, solve_victim
 
 PROBE_STEP = 1e-9
 BOUNDARY_SLACK = 1e-12
+TOL_STALL = 1e-9  # a derivative above -TOL_STALL is no descent
+MIN_STEP = 1e-8  # backtracking gives up below this trial length
+FD_OBJECTIVE_STEP = 1e-6
+CONVERGENCE_REL_SLACK = 1e-6
+CONVERGENCE_ABS_SLACK = 1e-15
 
 
 @dataclass(eq=False)
@@ -73,8 +78,6 @@ class AttackConfig:
     random_probe: bool = False
     tol_target: float = 1e-12
     tol_improve: float = 1e-12
-    tol_stall: float = 1e-9
-    min_step: float = 1e-8
     max_iters: int = 200
     seed: int = 0
 
@@ -91,8 +94,8 @@ class AttackConfig:
                 )
         if not np.isfinite(self.delta) or self.delta < 0:
             raise ValueError("delta must be finite and nonnegative")
-        if self.curvature_bound <= 0:
-            raise ValueError("curvature_bound must be positive")
+        if not (np.isfinite(self.curvature_bound) and self.curvature_bound > 0):
+            raise ValueError("curvature_bound must be finite and positive")
         if self.step_mode not in ("fixed-L", "backtracking"):
             raise ValueError(f"unknown step_mode {self.step_mode!r}")
         if self.point_dim < 1:
@@ -101,8 +104,6 @@ class AttackConfig:
             raise ValueError("num_random_dirs must be nonnegative")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.min_step <= 0:
-            raise ValueError("min_step must be positive")
         if (self.box_lo is None) != (self.box_hi is None):
             raise ValueError("box bounds must be given together or not at all")
         if self.box_lo is not None:
@@ -362,7 +363,7 @@ class _ObjectiveDerivative:
             out = None
             if self.aux is not None:
                 try:
-                    dy = semi_derivative(self.aux, dx).dy
+                    dy = semi_derivative(self.aux, dx)
                     out = (float(self.grad_y @ dy), "aux")
                 except (AuxInfeasible, AuxUnbounded):
                     out = None
@@ -371,9 +372,9 @@ class _ObjectiveDerivative:
         self._cache[key] = out
         return out
 
-    def _finite_difference(self, dx, h=1e-6):
-        sol = solve_victim(self.model, self.x + h * dx)
-        return (objective(self.selector @ sol.y, self.target) - self.value) / h
+    def _finite_difference(self, dx):
+        sol = solve_victim(self.model, self.x + FD_OBJECTIVE_STEP * dx)
+        return (objective(self.selector @ sol.y, self.target) - self.value) / FD_OBJECTIVE_STEP
 
     def steepest_direction(self, slots: slice):
         if self.gradient is None:
@@ -420,7 +421,7 @@ def _try_step(model, x, d, dg, value, config, x_base, lo, hi, selector, target):
         if config.step_mode == "fixed-L":
             return None
         eta *= 0.5
-        if eta < config.min_step:
+        if eta < MIN_STEP:
             return None
     return None
 
@@ -434,7 +435,7 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
     decrease is set aside for the rest of the round.  Raises
     EmptyDirectionSet when no point can move at all, Stalled when movable
     points admit no sampled descent (with the smallest derivative seen as
-    certificate when it clears -tol_stall).
+    certificate when it clears -TOL_STALL).
     """
     target = config.target
     n_points = model.dim_data // config.point_dim
@@ -470,7 +471,7 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
         vals = [v for v, _ in scored]
         evaluated.extend(vals)
         best = int(np.argmin(vals))
-        if vals[best] >= -config.tol_stall:
+        if vals[best] >= -TOL_STALL:
             continue
         outcome = _try_step(
             model, x, cands[best], vals[best], value, config, x_base, lo, hi, selector, target
@@ -493,7 +494,7 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
     if order and empty == len(order):
         raise EmptyDirectionSet("no feasible perturbation direction remains for any point")
     certificate = min(evaluated) if evaluated else None
-    if certificate is not None and certificate < -config.tol_stall:
+    if certificate is not None and certificate < -TOL_STALL:
         certificate = None  # descent existed but every trial step was rejected
     raise Stalled("no candidate direction decreases the objective", certificate=certificate)
 
@@ -611,7 +612,7 @@ def _gradient_round(model, x, value, solution, config, *, x_base, rng, k, select
     """One projected step down the unconstrained gradient; rng is unused."""
     grad = _unconstrained_gradient(model, x, solution, selector, config.target)
     gnorm = float(np.linalg.norm(grad))
-    if gnorm <= config.tol_stall:
+    if gnorm <= TOL_STALL:
         raise Stalled("objective gradient vanished", certificate=-gnorm)
     d = -grad / gnorm
     outcome = _try_step(
@@ -663,8 +664,7 @@ class ConvergenceReport:
     violations: list[int]
 
 
-def convergence_check(trace: AttackTrace, sigma: float, L: float, *,
-                      rel_slack: float = 1e-6, abs_slack: float = 1e-15) -> ConvergenceReport:
+def convergence_check(trace: AttackTrace, sigma: float, L: float) -> ConvergenceReport:
     """Check |G_k| <= (1 - sigma/L)^k |G_0| along the trace, with slack.
 
     Meaningful for fixed-L runs toward an attainable target (optimal
@@ -683,12 +683,12 @@ def convergence_check(trace: AttackTrace, sigma: float, L: float, *,
     worst = -np.inf
     ratios = []
     for k, value in enumerate(history):
-        bound = factor**k * base * (1.0 + rel_slack) + abs_slack
+        bound = factor**k * base * (1.0 + CONVERGENCE_REL_SLACK) + CONVERGENCE_ABS_SLACK
         excess = abs(value) - bound
         worst = max(worst, excess)
         if excess > 0:
             violations.append(k)
-        if k and abs(history[k - 1]) > abs_slack:
+        if k and abs(history[k - 1]) > CONVERGENCE_ABS_SLACK:
             ratios.append(abs(value) / abs(history[k - 1]))
     return ConvergenceReport(
         passed=not violations,

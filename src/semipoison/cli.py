@@ -472,7 +472,7 @@ def toy_report() -> dict:
     for label, dx in (("right", 1.0), ("left", -1.0)):
         direction = np.array([dx])
         try:
-            dy = float(solution_semi_derivative(model, x0, sol, direction).dy[0])
+            dy = float(solution_semi_derivative(model, x0, sol, direction)[0])
         except (RegularityFailure, AuxInfeasible, AuxUnbounded):
             # the kink pins two bounds at once, so fall back to the defining limit
             dy = float(fd_directional_derivative(model, x0, direction, base_solution=sol)[0])

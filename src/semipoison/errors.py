@@ -36,10 +36,7 @@ class RegularityFailure(SemipoisonError):
 
 
 class AuxInfeasible(SemipoisonError):
-    """Auxiliary problem has inconsistent equality rows.
-
-    Usually signals misclassified active constraints; try a tighter tol_act.
-    """
+    """Auxiliary problem has inconsistent equality rows."""
 
 
 class AuxUnbounded(SemipoisonError):

@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, MaxIterations, Unbounded
 
-# Default tolerances.  TOL_ACT / TOL_MULT are classify_active's defaults
-# for active and weakly active constraints; the rest define when a
-# candidate point counts as a KKT point.
+# Tolerances.  TOL_ACT / TOL_MULT are classify_active's thresholds for
+# active and weakly active constraints; the rest define when a candidate
+# point counts as a KKT point.
 TOL_ACT = 1e-7
 TOL_MULT = 1e-7
 TOL_FEAS = 1e-8
@@ -153,12 +153,13 @@ class KktResiduals:
     dual: float
     complementarity: float
 
-    def within_default_tolerances(self, c_inf: float) -> bool:
+    def within_default_tolerances(self, c_inf: float, lam_inf: float) -> bool:
+        """Stationarity and complementarity scale with the sizes of c and lam."""
         return (
             self.stationarity <= TOL_STATIONARITY * (1.0 + c_inf)
             and self.primal <= TOL_FEAS
             and self.dual <= TOL_DUAL
-            and self.complementarity <= TOL_COMPLEMENTARITY
+            and self.complementarity <= TOL_COMPLEMENTARITY * (1.0 + lam_inf)
         )
 
 
@@ -188,9 +189,9 @@ def kkt_residuals(problem: QpProblem, y: np.ndarray, lam: np.ndarray) -> KktResi
 class ActiveStructure:
     """Partition of the constraints at a solved point.
 
-    active lists every constraint with |g_i| <= tol_act plus all
+    active lists every constraint with |g_i| <= TOL_ACT plus all
     equalities; weakly_active is the subset of active inequalities whose
-    multiplier is below tol_mult; strict is their complement in active.
+    multiplier is at most TOL_MULT; strict is their complement in active.
     """
 
     active: list[int]
@@ -198,24 +199,18 @@ class ActiveStructure:
     strict: list[int]
 
 
-def classify_active(
-    problem: QpProblem,
-    solution: KktSolution,
-    *,
-    tol_act: float = TOL_ACT,
-    tol_mult: float = TOL_MULT,
-) -> ActiveStructure:
+def classify_active(problem: QpProblem, solution: KktSolution) -> ActiveStructure:
     """Split constraints into active / weakly active / strictly active.
 
     Equality constraints always count as active (and strict).  An active
     inequality is weakly active when its multiplier magnitude is at most
-    tol_mult; those are the constraints whose one-sided behaviour the
+    TOL_MULT; those are the constraints whose one-sided behaviour the
     auxiliary problem of the sensitivity module keeps as inequalities.
     """
     g = problem.constraint_values(solution.y)
     r = problem.n_ineq
-    active = [i for i in range(problem.n_con) if i >= r or abs(g[i]) <= tol_act]
-    weakly = [i for i in active if i < r and abs(solution.lam[i]) <= tol_mult]
+    active = [i for i in range(problem.n_con) if i >= r or abs(g[i]) <= TOL_ACT]
+    weakly = [i for i in active if i < r and abs(solution.lam[i]) <= TOL_MULT]
     strict = [i for i in active if i not in weakly]
     return ActiveStructure(active=active, weakly_active=weakly, strict=strict)
 
@@ -454,7 +449,8 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> KktSolution:
         working.extend(candidates[j] for j in keep)
     y, lam, _ = _active_set_loop(problem, y0, working, max_iter)
     res = kkt_residuals(problem, y, lam)
-    if not res.within_default_tolerances(float(np.abs(problem.c).max(initial=0.0))):
+    c_inf = float(np.abs(problem.c).max(initial=0.0))
+    if not res.within_default_tolerances(c_inf, float(np.abs(lam).max(initial=0.0))):
         raise MaxIterations(
             "active-set method returned a point violating KKT tolerances "
             f"(stationarity {res.stationarity:.2e}, primal {res.primal:.2e}, "

@@ -49,9 +49,9 @@ class VictimModel:
     description: str = ""
 
 
-def solve_victim(model: VictimModel, x: np.ndarray, **solve_kwargs) -> KktSolution:
+def solve_victim(model: VictimModel, x: np.ndarray) -> KktSolution:
     """Train the victim at data x (thin wrapper over solve_qp)."""
-    return solve_qp(model.assemble(np.asarray(x, dtype=float)), **solve_kwargs)
+    return solve_qp(model.assemble(np.asarray(x, dtype=float)))
 
 
 def _check_x(x, dim_data):
@@ -91,10 +91,10 @@ class SvmModel:
         if not np.all(np.isin(self.labels, (-1, 1))):
             raise BadLabel("labels must be -1 or +1")
         self.labels = self.labels.astype(float)
-        if self.C <= 0:
-            raise ValueError("C must be positive")
-        if self.ridge_eps <= 0:
-            raise ValueError("ridge_eps must be positive for a unique solution")
+        if not (np.isfinite(self.C) and self.C > 0):
+            raise ValueError("C must be finite and positive")
+        if not (np.isfinite(self.ridge_eps) and self.ridge_eps > 0):
+            raise ValueError("ridge_eps must be finite and positive for a unique solution")
 
     @property
     def n_points(self) -> int:
@@ -177,10 +177,6 @@ def svm_victim(svm: SvmModel) -> VictimModel:
         cross_hessian=partial(svm_cross_hessian, svm),
         description=f"soft-margin linear SVM, n={svm.n_points}, C={svm.C}",
     )
-
-
-def decision_values(features: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
-    return np.asarray(features, dtype=float) @ np.asarray(w, dtype=float) + b
 
 
 # ---------------------------------------------------------------------------

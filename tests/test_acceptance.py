@@ -154,8 +154,8 @@ def test_criterion_2_kink_one_sided_values(capsys):
     model = kink_projection_model()
     x = np.zeros(1)
     sol = solve_victim(model, x)
-    right = float(solution_semi_derivative(model, x, sol, np.array([1.0])).dy[0])
-    left = float(solution_semi_derivative(model, x, sol, np.array([-1.0])).dy[0])
+    right = float(solution_semi_derivative(model, x, sol, np.array([1.0]))[0])
+    left = float(solution_semi_derivative(model, x, sol, np.array([-1.0]))[0])
     report = toy_report()
     passed = (
         abs(right - 1.0) <= 1e-9

@@ -63,6 +63,13 @@ def test_train_header_only_file_is_validation_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--svm-c", "inf"), ("--ridge-eps", "nan")])
+def test_train_non_finite_svm_parameter_is_validation_error(tmp_path, capsys, flag, value):
+    code = run_cli("train", "--out", tmp_path, flag, value)
+    assert code == 2
+    assert "must be finite and positive" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- attack
 
 
@@ -179,6 +186,12 @@ def test_attack_normalized_bounds_out_of_order(tmp_path, capsys):
     )
     assert code == 2
     assert "lower bounds exceed upper bounds" in capsys.readouterr().err
+
+
+def test_attack_nan_curvature_bound_is_validation_error(tmp_path, capsys):
+    code = run_cli("attack", "--out", tmp_path, "--curvature-bound", "nan")
+    assert code == 2
+    assert "curvature_bound must be finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- config file

@@ -78,7 +78,8 @@ def test_kink_auxiliary_data():
     assert_allclose(aux.B, [[-1.0], [0.0]])
     assert aux.structure.active == [0]
     assert aux.structure.weakly_active == [0]
-    assert aux.regularity.licq_ok and aux.regularity.ssoc_ok
+    assert aux.regularity.ssoc_ok
+    assert aux.regularity.min_singular_value == pytest.approx(1.0)
 
 
 def test_kink_one_sided_derivatives():
@@ -86,8 +87,8 @@ def test_kink_one_sided_derivatives():
     x = np.array([0.0])
     sol = solve_victim(model, x)
     aux = build_auxiliary(model, x, sol)
-    assert semi_derivative(aux, np.array([1.0])).dy[0] == pytest.approx(1.0, abs=1e-12)
-    assert semi_derivative(aux, np.array([-1.0])).dy[0] == pytest.approx(0.0, abs=1e-12)
+    assert semi_derivative(aux, np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-12)
+    assert semi_derivative(aux, np.array([-1.0]))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_strictly_active_solution_is_insensitive():
@@ -96,7 +97,7 @@ def test_strictly_active_solution_is_insensitive():
     sol = solve_victim(model, x)
     aux = build_auxiliary(model, x, sol)
     for dx in (1.0, -1.0):
-        assert semi_derivative(aux, np.array([dx])).dy[0] == pytest.approx(0.0, abs=1e-12)
+        assert semi_derivative(aux, np.array([dx]))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_unconstrained_reduction_to_implicit_function():
@@ -109,7 +110,7 @@ def test_unconstrained_reduction_to_implicit_function():
     rng = np.random.default_rng(0)
     for _ in range(4):
         dx = rng.standard_normal(3)
-        dy = semi_derivative(aux, dx).dy
+        dy = semi_derivative(aux, dx)
         assert_allclose(dy, -np.linalg.solve(prob.H, cross @ dx), atol=1e-10)
 
 
@@ -119,16 +120,16 @@ def test_positive_homogeneity():
     sol = solve_victim(model, x)
     aux = build_auxiliary(model, x, sol)
     dx = np.array([0.3, -0.5, 0.8])
-    base = semi_derivative(aux, dx).dy
+    base = semi_derivative(aux, dx)
     for alpha in (0.5, 2.0, 10.0):
-        scaled = semi_derivative(aux, alpha * dx).dy
+        scaled = semi_derivative(aux, alpha * dx)
         assert_allclose(scaled, alpha * base, rtol=1e-8, atol=1e-12)
     # the kinked fixture is positively homogeneous too, one side at a time
     km = kink_projection_model()
     ks = solve_victim(km, np.array([0.0]))
     kaux = build_auxiliary(km, np.array([0.0]), ks)
     for alpha in (0.5, 2.0, 10.0):
-        assert semi_derivative(kaux, np.array([alpha])).dy[0] == pytest.approx(alpha, rel=1e-12)
+        assert semi_derivative(kaux, np.array([alpha]))[0] == pytest.approx(alpha, rel=1e-12)
 
 
 def test_oracle_agreement_randomized():
@@ -139,15 +140,10 @@ def test_oracle_agreement_randomized():
     assert worst <= 5e-4, f"worst deviation {worst}"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=errors.MaxIterations,
-    reason="absolute complementarity tolerance rejects this correct point (ROADMAP item 5)",
-)
 def test_ill_conditioned_fixture_solves_to_kkt_point():
     # the two active rows have singular values 2.3 and 3.5e-4, so the
-    # multipliers reach 7e5 and |lam * g| at g = 5e-14 exceeds the absolute
-    # 1e-8 complementarity tolerance, although the point is a KKT point
+    # multipliers reach 7e5 and |lam * g| at g = 5e-14 is 3.6e-8: above an
+    # absolute 1e-8 complementarity bound, within the multiplier-scaled one
     model = generic_parametric_qp(2136513100, 2, 1, 5, 1)
     x = np.array([-0.2112894533025275])
     sol = solve_victim(model, x)
@@ -164,8 +160,8 @@ def test_oracle_trials_skip_base_solve_max_iterations(monkeypatch):
         raise errors.MaxIterations("KKT tolerances violated")
 
     monkeypatch.setattr(sensitivity, "solve_victim", failing_solve)
-    trials = run_oracle_trials(1, seed=0, max_attempts=3)
-    assert [t.status for t in trials] == ["skipped (solve)"] * 3
+    trials = run_oracle_trials(1, seed=0)
+    assert [t.status for t in trials] == ["skipped (solve)"] * 50
 
 
 def test_local_lipschitz_bound():
@@ -179,7 +175,7 @@ def test_local_lipschitz_bound():
         aux = build_auxiliary(model, x, sol)
         dirs = [rng.standard_normal(3) for _ in range(12)]
         dirs = [d / np.linalg.norm(d) for d in dirs]
-        bound = max(np.linalg.norm(semi_derivative(aux, d).dy) for d in dirs)
+        bound = max(np.linalg.norm(semi_derivative(aux, d)) for d in dirs)
         for d in dirs:
             quot = np.linalg.norm(solve_victim(model, x + h * d).y - sol.y) / h
             assert quot <= bound + 1e-3
@@ -191,37 +187,27 @@ def test_toy_kink_violates_licq():
     sol = solve_victim(model, x)
     with pytest.raises(errors.RegularityFailure):
         build_auxiliary(model, x, sol)
-    aux = build_auxiliary(model, x, sol, allow_irregular=True)
-    assert not aux.regularity.licq_ok
-    # with the multiplier resting on the first mirrored bound, only the
-    # left direction is consistent; the right one exposes the dependence
-    assert semi_derivative(aux, np.array([-1.0])).dy[0] == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(errors.AuxInfeasible):
-        semi_derivative(aux, np.array([1.0]))
 
 
-def test_handcrafted_multiplier_split_is_infeasible_both_ways():
-    # a valid KKT multiplier that splits mass across the mirrored bounds
-    # turns both rows into strict equalities, which cannot hold together
-    model = toy_bilevel_model()
-    x = np.array([0.0])
-    sol = KktSolution(y=np.zeros(1), lam=np.array([0.5, 0.5]), value=0.0)
-    with pytest.raises(errors.AuxInfeasible):
-        solution_semi_derivative(model, x, sol, np.array([1.0]), allow_irregular=True)
-
-
-def test_retry_with_tightened_activity_tolerance():
-    # just right of the toy kink the inactive mirror bound still sits
-    # inside tol_act; the first classification is contradictory and the
-    # documented 10x-tightened retry resolves it
+def test_near_kink_point_fails_licq_without_retry(monkeypatch):
+    # just right of the toy kink both mirrored bounds lie within TOL_ACT of
+    # zero, so two active rows meet one variable and LICQ fails; the
+    # auxiliary problem is built once and the failure is not retried
     model = toy_bilevel_model()
     x = np.array([4e-8])
     sol = solve_victim(model, x)
-    aux = build_auxiliary(model, x, sol, allow_irregular=True)
-    with pytest.raises(errors.AuxInfeasible):
-        semi_derivative(aux, np.array([-1.0]))
-    sd = solution_semi_derivative(model, x, sol, np.array([-1.0]), allow_irregular=True)
-    assert sd.dy[0] == pytest.approx(-1.0, abs=1e-9)
+    problem = model.assemble(x)
+    assert np.all(np.abs(problem.constraint_values(sol.y)) <= qp.TOL_ACT)
+    calls = []
+
+    def counting_build(*args):
+        calls.append(args)
+        return build_auxiliary(*args)
+
+    monkeypatch.setattr(sensitivity, "build_auxiliary", counting_build)
+    with pytest.raises(errors.RegularityFailure):
+        solution_semi_derivative(model, x, sol, np.array([-1.0]))
+    assert len(calls) == 1
 
 
 def test_aux_unbounded_when_second_order_condition_fails():
@@ -249,8 +235,6 @@ def test_fd_directional_derivative_validation():
         fd_directional_derivative(model, x, np.zeros(1))
     with pytest.raises(errors.DimensionMismatch):
         fd_directional_derivative(model, x, np.ones(2))
-    with pytest.raises(ValueError):
-        fd_directional_derivative(model, x, np.ones(1), h=0.0)
 
 
 def test_semi_derivative_direction_validation():
