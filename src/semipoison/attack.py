@@ -373,7 +373,7 @@ class _ObjectiveDerivative:
         return out
 
     def _finite_difference(self, dx):
-        sol = solve_victim(self.model, self.x + FD_OBJECTIVE_STEP * dx)
+        sol = solve_victim(self.model, self.x + FD_OBJECTIVE_STEP * dx, warm=self.solution)
         return (objective(self.selector @ sol.y, self.target) - self.value) / FD_OBJECTIVE_STEP
 
     def steepest_direction(self, slots: slice):
@@ -405,16 +405,17 @@ def objective_derivative(
     return ev.dG(dx)[0]
 
 
-def _try_step(model, x, d, dg, value, config, x_base, lo, hi, selector, target):
+def _try_step(model, x, solution, d, dg, value, config, x_base, lo, hi, selector, target):
     """Trial steps along d until the objective strictly decreases.
 
+    Each trial re-solves the victim warm from solution, the one at x.
     Returns (x_new, solution, value_new, step) or None when rejected.
     """
     eta = -dg / config.curvature_bound
     while eta > 0.0:
         trial = project_to_feasible(x + eta * d, x_base, config.delta, lo, hi)
         if not np.array_equal(trial, x):
-            sol = solve_victim(model, trial)
+            sol = solve_victim(model, trial, warm=solution)
             val = objective(selector @ sol.y, target)
             if val < value:
                 return trial, sol, val, eta
@@ -474,7 +475,8 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
         if vals[best] >= -TOL_STALL:
             continue
         outcome = _try_step(
-            model, x, cands[best], vals[best], value, config, x_base, lo, hi, selector, target
+            model, x, solution, cands[best], vals[best], value, config, x_base, lo, hi,
+            selector, target,
         )
         if outcome is None:
             continue
@@ -616,7 +618,7 @@ def _gradient_round(model, x, value, solution, config, *, x_base, rng, k, select
         raise Stalled("objective gradient vanished", certificate=-gnorm)
     d = -grad / gnorm
     outcome = _try_step(
-        model, x, d, -gnorm, value, config, x_base, lo, hi, selector, config.target
+        model, x, solution, d, -gnorm, value, config, x_base, lo, hi, selector, config.target
     )
     if outcome is None:
         raise Stalled("no decrease along the gradient direction", certificate=None)

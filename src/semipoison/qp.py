@@ -40,13 +40,20 @@ _RANK_TOL = 1e-11
 _DROP_TOL = 1e-9
 
 
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    # count_nonzero is cheaper than .all() on the small arrays solved here
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise ValueError(f"{name} contains NaN or infinite entries")
+    return a
+
+
 def _as_matrix(a, n_cols: int, name: str) -> np.ndarray:
     if a is None:
         return np.zeros((0, n_cols))
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[1] != n_cols:
         raise DimensionMismatch(f"{name} must be 2-d with {n_cols} columns, got shape {a.shape}")
-    return a
+    return _finite(a, name)
 
 
 def _as_vector(b, n: int, name: str) -> np.ndarray:
@@ -55,7 +62,7 @@ def _as_vector(b, n: int, name: str) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise DimensionMismatch(f"{name} must have shape ({n},), got {b.shape}")
-    return b
+    return _finite(b, name)
 
 
 @dataclass(eq=False)
@@ -73,6 +80,8 @@ class QpProblem:
         Inequality rows, A_ineq y + b_ineq <= 0.
     A_eq, b_eq : (n_eq, n_var) array, (n_eq,) array, optional
         Equality rows, A_eq y + b_eq == 0.
+
+    Every entry must be finite; NaN or inf raises ValueError.
     """
 
     H: np.ndarray
@@ -86,15 +95,19 @@ class QpProblem:
         H = np.asarray(self.H, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise DimensionMismatch(f"H must be square, got shape {H.shape}")
+        h_max = np.abs(H).max(initial=0.0)  # NaN or inf when H has such an entry
+        if not np.isfinite(h_max):
+            raise ValueError("H contains NaN or infinite entries")
         asym = np.abs(H - H.T).max(initial=0.0)
-        if asym > _SYM_TOL * max(1.0, np.abs(H).max(initial=0.0)):
+        if asym > _SYM_TOL * max(1.0, h_max):
             raise DimensionMismatch(f"H is not symmetric (asymmetry {asym:.3e})")
-        self.H = 0.5 * (H + H.T)
+        # an exactly symmetric H is its own symmetrization, bit for bit
+        self.H = H if asym == 0.0 else 0.5 * (H + H.T)
         n = H.shape[0]
         c = np.asarray(self.c, dtype=float)
         if c.shape != (n,):
             raise DimensionMismatch(f"c must have shape ({n},), got {c.shape}")
-        self.c = c
+        self.c = _finite(c, "c")
         self.A_ineq = _as_matrix(self.A_ineq, n, "A_ineq")
         self.b_ineq = _as_vector(self.b_ineq, self.A_ineq.shape[0], "b_ineq")
         self.A_eq = _as_matrix(self.A_eq, n, "A_eq")
@@ -136,12 +149,16 @@ class KktSolution:
 
     lam holds one multiplier per constraint in problem order; inequality
     multipliers are nonnegative.  classify_active splits the constraints
-    into active, weakly active and strictly active ones.
+    into active, weakly active and strictly active ones.  iterations
+    counts the main active-set iterations (phase 1 excluded) and phase1
+    tells whether a phase-1 search supplied the starting point.
     """
 
     y: np.ndarray
     lam: np.ndarray
     value: float
+    iterations: int = 0
+    phase1: bool = False
 
 
 @dataclass
@@ -279,26 +296,36 @@ def _multipliers(A_w, grad):
 
 
 def _independent_subset(rows: np.ndarray, base: np.ndarray) -> list[int]:
-    """Indices of rows that extend `base` to a linearly independent set."""
-    basis: list[np.ndarray] = []
+    """Indices of rows that extend `base` to a linearly independent set.
+
+    Greedy in row order.  Each row is projected off the orthonormal basis
+    built so far in one matrix product, repeated once to restore the
+    orthogonality that a single classical Gram-Schmidt pass loses.
+    """
+    Q = np.empty((base.shape[0] + rows.shape[0], rows.shape[1]))
+    k = 0
+
+    def residual(v):
+        B = Q[:k]
+        v = v - (v @ B.T) @ B
+        return v - (v @ B.T) @ B
+
     for r in base:
-        v = r.copy()
-        for b in basis:
-            v -= (b @ v) * b
+        v = residual(r)
         nrm = np.linalg.norm(v)
         if nrm > 1e-12:
-            basis.append(v / nrm)
+            Q[k] = v / nrm
+            k += 1
     keep = []
-    for idx in range(rows.shape[0]):
-        v = rows[idx].copy()
-        scale = np.linalg.norm(v)
+    for idx, r in enumerate(rows):
+        scale = np.linalg.norm(r)
         if scale <= 1e-14:
             continue
-        for b in basis:
-            v -= (b @ v) * b
+        v = residual(r)
         nrm = np.linalg.norm(v)
         if nrm > 1e-8 * scale:
-            basis.append(v / nrm)
+            Q[k] = v / nrm
+            k += 1
             keep.append(idx)
     return keep
 
@@ -416,7 +443,21 @@ def _phase1(problem: QpProblem) -> np.ndarray:
     return y_aux[:n]
 
 
-def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> KktSolution:
+def _usable_start(problem: QpProblem, start) -> np.ndarray | None:
+    """start as a float vector when it is finite and feasible, else None."""
+    y = np.asarray(start, dtype=float)
+    if y.shape != (problem.n_var,):
+        raise DimensionMismatch(f"start must have shape ({problem.n_var},), got {y.shape}")
+    if not np.isfinite(y).all():
+        return None
+    g = problem.constraint_values(y)
+    r = problem.n_ineq
+    if g[:r].max(initial=0.0) > TOL_FEAS or np.abs(g[r:]).max(initial=0.0) > TOL_FEAS:
+        return None
+    return y
+
+
+def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> KktSolution:
     """Solve a convex QP to a KKT point.
 
     Parameters
@@ -424,20 +465,32 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> KktSolution:
     problem : QpProblem
     max_iter : int, optional
         Active-set iteration cap; defaults to max(200, 30 * (n_con + 1)).
+    start : (n_var,) array, optional
+        A warm start, typically the solution of a nearby problem.  It
+        replaces phase 1 when it is finite and meets every constraint
+        within TOL_FEAS; any other start is ignored and phase 1 runs as
+        without one.  Either way the working set starts as the
+        independent constraints active at the starting point, so a start
+        close to the optimum needs few iterations.
 
     Returns
     -------
     KktSolution
-        The primal-dual pair; classify_active reports which constraints
-        are active at it.
+        The primal-dual pair, with the iteration count and whether phase
+        1 ran; classify_active reports which constraints are active at it.
 
     Raises
     ------
     Infeasible, Unbounded, MaxIterations
+    DimensionMismatch
+        When start does not have shape (n_var,).
     """
     if max_iter is None:
         max_iter = max(200, 30 * (problem.n_con + 1))
-    y0 = _phase1(problem)
+    y0 = None if start is None else _usable_start(problem, start)
+    phase1 = y0 is None
+    if phase1:
+        y0 = _phase1(problem)
     r = problem.n_ineq
     working = list(range(r, problem.n_con))
     g0 = problem.A_ineq @ y0 + problem.b_ineq if r else np.zeros(0)
@@ -447,7 +500,7 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> KktSolution:
         base = problem.A_eq if problem.n_eq else np.zeros((0, problem.n_var))
         keep = _independent_subset(rows, base)
         working.extend(candidates[j] for j in keep)
-    y, lam, _ = _active_set_loop(problem, y0, working, max_iter)
+    y, lam, iterations = _active_set_loop(problem, y0, working, max_iter)
     res = kkt_residuals(problem, y, lam)
     c_inf = float(np.abs(problem.c).max(initial=0.0))
     if not res.within_default_tolerances(c_inf, float(np.abs(lam).max(initial=0.0))):
@@ -456,4 +509,6 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> KktSolution:
             f"(stationarity {res.stationarity:.2e}, primal {res.primal:.2e}, "
             f"dual {res.dual:.2e}, complementarity {res.complementarity:.2e})"
         )
-    return KktSolution(y=y, lam=lam, value=problem.objective_value(y))
+    return KktSolution(
+        y=y, lam=lam, value=problem.objective_value(y), iterations=iterations, phase1=phase1
+    )

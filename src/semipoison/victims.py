@@ -39,6 +39,9 @@ class VictimModel:
         Mixed second derivative of the Lagrangian
         objective + sum_i lam_i * g_i with respect to (y, x).
     description : str
+    feasible_start : callable(x, y_prev) -> y, optional
+        Turns the solution y_prev at nearby data into a point that is
+        feasible for the training problem at data x, for warm starts.
     """
 
     dim_data: int
@@ -47,11 +50,26 @@ class VictimModel:
     grad_x_constraint: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cross_hessian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     description: str = ""
+    feasible_start: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
-def solve_victim(model: VictimModel, x: np.ndarray) -> KktSolution:
-    """Train the victim at data x (thin wrapper over solve_qp)."""
-    return solve_qp(model.assemble(np.asarray(x, dtype=float)))
+def solve_victim(
+    model: VictimModel, x: np.ndarray, warm: KktSolution | None = None
+) -> KktSolution:
+    """Train the victim at data x (thin wrapper over solve_qp).
+
+    warm is the solution at nearby data.  When given, solve_qp starts
+    from model.feasible_start(x, warm.y), or from warm.y itself when the
+    model has no such hook; a start that is not feasible at x falls back
+    to phase 1, so warm changes the cost of the solve, not its result
+    beyond round-off.
+    """
+    x = np.asarray(x, dtype=float)
+    problem = model.assemble(x)
+    if warm is None:
+        return solve_qp(problem)
+    hook = model.feasible_start
+    return solve_qp(problem, start=warm.y if hook is None else hook(x, warm.y))
 
 
 def _check_x(x, dim_data):
@@ -167,6 +185,18 @@ def svm_cross_hessian(svm: SvmModel, x: np.ndarray, y: np.ndarray, lam: np.ndarr
     return out
 
 
+def svm_feasible_start(svm: SvmModel, x: np.ndarray, y_prev: np.ndarray) -> np.ndarray:
+    """Keep (w, b) of y_prev and reset each slack to the least feasible value.
+
+    xi_i = max(0, 1 - l_i * (w . x_i + b)), with l_i the label of point
+    i, meets margin row i and slack row i at data x wherever x_i moved.
+    """
+    pts = _check_x(x, svm.dim_data).reshape(svm.n_points, 2)
+    y = np.array(y_prev, dtype=float)
+    y[3:] = np.maximum(0.0, 1.0 - svm.labels * (pts @ y[:2] + y[2]))
+    return y
+
+
 def svm_victim(svm: SvmModel) -> VictimModel:
     """Wrap an SvmModel as a generic VictimModel."""
     return VictimModel(
@@ -176,6 +206,7 @@ def svm_victim(svm: SvmModel) -> VictimModel:
         grad_x_constraint=partial(svm_grad_x_constraint, svm),
         cross_hessian=partial(svm_cross_hessian, svm),
         description=f"soft-margin linear SVM, n={svm.n_points}, C={svm.C}",
+        feasible_start=partial(svm_feasible_start, svm),
     )
 
 
@@ -299,16 +330,14 @@ def validate_derivative_callbacks(model: VictimModel, x, y, lam, h=1e-6, tol=1e-
     y = np.asarray(y, dtype=float)
     lam = np.asarray(lam, dtype=float)
 
-    def constraint_values(xv):
-        return model.assemble(xv).constraint_values(y)
-
-    def lagrangian_grad(xv):
+    def values_and_lagrangian_grad(xv):
+        """Constraint values and the Lagrangian's y-gradient, from one assembly."""
         prob = model.assemble(xv)
-        A, _ = prob.stacked_rows()
+        A, b = prob.stacked_rows()
         g = prob.H @ y + prob.c
         if prob.n_con:
             g = g + A.T @ lam
-        return g
+        return A @ y + b, g
 
     m = model.assemble(x).n_con
     fd_rows = np.zeros((m, model.dim_data))
@@ -316,8 +345,10 @@ def validate_derivative_callbacks(model: VictimModel, x, y, lam, h=1e-6, tol=1e-
     for j in range(model.dim_data):
         e = np.zeros(model.dim_data)
         e[j] = h
-        fd_rows[:, j] = (constraint_values(x + e) - constraint_values(x - e)) / (2 * h)
-        fd_cross[:, j] = (lagrangian_grad(x + e) - lagrangian_grad(x - e)) / (2 * h)
+        values_plus, grad_plus = values_and_lagrangian_grad(x + e)
+        values_minus, grad_minus = values_and_lagrangian_grad(x - e)
+        fd_rows[:, j] = (values_plus - values_minus) / (2 * h)
+        fd_cross[:, j] = (grad_plus - grad_minus) / (2 * h)
     got = np.asarray(model.grad_x_constraint(x, y), dtype=float)
     if got.shape != fd_rows.shape or np.abs(got - fd_rows).max(initial=0.0) > tol:
         raise AssertionError("grad_x_constraint disagrees with finite differences")

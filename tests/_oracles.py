@@ -68,3 +68,34 @@ def fd_solution_derivative(solve, x, dx, h=1e-5):
     x = np.asarray(x, dtype=float)
     dx = np.asarray(dx, dtype=float)
     return (solve(x + h * dx) - solve(x)) / h
+
+
+def independent_subset_mgs(rows, base):
+    """Greedy independent-row selection by one modified Gram-Schmidt pass.
+
+    Reference for qp._independent_subset: base rows enter the basis when
+    their residual exceeds 1e-12; a candidate row is skipped when its norm
+    is at most 1e-14 and kept when its residual exceeds 1e-8 of its norm.
+    Returns the kept candidate indices in row order.
+    """
+    basis = []
+    for r in base:
+        v = np.array(r, dtype=float)
+        for b in basis:
+            v -= (b @ v) * b
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-12:
+            basis.append(v / nrm)
+    keep = []
+    for idx in range(rows.shape[0]):
+        v = np.array(rows[idx], dtype=float)
+        scale = np.linalg.norm(v)
+        if scale <= 1e-14:
+            continue
+        for b in basis:
+            v -= (b @ v) * b
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-8 * scale:
+            basis.append(v / nrm)
+            keep.append(idx)
+    return keep

@@ -21,11 +21,13 @@ from semipoison.attack import (
     write_summary_csv,
     write_trace_jsonl,
 )
+from semipoison.data import normalize, synth_lane_change
 from semipoison.errors import (
     DimensionMismatch,
     EmptyDirectionSet,
     Stalled,
 )
+from semipoison.qp import classify_active
 from semipoison.victims import (
     SvmModel,
     bound_tracking_model,
@@ -402,6 +404,35 @@ def test_svm_scenario_reaches_target_weight_gap():
     baseline = run_gradient_baseline(x0, model, cfg)
     assert baseline.reason == "stalled"
     assert trace.final_objective < baseline.final_objective
+
+
+@pytest.mark.parametrize("seed", [0, 3, 4])
+def test_warm_and_cold_solves_agree_along_attack_trajectory(seed):
+    """Replay an acceptance-style SVM attack and re-solve each iterate both ways."""
+    data = normalize(synth_lane_change(20, seed=seed))
+    model = svm_victim(SvmModel(data.features, data.labels, C=10.0))
+    selector = np.zeros((1, model.dim_var))
+    selector[0, :2] = [1.0, -1.0]
+    cfg = AttackConfig(
+        target=np.zeros(1), delta=3.0, selector=selector, point_dim=2,
+        curvature_bound=20.0, tol_target=1e-10, tol_improve=1e-14, seed=seed,
+    )
+    x_bar = data.features.ravel()
+    trace = run_attack(x_bar, model, cfg)
+    assert len(trace.records) >= 39
+    x = x_bar
+    prev = solve_victim(model, x)
+    for record in trace.records:
+        x = project_to_feasible(x + record.step * record.direction, x_bar, cfg.delta)
+        problem = model.assemble(x)
+        warm = solve_victim(model, x, warm=prev)
+        cold = solve_victim(model, x)
+        assert not warm.phase1 and warm.iterations <= 5
+        assert cold.phase1
+        assert np.abs(warm.y - cold.y).max() <= 1e-10
+        assert vars(classify_active(problem, warm)) == vars(classify_active(problem, cold))
+        prev = warm
+    assert np.array_equal(x, trace.x_final)
 
 
 # ---------------------------------------------------------------------------

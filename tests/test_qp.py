@@ -5,13 +5,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from semipoison import errors
-from semipoison.qp import QpProblem, classify_active, kkt_residuals, solve_qp
+from semipoison.qp import QpProblem, _independent_subset, classify_active, kkt_residuals, solve_qp
 
-from _oracles import enumerate_qp
+from _oracles import enumerate_qp, independent_subset_mgs
 
 
 def random_feasible_qp(rng, n_var, n_ineq, n_eq=0, strictly_convex=True):
     """Random QP with a known strictly feasible interior point."""
+    return random_feasible_qp_and_point(rng, n_var, n_ineq, n_eq, strictly_convex)[0]
+
+
+def random_feasible_qp_and_point(rng, n_var, n_ineq, n_eq=0, strictly_convex=True):
+    """random_feasible_qp plus its interior point, from the same draws."""
     M = rng.standard_normal((n_var, n_var))
     H = M.T @ M + (0.1 if strictly_convex else 0.0) * np.eye(n_var)
     c = rng.standard_normal(n_var)
@@ -23,7 +28,7 @@ def random_feasible_qp(rng, n_var, n_ineq, n_eq=0, strictly_convex=True):
         b_ineq = -(A_ineq @ y_int) - slack
     A_eq = rng.standard_normal((n_eq, n_var)) if n_eq else None
     b_eq = -(A_eq @ y_int) if n_eq else None
-    return QpProblem(H, c, A_ineq, b_ineq, A_eq, b_eq)
+    return QpProblem(H, c, A_ineq, b_ineq, A_eq, b_eq), y_int
 
 
 def test_equality_projection():
@@ -179,3 +184,164 @@ def test_active_and_weakly_active_classification():
     st2 = classify_active(prob2, solve_qp(prob2))
     assert st2.active == [0]
     assert st2.weakly_active == [0]
+
+
+@pytest.mark.parametrize("name", ["H", "c", "A_ineq", "b_ineq", "A_eq", "b_eq"])
+def test_non_finite_problem_data_rejected(name):
+    data = {
+        "H": np.eye(2), "c": np.ones(2),
+        "A_ineq": np.ones((1, 2)), "b_ineq": -np.ones(1),
+        "A_eq": np.array([[1.0, -1.0]]), "b_eq": np.zeros(1),
+    }
+    QpProblem(**data)
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = dict(data)
+        broken[name] = data[name].copy()
+        broken[name].flat[0] = bad
+        with pytest.raises(ValueError, match=name):
+            QpProblem(**broken)
+
+
+# ---------------------------------------------------------------------------
+# warm starts
+# ---------------------------------------------------------------------------
+
+
+def _same_bytes(a, b):
+    return a.y.tobytes() == b.y.tobytes() and a.lam.tobytes() == b.lam.tobytes() and (
+        a.value == b.value and a.iterations == b.iterations
+    )
+
+
+def test_warm_starts_on_criterion_8_problems():
+    """Feasible starts reach the cold optimum; any other start is phase 1 exactly."""
+    rng = np.random.default_rng(2024)
+    warm_used = fallbacks = 0
+    for _ in range(500):
+        n_var = int(rng.integers(2, 7))
+        n_eq = int(rng.integers(0, min(3, n_var)))
+        n_ineq = int(rng.integers(0, 9 - n_eq))
+        prob, y_int = random_feasible_qp_and_point(rng, n_var, n_ineq, n_eq)
+        cold = solve_qp(prob)
+        assert cold.phase1 and cold.iterations >= 1
+        for start in (y_int, cold.y):
+            warm = solve_qp(prob, start=start)
+            assert not warm.phase1
+            assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
+            warm_used += 1
+        starts = [np.full(n_var, np.nan), np.where(np.arange(n_var) == 0, np.inf, y_int)]
+        if prob.n_con:
+            # push the interior point onto g_0 = 1, past every feasibility tolerance
+            A, b = prob.stacked_rows()
+            a = A[0]
+            starts.append(y_int + (1.0 - (a @ y_int + b[0])) * a / (a @ a))
+            assert prob.constraint_values(starts[-1])[0] > 0.5
+        for start in starts:
+            fallback = solve_qp(prob, start=start)
+            assert fallback.phase1
+            assert _same_bytes(fallback, cold)
+            fallbacks += 1
+    assert warm_used == 1000 and fallbacks > 1000
+
+
+def test_warm_start_shape_is_checked():
+    prob = QpProblem(np.eye(2), np.zeros(2))
+    with pytest.raises(errors.DimensionMismatch):
+        solve_qp(prob, start=np.zeros(3))
+
+
+def test_warm_start_from_optimum_needs_one_iteration():
+    prob = QpProblem([[1.0]], [0.0], A_ineq=[[-1.0]], b_ineq=[1.0])
+    sol = solve_qp(prob, start=np.array([1.0]))
+    assert not sol.phase1 and sol.iterations == 1
+    assert_allclose(sol.lam, [1.0], atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# working-set row selection
+# ---------------------------------------------------------------------------
+
+
+def _planted_rows(rng, n_var, n_rows, base):
+    """Random rows with planted dependencies on the base and earlier rows.
+
+    Kinds: fresh random rows, exact duplicates, scaled copies, zero rows,
+    and combinations of earlier rows plus a residual orthogonal to all of
+    them of 1e-9 or 1e-7 relative size (below and above the 1e-8 cut).
+    """
+    rows = []
+    for _ in range(n_rows):
+        prev = np.vstack([base] + rows) if (base.shape[0] or rows) else np.zeros((0, n_var))
+        kind = rng.choice(["fresh", "dup", "scaled", "zero", "resid9", "resid7"])
+        if kind == "zero" or (kind != "fresh" and prev.shape[0] == 0):
+            row = np.zeros(n_var) if kind == "zero" else rng.standard_normal(n_var)
+        elif kind == "fresh":
+            row = rng.standard_normal(n_var)
+        elif kind == "dup":
+            row = prev[rng.integers(prev.shape[0])].copy()
+        elif kind == "scaled":
+            row = rng.uniform(-5.0, 5.0) * prev[rng.integers(prev.shape[0])]
+        else:
+            combo = rng.standard_normal(prev.shape[0]) @ prev
+            _, s, Vt = np.linalg.svd(prev)
+            rank = int(np.sum(s > 1e-10 * s[0]))
+            if rank == n_var or np.linalg.norm(combo) == 0.0:
+                row = combo
+            else:
+                eps = 1e-9 if kind == "resid9" else 1e-7
+                row = combo + eps * np.linalg.norm(combo) * Vt[rank]
+        rows.append(row[None])
+    return np.vstack(rows)
+
+
+def _relative_residuals(rows, base, keep):
+    """Each row's residual off base plus the kept rows before it, over its norm.
+
+    An SVD basis, projected twice: a reference independent of both
+    Gram-Schmidt loops.
+    """
+    out = np.zeros(rows.shape[0])
+    for i, row in enumerate(rows):
+        scale = np.linalg.norm(row)
+        if scale <= 1e-14:
+            continue
+        prior = np.vstack([base, rows[[j for j in keep if j < i]]])
+        v = row
+        if prior.shape[0]:
+            U, sv, _ = np.linalg.svd(prior.T, full_matrices=False)
+            Q = U[:, sv > 1e-12 * sv[0]]
+            v = v - Q @ (Q.T @ v)
+            v = v - Q @ (Q.T @ v)
+        out[i] = np.linalg.norm(v) / scale
+    return out
+
+
+@pytest.mark.parametrize("with_base", [False, True])
+def test_independent_subset_matches_gram_schmidt_oracle(with_base):
+    """Same rows as the one-pass modified Gram-Schmidt loop it replaced.
+
+    The loop loses orthogonality after keeping a row with a 1e-7 relative
+    residual and can then keep a later row that lies in the span, ending
+    with more rows than the dimension.  Where it does, the selections may
+    differ, and only the vectorized one is a valid independent set.
+    """
+    rng = np.random.default_rng(99 + with_base)
+    kept_total = 0
+    for _ in range(400):
+        n_var = int(rng.integers(1, 9))
+        base = np.zeros((0, n_var))
+        if with_base:
+            base = rng.standard_normal((int(rng.integers(0, min(3, n_var) + 1)), n_var))
+            if base.shape[0] and rng.random() < 0.3:
+                base = np.vstack([base, 2.0 * base[:1]])  # a dependent base row
+        rows = _planted_rows(rng, n_var, int(rng.integers(1, 14)), base)
+        got = _independent_subset(rows, base)
+        ref = independent_subset_mgs(rows, base)
+        resid = _relative_residuals(rows, base, got)
+        assert all(resid[i] > 1e-8 for i in got)
+        assert all(resid[i] <= 1e-8 for i in range(rows.shape[0]) if i not in got)
+        if got != ref:
+            base_rank = np.linalg.matrix_rank(base) if base.shape[0] else 0
+            assert set(got) < set(ref) and base_rank + len(ref) > n_var
+        kept_total += len(got)
+    assert kept_total > 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from semipoison import errors
@@ -176,3 +178,18 @@ def test_generic_fixture_deterministic():
     assert_allclose(pa.H, pb.H)
     assert_allclose(pa.c, pb.c)
     assert_allclose(pa.A_ineq, pb.A_ineq)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    x=st.lists(st.floats(-0.2, 0.2), min_size=3, max_size=3),
+    dx=st.lists(st.floats(-1e-3, 1e-3), min_size=3, max_size=3),
+)
+def test_warm_solve_after_small_data_move_matches_cold(seed, x, dx):
+    """A warm start from the solution at x changes nothing but round-off at x + dx."""
+    model = generic_parametric_qp(seed)
+    x, dx = np.array(x), np.array(dx)
+    warm = solve_victim(model, x + dx, warm=solve_victim(model, x))
+    cold = solve_victim(model, x + dx)
+    assert np.abs(warm.y - cold.y).max() <= 1e-9
