@@ -301,7 +301,7 @@ def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rn
 
 
 class _ObjectiveDerivative:
-    """Directional derivative of the attack objective at a fixed iterate.
+    """Directional derivatives of the attack objective at a fixed iterate.
 
     Routes, in order of preference: a single symmetric linear solve when
     the solution map is differentiable here (no weakly active
@@ -329,15 +329,16 @@ class _ObjectiveDerivative:
         if aux.structure.weakly_active:
             return
         # strict complementarity: dy is linear in dx, so one solve of the
-        # stationarity system gives the gradient of G through the map
+        # stationarity system gives the gradient of G through the map; with
+        # no weakly active rows, the strict rows are all the active ones
         nv = aux.dim_var
-        rows = aux.active_rows
+        strict = aux.structure.strict
+        rows = aux.rows[strict]
         k = rows.shape[0]
         K = np.zeros((nv + k, nv + k))
         K[:nv, :nv] = aux.H_aux
-        if k:
-            K[:nv, nv:] = rows.T
-            K[nv:, :nv] = rows
+        K[:nv, nv:] = rows.T
+        K[nv:, :nv] = rows
         rhs = np.zeros(nv + k)
         rhs[:nv] = self.grad_y
         try:
@@ -346,31 +347,32 @@ class _ObjectiveDerivative:
             return
         if np.abs(K @ u - rhs).max(initial=0.0) > 1e-8 * (1.0 + np.abs(rhs).max(initial=0.0)):
             return
-        cross = aux.B[:nv]
-        grads_strict = -aux.B[nv:][aux.structure.strict] if k else np.zeros((0, aux.dim_data))
-        W = np.vstack([cross, grads_strict])
+        W = np.vstack([aux.B[:nv], -aux.B[nv:][strict]])
         self.gradient = -(W.T @ u)
 
-    def dG(self, dx) -> tuple[float, str]:
-        dx = np.asarray(dx, dtype=float)
-        key = dx.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    def dG(self, D: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        """Derivatives along the rows of D, and the route behind each.
+
+        The linear route scores every row with one product; the aux and
+        fd routes go row by row, caching each value by the row's bytes.
+        """
         if self.gradient is not None:
-            out = (float(self.gradient @ dx), "linear")
-        else:
+            return D @ self.gradient, ["linear"] * len(D)
+        scored = [self._per_direction(d) for d in D]
+        return np.array([v for v, _ in scored], dtype=float), [r for _, r in scored]
+
+    def _per_direction(self, dx) -> tuple[float, str]:
+        key = dx.tobytes()
+        if key not in self._cache:
             out = None
             if self.aux is not None:
                 try:
                     dy = semi_derivative(self.aux, dx)
                     out = (float(self.grad_y @ dy), "aux")
                 except (AuxInfeasible, AuxUnbounded):
-                    out = None
-            if out is None:
-                out = (self._finite_difference(dx), "fd")
-        self._cache[key] = out
-        return out
+                    pass
+            self._cache[key] = out or (self._finite_difference(dx), "fd")
+        return self._cache[key]
 
     def _finite_difference(self, dx):
         sol = solve_victim(self.model, self.x + FD_OBJECTIVE_STEP * dx, warm=self.solution)
@@ -402,7 +404,8 @@ def objective_derivative(
     sol = solution if solution is not None else solve_victim(model, x)
     value = objective(selector @ sol.y, config.target)
     ev = _ObjectiveDerivative(model, x, sol, selector, config.target, value)
-    return ev.dG(dx)[0]
+    vals, _ = ev.dG(np.asarray(dx, dtype=float)[None])
+    return float(vals[0])
 
 
 def _try_step(model, x, solution, d, dg, value, config, x_base, lo, hi, selector, target):
@@ -450,8 +453,8 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
         D = _axis_directions(slice(None), x.size)
         owner = np.arange(D.shape[0]) // (2 * config.point_dim)
     ok = _feasible_mask(x, D, x_base, config.delta, lo, hi)
-    probe_vals = np.array([ev.dG(d)[0] for d in D[ok]], dtype=float)
-    evaluated: list[float] = probe_vals.tolist()
+    probe_vals, _ = ev.dG(D[ok])
+    evaluated = [probe_vals]
     scores = np.full(n_points, np.inf)
     np.minimum.at(scores, owner[ok], probe_vals)
     probed = np.isfinite(scores)
@@ -468,14 +471,14 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
         d_st = ev.steepest_direction(_point_slots(p, config.point_dim))
         if d_st is not None and _feasible_mask(x, d_st[None], x_base, config.delta, lo, hi)[0]:
             cands.append(d_st)
-        scored = [ev.dG(d) for d in cands]
-        vals = [v for v, _ in scored]
-        evaluated.extend(vals)
+        vals, routes = ev.dG(np.array(cands))
+        evaluated.append(vals)
         best = int(np.argmin(vals))
-        if vals[best] >= -TOL_STALL:
+        dg = float(vals[best])
+        if dg >= -TOL_STALL:
             continue
         outcome = _try_step(
-            model, x, solution, cands[best], vals[best], value, config, x_base, lo, hi,
+            model, x, solution, cands[best], dg, value, config, x_base, lo, hi,
             selector, target,
         )
         if outcome is None:
@@ -486,16 +489,17 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
             objective_value=val_new,
             point=p,
             direction=cands[best],
-            derivative=vals[best],
+            derivative=dg,
             step=eta,
             distance=float(np.linalg.norm(trial - x_base)),
-            route=scored[best][1],
+            route=routes[best],
         )
         return trial, sol_new, record
 
     if order and empty == len(order):
         raise EmptyDirectionSet("no feasible perturbation direction remains for any point")
-    certificate = min(evaluated) if evaluated else None
+    evaluated = np.concatenate(evaluated)
+    certificate = float(evaluated.min()) if evaluated.size else None
     if certificate is not None and certificate < -TOL_STALL:
         certificate = None  # descent existed but every trial step was rejected
     raise Stalled("no candidate direction decreases the objective", certificate=certificate)
@@ -595,7 +599,7 @@ def _unconstrained_gradient(model, x, solution, selector, target):
     Chain rule through the stationarity system of the training objective
     alone; exact for the victim only when no constraint is active.
     """
-    problem = model.assemble(np.asarray(x, dtype=float))
+    problem = solution.problem
     resid = selector @ solution.y - target
     grad_y = 2.0 * (selector.T @ resid)
     cross = model.cross_hessian(x, solution.y, np.zeros(problem.n_con))

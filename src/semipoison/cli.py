@@ -52,9 +52,10 @@ from .errors import (
     Unbounded,
 )
 from .sensitivity import (
+    build_auxiliary,
     fd_directional_derivative,
     run_oracle_trials,
-    solution_semi_derivative,
+    semi_derivative,
 )
 from .victims import (
     SvmModel,
@@ -105,6 +106,13 @@ ATTACK_DEFAULTS = {
     "num_random_dirs": 8,
     "random_probe": False,
 }
+# the JSON types a config-file value may have, by the type its flag parses to
+CONFIG_TYPES = {
+    bool: (bool, "true or false"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+}
 SEARCH_KNOBS = (
     "curvature_bound", "step_mode", "num_random_dirs", "random_probe",
     "tol_target", "tol_improve", "max_iters", "seed",
@@ -128,6 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        # resolve_config checks config-file values against these flags
+        p.set_defaults(flag_actions=p._actions)
         p.add_argument("--config", help="flat JSON file of flag defaults")
         p.add_argument("--seed", type=int, help="random seed")
         p.add_argument("--out", help="output directory")
@@ -201,6 +211,23 @@ def _load_config_file(path) -> dict:
     return doc
 
 
+def _check_config_value(key: str, value, action: argparse.Action, default) -> None:
+    """Reject a config-file value that the key's flag would not produce.
+
+    null is taken only where the default is null, and a flag's choices
+    bind its config key too.
+    """
+    if value is None and default is None:
+        return
+    kind = bool if action.nargs == 0 else action.type or str  # nargs 0: a switch
+    kinds, name = CONFIG_TYPES[kind]
+    # true and false are Python ints, but not JSON numbers
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
+        raise ValueError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r} must be one of {action.choices}, got {value!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and explicit flags (strongest last)."""
     defaults = DEFAULTS[args.command]
@@ -210,6 +237,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         unknown = sorted(set(overrides) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
+        actions = {action.dest: action for action in args.flag_actions}
+        for key, value in overrides.items():
+            _check_config_value(key, value, actions[key], defaults[key])
         resolved.update(overrides)
     for key in defaults:
         value = getattr(args, key, None)
@@ -266,9 +296,7 @@ def _parse_target(text: str, dim_var: int):
 
 def _search_knobs(resolved: dict) -> dict:
     """The AttackConfig search and stopping knobs every attack scenario shares."""
-    knobs = {key: resolved[key] for key in SEARCH_KNOBS}
-    knobs["random_probe"] = bool(knobs["random_probe"])
-    return knobs
+    return {key: resolved[key] for key in SEARCH_KNOBS}
 
 
 def _attack_config(resolved: dict, ds: Dataset, dim_var: int) -> AttackConfig:
@@ -429,6 +457,8 @@ def cmd_sensitivity_check(resolved: dict) -> int:
     tol = float(resolved["tol"])
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and nonnegative")
     results = run_oracle_trials(trials, seed=resolved["seed"]) if trials else []
     with open(out / "trials.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -472,7 +502,7 @@ def toy_report() -> dict:
     for label, dx in (("right", 1.0), ("left", -1.0)):
         direction = np.array([dx])
         try:
-            dy = float(solution_semi_derivative(model, x0, sol, direction)[0])
+            dy = float(semi_derivative(build_auxiliary(model, x0, sol), direction)[0])
         except (RegularityFailure, AuxInfeasible, AuxUnbounded):
             # the kink pins two bounds at once, so fall back to the defining limit
             dy = float(fd_directional_derivative(model, x0, direction, base_solution=sol)[0])

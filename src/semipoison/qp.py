@@ -151,7 +151,9 @@ class KktSolution:
     multipliers are nonnegative.  classify_active splits the constraints
     into active, weakly active and strictly active ones.  iterations
     counts the main active-set iterations (phase 1 excluded) and phase1
-    tells whether a phase-1 search supplied the starting point.
+    tells whether a phase-1 search supplied the starting point.  problem
+    is the QpProblem that solve_qp solved, so callers that need its data
+    at the solution do not assemble it again.
     """
 
     y: np.ndarray
@@ -159,6 +161,7 @@ class KktSolution:
     value: float
     iterations: int = 0
     phase1: bool = False
+    problem: QpProblem | None = None
 
 
 @dataclass
@@ -188,8 +191,8 @@ def kkt_residuals(problem: QpProblem, y: np.ndarray, lam: np.ndarray) -> KktResi
         raise DimensionMismatch(f"y must have shape ({problem.n_var},), got {y.shape}")
     if lam.shape != (problem.n_con,):
         raise DimensionMismatch(f"lam must have shape ({problem.n_con},), got {lam.shape}")
-    A, _ = problem.stacked_rows()
-    g = problem.constraint_values(y)
+    A, b = problem.stacked_rows()
+    g = A @ y + b
     r = problem.n_ineq
     grad = problem.H @ y + problem.c
     if problem.n_con:
@@ -240,25 +243,27 @@ def classify_active(problem: QpProblem, solution: KktSolution) -> ActiveStructur
 def _working_subproblem(H, c, A_w, b_w, y):
     """Minimize the objective subject to A_w q + b_w = 0, anchored near y.
 
-    Returns (y_hat, ray).  y_hat is the minimizer (None if the subproblem
-    is unbounded); ray is a descent direction of unbounded decrease lying
-    in the null space of A_w (None when the minimizer exists).
+    Returns (y_hat, ray, multipliers).  y_hat is the minimizer (None if
+    the subproblem is unbounded); ray is a descent direction of unbounded
+    decrease lying in the null space of A_w (None when the minimizer
+    exists).  multipliers(q) solves A_w' lam = -(H q + c) in the
+    least-squares sense from the same factorization of A_w, for callers
+    that need lam at q = y_hat (None when y_hat is).
     """
-    n = len(y)
-    if A_w.shape[0] == 0:
-        Z = np.eye(n)
-        y0 = y
-    else:
-        U, s, Vt = np.linalg.svd(A_w, full_matrices=True)
-        smax = s[0] if s.size else 0.0
-        rank = int(np.sum(s > _RANK_TOL * max(smax, 1.0)))
-        Z = Vt[rank:].T
-        resid = A_w @ y + b_w
-        # min-norm correction onto the working affine set
-        coef = (U[:, :rank].T @ resid) / s[:rank]
-        y0 = y - Vt[:rank].T @ coef
+    U, s, Vt = np.linalg.svd(A_w, full_matrices=True)  # Vt = I when A_w has no rows
+    smax = s[0] if s.size else 0.0
+    rank = int(np.sum(s > _RANK_TOL * max(smax, 1.0)))
+    Z = Vt[rank:].T
+
+    def multipliers(q):
+        return -U[:, :rank] @ ((Vt[:rank] @ (H @ q + c)) / s[:rank])
+
+    resid = A_w @ y + b_w
+    # min-norm correction onto the working affine set
+    coef = (U[:, :rank].T @ resid) / s[:rank]
+    y0 = y - Vt[:rank].T @ coef
     if Z.shape[1] == 0:
-        return y0, None
+        return y0, None, multipliers
     g0 = H @ y0 + c
     gr = Z.T @ g0
     Hr = Z.T @ H @ Z
@@ -273,26 +278,18 @@ def _working_subproblem(H, c, A_w, b_w, y):
         d = Z @ V[:, j]
         if gr @ V[:, j] > 0:
             d = -d
-        return None, d
+        return None, d, None
     zero = ~pos
     if np.any(zero):
         gz = V[:, zero] @ (V[:, zero].T @ gr)
         if np.abs(gz).max(initial=0.0) > 1e-9 * (1.0 + np.abs(gr).max(initial=0.0)):
             d = -(Z @ gz)
-            return None, d / np.linalg.norm(d)
+            return None, d / np.linalg.norm(d), None
     if np.any(pos):
         u = -V[:, pos] @ ((V[:, pos].T @ gr) / w[pos])
     else:
         u = np.zeros(Z.shape[1])
-    return y0 + Z @ u, None
-
-
-def _multipliers(A_w, grad):
-    """Solve A_w' lam = -grad in the least-squares sense."""
-    if A_w.shape[0] == 0:
-        return np.zeros(0)
-    lam, *_ = np.linalg.lstsq(A_w.T, -grad, rcond=None)
-    return lam
+    return y0 + Z @ u, None, multipliers
 
 
 def _independent_subset(rows: np.ndarray, base: np.ndarray) -> list[int]:
@@ -343,28 +340,20 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, working: list[int], max_
     working = sorted(working)
     for it in range(max_iter):
         idx = np.array(working, dtype=int)
-        A_w = A[idx] if idx.size else np.zeros((0, problem.n_var))
-        b_w = b[idx] if idx.size else np.zeros(0)
-        y_hat, ray = _working_subproblem(H, c, A_w, b_w, y)
+        y_hat, ray, multipliers = _working_subproblem(H, c, A[idx], b[idx], y)
 
         if ray is None:
             p = y_hat - y
             step_scale = np.abs(p).max(initial=0.0)
             if step_scale <= 1e-11 * (1.0 + np.abs(y).max(initial=0.0)):
                 # stationary on the working set: check multiplier signs
-                grad = H @ y_hat + c
-                lam_w = _multipliers(A_w, grad)
-                negative = [
-                    (working[j], lam_w[j])
-                    for j in range(len(working))
-                    if working[j] < r and lam_w[j] < -_DROP_TOL
-                ]
-                if not negative:
+                lam_w = multipliers(y_hat)
+                negative = idx[(idx < r) & (lam_w < -_DROP_TOL)]
+                if not negative.size:
                     lam = np.zeros(problem.n_con)
-                    for j, gi in enumerate(working):
-                        lam[gi] = lam_w[j] if (gi >= r or lam_w[j] > 0.0) else 0.0
+                    lam[idx] = np.where((idx >= r) | (lam_w > 0.0), lam_w, 0.0)
                     return y_hat, lam, it + 1
-                working.remove(min(gi for gi, _ in negative))
+                working.remove(int(negative.min()))
                 y = y_hat
                 continue
             limit = 1.0
@@ -476,8 +465,9 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     Returns
     -------
     KktSolution
-        The primal-dual pair, with the iteration count and whether phase
-        1 ran; classify_active reports which constraints are active at it.
+        The primal-dual pair, with the iteration count, whether phase 1
+        ran, and problem itself as its problem attribute; classify_active
+        reports which constraints are active at it.
 
     Raises
     ------
@@ -510,5 +500,6 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
             f"dual {res.dual:.2e}, complementarity {res.complementarity:.2e})"
         )
     return KktSolution(
-        y=y, lam=lam, value=problem.objective_value(y), iterations=iterations, phase1=phase1
+        y=y, lam=lam, value=problem.objective_value(y), iterations=iterations, phase1=phase1,
+        problem=problem,
     )

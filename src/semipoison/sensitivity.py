@@ -43,22 +43,15 @@ FD_STEP = 1e-5
 ORACLE_MARGIN = 1e-4  # strict-complementarity margin of the oracle's gate
 
 
-@dataclass
-class RegularityReport:
-    ssoc_ok: bool
-    min_singular_value: float
-    min_curvature: float
-
-
 @dataclass(eq=False)
 class AuxiliaryProblem:
     """Data of the directional-derivative QP at a solved point."""
 
     H_aux: np.ndarray
-    active_rows: np.ndarray  # one row per entry of structure.active
+    rows: np.ndarray  # every constraint row in problem order; structure indexes it
     structure: ActiveStructure
     B: np.ndarray  # (dim_var + n_con, dim_data)
-    regularity: RegularityReport
+    min_singular_value: float  # of the active rows; inf with none
 
     @property
     def dim_var(self) -> int:
@@ -79,9 +72,9 @@ def check_licq(active_rows: np.ndarray) -> tuple[bool, float]:
     rows = np.asarray(active_rows, dtype=float)
     if rows.size == 0 or rows.shape[0] == 0:
         return True, np.inf
-    s = np.linalg.svd(rows, compute_uv=False)
     if rows.shape[0] > rows.shape[1]:
         return False, 0.0
+    s = np.linalg.svd(rows, compute_uv=False)
     return bool(s[-1] > LICQ_RTOL * s[0]), float(s[-1])
 
 
@@ -109,31 +102,26 @@ def check_ssoc(H_aux: np.ndarray, strict_rows: np.ndarray) -> tuple[bool, float]
 def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) -> AuxiliaryProblem:
     """Assemble the directional-derivative QP data at a solved point.
 
+    solution.problem, which solve_qp sets, is the training problem at x;
+    it is not assembled again.
+
     Raises RegularityFailure when LICQ fails: the auxiliary problem then
-    does not determine the derivative.  A failing second-order condition
-    is recorded in the regularity report, not raised; it surfaces as
-    AuxUnbounded when a derivative is requested.
+    does not determine the derivative.  The second-order condition is not
+    checked here; where it fails, semi_derivative raises AuxUnbounded.
     """
     x = np.asarray(x, dtype=float)
-    problem = model.assemble(x)
+    problem = solution.problem
     structure = classify_active(problem, solution)
     A, _ = problem.stacked_rows()
-    active_rows = A[structure.active] if structure.active else np.zeros((0, problem.n_var))
-    licq_ok, min_sv = check_licq(active_rows)
+    licq_ok, min_sv = check_licq(A[structure.active])
     if not licq_ok:
         raise RegularityFailure(
             f"active constraint gradients are dependent (min singular value {min_sv:.3e})"
         )
-
-    H_aux = problem.H  # constraints are linear in y, so this is the full Hessian
-    strict_rows = A[structure.strict] if structure.strict else np.zeros((0, problem.n_var))
-    ssoc_ok, min_curv = check_ssoc(H_aux, strict_rows)
-
     grads = np.asarray(model.grad_x_constraint(x, solution.y), dtype=float)
     B = np.vstack([model.cross_hessian(x, solution.y, solution.lam), -grads])
-
-    report = RegularityReport(ssoc_ok, min_sv, min_curv)
-    return AuxiliaryProblem(H_aux, active_rows, structure, B, report)
+    # constraints are linear in y, so the training Hessian is H_aux
+    return AuxiliaryProblem(problem.H, A, structure, B, min_sv)
 
 
 def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
@@ -158,17 +146,14 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
     v = z[: aux.dim_var]
     mu = z[aux.dim_var :]
 
-    st = aux.structure
-    pos = {i: k for k, i in enumerate(st.active)}
-    strict_rows = aux.active_rows[[pos[i] for i in st.strict]] if st.strict else None
-    weak_rows = aux.active_rows[[pos[i] for i in st.weakly_active]] if st.weakly_active else None
+    weak, strict = aux.structure.weakly_active, aux.structure.strict
     problem = QpProblem(
         aux.H_aux,
         -v,
-        A_ineq=weak_rows,
-        b_ineq=mu[st.weakly_active] if st.weakly_active else None,
-        A_eq=strict_rows,
-        b_eq=mu[st.strict] if st.strict else None,
+        A_ineq=aux.rows[weak],
+        b_ineq=mu[weak],
+        A_eq=aux.rows[strict],
+        b_eq=mu[strict],
     )
     try:
         return solve_qp(problem).y
@@ -176,13 +161,6 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
         raise AuxInfeasible(str(exc)) from exc
     except Unbounded as exc:
         raise AuxUnbounded(str(exc)) from exc
-
-
-def solution_semi_derivative(
-    model: VictimModel, x: np.ndarray, solution: KktSolution, dx: np.ndarray
-) -> np.ndarray:
-    """Build the auxiliary problem at a solved point and differentiate along dx."""
-    return semi_derivative(build_auxiliary(model, x, solution), dx)
 
 
 def fd_directional_derivative(
@@ -248,7 +226,7 @@ def run_oracle_trials(n_trials: int, seed: int = 0) -> list[OracleTrial]:
         except (Infeasible, Unbounded, MaxIterations):
             results.append(OracleTrial(trial_seed, "skipped (solve)"))
             continue
-        problem = model.assemble(x)
+        problem = sol.problem
         g = problem.constraint_values(sol.y)
         clean = all(
             abs(g[i]) <= qp.TOL_ACT or g[i] < -ORACLE_MARGIN for i in range(problem.n_ineq)
@@ -257,15 +235,13 @@ def run_oracle_trials(n_trials: int, seed: int = 0) -> list[OracleTrial]:
             for i in range(problem.n_ineq)
             if abs(g[i]) <= qp.TOL_ACT
         )
+        if clean:
+            try:
+                aux = build_auxiliary(model, x, sol)
+                clean, _ = check_ssoc(aux.H_aux, aux.rows[aux.structure.strict])
+            except RegularityFailure:
+                clean = False
         if not clean:
-            results.append(OracleTrial(trial_seed, "skipped (regularity)"))
-            continue
-        try:
-            aux = build_auxiliary(model, x, sol)
-        except RegularityFailure:
-            results.append(OracleTrial(trial_seed, "skipped (regularity)"))
-            continue
-        if not aux.regularity.ssoc_ok:
             results.append(OracleTrial(trial_seed, "skipped (regularity)"))
             continue
         dx = rng.standard_normal(dim_data)

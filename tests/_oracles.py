@@ -99,3 +99,16 @@ def independent_subset_mgs(rows, base):
             basis.append(v / nrm)
             keep.append(idx)
     return keep
+
+
+def lstsq_multipliers(rows, grad):
+    """Least-squares solution of rows' lam = -grad, by numpy's lstsq.
+
+    Reference for the working-set multipliers of qp.solve_qp, which takes
+    them from the factorization of the working rows it already holds.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[0] == 0:
+        return np.zeros(0)
+    lam, *_ = np.linalg.lstsq(rows.T, -np.asarray(grad, dtype=float), rcond=None)
+    return lam

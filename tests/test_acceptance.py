@@ -21,7 +21,7 @@ from semipoison.attack import (
 from semipoison.cli import toy_report
 from semipoison.data import normalize, normalized_box, synth_lane_change
 from semipoison.qp import solve_qp
-from semipoison.sensitivity import run_oracle_trials, solution_semi_derivative
+from semipoison.sensitivity import build_auxiliary, run_oracle_trials, semi_derivative
 from semipoison.victims import (
     SvmModel,
     generic_parametric_qp,
@@ -154,8 +154,8 @@ def test_criterion_2_kink_one_sided_values(capsys):
     model = kink_projection_model()
     x = np.zeros(1)
     sol = solve_victim(model, x)
-    right = float(solution_semi_derivative(model, x, sol, np.array([1.0]))[0])
-    left = float(solution_semi_derivative(model, x, sol, np.array([-1.0]))[0])
+    right = float(semi_derivative(build_auxiliary(model, x, sol), np.array([1.0]))[0])
+    left = float(semi_derivative(build_auxiliary(model, x, sol), np.array([-1.0]))[0])
     report = toy_report()
     passed = (
         abs(right - 1.0) <= 1e-9

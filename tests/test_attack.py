@@ -7,6 +7,8 @@ import pytest
 
 from semipoison.attack import (
     AttackConfig,
+    _axis_directions,
+    _ObjectiveDerivative,
     AttackTrace,
     StepRecord,
     attack_step,
@@ -28,6 +30,7 @@ from semipoison.errors import (
     Stalled,
 )
 from semipoison.qp import classify_active
+from semipoison.sensitivity import semi_derivative
 from semipoison.victims import (
     SvmModel,
     bound_tracking_model,
@@ -404,6 +407,27 @@ def test_svm_scenario_reaches_target_weight_gap():
     baseline = run_gradient_baseline(x0, model, cfg)
     assert baseline.reason == "stalled"
     assert trace.final_objective < baseline.final_objective
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_linear_route_scores_match_semi_derivatives(seed):
+    """At a strictly complementary SVM point one product scores every axis row."""
+    data = normalize(synth_lane_change(20, seed=seed))
+    model = svm_victim(SvmModel(data.features, data.labels, C=10.0))
+    x = data.features.ravel()
+    sol = solve_victim(model, x)
+    selector = np.zeros((1, model.dim_var))
+    selector[0, :2] = [1.0, -1.0]
+    target = np.zeros(1)
+    value = objective(selector @ sol.y, target)
+    ev = _ObjectiveDerivative(model, x, sol, selector, target, value)
+    assert ev.aux.structure.weakly_active == [] and ev.gradient is not None
+    D = _axis_directions(slice(None), x.size)
+    vals, routes = ev.dG(D)
+    assert routes == ["linear"] * len(D)
+    expected = np.array([ev.grad_y @ semi_derivative(ev.aux, d) for d in D])
+    assert np.count_nonzero(expected) > 0
+    assert np.abs(vals - expected).max() <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 3, 4])

@@ -226,6 +226,45 @@ def test_config_file_must_be_object(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("attack", {"max_iters": "10"}),
+        ("train", {"synth_n": "40"}),
+        ("train", {"svm_c": "10"}),
+        ("train", {"seed": "x"}),
+        ("attack", {"random_probe": "yes"}),
+        ("attack", {"delta": True}),
+        ("train", {"synth_n": 40.0}),
+        ("train", {"seed": None}),
+        ("attack", {"delta_units": "miles"}),
+        ("compare", {"victim": "lasso"}),
+        ("sensitivity-check", {"trials": True}),
+    ],
+)
+def test_config_file_value_of_wrong_type_rejected(tmp_path, capsys, command, doc):
+    (key,) = doc
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = run_cli(command, "--config", cfg, "--out", tmp_path / "run")
+    assert code == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_file_values_of_flag_types_accepted(tmp_path, capsys):
+    # an integer for a float flag, null where the default is null, a switch
+    doc = {"svm_c": 10, "delta": 2, "data": None, "synth_n": 16, "random_probe": True,
+           "max_iters": 1}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code = run_cli("attack", "--config", cfg, "--out", out)
+    assert code in (0, 4)
+    resolved = json.loads((out / "config.json").read_text())
+    assert {key: resolved[key] for key in doc} == doc
+
+
 # ---------------------------------------------------------------- compare
 
 
@@ -301,6 +340,14 @@ def test_sensitivity_check_tight_tolerance_fails(tmp_path, capsys):
     code = run_cli("sensitivity-check", "--out", tmp_path, "--trials", 5, "--tol", 1e-16)
     assert code == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_sensitivity_check_bad_tolerance_is_validation_error(tmp_path, capsys, tol):
+    code = run_cli("sensitivity-check", "--out", tmp_path, "--trials", 5, "--tol", tol)
+    assert code == 2
+    assert "tol must be finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "trials.csv").exists()
 
 
 # ---------------------------------------------------------------- toy

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from semipoison import errors
 from semipoison.qp import QpProblem, _independent_subset, classify_active, kkt_residuals, solve_qp
 
-from _oracles import enumerate_qp, independent_subset_mgs
+from _oracles import enumerate_qp, independent_subset_mgs, lstsq_multipliers
 
 
 def random_feasible_qp(rng, n_var, n_ineq, n_eq=0, strictly_convex=True):
@@ -200,6 +200,28 @@ def test_non_finite_problem_data_rejected(name):
         broken[name].flat[0] = bad
         with pytest.raises(ValueError, match=name):
             QpProblem(**broken)
+
+
+def test_multipliers_match_least_squares_reference():
+    """On criterion 8's problems, lam solves A_S' lam = -(H y + c) on its support S."""
+    rng = np.random.default_rng(2024)
+    for _ in range(500):
+        n_var = int(rng.integers(2, 7))
+        n_eq = int(rng.integers(0, min(3, n_var)))
+        n_ineq = int(rng.integers(0, 9 - n_eq))
+        prob = random_feasible_qp(rng, n_var, n_ineq, n_eq)
+        sol = solve_qp(prob)
+        A, _ = prob.stacked_rows()
+        support = [i for i in range(prob.n_con) if i >= prob.n_ineq or sol.lam[i] > 0.0]
+        ref = lstsq_multipliers(A[support], prob.H @ sol.y + prob.c)
+        gap = np.abs(sol.lam[support] - ref).max(initial=0.0)
+        assert gap <= 1e-10 * (1.0 + np.abs(ref).max(initial=0.0))
+
+
+def test_solution_carries_its_problem():
+    prob = QpProblem([[1.0]], [0.0], A_ineq=[[-1.0]], b_ineq=[1.0])
+    assert solve_qp(prob).problem is prob
+    assert solve_qp(prob, start=np.array([2.0])).problem is prob
 
 
 # ---------------------------------------------------------------------------

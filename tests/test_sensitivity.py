@@ -1,5 +1,7 @@
 """Tests for directional derivatives of QP solution maps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,13 +15,15 @@ from semipoison.sensitivity import (
     fd_directional_derivative,
     run_oracle_trials,
     semi_derivative,
-    solution_semi_derivative,
 )
+from semipoison.data import normalize, synth_lane_change
 from semipoison.victims import (
+    SvmModel,
     VictimModel,
     generic_parametric_qp,
     kink_projection_model,
     solve_victim,
+    svm_victim,
     toy_bilevel_model,
 )
 
@@ -74,12 +78,35 @@ def test_kink_auxiliary_data():
     sol = solve_victim(model, x)
     aux = build_auxiliary(model, x, sol)
     assert_allclose(aux.H_aux, [[1.0]])
-    assert_allclose(aux.active_rows, [[-1.0]])
+    assert_allclose(aux.rows[aux.structure.active], [[-1.0]])
     assert_allclose(aux.B, [[-1.0], [0.0]])
     assert aux.structure.active == [0]
     assert aux.structure.weakly_active == [0]
-    assert aux.regularity.ssoc_ok
-    assert aux.regularity.min_singular_value == pytest.approx(1.0)
+    assert check_ssoc(aux.H_aux, aux.rows[aux.structure.strict])[0]
+    assert aux.min_singular_value == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("victim", ["svm", "generic"])
+def test_build_auxiliary_does_not_assemble(victim):
+    if victim == "svm":
+        data = normalize(synth_lane_change(20, seed=0))
+        base = svm_victim(SvmModel(data.features, data.labels, C=10.0))
+        x = data.features.ravel()
+    else:
+        base = generic_parametric_qp(11, dim_var=4, dim_data=3, n_ineq=3)
+        x = np.array([0.05, -0.1, 0.02])
+    calls = []
+
+    def counting_assemble(xv):
+        calls.append(xv)
+        return base.assemble(xv)
+
+    model = dataclasses.replace(base, assemble=counting_assemble)
+    sol = solve_victim(model, x)
+    assert len(calls) == 1
+    aux = build_auxiliary(model, x, sol)
+    assert len(calls) == 1
+    assert aux.H_aux is sol.problem.H
 
 
 def test_kink_one_sided_derivatives():
@@ -206,7 +233,7 @@ def test_near_kink_point_fails_licq_without_retry(monkeypatch):
 
     monkeypatch.setattr(sensitivity, "build_auxiliary", counting_build)
     with pytest.raises(errors.RegularityFailure):
-        solution_semi_derivative(model, x, sol, np.array([-1.0]))
+        semi_derivative(sensitivity.build_auxiliary(model, x, sol), np.array([-1.0]))
     assert len(calls) == 1
 
 
@@ -223,7 +250,7 @@ def test_aux_unbounded_when_second_order_condition_fails():
     x = np.array([0.3, 0.0])
     sol = solve_victim(model, x)
     aux = build_auxiliary(model, x, sol)
-    assert not aux.regularity.ssoc_ok
+    assert not check_ssoc(aux.H_aux, aux.rows[aux.structure.strict])[0]
     with pytest.raises(errors.AuxUnbounded):
         semi_derivative(aux, np.array([0.0, 1.0]))
 
