@@ -343,9 +343,9 @@ def _training_metrics(ds: Dataset, w1: float, w2: float, b: float) -> dict:
 
 
 def cmd_train(resolved: dict) -> int:
-    out = _prepare_out(resolved)
     _, ds, model = _trained_svm(resolved)
     sol = solve_victim(model, ds.features.ravel())
+    out = _prepare_out(resolved)
     w1, w2, b = (float(v) for v in sol.y[:3])
     report = _training_metrics(ds, w1, w2, b)
     print(json.dumps(report, indent=2))
@@ -375,12 +375,12 @@ def _attack_summary(trace: AttackTrace) -> dict:
 
 
 def cmd_attack(resolved: dict) -> int:
-    out = _prepare_out(resolved)
     raw, ds, model = _trained_svm(resolved)
     cfg = _attack_config(resolved, ds, model.dim_var)
     x0 = ds.features.ravel()
     trace = run_attack(x0, model, cfg)
 
+    out = _prepare_out(resolved)
     _write_resolved_config(resolved, out)
     write_trace_jsonl(trace, out / "trace.jsonl")
     write_summary_csv(trace, out / "summary.csv")
@@ -417,7 +417,6 @@ def _quadratic_scenario(resolved: dict):
 
 
 def cmd_compare(resolved: dict) -> int:
-    out = _prepare_out(resolved)
     if resolved["victim"] == "quadratic":
         x0, model, cfg = _quadratic_scenario(resolved)
     else:
@@ -427,6 +426,7 @@ def cmd_compare(resolved: dict) -> int:
     trace_semi = run_attack(x0, model, cfg)
     trace_grad = run_gradient_baseline(x0, model, cfg)
 
+    out = _prepare_out(resolved)
     _write_resolved_config(resolved, out)
     write_trace_jsonl(trace_semi, out / "semi_trace.jsonl")
     write_trace_jsonl(trace_grad, out / "grad_trace.jsonl")
@@ -451,14 +451,14 @@ def cmd_compare(resolved: dict) -> int:
 
 
 def cmd_sensitivity_check(resolved: dict) -> int:
-    out = _prepare_out(resolved)
-    _write_resolved_config(resolved, out)
     trials = int(resolved["trials"])
     tol = float(resolved["tol"])
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and nonnegative")
+    out = _prepare_out(resolved)
+    _write_resolved_config(resolved, out)
     results = run_oracle_trials(trials, seed=resolved["seed"]) if trials else []
     with open(out / "trials.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

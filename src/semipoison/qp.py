@@ -150,10 +150,12 @@ class KktSolution:
     lam holds one multiplier per constraint in problem order; inequality
     multipliers are nonnegative.  classify_active splits the constraints
     into active, weakly active and strictly active ones.  iterations
-    counts the main active-set iterations (phase 1 excluded) and phase1
-    tells whether a phase-1 search supplied the starting point.  problem
-    is the QpProblem that solve_qp solved, so callers that need its data
-    at the solution do not assemble it again.
+    counts the main active-set iterations (phase 1 excluded); each
+    factors the working set once, so a solve whose starting working set
+    is optimal takes one.  phase1 tells whether a phase-1 search supplied
+    the starting point.  problem is the QpProblem that solve_qp solved,
+    so callers that need its data at the solution do not assemble it
+    again.
     """
 
     y: np.ndarray
@@ -285,54 +287,48 @@ def _working_subproblem(H, c, A_w, b_w, y):
         if np.abs(gz).max(initial=0.0) > 1e-9 * (1.0 + np.abs(gr).max(initial=0.0)):
             d = -(Z @ gz)
             return None, d / np.linalg.norm(d), None
-    if np.any(pos):
-        u = -V[:, pos] @ ((V[:, pos].T @ gr) / w[pos])
-    else:
-        u = np.zeros(Z.shape[1])
+    u = -V[:, pos] @ ((V[:, pos].T @ gr) / w[pos])  # zeros when no curvature is positive
     return y0 + Z @ u, None, multipliers
 
 
 def _independent_subset(rows: np.ndarray, base: np.ndarray) -> list[int]:
     """Indices of rows that extend `base` to a linearly independent set.
 
-    Greedy in row order.  Each row is projected off the orthonormal basis
-    built so far in one matrix product, repeated once to restore the
-    orthogonality that a single classical Gram-Schmidt pass loses.
+    Greedy in row order: a base row counts when its residual off the base
+    rows before it exceeds 1e-12; a row of norm at most 1e-14 is skipped,
+    and any other is kept when its residual off the rows counted before
+    it exceeds 1e-8 of its norm.  These residuals are the R diagonal of
+    one QR factorization of the stacked rows, which measures them only up
+    to the first failing row, so that row is dropped and the rest are
+    factored again.
     """
-    Q = np.empty((base.shape[0] + rows.shape[0], rows.shape[1]))
-    k = 0
-
-    def residual(v):
-        B = Q[:k]
-        v = v - (v @ B.T) @ B
-        return v - (v @ B.T) @ B
-
-    for r in base:
-        v = residual(r)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-12:
-            Q[k] = v / nrm
-            k += 1
-    keep = []
-    for idx, r in enumerate(rows):
-        scale = np.linalg.norm(r)
-        if scale <= 1e-14:
-            continue
-        v = residual(r)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8 * scale:
-            Q[k] = v / nrm
-            k += 1
-            keep.append(idx)
-    return keep
+    nb = base.shape[0]
+    stack = np.vstack([base, rows])
+    scale = np.linalg.norm(rows, axis=1)
+    thresh = np.concatenate([np.full(nb, 1e-12), 1e-8 * scale])
+    live = np.concatenate([np.arange(nb), nb + np.flatnonzero(scale > 1e-14)])
+    while True:
+        diag = np.abs(np.diagonal(np.linalg.qr(stack[live].T, mode="r")))
+        fail = np.flatnonzero(diag <= thresh[live[: diag.size]])
+        if not fail.size:
+            break
+        live = np.delete(live, fail[0])
+    # rows past the first n_var independent ones lie in their span
+    return [int(i) - nb for i in live[: diag.size] if i >= nb]
 
 
 def _active_set_loop(problem: QpProblem, y: np.ndarray, working: list[int], max_iter: int):
     """Primal active-set iteration from a feasible point.
 
     `working` holds stacked-constraint indices; all equality indices must
-    be present.  Ties and drops follow Bland's rule (smallest index) to
-    avoid cycling.  Returns (y, lam_full, iterations).
+    be present.  Each iteration factors the working rows once.  It moves
+    toward the working-set minimizer y_hat, or along a ray of unbounded
+    descent, and stops at the first blocking row, which joins the working
+    set.  When no row blocks the unit step, or the iterate already is
+    y_hat, the same iteration checks the signs of the multipliers at
+    y_hat and returns, or drops a row with a negative one.  Ties and
+    drops follow Bland's rule (smallest index) to avoid cycling.  Returns
+    (y, lam_full, iterations).
     """
     A, b = problem.stacked_rows()
     H, c = problem.H, problem.c
@@ -341,36 +337,18 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, working: list[int], max_
     for it in range(max_iter):
         idx = np.array(working, dtype=int)
         y_hat, ray, multipliers = _working_subproblem(H, c, A[idx], b[idx], y)
-
-        if ray is None:
-            p = y_hat - y
-            step_scale = np.abs(p).max(initial=0.0)
-            if step_scale <= 1e-11 * (1.0 + np.abs(y).max(initial=0.0)):
-                # stationary on the working set: check multiplier signs
-                lam_w = multipliers(y_hat)
-                negative = idx[(idx < r) & (lam_w < -_DROP_TOL)]
-                if not negative.size:
-                    lam = np.zeros(problem.n_con)
-                    lam[idx] = np.where((idx >= r) | (lam_w > 0.0), lam_w, 0.0)
-                    return y_hat, lam, it + 1
-                working.remove(int(negative.min()))
-                y = y_hat
-                continue
-            limit = 1.0
-        else:
-            p = ray
-            limit = np.inf
-
-        # ratio test over inequality rows not in the working set; scanning
-        # in index order with a strict < keeps the smallest blocking index
-        # on ties (Bland)
-        blocking = -1
-        alpha = limit
-        outside = [i for i in range(r) if i not in working]
-        if outside:
+        p = y_hat - y if ray is None else ray
+        stationary_tol = 1e-11 * (1.0 + np.abs(y).max(initial=0.0))
+        if ray is not None or np.abs(p).max(initial=0.0) > stationary_tol:
+            # ratio test over inequality rows not in the working set;
+            # scanning in index order with a strict < keeps the smallest
+            # blocking index on ties (Bland)
+            blocking = -1
+            alpha = 1.0 if ray is None else np.inf
+            outside = [i for i in range(r) if i not in working]
             rows = A[outside]
             s = rows @ p
-            g = rows @ y + b[np.array(outside)]
+            g = rows @ y + b[outside]
             thresh = 1e-13 * max(1.0, float(np.abs(s).max(initial=0.0)))
             for j, i in enumerate(outside):
                 if s[j] > thresh:
@@ -378,16 +356,23 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, working: list[int], max_
                     if t < alpha:
                         alpha = t
                         blocking = i
-        if not np.isfinite(alpha):
-            raise Unbounded("objective decreases without bound along a feasible ray")
-        if ray is None and alpha >= 1.0:
-            y = y_hat
-        else:
-            y = y + alpha * p
-            if blocking < 0:
-                raise Unbounded("no blocking constraint along an unbounded ray")
-            working.append(blocking)
-            working.sort()
+            if blocking >= 0:
+                y = y + alpha * p
+                working.append(blocking)
+                working.sort()
+                continue
+            if ray is not None:
+                raise Unbounded("objective decreases without bound along a feasible ray")
+
+        # y_hat minimizes over the working set: check multiplier signs
+        lam_w = multipliers(y_hat)
+        negative = idx[(idx < r) & (lam_w < -_DROP_TOL)]
+        if not negative.size:
+            lam = np.zeros(problem.n_con)
+            lam[idx] = np.where((idx >= r) | (lam_w > 0.0), lam_w, 0.0)
+            return y_hat, lam, it + 1
+        working.remove(int(negative.min()))
+        y = y_hat
     raise MaxIterations(f"active-set method did not converge in {max_iter} iterations")
 
 
@@ -483,12 +468,10 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
         y0 = _phase1(problem)
     r = problem.n_ineq
     working = list(range(r, problem.n_con))
-    g0 = problem.A_ineq @ y0 + problem.b_ineq if r else np.zeros(0)
+    g0 = problem.A_ineq @ y0 + problem.b_ineq
     candidates = [i for i in range(r) if g0[i] >= -1e-9]
     if candidates:
-        rows = problem.A_ineq[candidates]
-        base = problem.A_eq if problem.n_eq else np.zeros((0, problem.n_var))
-        keep = _independent_subset(rows, base)
+        keep = _independent_subset(problem.A_ineq[candidates], problem.A_eq)
         working.extend(candidates[j] for j in keep)
     y, lam, iterations = _active_set_loop(problem, y0, working, max_iter)
     res = kkt_residuals(problem, y, lam)

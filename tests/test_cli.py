@@ -265,6 +265,28 @@ def test_config_file_values_of_flag_types_accepted(tmp_path, capsys):
     assert {key: resolved[key] for key in doc} == doc
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sensitivity-check", "--trials", -1),
+        ("sensitivity-check", "--trials", 5, "--tol", "nan"),
+        ("attack", "--delta", "nan"),
+        ("compare", "--delta", "nan"),
+        ("compare", "--victim", "quadratic", "--delta", "nan"),
+        ("train", "--svm-c", "inf"),
+        # the pristine points lie outside this box, which run_attack rejects
+        ("attack", "--synth-n", 16, "--bounds", "0,0.001,0,0.001", "--bounds-units", "normalized"),
+    ],
+    ids=["trials", "tol", "attack-delta", "compare-delta", "quadratic-delta", "svm-c", "box"],
+)
+def test_rejected_run_creates_no_output(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    code = run_cli(*argv, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- compare
 
 

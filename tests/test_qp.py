@@ -40,6 +40,15 @@ def test_equality_projection():
     assert_allclose(sol.value, 0.25, atol=1e-12)
 
 
+def test_consistent_redundant_equalities():
+    # the second row is twice the first: the working set is rank-deficient
+    prob = QpProblem(np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[-1.0, -2.0])
+    sol = solve_qp(prob)
+    assert_allclose(sol.y, [0.5, 0.5], atol=1e-10)
+    res = kkt_residuals(prob, sol.y, sol.lam)
+    assert res.within_default_tolerances(0.0, float(np.abs(sol.lam).max()))
+
+
 def test_single_active_bound():
     # min 0.5*y^2  s.t.  y >= 1
     prob = QpProblem([[1.0]], [0.0], A_ineq=[[-1.0]], b_ineq=[1.0])
@@ -277,6 +286,17 @@ def test_warm_start_from_optimum_needs_one_iteration():
     sol = solve_qp(prob, start=np.array([1.0]))
     assert not sol.phase1 and sol.iterations == 1
     assert_allclose(sol.lam, [1.0], atol=1e-10)
+
+
+def test_reachable_working_set_minimizer_takes_one_iteration():
+    """A full step to the working-set minimizer ends the solve in that iteration."""
+    free = QpProblem(np.eye(2), [-1.0, 2.0])
+    inactive = QpProblem(np.eye(2), [-1.0, 2.0], A_ineq=[[1.0, 0.0]], b_ineq=[-5.0])
+    for prob in (free, inactive):
+        sol = solve_qp(prob)
+        assert sol.iterations == 1
+        assert_allclose(sol.y, [1.0, -2.0], atol=1e-12)
+    assert_allclose(solve_qp(inactive).lam, [0.0])
 
 
 # ---------------------------------------------------------------------------
