@@ -8,7 +8,8 @@ Problems are stated as
 
 H must be symmetric and positive semidefinite on the feasible tangent
 space.  All linear algebra is dense; the intended scale is tens of
-variables and at most a few hundred constraints.
+variables and at most a few hundred constraints.  The working rows are
+factored once per solve, then updated as rows join or leave the set.
 
 Constraints are indexed inequalities first: constraint i is row i of
 A_ineq for i < n_ineq and row i - n_ineq of A_eq otherwise.  Multipliers
@@ -19,6 +20,7 @@ follow the same ordering, with stationarity
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,6 @@ TOL_DUAL = 1e-10
 TOL_COMPLEMENTARITY = 1e-8
 
 _SYM_TOL = 1e-10
-_RANK_TOL = 1e-11
 _DROP_TOL = 1e-9
 
 
@@ -131,9 +132,7 @@ class QpProblem:
 
     def stacked_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """All constraint rows and offsets, inequalities first."""
-        A = np.vstack([self.A_ineq, self.A_eq])
-        b = np.concatenate([self.b_ineq, self.b_eq])
-        return A, b
+        return np.vstack([self.A_ineq, self.A_eq]), np.concatenate([self.b_ineq, self.b_eq])
 
     def constraint_values(self, y: np.ndarray) -> np.ndarray:
         A, b = self.stacked_rows()
@@ -150,12 +149,11 @@ class KktSolution:
     lam holds one multiplier per constraint in problem order; inequality
     multipliers are nonnegative.  classify_active splits the constraints
     into active, weakly active and strictly active ones.  iterations
-    counts the main active-set iterations (phase 1 excluded); each
-    factors the working set once, so a solve whose starting working set
-    is optimal takes one.  phase1 tells whether a phase-1 search supplied
-    the starting point.  problem is the QpProblem that solve_qp solved,
-    so callers that need its data at the solution do not assemble it
-    again.
+    counts the main active-set iterations (phase 1 excluded), one
+    working-set subproblem each, so an optimal starting working set
+    takes one.  phase1 tells whether a phase-1 search supplied the
+    starting point.  problem is the QpProblem that solve_qp solved, so
+    callers that need its data at the solution do not assemble it again.
     """
 
     y: np.ndarray
@@ -237,33 +235,23 @@ def classify_active(problem: QpProblem, solution: KktSolution) -> ActiveStructur
     return ActiveStructure(active=active, weakly_active=weakly, strict=strict)
 
 
-# ---------------------------------------------------------------------------
-# subproblem: minimize over the affine set fixed by the working rows
-# ---------------------------------------------------------------------------
-
-
-def _working_subproblem(H, c, A_w, b_w, y):
+def _working_subproblem(H, c, A_w, b_w, y, Q, T):
     """Minimize the objective subject to A_w q + b_w = 0, anchored near y.
 
-    Returns (y_hat, ray, multipliers).  y_hat is the minimizer (None if
-    the subproblem is unbounded); ray is a descent direction of unbounded
-    decrease lying in the null space of A_w (None when the minimizer
-    exists).  multipliers(q) solves A_w' lam = -(H q + c) in the
-    least-squares sense from the same factorization of A_w, for callers
-    that need lam at q = y_hat (None when y_hat is).
+    A_w' = Q[:, :m] R with Q orthogonal and T = R^-1, so Z = Q[:, m:]
+    spans the null space of A_w.  Returns (y_hat, ray, multipliers): the
+    minimizer (None if unbounded), a direction of unbounded descent in
+    that null space (None when the minimizer exists), and multipliers(q)
+    (None with a ray), the least-squares solution of A_w' lam = -(H q + c).
     """
-    U, s, Vt = np.linalg.svd(A_w, full_matrices=True)  # Vt = I when A_w has no rows
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > _RANK_TOL * max(smax, 1.0)))
-    Z = Vt[rank:].T
+    m = T.shape[0]
+    Y, Z = Q[:, :m], Q[:, m:]
 
     def multipliers(q):
-        return -U[:, :rank] @ ((Vt[:rank] @ (H @ q + c)) / s[:rank])
+        return -(T @ (Y.T @ (H @ q + c)))
 
-    resid = A_w @ y + b_w
     # min-norm correction onto the working affine set
-    coef = (U[:, :rank].T @ resid) / s[:rank]
-    y0 = y - Vt[:rank].T @ coef
+    y0 = y - Y @ (T.T @ (A_w @ y + b_w))
     if Z.shape[1] == 0:
         return y0, None, multipliers
     g0 = H @ y0 + c
@@ -275,14 +263,14 @@ def _working_subproblem(H, c, A_w, b_w, y):
     eps = 1e-11 * wmax
     neg = w < -eps
     pos = w > eps
-    if np.any(neg):
+    if neg.any():
         j = int(np.argmin(w))
         d = Z @ V[:, j]
         if gr @ V[:, j] > 0:
             d = -d
         return None, d, None
     zero = ~pos
-    if np.any(zero):
+    if zero.any():
         gz = V[:, zero] @ (V[:, zero].T @ gr)
         if np.abs(gz).max(initial=0.0) > 1e-9 * (1.0 + np.abs(gr).max(initial=0.0)):
             d = -(Z @ gz)
@@ -291,75 +279,95 @@ def _working_subproblem(H, c, A_w, b_w, y):
     return y0 + Z @ u, None, multipliers
 
 
-def _independent_subset(rows: np.ndarray, base: np.ndarray) -> list[int]:
-    """Indices of rows that extend `base` to a linearly independent set.
+def _independent_factors(rows: np.ndarray, base: np.ndarray):
+    """Rows that extend `base` to a linearly independent set, and their QR.
 
-    Greedy in row order: a base row counts when its residual off the base
-    rows before it exceeds 1e-12; a row of norm at most 1e-14 is skipped,
-    and any other is kept when its residual off the rows counted before
-    it exceeds 1e-8 of its norm.  These residuals are the R diagonal of
-    one QR factorization of the stacked rows, which measures them only up
-    to the first failing row, so that row is dropped and the rest are
-    factored again.
+    Greedy in row order: a row of norm at most 1e-14 is skipped, any
+    other base row counts when its residual off the rows counted before
+    it exceeds 1e-12, and any other row when it exceeds 1e-8 of its norm.
+    The residuals are the R diagonal of one complete QR of the stacked
+    rows, valid up to the first failing row, which is dropped before the
+    rest are factored again.  Returns (live, Q, T): the k <= n rows kept,
+    as indices into [base; rows], and [base; rows][live]' = Q[:, :k] T^-1.
     """
     nb = base.shape[0]
+    if not (nb or rows.shape[0]):  # nothing to factor
+        return np.zeros(0, dtype=int), np.eye(base.shape[1]), np.zeros((0, 0))
     stack = np.vstack([base, rows])
-    scale = np.linalg.norm(rows, axis=1)
-    thresh = np.concatenate([np.full(nb, 1e-12), 1e-8 * scale])
-    live = np.concatenate([np.arange(nb), nb + np.flatnonzero(scale > 1e-14)])
+    scale = np.linalg.norm(stack, axis=1)
+    thresh = 1e-8 * scale
+    thresh[:nb] = 1e-12
+    live = np.flatnonzero(scale > 1e-14)
     while True:
-        diag = np.abs(np.diagonal(np.linalg.qr(stack[live].T, mode="r")))
-        fail = np.flatnonzero(diag <= thresh[live[: diag.size]])
+        Q, R = np.linalg.qr(stack[live].T, mode="complete")
+        k = min(R.shape)
+        fail = np.flatnonzero(np.abs(R.diagonal()) <= thresh[live[:k]])
         if not fail.size:
             break
         live = np.delete(live, fail[0])
-    # rows past the first n_var independent ones lie in their span
-    return [int(i) - nb for i in live[: diag.size] if i >= nb]
+    T = np.diag(1.0 / R.diagonal())
+    for j in range(1, k):  # R^-1 column by column: back-substitution needs no LU
+        T[:j, j] = (T[:j, :j] @ R[:j, j]) * -T[j, j]
+    return live[:k], Q, T
 
 
-def _active_set_loop(problem: QpProblem, y: np.ndarray, working: list[int], max_iter: int):
+def _independent_subset(rows: np.ndarray, base: np.ndarray) -> list[int]:
+    """Indices of the rows that _independent_factors keeps, base excluded (read by tests)."""
+    return [int(i) - len(base) for i in _independent_factors(rows, base)[0] if i >= len(base)]
+
+
+def _active_set_loop(problem: QpProblem, y: np.ndarray, candidates, factors, max_iter: int):
     """Primal active-set iteration from a feasible point.
 
-    `working` holds stacked-constraint indices; all equality indices must
-    be present.  Each iteration factors the working rows once.  It moves
+    `factors` is (live, Q, T0) from _independent_factors of the equality
+    rows and the inequality rows `candidates`; the working set starts as
+    the rows it kept, and Q and a copy of T0 are updated as rows join and
+    leave (Gill, Golub, Murray & Saunders 1974).  Each iteration moves
     toward the working-set minimizer y_hat, or along a ray of unbounded
-    descent, and stops at the first blocking row, which joins the working
-    set.  When no row blocks the unit step, or the iterate already is
-    y_hat, the same iteration checks the signs of the multipliers at
-    y_hat and returns, or drops a row with a negative one.  Ties and
-    drops follow Bland's rule (smallest index) to avoid cycling.  Returns
-    (y, lam_full, iterations).
+    descent, up to the first blocking row, which joins; a row that the
+    start's independence test would drop does not block.  When no row
+    blocks the unit step, or y already is y_hat, it checks the multiplier
+    signs at y_hat and returns, or drops a row with a negative one.  Ties
+    and drops follow Bland's rule (smallest index).  Returns (y, lam,
+    iterations).
     """
     A, b = problem.stacked_rows()
-    H, c = problem.H, problem.c
-    r = problem.n_ineq
-    working = sorted(working)
+    H, c, r, n = problem.H, problem.c, problem.n_ineq, problem.n_var
+    live, Q, T0 = factors
+    working = np.concatenate([np.arange(r, problem.n_con), candidates])[live].tolist()
+    T = np.zeros((n, n))  # T[:m, :m] is R^-1 for the m working rows
+    T[: len(working), : len(working)] = T0
+    in_w = np.zeros(r, dtype=bool)
+    in_w[[i for i in working if i < r]] = True
     for it in range(max_iter):
         idx = np.array(working, dtype=int)
-        y_hat, ray, multipliers = _working_subproblem(H, c, A[idx], b[idx], y)
+        m = idx.size
+        y_hat, ray, multipliers = _working_subproblem(H, c, A[idx], b[idx], y, Q, T[:m, :m])
         p = y_hat - y if ray is None else ray
         stationary_tol = 1e-11 * (1.0 + np.abs(y).max(initial=0.0))
         if ray is not None or np.abs(p).max(initial=0.0) > stationary_tol:
-            # ratio test over inequality rows not in the working set;
-            # scanning in index order with a strict < keeps the smallest
-            # blocking index on ties (Bland)
-            blocking = -1
-            alpha = 1.0 if ray is None else np.inf
-            outside = [i for i in range(r) if i not in working]
-            rows = A[outside]
-            s = rows @ p
-            g = rows @ y + b[outside]
-            thresh = 1e-13 * max(1.0, float(np.abs(s).max(initial=0.0)))
-            for j, i in enumerate(outside):
-                if s[j] > thresh:
-                    t = max(0.0, -g[j] / s[j])
-                    if t < alpha:
-                        alpha = t
-                        blocking = i
-            if blocking >= 0:
-                y = y + alpha * p
-                working.append(blocking)
-                working.sort()
+            i = -1
+            if r:  # ratio test over the inequality rows not in the working set
+                s = problem.A_ineq @ p
+                s[in_w] = 0.0
+                can = s > 1e-13 * max(1.0, float(np.abs(s).max()))
+                # t[0], the unit step (none along a ray), wins ties; then the lowest index
+                t = np.full(r + 1, 1.0 if ray is None else np.inf)
+                np.divide(problem.A_ineq @ y + problem.b_ineq, -s, out=t[1:], where=can)
+                i = int(np.maximum(t, 0.0, out=t).argmin()) - 1
+                # a row off the working rows' span by at most 1e-8 of its norm cannot join
+                while i >= 0 and (v := Q[:, m:].T @ A[i]) @ v <= 1e-16 * (A[i] @ A[i]):
+                    t[i + 1] = np.inf
+                    i = int(t.argmin()) - 1
+            if i >= 0:  # row i joins: one Householder reflection of Q[:, m:]
+                y = y + t[i + 1] * p
+                beta = -math.copysign(math.sqrt(v @ v), v[0])
+                v[0] -= beta
+                Q[:, m:] -= (Q[:, m:] @ v)[:, None] * (v * (2.0 / (v @ v)))
+                T[:m, m] = (T[:m, :m] @ (Q[:, :m].T @ A[i])) / -beta
+                T[m, m] = 1.0 / beta
+                working.append(i)
+                in_w[i] = True
                 continue
             if ray is not None:
                 raise Unbounded("objective decreases without bound along a feasible ray")
@@ -371,50 +379,48 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, working: list[int], max_
             lam = np.zeros(problem.n_con)
             lam[idx] = np.where((idx >= r) | (lam_w > 0.0), lam_w, 0.0)
             return y_hat, lam, it + 1
-        working.remove(int(negative.min()))
+        j = working.index(int(negative.min()))
+        if j < m - 1:  # without row j, R's rows j.. are upper Hessenberg: one QR fixes them
+            q = np.linalg.qr(Q[:, j:m].T @ A[idx[j + 1 :]].T, mode="complete")[0]
+            Q[:, j:m] = Q[:, j:m] @ q
+            T[:m, j:m] = T[:m, j:m] @ q
+        T[j : m - 1] = T[j + 1 : m]  # the new R^-1 is T q without row j
+        T[m - 1] = T[:, m - 1] = 0.0
+        in_w[working.pop(j)] = False
         y = y_hat
     raise MaxIterations(f"active-set method did not converge in {max_iter} iterations")
 
 
-def _phase1(problem: QpProblem) -> np.ndarray:
-    """Find a feasible point, or raise Infeasible.
+def _phase1(problem: QpProblem):
+    """Find a feasible point and the equality rows' factors, or raise Infeasible.
 
-    Equalities are met by a least-squares solve; remaining inequality
-    violation is driven to zero by an auxiliary QP minimizing 0.5 t^2
-    subject to A_ineq y + b_ineq <= t, which reuses the same active-set
-    machinery from a strictly feasible start.
+    Equalities hold at the min-norm point of their independent rows; an
+    auxiliary QP, min 0.5 t^2 subject to A_ineq y + b_ineq <= t, solved by
+    the same loop on the same factors, drives any violation left to 0.
     """
     n = problem.n_var
+    live, Q, T = eq = _independent_factors(np.zeros((0, n)), problem.A_eq)
+    y0 = np.zeros(n)
     if problem.n_eq:
-        y0, *_ = np.linalg.lstsq(problem.A_eq, -problem.b_eq, rcond=None)
-        resid = np.abs(problem.A_eq @ y0 + problem.b_eq).max(initial=0.0)
-        if resid > 1e-8 * (1.0 + np.abs(problem.b_eq).max(initial=0.0)):
+        y0 = -(Q[:, : live.size] @ (T.T @ problem.b_eq[live]))
+        resid = np.abs(problem.A_eq @ y0 + problem.b_eq).max()
+        if resid > 1e-8 * (1.0 + np.abs(problem.b_eq).max()):
             raise Infeasible("equality constraints are inconsistent")
-    else:
-        y0 = np.zeros(n)
-    if problem.n_ineq == 0:
-        return y0
-    viol = float((problem.A_ineq @ y0 + problem.b_ineq).max())
+    viol = float((problem.A_ineq @ y0 + problem.b_ineq).max(initial=0.0))
     if viol <= TOL_FEAS:
-        return y0
-    H1 = np.zeros((n + 1, n + 1))
-    H1[n, n] = 1.0
+        return y0, eq
+    H1 = np.diag(np.append(np.zeros(n), 1.0))
     A1 = np.hstack([problem.A_ineq, -np.ones((problem.n_ineq, 1))])
-    aux = QpProblem(
-        H1,
-        np.zeros(n + 1),
-        A_ineq=A1,
-        b_ineq=problem.b_ineq,
-        A_eq=np.hstack([problem.A_eq, np.zeros((problem.n_eq, 1))]) if problem.n_eq else None,
-        b_eq=problem.b_eq if problem.n_eq else None,
-    )
+    A_eq1 = np.hstack([problem.A_eq, np.zeros((problem.n_eq, 1))])
+    aux = QpProblem(H1, np.zeros(n + 1), A1, problem.b_ineq, A_eq1, problem.b_eq)
     start = np.concatenate([y0, [viol * (1.0 + 1e-3) + 1e-6]])
-    working = list(range(problem.n_ineq, problem.n_ineq + problem.n_eq))
+    Q1 = np.eye(n + 1)  # the equality rows' factors with the t column added
+    Q1[:n, :n] = Q
     max_iter = max(200, 30 * (aux.n_con + 1))
-    y_aux, _, _ = _active_set_loop(aux, start, working, max_iter)
+    y_aux, _, _ = _active_set_loop(aux, start, np.zeros(0, dtype=int), (live, Q1, T), max_iter)
     if y_aux[n] > 1e-9:
         raise Infeasible(f"no feasible point (minimal constraint violation {y_aux[n]:.3e})")
-    return y_aux[:n]
+    return y_aux[:n], eq
 
 
 def _usable_start(problem: QpProblem, start) -> np.ndarray | None:
@@ -452,7 +458,8 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     KktSolution
         The primal-dual pair, with the iteration count, whether phase 1
         ran, and problem itself as its problem attribute; classify_active
-        reports which constraints are active at it.
+        reports which constraints are active at it.  An equality row that
+        depends on the ones before it gets a zero multiplier.
 
     Raises
     ------
@@ -465,15 +472,11 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     y0 = None if start is None else _usable_start(problem, start)
     phase1 = y0 is None
     if phase1:
-        y0 = _phase1(problem)
-    r = problem.n_ineq
-    working = list(range(r, problem.n_con))
-    g0 = problem.A_ineq @ y0 + problem.b_ineq
-    candidates = [i for i in range(r) if g0[i] >= -1e-9]
-    if candidates:
-        keep = _independent_subset(problem.A_ineq[candidates], problem.A_eq)
-        working.extend(candidates[j] for j in keep)
-    y, lam, iterations = _active_set_loop(problem, y0, working, max_iter)
+        y0, factors = _phase1(problem)  # the equality rows' factors
+    candidates = np.flatnonzero(problem.A_ineq @ y0 + problem.b_ineq >= -1e-9)
+    if candidates.size or not phase1:
+        factors = _independent_factors(problem.A_ineq[candidates], problem.A_eq)
+    y, lam, iterations = _active_set_loop(problem, y0, candidates, factors, max_iter)
     res = kkt_residuals(problem, y, lam)
     c_inf = float(np.abs(problem.c).max(initial=0.0))
     if not res.within_default_tolerances(c_inf, float(np.abs(lam).max(initial=0.0))):
@@ -482,7 +485,4 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
             f"(stationarity {res.stationarity:.2e}, primal {res.primal:.2e}, "
             f"dual {res.dual:.2e}, complementarity {res.complementarity:.2e})"
         )
-    return KktSolution(
-        y=y, lam=lam, value=problem.objective_value(y), iterations=iterations, phase1=phase1,
-        problem=problem,
-    )
+    return KktSolution(y, lam, problem.objective_value(y), iterations, phase1, problem)

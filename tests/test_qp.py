@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from semipoison import errors
-from semipoison.qp import QpProblem, _independent_subset, classify_active, kkt_residuals, solve_qp
+from semipoison import errors, qp
+from semipoison.qp import (
+    QpProblem,
+    _independent_factors,
+    _independent_subset,
+    classify_active,
+    kkt_residuals,
+    solve_qp,
+)
 
 from _oracles import enumerate_qp, independent_subset_mgs, lstsq_multipliers
 
@@ -41,12 +48,18 @@ def test_equality_projection():
 
 
 def test_consistent_redundant_equalities():
-    # the second row is twice the first: the working set is rank-deficient
+    # the second row is twice the first: it stays out of the working set
     prob = QpProblem(np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[-1.0, -2.0])
     sol = solve_qp(prob)
     assert_allclose(sol.y, [0.5, 0.5], atol=1e-10)
     res = kkt_residuals(prob, sol.y, sol.lam)
     assert res.within_default_tolerances(0.0, float(np.abs(sol.lam).max()))
+    assert sol.lam[1] == 0.0
+    assert_allclose(sol.lam[0], -0.5, atol=1e-12)
+    # the same with a warm start, which skips phase 1
+    warm = solve_qp(prob, start=sol.y)
+    assert warm.lam[1] == 0.0
+    assert kkt_residuals(prob, warm.y, warm.lam).within_default_tolerances(0.0, 0.5)
 
 
 def test_single_active_bound():
@@ -227,6 +240,57 @@ def test_multipliers_match_least_squares_reference():
         assert gap <= 1e-10 * (1.0 + np.abs(ref).max(initial=0.0))
 
 
+def test_factors_stay_exact_through_updates(monkeypatch):
+    """On criterion 8's problems the updated factors still factor A_w.
+
+    At every iteration, so after each row added and each row dropped, Q
+    stays orthogonal and Q[:, :m] R reproduces A_w' (R = T^-1), both
+    within 1e-12 of the largest entry.
+    """
+    inner = qp._working_subproblem
+    seen = []
+
+    def checked(H, c, A_w, b_w, y, Q, T):
+        n, m = Q.shape[0], T.shape[0]
+        assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-12
+        if m:
+            R = np.linalg.inv(T)
+            assert np.abs(Q[:, :m] @ R - A_w.T).max() <= 1e-12 * np.abs(A_w).max()
+        seen.append((n, m))
+        return inner(H, c, A_w, b_w, y, Q, T)
+
+    monkeypatch.setattr(qp, "_working_subproblem", checked)
+    rng = np.random.default_rng(2024)
+    adds = drops = 0
+    for _ in range(500):
+        n_var = int(rng.integers(2, 7))
+        n_eq = int(rng.integers(0, min(3, n_var)))
+        n_ineq = int(rng.integers(0, 9 - n_eq))
+        seen.clear()
+        solve_qp(random_feasible_qp(rng, n_var, n_ineq, n_eq))
+        # consecutive iterations of one loop (phase 1 has one more variable)
+        for (n0, m0), (n1, m1) in zip(seen, seen[1:]):
+            adds += n0 == n1 and m1 == m0 + 1
+            drops += n0 == n1 and m1 == m0 - 1
+    assert adds > 100 and drops > 10
+
+
+@pytest.mark.parametrize("scales", [(1.0, 2.0), (2.0, 1.0)])
+def test_ratio_test_tie_goes_to_the_lower_index(scales):
+    """Two rows block at the same step length; the lower index joins (Bland).
+
+    Both rows bound y_0 <= 1, one scaled by 2, so lam tells which row
+    joined the working set: the row with scale s carries 1 / s.
+    """
+    s0, s1 = scales
+    prob = QpProblem(np.eye(2), [-2.0, 0.0], A_ineq=[[s0, 0.0], [s1, 0.0]], b_ineq=[-s0, -s1])
+    sol = solve_qp(prob)
+    assert sol.iterations == 2
+    assert_allclose(sol.y, [1.0, 0.0], atol=1e-12)
+    assert sol.lam[1] == 0.0
+    assert_allclose(sol.lam[0], 1.0 / s0, atol=1e-12)
+
+
 def test_solution_carries_its_problem():
     prob = QpProblem([[1.0]], [0.0], A_ineq=[[-1.0]], b_ineq=[1.0])
     assert solve_qp(prob).problem is prob
@@ -299,6 +363,46 @@ def test_reachable_working_set_minimizer_takes_one_iteration():
     assert_allclose(solve_qp(inactive).lam, [0.0])
 
 
+@pytest.mark.parametrize("tilt", [0.0, 1e-13])
+@pytest.mark.parametrize("n_var", [2, 3])
+def test_row_in_working_span_does_not_join(n_var, tilt):
+    """A warm start at a degenerate vertex reaches the cold solution.
+
+    Row 2 is row 0 plus row 1 (its second entry off by `tilt`), offset by
+    1e-9, and the start is within 1e-9 of all three rows.  The start set
+    keeps rows 0 and 1, so the first step is a correction of length
+    about 1e-9 that row 2 blocks at t = 0.  Lying in the working rows'
+    span, row 2 must not join.  With n_var = 3 the last variable is free
+    and pulled to 1, so the working rows leave a null space.
+    """
+    A = np.zeros((3, n_var))
+    A[0, 0] = A[1, 1] = A[2, 0] = 1.0
+    A[2, 1] = 1.0 + tilt
+    c = np.where(np.arange(n_var) == 2, -1.0, 0.0)
+    prob = QpProblem(np.eye(n_var), c, A_ineq=A, b_ineq=[0.0, 0.0, 1e-9])
+    start = np.where(np.arange(n_var) < 2, -5e-10, 0.0)
+    assert np.abs(prob.constraint_values(start)).max() <= 1e-9
+    cold = solve_qp(prob)
+    warm = solve_qp(prob, start=start)
+    assert not warm.phase1
+    assert_allclose(warm.y, cold.y, rtol=0.0, atol=1e-12)
+    assert_allclose(warm.lam, cold.lam, rtol=0.0, atol=1e-12)
+
+
+def test_nearly_dependent_blocking_row_joins():
+    """A row 1e-6 of its norm off the working rows' span still blocks and joins.
+
+    From (0, -2) with row 0 working, the step toward (0, 0) meets row 1 at
+    (0, -1); skipping row 1 there would end 1e-6 outside it.
+    """
+    H, c = np.eye(2), [-1.0, 0.0]
+    A, b = [[1.0, 0.0], [1.0, 1e-6]], [0.0, 1e-6]
+    sol = solve_qp(QpProblem(H, c, A_ineq=A, b_ineq=b), start=[0.0, -2.0])
+    ref = enumerate_qp(H, c, A, b)
+    assert_allclose(sol.y, ref[0], rtol=0.0, atol=1e-12)
+    assert_allclose(sol.lam, ref[1], rtol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # working-set row selection
 # ---------------------------------------------------------------------------
@@ -356,6 +460,22 @@ def _relative_residuals(rows, base, keep):
             v = v - Q @ (Q.T @ v)
         out[i] = np.linalg.norm(v) / scale
     return out
+
+
+@pytest.mark.parametrize("eps, kept", [(1e-14, [0]), (1e-9, [0, 1])])
+def test_base_row_threshold_is_absolute(eps, kept):
+    """A base row counts when its residual off the base rows before it exceeds 1e-12.
+
+    The second base row is the first plus eps times an orthogonal
+    direction of norm sqrt(2).  As a non-base row the 1e-9 copy would be
+    dropped, since its residual is below 1e-8 of its norm.
+    """
+    a = np.array([[1.0, 2.0, 2.0]])
+    base = np.vstack([a, a + eps * np.array([[0.0, 1.0, -1.0]])])
+    live, Q, T = _independent_factors(np.zeros((0, 3)), base)
+    assert live.tolist() == kept
+    assert_allclose(Q[:, : len(kept)] @ np.linalg.inv(T), base[kept].T, atol=1e-12)
+    assert _independent_subset(base[1:], base[:1]) == []
 
 
 @pytest.mark.parametrize("with_base", [False, True])
