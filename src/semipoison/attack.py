@@ -92,6 +92,8 @@ class AttackConfig:
                     f"target must have shape ({self.selector.shape[0]},) "
                     f"to match the selector, got {self.target.shape}"
                 )
+        if not all(np.isfinite(a).all() for a in (self.target, self.selector) if a is not None):
+            raise ValueError("target and selector entries must be finite")
         if not np.isfinite(self.delta) or self.delta < 0:
             raise ValueError("delta must be finite and nonnegative")
         if not (np.isfinite(self.curvature_bound) and self.curvature_bound > 0):
@@ -114,6 +116,8 @@ class AttackConfig:
                     f"box bounds must have shape ({self.point_dim},) "
                     f"got {self.box_lo.shape} and {self.box_hi.shape}"
                 )
+            if np.isnan(self.box_lo).any() or np.isnan(self.box_hi).any():
+                raise ValueError("box bounds must not be NaN")
             if np.any(self.box_lo > self.box_hi):
                 raise ValueError("box lower bounds exceed upper bounds")
 

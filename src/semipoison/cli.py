@@ -136,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        # resolve_config checks config-file values against these flags
-        p.set_defaults(flag_actions=p._actions)
         p.add_argument("--config", help="flat JSON file of flag defaults")
         p.add_argument("--seed", type=int, help="random seed")
         p.add_argument("--out", help="output directory")
@@ -195,6 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy = sub.add_parser("toy", help="one-dimensional walkthrough of the method")
     p_toy.add_argument("--config", help=argparse.SUPPRESS)
 
+    for p in sub.choices.values():  # resolve_config checks config values against these
+        p.set_defaults(flag_actions=p._actions)
     return parser
 
 

@@ -12,7 +12,7 @@ variables and at most a few hundred constraints.  The working rows are
 factored once per solve, then updated as rows join or leave the set.
 
 Constraints are indexed inequalities first: constraint i is row i of
-A_ineq for i < n_ineq and row i - n_ineq of A_eq otherwise.  Multipliers
+the stacked matrix A = [A_ineq; A_eq], with offset b[i].  Multipliers
 follow the same ordering, with stationarity
 
     H y + c + sum_i lambda_i * a_i = 0,    lambda_i >= 0 for inequalities.
@@ -21,7 +21,7 @@ follow the same ordering, with stationarity
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,6 +83,13 @@ class QpProblem:
         Equality rows, A_eq y + b_eq == 0.
 
     Every entry must be finite; NaN or inf raises ValueError.
+
+    Attributes
+    ----------
+    A, b : (n_ineq + n_eq, n_var) array, (n_ineq + n_eq,) array
+        All constraint rows and offsets, inequalities first, stacked
+        once on construction.  A_ineq, A_eq, b_ineq and b_eq are views
+        of them.
     """
 
     H: np.ndarray
@@ -91,6 +98,8 @@ class QpProblem:
     b_ineq: np.ndarray | None = None
     A_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
+    A: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
@@ -109,10 +118,14 @@ class QpProblem:
         if c.shape != (n,):
             raise DimensionMismatch(f"c must have shape ({n},), got {c.shape}")
         self.c = _finite(c, "c")
-        self.A_ineq = _as_matrix(self.A_ineq, n, "A_ineq")
-        self.b_ineq = _as_vector(self.b_ineq, self.A_ineq.shape[0], "b_ineq")
-        self.A_eq = _as_matrix(self.A_eq, n, "A_eq")
-        self.b_eq = _as_vector(self.b_eq, self.A_eq.shape[0], "b_eq")
+        A_ineq = _as_matrix(self.A_ineq, n, "A_ineq")
+        b_ineq = _as_vector(self.b_ineq, A_ineq.shape[0], "b_ineq")
+        A_eq = _as_matrix(self.A_eq, n, "A_eq")
+        b_eq = _as_vector(self.b_eq, A_eq.shape[0], "b_eq")
+        self.A, self.b = np.vstack([A_ineq, A_eq]), np.concatenate([b_ineq, b_eq])
+        r = A_ineq.shape[0]
+        self.A_ineq, self.b_ineq = self.A[:r], self.b[:r]
+        self.A_eq, self.b_eq = self.A[r:], self.b[r:]
 
     @property
     def n_var(self) -> int:
@@ -130,13 +143,8 @@ class QpProblem:
     def n_con(self) -> int:
         return self.n_ineq + self.n_eq
 
-    def stacked_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """All constraint rows and offsets, inequalities first."""
-        return np.vstack([self.A_ineq, self.A_eq]), np.concatenate([self.b_ineq, self.b_eq])
-
     def constraint_values(self, y: np.ndarray) -> np.ndarray:
-        A, b = self.stacked_rows()
-        return A @ y + b
+        return self.A @ y + self.b
 
     def objective_value(self, y: np.ndarray) -> float:
         return float(0.5 * y @ self.H @ y + self.c @ y)
@@ -191,12 +199,11 @@ def kkt_residuals(problem: QpProblem, y: np.ndarray, lam: np.ndarray) -> KktResi
         raise DimensionMismatch(f"y must have shape ({problem.n_var},), got {y.shape}")
     if lam.shape != (problem.n_con,):
         raise DimensionMismatch(f"lam must have shape ({problem.n_con},), got {lam.shape}")
-    A, b = problem.stacked_rows()
-    g = A @ y + b
+    g = problem.constraint_values(y)
     r = problem.n_ineq
     grad = problem.H @ y + problem.c
     if problem.n_con:
-        grad = grad + A.T @ lam
+        grad = grad + problem.A.T @ lam
     stationarity = float(np.abs(grad).max(initial=0.0))
     primal_ineq = float(np.maximum(g[:r], 0.0).max(initial=0.0))
     primal_eq = float(np.abs(g[r:]).max(initial=0.0))
@@ -279,24 +286,22 @@ def _working_subproblem(H, c, A_w, b_w, y, Q, T):
     return y0 + Z @ u, None, multipliers
 
 
-def _independent_factors(rows: np.ndarray, base: np.ndarray):
-    """Rows that extend `base` to a linearly independent set, and their QR.
+def _independent_factors(stack: np.ndarray, n_base: int):
+    """A linearly independent subset of the rows of `stack`, and its QR.
 
     Greedy in row order: a row of norm at most 1e-14 is skipped, any
-    other base row counts when its residual off the rows counted before
-    it exceeds 1e-12, and any other row when it exceeds 1e-8 of its norm.
-    The residuals are the R diagonal of one complete QR of the stacked
-    rows, valid up to the first failing row, which is dropped before the
-    rest are factored again.  Returns (live, Q, T): the k <= n rows kept,
-    as indices into [base; rows], and [base; rows][live]' = Q[:, :k] T^-1.
+    other of the first n_base (base) rows counts when its residual off
+    the rows counted before it exceeds 1e-12, and any other row when it
+    exceeds 1e-8 of its norm.  The residuals are the R diagonal of one
+    complete QR of the rows, valid up to the first failing row, which is
+    dropped before the rest are factored again.  Returns (live, Q, T):
+    the indices of the k <= n rows kept, and stack[live]' = Q[:, :k] T^-1.
     """
-    nb = base.shape[0]
-    if not (nb or rows.shape[0]):  # nothing to factor
-        return np.zeros(0, dtype=int), np.eye(base.shape[1]), np.zeros((0, 0))
-    stack = np.vstack([base, rows])
+    if not stack.shape[0]:  # nothing to factor
+        return np.zeros(0, dtype=int), np.eye(stack.shape[1]), np.zeros((0, 0))
     scale = np.linalg.norm(stack, axis=1)
     thresh = 1e-8 * scale
-    thresh[:nb] = 1e-12
+    thresh[:n_base] = 1e-12
     live = np.flatnonzero(scale > 1e-14)
     while True:
         Q, R = np.linalg.qr(stack[live].T, mode="complete")
@@ -311,17 +316,12 @@ def _independent_factors(rows: np.ndarray, base: np.ndarray):
     return live[:k], Q, T
 
 
-def _independent_subset(rows: np.ndarray, base: np.ndarray) -> list[int]:
-    """Indices of the rows that _independent_factors keeps, base excluded (read by tests)."""
-    return [int(i) - len(base) for i in _independent_factors(rows, base)[0] if i >= len(base)]
-
-
-def _active_set_loop(problem: QpProblem, y: np.ndarray, candidates, factors, max_iter: int):
+def _active_set_loop(problem: QpProblem, y: np.ndarray, order, factors, max_iter: int):
     """Primal active-set iteration from a feasible point.
 
-    `factors` is (live, Q, T0) from _independent_factors of the equality
-    rows and the inequality rows `candidates`; the working set starts as
-    the rows it kept, and Q and a copy of T0 are updated as rows join and
+    `factors` is (live, Q, T0) from _independent_factors of the rows
+    A[order], the equality rows first; the working set starts as the rows
+    it kept, and Q and a copy of T0 are updated as rows join and
     leave (Gill, Golub, Murray & Saunders 1974).  Each iteration moves
     toward the working-set minimizer y_hat, or along a ray of unbounded
     descent, up to the first blocking row, which joins; a row that the
@@ -331,10 +331,9 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, candidates, factors, max
     and drops follow Bland's rule (smallest index).  Returns (y, lam,
     iterations).
     """
-    A, b = problem.stacked_rows()
-    H, c, r, n = problem.H, problem.c, problem.n_ineq, problem.n_var
+    A, b, H, c, r, n = problem.A, problem.b, problem.H, problem.c, problem.n_ineq, problem.n_var
     live, Q, T0 = factors
-    working = np.concatenate([np.arange(r, problem.n_con), candidates])[live].tolist()
+    working = order[live].tolist()
     T = np.zeros((n, n))  # T[:m, :m] is R^-1 for the m working rows
     T[: len(working), : len(working)] = T0
     in_w = np.zeros(r, dtype=bool)
@@ -398,8 +397,8 @@ def _phase1(problem: QpProblem):
     auxiliary QP, min 0.5 t^2 subject to A_ineq y + b_ineq <= t, solved by
     the same loop on the same factors, drives any violation left to 0.
     """
-    n = problem.n_var
-    live, Q, T = eq = _independent_factors(np.zeros((0, n)), problem.A_eq)
+    n, r = problem.n_var, problem.n_ineq
+    live, Q, T = eq = _independent_factors(problem.A_eq, problem.n_eq)
     y0 = np.zeros(n)
     if problem.n_eq:
         y0 = -(Q[:, : live.size] @ (T.T @ problem.b_eq[live]))
@@ -410,14 +409,14 @@ def _phase1(problem: QpProblem):
     if viol <= TOL_FEAS:
         return y0, eq
     H1 = np.diag(np.append(np.zeros(n), 1.0))
-    A1 = np.hstack([problem.A_ineq, -np.ones((problem.n_ineq, 1))])
-    A_eq1 = np.hstack([problem.A_eq, np.zeros((problem.n_eq, 1))])
-    aux = QpProblem(H1, np.zeros(n + 1), A1, problem.b_ineq, A_eq1, problem.b_eq)
+    A1 = np.hstack([problem.A, np.where(np.arange(problem.n_con) < r, -1.0, 0.0)[:, None]])
+    aux = QpProblem(H1, np.zeros(n + 1), A1[:r], problem.b_ineq, A1[r:], problem.b_eq)
+    del A1  # aux.A is a copy; freeing A1 keeps the phase-1 loop's peak memory down
     start = np.concatenate([y0, [viol * (1.0 + 1e-3) + 1e-6]])
     Q1 = np.eye(n + 1)  # the equality rows' factors with the t column added
     Q1[:n, :n] = Q
     max_iter = max(200, 30 * (aux.n_con + 1))
-    y_aux, _, _ = _active_set_loop(aux, start, np.zeros(0, dtype=int), (live, Q1, T), max_iter)
+    y_aux, _, _ = _active_set_loop(aux, start, np.arange(r, aux.n_con), (live, Q1, T), max_iter)
     if y_aux[n] > 1e-9:
         raise Infeasible(f"no feasible point (minimal constraint violation {y_aux[n]:.3e})")
     return y_aux[:n], eq
@@ -474,9 +473,10 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     if phase1:
         y0, factors = _phase1(problem)  # the equality rows' factors
     candidates = np.flatnonzero(problem.A_ineq @ y0 + problem.b_ineq >= -1e-9)
+    order = np.concatenate([np.arange(problem.n_ineq, problem.n_con), candidates])
     if candidates.size or not phase1:
-        factors = _independent_factors(problem.A_ineq[candidates], problem.A_eq)
-    y, lam, iterations = _active_set_loop(problem, y0, candidates, factors, max_iter)
+        factors = _independent_factors(problem.A[order], problem.n_eq)
+    y, lam, iterations = _active_set_loop(problem, y0, order, factors, max_iter)
     res = kkt_residuals(problem, y, lam)
     c_inf = float(np.abs(problem.c).max(initial=0.0))
     if not res.within_default_tolerances(c_inf, float(np.abs(lam).max(initial=0.0))):

@@ -112,8 +112,7 @@ def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) ->
     x = np.asarray(x, dtype=float)
     problem = solution.problem
     structure = classify_active(problem, solution)
-    A, _ = problem.stacked_rows()
-    licq_ok, min_sv = check_licq(A[structure.active])
+    licq_ok, min_sv = check_licq(problem.A[structure.active])
     if not licq_ok:
         raise RegularityFailure(
             f"active constraint gradients are dependent (min singular value {min_sv:.3e})"
@@ -121,7 +120,7 @@ def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) ->
     grads = np.asarray(model.grad_x_constraint(x, solution.y), dtype=float)
     B = np.vstack([model.cross_hessian(x, solution.y, solution.lam), -grads])
     # constraints are linear in y, so the training Hessian is H_aux
-    return AuxiliaryProblem(problem.H, A, structure, B, min_sv)
+    return AuxiliaryProblem(problem.H, problem.A, structure, B, min_sv)
 
 
 def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:

@@ -73,7 +73,7 @@ def fd_solution_derivative(solve, x, dx, h=1e-5):
 def independent_subset_mgs(rows, base):
     """Greedy independent-row selection by one modified Gram-Schmidt pass.
 
-    Reference for qp._independent_subset: base rows enter the basis when
+    Reference for qp._independent_factors: base rows enter the basis when
     their residual exceeds 1e-12; a candidate row is skipped when its norm
     is at most 1e-14 and kept when its residual exceeds 1e-8 of its norm.
     Returns the kept candidate indices in row order.

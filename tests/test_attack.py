@@ -125,6 +125,17 @@ def test_config_validation():
         AttackConfig(target=np.zeros(2), delta=1.0, selector=np.eye(3))
 
 
+def test_config_rejects_non_finite_target_and_nan_box():
+    with pytest.raises(ValueError, match="finite"):
+        AttackConfig(target=np.array([np.nan]), delta=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        AttackConfig(target=np.zeros(1), delta=1.0, selector=np.array([[np.inf, 0.0]]))
+    with pytest.raises(ValueError, match="NaN"):
+        AttackConfig(target=np.zeros(1), delta=1.0, box_lo=[np.nan], box_hi=[1.0])
+    cfg = AttackConfig(target=np.zeros(1), delta=1.0, box_lo=[-np.inf], box_hi=[np.inf])
+    assert np.isinf(cfg.box_lo).all() and np.isinf(cfg.box_hi).all()
+
+
 def test_selector_defaults_to_identity():
     cfg = AttackConfig(target=np.zeros(3), delta=1.0)
     assert np.array_equal(cfg.resolve_selector(3), np.eye(3))

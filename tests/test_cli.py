@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from semipoison import cli
+from semipoison import cli, victims
 from semipoison.data import load_csv, synth_lane_change, write_csv
 
 
@@ -276,8 +276,14 @@ def test_config_file_values_of_flag_types_accepted(tmp_path, capsys):
         ("train", "--svm-c", "inf"),
         # the pristine points lie outside this box, which run_attack rejects
         ("attack", "--synth-n", 16, "--bounds", "0,0.001,0,0.001", "--bounds-units", "normalized"),
+        ("attack", "--synth-n", 20, "--target=nan,1"),
+        ("attack", "--synth-n", 20, "--target=inf,0"),
+        ("attack", "--synth-n", 20, "--bounds=nan,3,5,60"),
     ],
-    ids=["trials", "tol", "attack-delta", "compare-delta", "quadratic-delta", "svm-c", "box"],
+    ids=[
+        "trials", "tol", "attack-delta", "compare-delta", "quadratic-delta", "svm-c", "box",
+        "target-nan", "target-inf", "bounds-nan",
+    ],
 )
 def test_rejected_run_creates_no_output(tmp_path, capsys, argv):
     out = tmp_path / "run"
@@ -390,3 +396,32 @@ def test_toy_command_output(capsys):
     out = capsys.readouterr().out
     assert "chosen perturbation direction: +1" in out
     assert "3.000000" in out and "1.000000" in out
+
+
+@pytest.mark.parametrize(
+    "doc, code, stream, text",
+    [
+        ({}, 0, "out", "chosen perturbation direction: +1"),
+        ({"seed": 1}, 2, "err", "unknown config keys"),
+    ],
+    ids=["empty", "unknown-key"],
+)
+def test_toy_config_file(tmp_path, capsys, doc, code, stream, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("toy", "--config", cfg) == code
+    assert text in getattr(capsys.readouterr(), stream)
+
+
+def test_toy_self_check_failure_exits_3(monkeypatch, capsys):
+    """A learned map 1e-3 off |x| fails the walkthrough's check, not the process."""
+    solve = victims.solve_qp
+
+    def shifted(problem, **kwargs):
+        sol = solve(problem, **kwargs)
+        sol.y = sol.y + 1e-3
+        return sol
+
+    monkeypatch.setattr(victims, "solve_qp", shifted)
+    assert run_cli("toy") == 3
+    assert "toy walkthrough failed its self-check" in capsys.readouterr().err

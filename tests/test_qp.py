@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from semipoison import errors, qp
 from semipoison.qp import (
     QpProblem,
     _independent_factors,
-    _independent_subset,
     classify_active,
     kkt_residuals,
     solve_qp,
@@ -208,6 +209,20 @@ def test_active_and_weakly_active_classification():
     assert st2.weakly_active == [0]
 
 
+def test_constraint_rows_stacked_once_inequalities_first():
+    A_ineq, b_ineq = np.arange(6.0).reshape(3, 2), np.arange(3.0)
+    A_eq, b_eq = np.array([[1.0, -1.0]]), np.array([5.0])
+    prob = QpProblem(np.eye(2), np.zeros(2), A_ineq, b_ineq, A_eq, b_eq)
+    assert np.array_equal(prob.A, np.vstack([A_ineq, A_eq]))
+    assert np.array_equal(prob.b, [0.0, 1.0, 2.0, 5.0])
+    for part, whole in [(prob.A_ineq, prob.A), (prob.A_eq, prob.A), (prob.b_ineq, prob.b),
+                        (prob.b_eq, prob.b)]:
+        assert np.shares_memory(part, whole)
+    assert np.array_equal(prob.A_eq, A_eq) and np.array_equal(prob.b_ineq, b_ineq)
+    free = QpProblem(np.eye(2), np.zeros(2))
+    assert free.A.shape == (0, 2) and free.b.shape == (0,)
+
+
 @pytest.mark.parametrize("name", ["H", "c", "A_ineq", "b_ineq", "A_eq", "b_eq"])
 def test_non_finite_problem_data_rejected(name):
     data = {
@@ -233,9 +248,8 @@ def test_multipliers_match_least_squares_reference():
         n_ineq = int(rng.integers(0, 9 - n_eq))
         prob = random_feasible_qp(rng, n_var, n_ineq, n_eq)
         sol = solve_qp(prob)
-        A, _ = prob.stacked_rows()
         support = [i for i in range(prob.n_con) if i >= prob.n_ineq or sol.lam[i] > 0.0]
-        ref = lstsq_multipliers(A[support], prob.H @ sol.y + prob.c)
+        ref = lstsq_multipliers(prob.A[support], prob.H @ sol.y + prob.c)
         gap = np.abs(sol.lam[support] - ref).max(initial=0.0)
         assert gap <= 1e-10 * (1.0 + np.abs(ref).max(initial=0.0))
 
@@ -327,9 +341,8 @@ def test_warm_starts_on_criterion_8_problems():
         starts = [np.full(n_var, np.nan), np.where(np.arange(n_var) == 0, np.inf, y_int)]
         if prob.n_con:
             # push the interior point onto g_0 = 1, past every feasibility tolerance
-            A, b = prob.stacked_rows()
-            a = A[0]
-            starts.append(y_int + (1.0 - (a @ y_int + b[0])) * a / (a @ a))
+            a = prob.A[0]
+            starts.append(y_int + (1.0 - (a @ y_int + prob.b[0])) * a / (a @ a))
             assert prob.constraint_values(starts[-1])[0] > 0.5
         for start in starts:
             fallback = solve_qp(prob, start=start)
@@ -403,9 +416,64 @@ def test_nearly_dependent_blocking_row_joins():
     assert_allclose(sol.lam, ref[1], rtol=1e-9)
 
 
+ROW_KINDS = ["fresh", "dup", "scaled", "zero"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_var=st.integers(1, 4),
+    eq_kinds=st.lists(st.sampled_from(ROW_KINDS), max_size=3),
+    ineq_kinds=st.lists(st.sampled_from(ROW_KINDS), max_size=6),
+    rank_h=st.integers(0, 4),
+)
+def test_degenerate_rows_give_kkt_point_or_typed_error(seed, n_var, eq_kinds, ineq_kinds, rank_h):
+    """Duplicated, scaled and zero rows, and PSD H of any rank.
+
+    Each row is fresh, a copy or a scaled copy of an earlier row of
+    either block, or zero.  The rows hold at a known point, half of the
+    inequalities with zero slack, so copies are active there together.
+    Cold and warm from that point, solve_qp returns a point within the
+    KKT tolerances or raises a SemipoisonError.
+    """
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((min(rank_h, n_var), n_var))
+    H, c = M.T @ M, rng.standard_normal(n_var)
+    rows = []
+    for kind in eq_kinds + ineq_kinds:
+        if kind == "zero":
+            rows.append(np.zeros(n_var))
+        elif kind == "fresh" or not rows:
+            rows.append(rng.standard_normal(n_var))
+        else:
+            scale = 1.0 if kind == "dup" else rng.uniform(-5.0, 5.0)
+            rows.append(scale * rows[rng.integers(len(rows))])
+    A = np.array(rows).reshape(-1, n_var)
+    y_feas = rng.standard_normal(n_var)
+    slack = np.where(rng.random(len(rows)) < 0.5, 0.0, rng.uniform(0.1, 1.0, len(rows)))
+    slack[: len(eq_kinds)] = 0.0
+    b = -(A @ y_feas) - slack
+    m = len(eq_kinds)
+    prob = QpProblem(H, c, A[m:], b[m:], A[:m], b[:m])
+    for start in (None, y_feas):
+        try:
+            sol = solve_qp(prob, start=start)
+        except errors.SemipoisonError:
+            continue
+        res = kkt_residuals(prob, sol.y, sol.lam)
+        lam_inf = float(np.abs(sol.lam).max(initial=0.0))
+        assert res.within_default_tolerances(float(np.abs(c).max()), lam_inf)
+
+
 # ---------------------------------------------------------------------------
 # working-set row selection
 # ---------------------------------------------------------------------------
+
+
+def _independent_subset(rows, base):
+    """Indices into rows of those _independent_factors keeps after the base rows."""
+    live = _independent_factors(np.vstack([base, rows]), len(base))[0]
+    return [int(i) - len(base) for i in live if i >= len(base)]
 
 
 def _planted_rows(rng, n_var, n_rows, base):
@@ -472,7 +540,7 @@ def test_base_row_threshold_is_absolute(eps, kept):
     """
     a = np.array([[1.0, 2.0, 2.0]])
     base = np.vstack([a, a + eps * np.array([[0.0, 1.0, -1.0]])])
-    live, Q, T = _independent_factors(np.zeros((0, 3)), base)
+    live, Q, T = _independent_factors(base, 2)
     assert live.tolist() == kept
     assert_allclose(Q[:, : len(kept)] @ np.linalg.inv(T), base[kept].T, atol=1e-12)
     assert _independent_subset(base[1:], base[:1]) == []
