@@ -190,7 +190,10 @@ class AttackTrace:
 
 
 def objective(selected: np.ndarray, target: np.ndarray) -> float:
-    """Squared Euclidean distance between the selected output and the target."""
+    """Squared Euclidean distance between the selected output and the target.
+
+    inf when the square overflows.
+    """
     selected = np.atleast_1d(np.asarray(selected, dtype=float))
     target = np.atleast_1d(np.asarray(target, dtype=float))
     if selected.shape != target.shape:
@@ -198,7 +201,8 @@ def objective(selected: np.ndarray, target: np.ndarray) -> float:
             f"selected output has shape {selected.shape}, target {target.shape}"
         )
     r = selected - target
-    return float(r @ r)
+    with np.errstate(over="ignore"):
+        return float(r @ r)
 
 
 def _tile_bounds(config: AttackConfig, dim_data: int):
@@ -304,6 +308,30 @@ def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rn
     return kept
 
 
+def _adjoint_gradient(H, rows, W, grad_y):
+    """Data gradient -W' u of the objective through a stationarity system.
+
+    u solves [[H, rows'], [rows, 0]] u = [grad_y, 0], and W stacks the
+    data derivatives of the Lagrangian's y-gradient over those of the
+    rows.  Returns None when that system is singular or its solve fails
+    the residual test.
+    """
+    nv, k = H.shape[0], rows.shape[0]
+    K = np.zeros((nv + k, nv + k))
+    K[:nv, :nv] = H
+    K[:nv, nv:] = rows.T
+    K[nv:, :nv] = rows
+    rhs = np.zeros(nv + k)
+    rhs[:nv] = grad_y
+    try:
+        u = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if np.abs(K @ u - rhs).max(initial=0.0) > 1e-8 * (1.0 + np.abs(rhs).max(initial=0.0)):
+        return None
+    return -(W.T @ u)
+
+
 class _ObjectiveDerivative:
     """Directional derivatives of the attack objective at a fixed iterate.
 
@@ -337,22 +365,8 @@ class _ObjectiveDerivative:
         # no weakly active rows, the strict rows are all the active ones
         nv = aux.dim_var
         strict = aux.structure.strict
-        rows = aux.rows[strict]
-        k = rows.shape[0]
-        K = np.zeros((nv + k, nv + k))
-        K[:nv, :nv] = aux.H_aux
-        K[:nv, nv:] = rows.T
-        K[nv:, :nv] = rows
-        rhs = np.zeros(nv + k)
-        rhs[:nv] = self.grad_y
-        try:
-            u = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            return
-        if np.abs(K @ u - rhs).max(initial=0.0) > 1e-8 * (1.0 + np.abs(rhs).max(initial=0.0)):
-            return
         W = np.vstack([aux.B[:nv], -aux.B[nv:][strict]])
-        self.gradient = -(W.T @ u)
+        self.gradient = _adjoint_gradient(aux.H_aux, aux.rows[strict], W, self.grad_y)
 
     def dG(self, D: np.ndarray) -> tuple[np.ndarray, list[str]]:
         """Derivatives along the rows of D, and the route behind each.
@@ -418,8 +432,8 @@ def _try_step(model, x, solution, d, dg, value, config, x_base, lo, hi, selector
     Each trial re-solves the victim warm from solution, the one at x.
     Returns (x_new, solution, value_new, step) or None when rejected.
     """
-    eta = -dg / config.curvature_bound
-    while eta > 0.0:
+    eta = -dg / config.curvature_bound  # positive: callers pass dg < 0
+    while True:
         trial = project_to_feasible(x + eta * d, x_base, config.delta, lo, hi)
         if not np.array_equal(trial, x):
             sol = solve_victim(model, trial, warm=solution)
@@ -431,7 +445,6 @@ def _try_step(model, x, solution, d, dg, value, config, x_base, lo, hi, selector
         eta *= 0.5
         if eta < MIN_STEP:
             return None
-    return None
 
 
 def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector, lo, hi):
@@ -541,6 +554,8 @@ def _drive(x_bar, model: VictimModel, config: AttackConfig, round_fn) -> AttackT
 
     round_fn has _attack_round's signature and returns (x, solution,
     record); it raises EmptyDirectionSet or Stalled to end the run.
+    Raises ValueError before the first round when the pristine data lies
+    outside the box or its objective is not finite.
     """
     x_bar = np.asarray(x_bar, dtype=float).copy()
     if model.dim_data % config.point_dim:
@@ -556,6 +571,8 @@ def _drive(x_bar, model: VictimModel, config: AttackConfig, round_fn) -> AttackT
     x = x_bar.copy()
     sol = solve_victim(model, x)
     value = objective(selector @ sol.y, config.target)
+    if not np.isfinite(value):
+        raise ValueError(f"objective at the pristine data is {value}; the target is out of range")
     initial_value = value
     records: list[StepRecord] = []
     certificate = None
@@ -607,15 +624,10 @@ def _unconstrained_gradient(model, x, solution, selector, target):
     resid = selector @ solution.y - target
     grad_y = 2.0 * (selector.T @ resid)
     cross = model.cross_hessian(x, solution.y, np.zeros(problem.n_con))
-    try:
-        z = np.linalg.solve(problem.H, grad_y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularHessian("training objective Hessian is singular") from exc
-    if np.abs(problem.H @ z - grad_y).max(initial=0.0) > 1e-6 * (
-        1.0 + np.abs(grad_y).max(initial=0.0)
-    ):
-        raise SingularHessian("training objective Hessian solve failed the residual check")
-    return -(cross.T @ z)
+    grad = _adjoint_gradient(problem.H, np.zeros((0, problem.n_var)), cross, grad_y)
+    if grad is None:
+        raise SingularHessian("training objective Hessian is singular")
+    return grad
 
 
 def _gradient_round(model, x, value, solution, config, *, x_base, rng, k, selector, lo, hi):

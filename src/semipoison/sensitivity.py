@@ -163,16 +163,12 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
 
 
 def fd_directional_derivative(
-    model: VictimModel,
-    x: np.ndarray,
-    dx: np.ndarray,
-    *,
-    base_solution: KktSolution | None = None,
+    model: VictimModel, x: np.ndarray, dx: np.ndarray, *, base_solution: KktSolution
 ) -> np.ndarray:
     """One-sided finite-difference estimate (y(x + h dx) - y(x)) / h, h = FD_STEP.
 
-    Re-solves the victim's training problem once (twice without a cached
-    base solution); solver errors propagate.
+    base_solution is the victim's solution at x.  Re-solves the training
+    problem once, at x + h dx; solver errors propagate.
     """
     x = np.asarray(x, dtype=float)
     dx = np.asarray(dx, dtype=float)
@@ -180,9 +176,8 @@ def fd_directional_derivative(
         raise DimensionMismatch("dx must match the shape of x")
     if not np.linalg.norm(dx) > 0:
         raise DimensionMismatch("dx must be nonzero")
-    y0 = base_solution.y if base_solution is not None else solve_victim(model, x).y
     y1 = solve_victim(model, x + FD_STEP * dx).y
-    return (y1 - y0) / FD_STEP
+    return (y1 - base_solution.y) / FD_STEP
 
 
 # ---------------------------------------------------------------------------

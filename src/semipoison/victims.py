@@ -9,7 +9,7 @@ derivative of the Lagrangian (solution variables by data coordinates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -38,7 +38,6 @@ class VictimModel:
     cross_hessian : callable(x, y, lam) -> (dim_var, dim_data) array
         Mixed second derivative of the Lagrangian
         objective + sum_i lam_i * g_i with respect to (y, x).
-    description : str
     feasible_start : callable(x, y_prev) -> y, optional
         Turns the solution y_prev at nearby data into a point that is
         feasible for the training problem at data x, for warm starts.
@@ -49,7 +48,6 @@ class VictimModel:
     assemble: Callable[[np.ndarray], QpProblem]
     grad_x_constraint: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cross_hessian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    description: str = ""
     feasible_start: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
@@ -205,7 +203,6 @@ def svm_victim(svm: SvmModel) -> VictimModel:
         assemble=partial(svm_assemble, svm),
         grad_x_constraint=partial(svm_grad_x_constraint, svm),
         cross_hessian=partial(svm_cross_hessian, svm),
-        description=f"soft-margin linear SVM, n={svm.n_points}, C={svm.C}",
         feasible_start=partial(svm_feasible_start, svm),
     )
 
@@ -243,7 +240,6 @@ def toy_bilevel_model() -> VictimModel:
         assemble=toy_assemble,
         grad_x_constraint=lambda x, y: np.array([[-1.0], [1.0]]),
         cross_hessian=lambda x, y, lam: np.zeros((1, 1)),
-        description="1-d toy: y(x) = |x|",
     )
 
 
@@ -298,51 +294,14 @@ class _AffineQpFamily:
         lam = np.asarray(lam, dtype=float)
         return self.Cx + np.einsum("i,ijk->jk", lam, self.rows_M)
 
-    def as_victim(self, description):
+    def as_victim(self):
         return VictimModel(
             dim_data=self.dim_data,
             dim_var=self.dim_var,
             assemble=self.assemble,
             grad_x_constraint=self.grad_x_constraint,
             cross_hessian=self.cross_hessian,
-            description=description,
         )
-
-
-def validate_derivative_callbacks(model: VictimModel, x, y, lam, h=1e-6, tol=1e-5):
-    """Check the analytic callbacks against central finite differences.
-
-    Raises AssertionError on disagreement.  Exercises every entry of the
-    constraint Jacobian and of the cross Hessian.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-
-    def values_and_lagrangian_grad(xv):
-        """Constraint values and the Lagrangian's y-gradient, from one assembly."""
-        prob = model.assemble(xv)
-        g = prob.H @ y + prob.c
-        if prob.n_con:
-            g = g + prob.A.T @ lam
-        return prob.constraint_values(y), g
-
-    m = model.assemble(x).n_con
-    fd_rows = np.zeros((m, model.dim_data))
-    fd_cross = np.zeros((model.dim_var, model.dim_data))
-    for j in range(model.dim_data):
-        e = np.zeros(model.dim_data)
-        e[j] = h
-        values_plus, grad_plus = values_and_lagrangian_grad(x + e)
-        values_minus, grad_minus = values_and_lagrangian_grad(x - e)
-        fd_rows[:, j] = (values_plus - values_minus) / (2 * h)
-        fd_cross[:, j] = (grad_plus - grad_minus) / (2 * h)
-    got = np.asarray(model.grad_x_constraint(x, y), dtype=float)
-    if got.shape != fd_rows.shape or np.abs(got - fd_rows).max(initial=0.0) > tol:
-        raise AssertionError("grad_x_constraint disagrees with finite differences")
-    got = model.cross_hessian(x, y, lam)
-    if np.abs(got - fd_cross).max(initial=0.0) > tol:
-        raise AssertionError("cross_hessian disagrees with finite differences")
 
 
 def generic_parametric_qp(
@@ -358,8 +317,10 @@ def generic_parametric_qp(
     H is SPD with eigenvalues in [0.5, 3]; constraint normals carry a
     small x-dependence (scale `coupling`) so the cross Hessian depends on
     the multipliers.  The origin in y is strictly feasible at x = 0, so
-    assembled problems stay feasible for moderate ||x||.  Derivative
-    callbacks are validated against finite differences at construction.
+    assembled problems stay feasible for moderate ||x||.  Construction
+    assembles no problem; tests/test_victims.py checks the derivative
+    callbacks against central finite differences for every fixture shape
+    the package draws.
     """
     rng = np.random.default_rng(seed)
     m = n_ineq + n_eq
@@ -375,17 +336,7 @@ def generic_parametric_qp(
     rows_b0[:n_ineq] = -(rows_a[:n_ineq] @ y_int) - rng.uniform(0.5, 1.5, n_ineq)
     if n_eq:
         rows_b0[n_ineq:] = -(rows_a[n_ineq:] @ y_int)
-    fam = _AffineQpFamily(H, c0, Cx, rows_a, rows_M, rows_b0, rows_beta, n_ineq)
-    model = fam.as_victim(
-        f"random parametric QP seed={seed}, dim_var={dim_var}, dim_data={dim_data}"
-    )
-    validate_derivative_callbacks(
-        model,
-        rng.standard_normal(dim_data) * 0.1,
-        rng.standard_normal(dim_var),
-        rng.uniform(0.0, 2.0, m),
-    )
-    return model
+    return _AffineQpFamily(H, c0, Cx, rows_a, rows_M, rows_b0, rows_beta, n_ineq).as_victim()
 
 
 def kink_projection_model() -> VictimModel:
@@ -404,7 +355,7 @@ def kink_projection_model() -> VictimModel:
         rows_beta=np.zeros((1, 1)),
         n_ineq=1,
     )
-    return fam.as_victim("half-line projection: y(x) = max(x, 0)")
+    return fam.as_victim()
 
 
 def bound_tracking_model(pull: float = 1.0) -> VictimModel:
@@ -424,4 +375,4 @@ def bound_tracking_model(pull: float = 1.0) -> VictimModel:
         rows_beta=np.array([[-1.0]]),
         n_ineq=1,
     )
-    return fam.as_victim(f"bound tracking: y(x) = min(x, {pull})")
+    return fam.as_victim()

@@ -70,6 +70,42 @@ def fd_solution_derivative(solve, x, dx, h=1e-5):
     return (solve(x + h * dx) - solve(x)) / h
 
 
+def validate_derivative_callbacks(model, x, y, lam, h=1e-6, tol=1e-5):
+    """Check a victim's analytic callbacks against central finite differences.
+
+    Raises AssertionError on disagreement.  Exercises every entry of the
+    constraint Jacobian and of the cross Hessian.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+
+    def values_and_lagrangian_grad(xv):
+        """Constraint values and the Lagrangian's y-gradient, from one assembly."""
+        prob = model.assemble(xv)
+        g = prob.H @ y + prob.c
+        if prob.n_con:
+            g = g + prob.A.T @ lam
+        return prob.constraint_values(y), g
+
+    m = model.assemble(x).n_con
+    fd_rows = np.zeros((m, model.dim_data))
+    fd_cross = np.zeros((model.dim_var, model.dim_data))
+    for j in range(model.dim_data):
+        e = np.zeros(model.dim_data)
+        e[j] = h
+        values_plus, grad_plus = values_and_lagrangian_grad(x + e)
+        values_minus, grad_minus = values_and_lagrangian_grad(x - e)
+        fd_rows[:, j] = (values_plus - values_minus) / (2 * h)
+        fd_cross[:, j] = (grad_plus - grad_minus) / (2 * h)
+    got = np.asarray(model.grad_x_constraint(x, y), dtype=float)
+    if got.shape != fd_rows.shape or np.abs(got - fd_rows).max(initial=0.0) > tol:
+        raise AssertionError("grad_x_constraint disagrees with finite differences")
+    got = model.cross_hessian(x, y, lam)
+    if np.abs(got - fd_cross).max(initial=0.0) > tol:
+        raise AssertionError("cross_hessian disagrees with finite differences")
+
+
 def independent_subset_mgs(rows, base):
     """Greedy independent-row selection by one modified Gram-Schmidt pass.
 

@@ -279,10 +279,14 @@ def test_config_file_values_of_flag_types_accepted(tmp_path, capsys):
         ("attack", "--synth-n", 20, "--target=nan,1"),
         ("attack", "--synth-n", 20, "--target=inf,0"),
         ("attack", "--synth-n", 20, "--bounds=nan,3,5,60"),
+        # finite targets whose squared residual overflows
+        ("attack", "--synth-n", 20, "--target=1e200,0"),
+        ("compare", "--synth-n", 20, "--target=1e200,0"),
     ],
     ids=[
         "trials", "tol", "attack-delta", "compare-delta", "quadratic-delta", "svm-c", "box",
-        "target-nan", "target-inf", "bounds-nan",
+        "target-nan", "target-inf", "bounds-nan", "attack-target-overflow",
+        "compare-target-overflow",
     ],
 )
 def test_rejected_run_creates_no_output(tmp_path, capsys, argv):

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from semipoison import errors, qp, sensitivity
+from semipoison.attack import AttackConfig, gradient_baseline_step
 from semipoison.qp import KktSolution, QpProblem, classify_active, solve_qp
 from semipoison.sensitivity import (
     build_auxiliary,
@@ -237,16 +238,19 @@ def test_near_kink_point_fails_licq_without_retry(monkeypatch):
     assert len(calls) == 1
 
 
-def test_aux_unbounded_when_second_order_condition_fails():
-    # victim with a flat objective direction exposed by the data coupling
-    model = VictimModel(
+def flat_direction_model():
+    """Victim with a flat objective direction exposed by the data coupling."""
+    return VictimModel(
         dim_data=2,
         dim_var=2,
         assemble=lambda x: QpProblem(np.diag([1.0, 0.0]), np.array([-x[0], -x[1]])),
         grad_x_constraint=lambda x, y: np.zeros((0, 2)),
         cross_hessian=lambda x, y, lam: -np.eye(2),
-        description="flat direction fixture",
     )
+
+
+def test_aux_unbounded_when_second_order_condition_fails():
+    model = flat_direction_model()
     x = np.array([0.3, 0.0])
     sol = solve_victim(model, x)
     aux = build_auxiliary(model, x, sol)
@@ -255,13 +259,20 @@ def test_aux_unbounded_when_second_order_condition_fails():
         semi_derivative(aux, np.array([0.0, 1.0]))
 
 
+def test_gradient_baseline_raises_singular_hessian_on_flat_direction():
+    config = AttackConfig(target=np.zeros(2), delta=1.0, point_dim=2)
+    with pytest.raises(errors.SingularHessian):
+        gradient_baseline_step(np.array([0.3, 0.0]), flat_direction_model(), config)
+
+
 def test_fd_directional_derivative_validation():
     model = kink_projection_model()
     x = np.array([0.2])
+    sol = solve_victim(model, x)
     with pytest.raises(errors.DimensionMismatch):
-        fd_directional_derivative(model, x, np.zeros(1))
+        fd_directional_derivative(model, x, np.zeros(1), base_solution=sol)
     with pytest.raises(errors.DimensionMismatch):
-        fd_directional_derivative(model, x, np.ones(2))
+        fd_directional_derivative(model, x, np.ones(2), base_solution=sol)
 
 
 def test_semi_derivative_direction_validation():

@@ -1,12 +1,14 @@
 """Tests for victim model construction and derivative callbacks."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from semipoison import errors
+from semipoison import errors, victims
 from semipoison.qp import classify_active
 from semipoison.victims import (
     SvmModel,
@@ -20,8 +22,9 @@ from semipoison.victims import (
     svm_victim,
     toy_bilevel_model,
     toy_lower_solution,
-    validate_derivative_callbacks,
 )
+
+from _oracles import validate_derivative_callbacks
 
 
 def separable_svm(n=10, seed=42, C=10.0):
@@ -155,8 +158,24 @@ def test_bound_tracking_solution_map():
     assert_allclose(model.cross_hessian(np.array([0.0]), np.zeros(1), np.zeros(1)), 0.0)
 
 
+# (dim_var, dim_data, n_ineq, n_eq) of every fixture run_oracle_trials draws,
+# then the unconstrained ones of compare --victim quadratic and acceptance
+# criterion 3 (and every other unconstrained shape up to the same sizes)
+FIXTURE_SHAPES = [
+    (dim_var, dim_data, n_ineq, n_eq)
+    for dim_var, dim_data, n_eq, n_ineq in itertools.product(
+        range(2, 9), range(1, 5), range(2), range(1, 6)
+    )
+] + [(dim_var, dim_data, 0, 0) for dim_var in range(2, 9) for dim_data in range(1, 5)]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_generic_fixture_validates_and_solves(seed):
+    """Callbacks agree with finite differences at a solution and on every shape.
+
+    generic_parametric_qp does not check its callbacks, so each seed also
+    checks a sixth of FIXTURE_SHAPES at random (x, y, lam).
+    """
     rng = np.random.default_rng(seed)
     model = generic_parametric_qp(
         seed,
@@ -168,6 +187,34 @@ def test_generic_fixture_validates_and_solves(seed):
     x = 0.1 * rng.standard_normal(model.dim_data)
     sol = solve_victim(model, x)
     validate_derivative_callbacks(model, x, sol.y, sol.lam)
+    for dim_var, dim_data, n_ineq, n_eq in FIXTURE_SHAPES[seed::6]:
+        model = generic_parametric_qp(seed, dim_var, dim_data, n_ineq, n_eq)
+        validate_derivative_callbacks(
+            model,
+            0.1 * rng.standard_normal(dim_data),
+            rng.standard_normal(dim_var),
+            rng.uniform(0.0, 2.0, n_ineq + n_eq),
+        )
+
+
+def test_fixture_construction_assembles_nothing(monkeypatch):
+    """Building a fixture assembles no problem; assembling it builds one."""
+    calls, built = [], []
+
+    def counting(fn, log):
+        def wrapper(*args, **kwargs):
+            log.append(args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    family = victims._AffineQpFamily
+    monkeypatch.setattr(family, "assemble", counting(family.assemble, calls))
+    monkeypatch.setattr(victims, "QpProblem", counting(victims.QpProblem, built))
+    model = generic_parametric_qp(11, dim_var=4, dim_data=3, n_ineq=3, n_eq=1)
+    assert (len(calls), len(built)) == (0, 0)
+    model.assemble(np.zeros(3))
+    assert (len(calls), len(built)) == (1, 1)
 
 
 def test_generic_fixture_deterministic():
