@@ -11,9 +11,9 @@ per-feature box bounds.
 Directional derivatives are exact one-sided values from the auxiliary
 problem of the sensitivity module.  When the solution map is plainly
 differentiable at the current iterate (every active constraint has a
-nonzero multiplier) they collapse to a single linear solve that yields
-the full data gradient at once; when regularity fails entirely the
-engine falls back to one-sided finite differences rather than giving up.
+nonzero multiplier) they collapse to one adjoint solve on the training
+solver's own factors that yields the full data gradient at once; where
+regularity fails entirely, one-sided finite differences take over.
 
 A classical gradient attack that ignores the training constraints is
 included for comparison, as is a geometric-decay check for step-size
@@ -308,37 +308,35 @@ def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rn
     return kept
 
 
-def _adjoint_gradient(H, rows, W, grad_y):
-    """Data gradient -W' u of the objective through a stationarity system.
+def _factored_gradient(H, B, grad_y, working, Q, T):
+    """Data gradient B_con[working]' nu - B_y' u of the objective.
 
-    u solves [[H, rows'], [rows, 0]] u = [grad_y, 0], and W stacks the
-    data derivatives of the Lagrangian's y-gradient over those of the
-    rows.  Returns None when that system is singular or its solve fails
-    the residual test.
+    B = [B_y; B_con] stacks the data derivatives of the Lagrangian's
+    y-gradient over those of every constraint row.  (u, nu) solves the
+    stationarity system [[H, A'], [A, 0]] (u, nu) = (grad_y, 0) of the
+    working rows A, A' = Q[:, :m] T^-1, on those factors (Nocedal &
+    Wright, section 16.2): u = Z (Z'HZ)^-1 Z' grad_y with Z = Q[:, m:],
+    nu = T Y'(grad_y - H u) with Y = Q[:, :m].  None if Z'HZ is singular.
     """
-    nv, k = H.shape[0], rows.shape[0]
-    K = np.zeros((nv + k, nv + k))
-    K[:nv, :nv] = H
-    K[:nv, nv:] = rows.T
-    K[nv:, :nv] = rows
-    rhs = np.zeros(nv + k)
-    rhs[:nv] = grad_y
-    try:
-        u = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if np.abs(K @ u - rhs).max(initial=0.0) > 1e-8 * (1.0 + np.abs(rhs).max(initial=0.0)):
-        return None
-    return -(W.T @ u)
+    nv, m = H.shape[0], T.shape[0]
+    Y, Z = Q[:, :m], Q[:, m:]
+    u = np.zeros(nv)
+    if Z.shape[1]:
+        try:
+            u = Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ grad_y)
+        except np.linalg.LinAlgError:
+            return None
+    nu = T @ (Y.T @ (grad_y - H @ u))
+    return -(B[:nv].T @ u - B[nv:][working].T @ nu)
 
 
 class _ObjectiveDerivative:
     """Directional derivatives of the attack objective at a fixed iterate.
 
-    Routes, in order of preference: a single symmetric linear solve when
-    the solution map is differentiable here (no weakly active
-    constraints), the auxiliary problem per direction otherwise, and a
-    one-sided finite difference when regularity fails outright.
+    Routes, in order of preference: one adjoint solve on the training
+    solver's factors when the solution map is differentiable here (no
+    weakly active constraints), the auxiliary problem per direction
+    otherwise, and a one-sided finite difference when regularity fails.
     """
 
     def __init__(self, model, x, solution, selector, target, value):
@@ -360,13 +358,12 @@ class _ObjectiveDerivative:
         self.aux = aux
         if aux.structure.weakly_active:
             return
-        # strict complementarity: dy is linear in dx, so one solve of the
-        # stationarity system gives the gradient of G through the map; with
-        # no weakly active rows, the strict rows are all the active ones
-        nv = aux.dim_var
-        strict = aux.structure.strict
-        W = np.vstack([aux.B[:nv], -aux.B[nv:][strict]])
-        self.gradient = _adjoint_gradient(aux.H_aux, aux.rows[strict], W, self.grad_y)
+        # strict complementarity: dy is linear in dx, so one adjoint solve
+        # gives the gradient of G.  Only working rows carry nonzero multipliers
+        # and LICQ held, so the solver's final working set is the strict set.
+        self.gradient = _factored_gradient(
+            aux.H_aux, aux.B, self.grad_y, solution.working, solution.Q, solution.T
+        )
 
     def dG(self, D: np.ndarray) -> tuple[np.ndarray, list[str]]:
         """Derivatives along the rows of D, and the route behind each.
@@ -418,9 +415,7 @@ def objective_derivative(
 ) -> float:
     """One-sided directional derivative of the attack objective along dx."""
     x = np.asarray(x, dtype=float)
-    selector = config.resolve_selector(model.dim_var)
-    sol = solution if solution is not None else solve_victim(model, x)
-    value = objective(selector @ sol.y, config.target)
+    selector, _, _, sol, value = _prepare(model, config, x, solution)
     ev = _ObjectiveDerivative(model, x, sol, selector, config.target, value)
     vals, _ = ev.dG(np.asarray(dx, dtype=float)[None])
     return float(vals[0])
@@ -522,14 +517,26 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
     raise Stalled("no candidate direction decreases the objective", certificate=certificate)
 
 
-def _one_round(round_fn, x, model, config, x_base, rng, solution, k):
-    """One round of round_fn at x, outside a driver; returns (x, solution, record)."""
-    x = np.asarray(x, dtype=float)
-    x_base = x if x_base is None else np.asarray(x_base, dtype=float)
+def _prepare(model, config, x, solution=None):
+    """Selector, tiled box bounds, solution at x and its objective value.
+
+    Solves the victim at x unless solution is given.  Raises ValueError
+    when the objective is not finite.
+    """
     selector = config.resolve_selector(model.dim_var)
     lo, hi = _tile_bounds(config, model.dim_data)
     sol = solution if solution is not None else solve_victim(model, x)
     value = objective(selector @ sol.y, config.target)
+    if not np.isfinite(value):
+        raise ValueError(f"objective at the data is {value}; the target is out of range")
+    return selector, lo, hi, sol, value
+
+
+def _one_round(round_fn, x, model, config, x_base, rng, solution, k):
+    """One round of round_fn at x, outside a driver; returns (x, solution, record)."""
+    x = np.asarray(x, dtype=float)
+    x_base = x if x_base is None else np.asarray(x_base, dtype=float)
+    selector, lo, hi, sol, value = _prepare(model, config, x, solution)
     return round_fn(
         model, x, value, sol, config, x_base=x_base, rng=rng, k=k, selector=selector, lo=lo, hi=hi
     )
@@ -540,9 +547,9 @@ def attack_step(x, model: VictimModel, config: AttackConfig, *, x_base=None, rng
     """One attack iteration: probe, select a point, direction search, step.
 
     Returns (x_next, record).  x_base is the pristine data anchoring the
-    budget ball and defaults to x itself.  Raises Stalled when no sampled
-    direction decreases the objective and EmptyDirectionSet when no point
-    can move; training-solver errors propagate.
+    budget ball and defaults to x itself.  Raises ValueError on a
+    non-finite objective, Stalled when no sampled direction descends and
+    EmptyDirectionSet when no point can move; solver errors propagate.
     """
     rng = np.random.default_rng(config.seed) if rng is None else rng
     x_next, _, record = _one_round(_attack_round, x, model, config, x_base, rng, solution, k)
@@ -562,17 +569,11 @@ def _drive(x_bar, model: VictimModel, config: AttackConfig, round_fn) -> AttackT
         raise DimensionMismatch(
             f"dim_data {model.dim_data} is not a multiple of point_dim {config.point_dim}"
         )
-    selector = config.resolve_selector(model.dim_var)
-    lo, hi = _tile_bounds(config, model.dim_data)
+    selector, lo, hi, sol, value = _prepare(model, config, x_bar)
     if lo is not None and (np.any(x_bar < lo) or np.any(x_bar > hi)):
         raise ValueError("pristine data violates the box bounds")
     rng = np.random.default_rng(config.seed)
-
     x = x_bar.copy()
-    sol = solve_victim(model, x)
-    value = objective(selector @ sol.y, config.target)
-    if not np.isfinite(value):
-        raise ValueError(f"objective at the pristine data is {value}; the target is out of range")
     initial_value = value
     records: list[StepRecord] = []
     certificate = None
@@ -614,25 +615,17 @@ def run_attack(x_bar, model: VictimModel, config: AttackConfig) -> AttackTrace:
     return _drive(x_bar, model, config, _attack_round)
 
 
-def _unconstrained_gradient(model, x, solution, selector, target):
-    """Data gradient of the objective with the training constraints ignored.
+def _gradient_round(model, x, value, solution, config, *, x_base, rng, k, selector, lo, hi):
+    """One projected step down the data gradient with the constraints ignored.
 
-    Chain rule through the stationarity system of the training objective
-    alone; exact for the victim only when no constraint is active.
+    Exact only where no training constraint is active; rng is unused.
     """
-    problem = solution.problem
-    resid = selector @ solution.y - target
-    grad_y = 2.0 * (selector.T @ resid)
-    cross = model.cross_hessian(x, solution.y, np.zeros(problem.n_con))
-    grad = _adjoint_gradient(problem.H, np.zeros((0, problem.n_var)), cross, grad_y)
+    H, y = solution.problem.H, solution.y
+    grad_y = 2.0 * (selector.T @ (selector @ y - config.target))
+    cross = model.cross_hessian(x, y, np.zeros(solution.problem.n_con))
+    grad = _factored_gradient(H, cross, grad_y, [], np.eye(H.shape[0]), np.zeros((0, 0)))
     if grad is None:
         raise SingularHessian("training objective Hessian is singular")
-    return grad
-
-
-def _gradient_round(model, x, value, solution, config, *, x_base, rng, k, selector, lo, hi):
-    """One projected step down the unconstrained gradient; rng is unused."""
-    grad = _unconstrained_gradient(model, x, solution, selector, config.target)
     gnorm = float(np.linalg.norm(grad))
     if gnorm <= TOL_STALL:
         raise Stalled("objective gradient vanished", certificate=-gnorm)
@@ -663,8 +656,8 @@ def gradient_baseline_step(x, model: VictimModel, config: AttackConfig, *, x_bas
     Treats the trained parameters as an unconstrained stationary point,
     moves the whole data vector down the resulting gradient, and projects
     back into the ball and box.  Comparison baseline only.  Returns
-    (x_next, record, solution).  Raises SingularHessian, and Stalled when
-    the gradient vanishes or no trial length decreases the objective.
+    (x_next, record, solution).  Raises ValueError, SingularHessian, and
+    Stalled when the gradient vanishes or no trial length decreases it.
     """
     x_next, sol, record = _one_round(_gradient_round, x, model, config, x_base, None, solution, k)
     return x_next, record, sol

@@ -162,6 +162,8 @@ class KktSolution:
     takes one.  phase1 tells whether a phase-1 search supplied the
     starting point.  problem is the QpProblem that solve_qp solved, so
     callers that need its data at the solution do not assemble it again.
+    working holds the final working rows in working order, and Q and T
+    their factors: A[working]' = Q[:, :m] R with T = R^-1, Q orthogonal.
     """
 
     y: np.ndarray
@@ -170,6 +172,9 @@ class KktSolution:
     iterations: int = 0
     phase1: bool = False
     problem: QpProblem | None = None
+    working: np.ndarray | None = None
+    Q: np.ndarray | None = None
+    T: np.ndarray | None = None
 
 
 @dataclass
@@ -329,7 +334,7 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, order, factors, max_iter
     blocks the unit step, or y already is y_hat, it checks the multiplier
     signs at y_hat and returns, or drops a row with a negative one.  Ties
     and drops follow Bland's rule (smallest index).  Returns (y, lam,
-    iterations).
+    iterations, (working, Q, T)): the final working rows and their factors.
     """
     A, b, H, c, r, n = problem.A, problem.b, problem.H, problem.c, problem.n_ineq, problem.n_var
     live, Q, T0 = factors
@@ -377,7 +382,7 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, order, factors, max_iter
         if not negative.size:
             lam = np.zeros(problem.n_con)
             lam[idx] = np.where((idx >= r) | (lam_w > 0.0), lam_w, 0.0)
-            return y_hat, lam, it + 1
+            return y_hat, lam, it + 1, (idx, Q, T[:m, :m].copy())
         j = working.index(int(negative.min()))
         if j < m - 1:  # without row j, R's rows j.. are upper Hessenberg: one QR fixes them
             q = np.linalg.qr(Q[:, j:m].T @ A[idx[j + 1 :]].T, mode="complete")[0]
@@ -416,7 +421,7 @@ def _phase1(problem: QpProblem):
     Q1 = np.eye(n + 1)  # the equality rows' factors with the t column added
     Q1[:n, :n] = Q
     max_iter = max(200, 30 * (aux.n_con + 1))
-    y_aux, _, _ = _active_set_loop(aux, start, np.arange(r, aux.n_con), (live, Q1, T), max_iter)
+    y_aux = _active_set_loop(aux, start, np.arange(r, aux.n_con), (live, Q1, T), max_iter)[0]
     if y_aux[n] > 1e-9:
         raise Infeasible(f"no feasible point (minimal constraint violation {y_aux[n]:.3e})")
     return y_aux[:n], eq
@@ -455,10 +460,10 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     Returns
     -------
     KktSolution
-        The primal-dual pair, with the iteration count, whether phase 1
-        ran, and problem itself as its problem attribute; classify_active
-        reports which constraints are active at it.  An equality row that
-        depends on the ones before it gets a zero multiplier.
+        The primal-dual pair with the iteration count, whether phase 1
+        ran, problem itself and the final working rows with their factors
+        (see KktSolution).  An equality row that depends on the ones
+        before it gets a zero multiplier and is not a working row.
 
     Raises
     ------
@@ -476,7 +481,7 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     order = np.concatenate([np.arange(problem.n_ineq, problem.n_con), candidates])
     if candidates.size or not phase1:
         factors = _independent_factors(problem.A[order], problem.n_eq)
-    y, lam, iterations = _active_set_loop(problem, y0, order, factors, max_iter)
+    y, lam, iterations, factors = _active_set_loop(problem, y0, order, factors, max_iter)
     res = kkt_residuals(problem, y, lam)
     c_inf = float(np.abs(problem.c).max(initial=0.0))
     if not res.within_default_tolerances(c_inf, float(np.abs(lam).max(initial=0.0))):
@@ -485,4 +490,4 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
             f"(stationarity {res.stationarity:.2e}, primal {res.primal:.2e}, "
             f"dual {res.dual:.2e}, complementarity {res.complementarity:.2e})"
         )
-    return KktSolution(y, lam, problem.objective_value(y), iterations, phase1, problem)
+    return KktSolution(y, lam, problem.objective_value(y), iterations, phase1, problem, *factors)

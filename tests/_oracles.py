@@ -148,3 +148,22 @@ def lstsq_multipliers(rows, grad):
         return np.zeros(0)
     lam, *_ = np.linalg.lstsq(rows.T, -np.asarray(grad, dtype=float), rcond=None)
     return lam
+
+
+def dense_kkt_gradient(H, rows, W, grad_y):
+    """Data gradient -W' u from one dense solve of a stationarity system.
+
+    u solves [[H, rows'], [rows, 0]] u = [grad_y, 0], and W stacks the
+    data derivatives of the Lagrangian's y-gradient over those of the
+    rows.  Reference for the attack's data gradient, which the package
+    computes on the training solver's own factors of the working rows.
+    """
+    H = np.asarray(H, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    nv, k = H.shape[0], rows.shape[0]
+    K = np.zeros((nv + k, nv + k))
+    K[:nv, :nv] = H
+    K[:nv, nv:] = rows.T
+    K[nv:, :nv] = rows
+    rhs = np.concatenate([np.asarray(grad_y, dtype=float), np.zeros(k)])
+    return -(np.asarray(W, dtype=float).T @ np.linalg.solve(K, rhs))

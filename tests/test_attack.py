@@ -40,6 +40,8 @@ from semipoison.victims import (
     svm_victim,
 )
 
+from _oracles import dense_kkt_gradient
+
 
 def kink_config(**overrides):
     base = dict(target=np.array([1.0]), delta=2.0, curvature_bound=2.0, step_mode="fixed-L")
@@ -439,6 +441,82 @@ def test_linear_route_scores_match_semi_derivatives(seed):
     expected = np.array([ev.grad_y @ semi_derivative(ev.aux, d) for d in D])
     assert np.count_nonzero(expected) > 0
     assert np.abs(vals - expected).max() <= 1e-9
+
+
+def check_linear_route(model, x, sol, selector, target):
+    """The linear-route gradient at a solved point against a dense KKT solve.
+
+    Returns the null-space dimension n_var - len(working), or None when
+    the point is off the linear route (LICQ fails or a row is weakly
+    active).  On the route the working set must be the strict set.
+    """
+    ev = _ObjectiveDerivative(model, x, sol, selector, target, objective(selector @ sol.y, target))
+    if ev.aux is None or ev.aux.structure.weakly_active:
+        return None
+    strict = ev.aux.structure.strict
+    assert sorted(sol.working) == strict
+    nv = ev.aux.dim_var
+    W = np.vstack([ev.aux.B[:nv], -ev.aux.B[nv:][strict]])
+    want = dense_kkt_gradient(ev.aux.H_aux, ev.aux.rows[strict], W, ev.grad_y)
+    assert np.abs(want).max() > 0
+    assert np.abs(ev.gradient - want).max() <= 1e-10 * np.abs(want).max()
+    return nv - len(strict)
+
+
+@pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (80, 0)])
+def test_linear_route_gradient_matches_dense_kkt_solve_on_svm(n, seed):
+    """Cold and warm SVM solutions; the working rows leave 0 or 1 free directions."""
+    data = normalize(synth_lane_change(n, seed=seed))
+    model = svm_victim(SvmModel(data.features, data.labels, C=10.0))
+    selector = np.zeros((1, model.dim_var))
+    selector[0, :2] = [1.0, -1.0]
+    x_bar = data.features.ravel()
+    base = solve_victim(model, x_bar)
+    rng = np.random.default_rng(seed)
+    points = [(x_bar, base)]
+    for _ in range(4):
+        x = x_bar + 0.05 * rng.standard_normal(x_bar.size)
+        points.append((x, solve_victim(model, x, warm=base)))
+    null_dims = [check_linear_route(model, x, sol, selector, np.zeros(1)) for x, sol in points]
+    assert set(null_dims) <= {0, 1}
+
+
+def test_linear_route_gradient_matches_dense_kkt_solve_with_a_null_space():
+    """Parametric QPs whose active rows leave free directions, cold and warm."""
+    with_null_space = 0
+    for seed in range(30):
+        model = generic_parametric_qp(seed, dim_var=5, dim_data=3, n_ineq=4, n_eq=seed % 2)
+        rng = np.random.default_rng(seed)
+        x = 0.3 * rng.standard_normal(3)
+        cold = solve_victim(model, x)
+        x_near = x + 0.05 * rng.standard_normal(3)
+        for point, sol in ((x, cold), (x_near, solve_victim(model, x_near, warm=cold))):
+            dim = check_linear_route(model, point, sol, np.eye(5), sol.y + 1.0)
+            if dim is not None and 0 < dim < 5:
+                with_null_space += 1
+    assert with_null_space >= 10
+
+
+def test_gradient_baseline_matches_dense_kkt_solve():
+    model, H, cross = unconstrained_fixture()
+    x = np.array([0.3, -0.2])
+    sol = solve_victim(model, x)
+    assert list(sol.working) == []
+    target = sol.y + np.array([0.5, -0.2, 0.1])
+    cfg = AttackConfig(target=target, delta=10.0, point_dim=2, curvature_bound=5.0)
+    _, record, _ = gradient_baseline_step(x, model, cfg)
+    want = dense_kkt_gradient(H, np.zeros((0, 3)), cross, 2.0 * (sol.y - target))
+    # the step's direction is -grad / |grad| and its derivative -|grad|
+    got = record.direction * record.derivative
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    assert check_linear_route(model, x, sol, np.eye(3), target) == 3
+
+
+@pytest.mark.parametrize("step", [attack_step, gradient_baseline_step])
+def test_single_steps_reject_an_overflowing_objective(step):
+    cfg = AttackConfig(target=[1e200, 0, 0], delta=1.0, point_dim=2)
+    with pytest.raises(ValueError, match="out of range"):
+        step(np.full(2, 0.3), generic_parametric_qp(0, 3, 2, 0, 0), cfg)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 4])

@@ -305,10 +305,32 @@ def test_ratio_test_tie_goes_to_the_lower_index(scales):
     assert_allclose(sol.lam[0], 1.0 / s0, atol=1e-12)
 
 
+def check_final_factors(sol):
+    """Q is orthogonal and Q[:, :m] T^-1 reproduces the working rows' transpose."""
+    n, m = sol.problem.n_var, len(sol.working)
+    assert sol.Q.shape == (n, n) and sol.T.shape == (m, m)
+    assert np.abs(sol.Q.T @ sol.Q - np.eye(n)).max() <= 1e-12
+    rows = sol.problem.A[sol.working]
+    rebuilt = sol.Q[:, :m] @ np.linalg.inv(sol.T) if m else np.zeros((n, 0))
+    assert np.abs(rebuilt - rows.T).max(initial=0.0) <= 1e-12 * np.abs(rows).max(initial=0.0)
+
+
 def test_solution_carries_its_problem():
     prob = QpProblem([[1.0]], [0.0], A_ineq=[[-1.0]], b_ineq=[1.0])
-    assert solve_qp(prob).problem is prob
-    assert solve_qp(prob, start=np.array([2.0])).problem is prob
+    for sol in (solve_qp(prob), solve_qp(prob, start=np.array([2.0]))):
+        assert sol.problem is prob
+        assert list(sol.working) == [0]
+        check_final_factors(sol)
+    rng = np.random.default_rng(11)
+    sizes = set()
+    for _ in range(40):
+        prob, y_int = random_feasible_qp_and_point(rng, 5, 8, int(rng.integers(0, 3)))
+        cold = solve_qp(prob)
+        for sol in (cold, solve_qp(prob, start=y_int)):
+            assert sol.problem is prob
+            check_final_factors(sol)
+            sizes.add(len(sol.working))
+    assert sizes >= {1, 2, 3, 4, 5}  # from one working row to a full set
 
 
 # ---------------------------------------------------------------------------
