@@ -98,6 +98,8 @@ class AttackConfig:
             raise ValueError("delta must be finite and nonnegative")
         if not (np.isfinite(self.curvature_bound) and self.curvature_bound > 0):
             raise ValueError("curvature_bound must be finite and positive")
+        if not (np.isfinite(self.tol_target) and np.isfinite(self.tol_improve)):
+            raise ValueError("tol_target and tol_improve must be finite")
         if self.step_mode not in ("fixed-L", "backtracking"):
             raise ValueError(f"unknown step_mode {self.step_mode!r}")
         if self.point_dim < 1:

@@ -39,17 +39,10 @@ from .data import (
 from .errors import (
     AuxInfeasible,
     AuxUnbounded,
-    BadLabel,
-    DegenerateFeature,
-    DimensionMismatch,
-    EmptyDirectionSet,
-    Infeasible,
-    MaxIterations,
-    OutOfDomain,
+    InputError,
     ParseError,
     RegularityFailure,
-    SingularHessian,
-    Unbounded,
+    SolverError,
 )
 from .sensitivity import (
     build_auxiliary,
@@ -71,40 +64,56 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_STALLED = 4
 
-VALIDATION_ERRORS = (
-    ValueError,
-    DimensionMismatch,
-    ParseError,
-    BadLabel,
-    DegenerateFeature,
-    OutOfDomain,
-    EmptyDirectionSet,
-)
-SOLVER_ERRORS = (
-    Infeasible,
-    Unbounded,
-    MaxIterations,
-    SingularHessian,
-    RegularityFailure,
-    AuxInfeasible,
-    AuxUnbounded,
-)
-
-COMMON_DEFAULTS = {"seed": 42, "out": "."}
-DATA_DEFAULTS = {"data": None, "synth_n": 40, "svm_c": 10.0, "ridge_eps": 1e-6}
-ATTACK_DEFAULTS = {
-    "target": "equal-weights",
-    "delta": 3.0,
-    "delta_units": "normalized",
-    "bounds": None,
-    "bounds_units": "raw",
-    "step_mode": "backtracking",
-    "curvature_bound": 20.0,
-    "max_iters": 200,
-    "tol_improve": 1e-12,
-    "tol_target": 1e-10,
-    "num_random_dirs": 8,
-    "random_probe": False,
+# Each subcommand's flags, by config key: (default, add_argument options).
+# The flag is the key with dashes, so --synth-n sets synth_n.
+COMMON_FLAGS = {
+    "seed": (42, {"type": int, "help": "random seed"}),
+    "out": (".", {"help": "output directory"}),
+}
+DATA_FLAGS = {
+    "data": (None, {"help": "dataset CSV (default: synthetic)"}),
+    "synth_n": (40, {"type": int, "help": "synthetic dataset size"}),
+    "svm_c": (10.0, {"type": float, "help": "SVM slack penalty C"}),
+    "ridge_eps": (1e-6, {"type": float, "help": "SVM Hessian ridge"}),
+}
+ATTACK_FLAGS = {
+    "target": ("equal-weights", {
+        "help": "'equal-weights' for w1 == w2, or 'W1,W2' for explicit weights",
+    }),
+    "delta": (3.0, {"type": float, "help": "perturbation budget"}),
+    "delta_units": ("normalized", {"choices": ("normalized", "raw")}),
+    "bounds": (None, {"help": "per-feature box 'v_lo,v_hi,h_lo,h_hi'"}),
+    "bounds_units": ("raw", {"choices": ("normalized", "raw")}),
+    "step_mode": ("backtracking", {"choices": ("fixed-L", "backtracking")}),
+    "curvature_bound": (20.0, {"type": float, "help": "L estimate for the step rule"}),
+    "max_iters": (200, {"type": int}),
+    "tol_improve": (1e-12, {"type": float, "help": "stop below this per-step decrease"}),
+    "tol_target": (1e-10, {"type": float, "help": "declare success at this objective"}),
+    "num_random_dirs": (8, {"type": int}),
+    "random_probe": (False, {"action": "store_true"}),
+}
+FLAGS = {
+    "train": {**COMMON_FLAGS, **DATA_FLAGS},
+    "attack": {**COMMON_FLAGS, **DATA_FLAGS, **ATTACK_FLAGS},
+    "compare": {**COMMON_FLAGS, **DATA_FLAGS, **ATTACK_FLAGS, "victim": ("svm", {
+        "choices": ("svm", "quadratic"),
+        "help": "victim problem: the lane-change SVM, or an unconstrained "
+        "quadratic fixture on which the two attacks provably coincide",
+    })},
+    "sensitivity-check": {
+        **COMMON_FLAGS,
+        "seed": (7, COMMON_FLAGS["seed"][1]),
+        "trials": (200, {"type": int, "help": "number of gated trials"}),
+        "tol": (5e-4, {"type": float, "help": "max allowed relative deviation"}),
+    },
+    "toy": {},
+}
+SUBCOMMAND_HELP = {
+    "train": "train the SVM and report metrics",
+    "attack": "run the model-targeted attack",
+    "compare": "attack vs classical gradient baseline",
+    "sensitivity-check": "randomized derivative-vs-oracle agreement trials",
+    "toy": "one-dimensional walkthrough of the method",
 }
 # the JSON types a config-file value may have, by the type its flag parses to
 CONFIG_TYPES = {
@@ -118,14 +127,6 @@ SEARCH_KNOBS = (
     "tol_target", "tol_improve", "max_iters", "seed",
 )
 
-DEFAULTS = {
-    "train": {**COMMON_DEFAULTS, **DATA_DEFAULTS},
-    "attack": {**COMMON_DEFAULTS, **DATA_DEFAULTS, **ATTACK_DEFAULTS},
-    "compare": {**COMMON_DEFAULTS, **DATA_DEFAULTS, **ATTACK_DEFAULTS, "victim": "svm"},
-    "sensitivity-check": {"seed": 7, "out": ".", "trials": 200, "tol": 5e-4},
-    "toy": {},
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -134,67 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
         "one-sided derivatives of the training solution map.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat JSON file of flag defaults")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--out", help="output directory")
-
-    def data_flags(p):
-        p.add_argument("--data", help="dataset CSV (default: synthetic)")
-        p.add_argument("--synth-n", type=int, help="synthetic dataset size")
-        p.add_argument("--svm-c", type=float, help="SVM slack penalty C")
-        p.add_argument("--ridge-eps", type=float, help="SVM Hessian ridge")
-
-    def attack_flags(p):
+    for command, flags in FLAGS.items():
+        p = sub.add_parser(command, help=SUBCOMMAND_HELP[command])
+        # toy has no flags; its --config only rejects unknown keys
         p.add_argument(
-            "--target",
-            help="'equal-weights' for w1 == w2, or 'W1,W2' for explicit weights",
+            "--config", help="flat JSON file of flag defaults" if flags else argparse.SUPPRESS
         )
-        p.add_argument("--delta", type=float, help="perturbation budget")
-        p.add_argument("--delta-units", choices=("normalized", "raw"))
-        p.add_argument("--bounds", help="per-feature box 'v_lo,v_hi,h_lo,h_hi'")
-        p.add_argument("--bounds-units", choices=("normalized", "raw"))
-        p.add_argument("--step-mode", choices=("fixed-L", "backtracking"))
-        p.add_argument("--curvature-bound", type=float, help="L estimate for the step rule")
-        p.add_argument("--max-iters", type=int)
-        p.add_argument("--tol-improve", type=float, help="stop below this per-step decrease")
-        p.add_argument("--tol-target", type=float, help="declare success at this objective")
-        p.add_argument("--num-random-dirs", type=int)
-        p.add_argument("--random-probe", action="store_true", default=None)
-
-    p_train = sub.add_parser("train", help="train the SVM and report metrics")
-    common(p_train)
-    data_flags(p_train)
-
-    p_attack = sub.add_parser("attack", help="run the model-targeted attack")
-    common(p_attack)
-    data_flags(p_attack)
-    attack_flags(p_attack)
-
-    p_compare = sub.add_parser("compare", help="attack vs classical gradient baseline")
-    common(p_compare)
-    data_flags(p_compare)
-    attack_flags(p_compare)
-    p_compare.add_argument(
-        "--victim",
-        choices=("svm", "quadratic"),
-        help="victim problem: the lane-change SVM, or an unconstrained "
-        "quadratic fixture on which the two attacks provably coincide",
-    )
-
-    p_sens = sub.add_parser(
-        "sensitivity-check", help="randomized derivative-vs-oracle agreement trials"
-    )
-    common(p_sens)
-    p_sens.add_argument("--trials", type=int, help="number of gated trials")
-    p_sens.add_argument("--tol", type=float, help="max allowed relative deviation")
-
-    p_toy = sub.add_parser("toy", help="one-dimensional walkthrough of the method")
-    p_toy.add_argument("--config", help=argparse.SUPPRESS)
-
-    for p in sub.choices.values():  # resolve_config checks config values against these
-        p.set_defaults(flag_actions=p._actions)
+        for key, (_, options) in flags.items():
+            # no default, so resolve_config can tell an explicit flag from an absent one
+            p.add_argument("--" + key.replace("_", "-"), default=None, **options)
     return parser
 
 
@@ -211,7 +160,7 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _check_config_value(key: str, value, action: argparse.Action, default) -> None:
+def _check_config_value(key: str, value, default, options: dict) -> None:
     """Reject a config-file value that the key's flag would not produce.
 
     null is taken only where the default is null, and a flag's choices
@@ -219,60 +168,72 @@ def _check_config_value(key: str, value, action: argparse.Action, default) -> No
     """
     if value is None and default is None:
         return
-    kind = bool if action.nargs == 0 else action.type or str  # nargs 0: a switch
+    kind = bool if options.get("action") == "store_true" else options.get("type", str)
     kinds, name = CONFIG_TYPES[kind]
     # true and false are Python ints, but not JSON numbers
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
         raise ValueError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"config key {key!r} must be one of {action.choices}, got {value!r}")
+    choices = options.get("choices")
+    if choices is not None and value not in choices:
+        raise ValueError(f"config key {key!r} must be one of {choices}, got {value!r}")
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and explicit flags (strongest last)."""
-    defaults = DEFAULTS[args.command]
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
+    flags = FLAGS[args.command]
+    resolved = {key: default for key, (default, _) in flags.items()}
+    if args.config:
         overrides = _load_config_file(args.config)
-        unknown = sorted(set(overrides) - set(defaults))
+        unknown = sorted(set(overrides) - set(flags))
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
-        actions = {action.dest: action for action in args.flag_actions}
         for key, value in overrides.items():
-            _check_config_value(key, value, actions[key], defaults[key])
+            _check_config_value(key, value, *flags[key])
         resolved.update(overrides)
-    for key in defaults:
-        value = getattr(args, key, None)
+    for key in flags:
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
     return resolved
 
 
-def _write_resolved_config(resolved: dict, out: Path) -> None:
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _prepare_out(resolved: dict) -> Path:
+    """Create the output directory and write the resolved configuration into it."""
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(resolved, indent=2, sort_keys=True)
+    (out / "config.json").write_text(text + "\n", encoding="utf-8")
     return out
 
 
-def _load_dataset(resolved: dict) -> Dataset:
-    if resolved["data"]:
-        return load_csv(resolved["data"])
-    return synth_lane_change(resolved["synth_n"], resolved["seed"])
+def _report(summary: dict, path: Path) -> None:
+    """Print the run's JSON summary and write the same text to path."""
+    text = json.dumps(summary, indent=2)
+    print(text)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _trained_svm(resolved: dict):
-    raw = _load_dataset(resolved)
+    if resolved["data"]:
+        raw = load_csv(resolved["data"])
+    else:
+        raw = synth_lane_change(resolved["synth_n"], resolved["seed"])
     ds = normalize(raw)
     model = svm_victim(
         SvmModel(ds.features, ds.labels, C=resolved["svm_c"], ridge_eps=resolved["ridge_eps"])
     )
     return raw, ds, model
+
+
+def _numbers(text: str, count: int, form: str, what: str) -> list[float]:
+    """The count comma-separated numbers in text; form and what word the errors."""
+    parts = text.split(",")
+    if len(parts) != count:
+        raise ValueError(f"{form}, got {text!r}")
+    try:
+        return [float(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"{what} must be numbers, got {text!r}") from None
 
 
 def _parse_target(text: str, dim_var: int):
@@ -281,13 +242,7 @@ def _parse_target(text: str, dim_var: int):
         selector[0, 0] = 1.0
         selector[0, 1] = -1.0
         return selector, np.zeros(1)
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"target must be 'equal-weights' or 'W1,W2', got {text!r}")
-    try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"target weights must be numbers, got {text!r}") from None
+    values = _numbers(text, 2, "target must be 'equal-weights' or 'W1,W2'", "target weights")
     selector = np.zeros((2, dim_var))
     selector[0, 0] = 1.0
     selector[1, 1] = 1.0
@@ -306,13 +261,9 @@ def _attack_config(resolved: dict, ds: Dataset, dim_var: int) -> AttackConfig:
         delta = normalized_budget(delta, ds)
     box_lo = box_hi = None
     if resolved["bounds"]:
-        parts = str(resolved["bounds"]).split(",")
-        if len(parts) != 4:
-            raise ValueError(f"bounds must be 'v_lo,v_hi,h_lo,h_hi', got {resolved['bounds']!r}")
-        try:
-            v_lo, v_hi, h_lo, h_hi = (float(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"bounds must be numbers, got {resolved['bounds']!r}") from None
+        v_lo, v_hi, h_lo, h_hi = _numbers(
+            resolved["bounds"], 4, "bounds must be 'v_lo,v_hi,h_lo,h_hi'", "bounds"
+        )
         lo = np.array([v_lo, h_lo])
         hi = np.array([v_hi, h_hi])
         if resolved["bounds_units"] == "raw":
@@ -347,18 +298,9 @@ def cmd_train(resolved: dict) -> int:
     sol = solve_victim(model, ds.features.ravel())
     out = _prepare_out(resolved)
     w1, w2, b = (float(v) for v in sol.y[:3])
-    report = _training_metrics(ds, w1, w2, b)
-    print(json.dumps(report, indent=2))
-    with open(out / "model.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _report(_training_metrics(ds, w1, w2, b), out / "model.json")
     write_stats_json(ds, out / "stats.json")
-    _write_resolved_config(resolved, out)
     return EXIT_OK
-
-
-def _attack_exit(trace: AttackTrace) -> int:
-    return EXIT_OK if trace.reason in ("optimal", "max_iters") else EXIT_STALLED
 
 
 def _attack_summary(trace: AttackTrace) -> dict:
@@ -381,7 +323,6 @@ def cmd_attack(resolved: dict) -> int:
     trace = run_attack(x0, model, cfg)
 
     out = _prepare_out(resolved)
-    _write_resolved_config(resolved, out)
     write_trace_jsonl(trace, out / "trace.jsonl")
     write_summary_csv(trace, out / "summary.csv")
     poisoned_raw = denormalize(trace.x_final.reshape(-1, 2), ds)
@@ -393,19 +334,13 @@ def cmd_attack(resolved: dict) -> int:
         for i in np.flatnonzero(moved > 1e-12):
             d = poisoned_raw[i] - raw.features[i]
             writer.writerow([int(i), repr(float(d[0])), repr(float(d[1])), repr(float(moved[i]))])
-    summary = _attack_summary(trace)
-    with open(out / "attack.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(summary, indent=2))
-    return _attack_exit(trace)
+    _report(_attack_summary(trace), out / "attack.json")
+    return EXIT_OK if trace.reason in ("optimal", "max_iters") else EXIT_STALLED
 
 
 def _quadratic_scenario(resolved: dict):
     """Unconstrained fixture on which both attacks reduce to plain descent."""
-    model = generic_parametric_qp(
-        resolved["seed"], dim_var=3, dim_data=2, n_ineq=0, n_eq=0
-    )
+    model = generic_parametric_qp(resolved["seed"], dim_var=3, dim_data=2, n_ineq=0, n_eq=0)
     x0 = np.full(model.dim_data, 0.3)
     config = AttackConfig(
         target=np.zeros(model.dim_var),
@@ -427,7 +362,6 @@ def cmd_compare(resolved: dict) -> int:
     trace_grad = run_gradient_baseline(x0, model, cfg)
 
     out = _prepare_out(resolved)
-    _write_resolved_config(resolved, out)
     write_trace_jsonl(trace_semi, out / "semi_trace.jsonl")
     write_trace_jsonl(trace_grad, out / "grad_trace.jsonl")
     hist_semi = trace_semi.objective_history
@@ -439,14 +373,8 @@ def cmd_compare(resolved: dict) -> int:
             semi = hist_semi[min(k, len(hist_semi) - 1)]
             grad = hist_grad[min(k, len(hist_grad) - 1)]
             writer.writerow([k, repr(semi), repr(grad)])
-    summary = {
-        "semi": _attack_summary(trace_semi),
-        "gradient": _attack_summary(trace_grad),
-    }
-    with open(out / "compare.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(summary, indent=2))
+    summary = {"semi": _attack_summary(trace_semi), "gradient": _attack_summary(trace_grad)}
+    _report(summary, out / "compare.json")
     return EXIT_OK
 
 
@@ -458,7 +386,6 @@ def cmd_sensitivity_check(resolved: dict) -> int:
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and nonnegative")
     out = _prepare_out(resolved)
-    _write_resolved_config(resolved, out)
     results = run_oracle_trials(trials, seed=resolved["seed"]) if trials else []
     with open(out / "trials.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -554,10 +481,10 @@ def main(argv=None) -> int:
     try:
         resolved = resolve_config(args)
         return COMMANDS[args.command](resolved)
-    except VALIDATION_ERRORS as exc:
+    except (ValueError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SOLVER_ERRORS as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

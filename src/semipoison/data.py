@@ -59,14 +59,12 @@ class Dataset:
         bad = np.flatnonzero(~np.isin(self.labels, (-1.0, 1.0)))
         if bad.size:
             raise BadLabel(f"labels must be -1 or +1; offending data row {int(bad[0]) + 1}")
-        if self.mean is None:
-            self.mean = self.features.mean(axis=0)
-        else:
-            self.mean = np.asarray(self.mean, dtype=float)
-        if self.std is None:
-            self.std = self.features.std(axis=0)
-        else:
-            self.std = np.asarray(self.std, dtype=float)
+        # statistics that overflow come out non-finite, which normalize rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = self.features.mean(axis=0) if self.mean is None else self.mean
+            std = self.features.std(axis=0) if self.std is None else self.std
+        self.mean = np.asarray(mean, dtype=float)
+        self.std = np.asarray(std, dtype=float)
 
     @property
     def n_rows(self) -> int:
@@ -177,12 +175,15 @@ def normalize(dataset: Dataset) -> Dataset:
     """Z-scored copy of the dataset, statistics carried along."""
     if dataset.normalized:
         return dataset
-    low = np.flatnonzero(dataset.std <= MIN_FEATURE_STD)
-    if low.size:
-        raise DegenerateFeature(
-            f"feature {FEATURE_NAMES[int(low[0])]!r} has (near-)zero variance "
-            f"and cannot be standardized"
-        )
+    for name, mean, std in zip(FEATURE_NAMES, dataset.mean, dataset.std):
+        if not (np.isfinite(mean) and np.isfinite(std)):
+            raise DegenerateFeature(
+                f"feature {name!r} has a non-finite mean or std and cannot be standardized"
+            )
+        if std <= MIN_FEATURE_STD:
+            raise DegenerateFeature(
+                f"feature {name!r} has (near-)zero variance and cannot be standardized"
+            )
     return Dataset(
         (dataset.features - dataset.mean) / dataset.std,
         dataset.labels.copy(),

@@ -7,47 +7,55 @@ class SemipoisonError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DimensionMismatch(SemipoisonError):
+class InputError(SemipoisonError):
+    """The caller's data or settings are invalid; the CLI exits 2."""
+
+
+class SolverError(SemipoisonError):
+    """A solve or a derivative failed on valid input; the CLI exits 3."""
+
+
+class DimensionMismatch(InputError):
     """Array shapes are inconsistent with the stated problem dimensions."""
 
 
-class Infeasible(SemipoisonError):
+class Infeasible(SolverError):
     """No point satisfies the constraints."""
 
 
-class Unbounded(SemipoisonError):
+class Unbounded(SolverError):
     """The objective decreases without bound on the feasible set."""
 
 
-class MaxIterations(SemipoisonError):
+class MaxIterations(SolverError):
     """Iteration budget exhausted before convergence."""
 
 
-class BadLabel(SemipoisonError):
+class BadLabel(InputError):
     """A class label is not in {-1, +1}."""
 
 
-class OutOfDomain(SemipoisonError):
+class OutOfDomain(InputError):
     """Input lies outside the documented domain of the model."""
 
 
-class RegularityFailure(SemipoisonError):
+class RegularityFailure(SolverError):
     """Active constraint gradients are linearly dependent (LICQ fails)."""
 
 
-class AuxInfeasible(SemipoisonError):
+class AuxInfeasible(SolverError):
     """Auxiliary problem has inconsistent equality rows."""
 
 
-class AuxUnbounded(SemipoisonError):
+class AuxUnbounded(SolverError):
     """Auxiliary problem is unbounded (second-order condition fails)."""
 
 
-class SingularHessian(SemipoisonError):
+class SingularHessian(SolverError):
     """Hessian block required to be invertible is singular."""
 
 
-class EmptyDirectionSet(SemipoisonError):
+class EmptyDirectionSet(InputError):
     """No feasible perturbation direction remains for a data point."""
 
 
@@ -59,9 +67,9 @@ class Stalled(SemipoisonError):
         self.certificate = certificate
 
 
-class ParseError(SemipoisonError):
+class ParseError(InputError):
     """Malformed input file."""
 
 
-class DegenerateFeature(SemipoisonError):
+class DegenerateFeature(InputError):
     """A feature has (near-)zero variance and cannot be standardized."""

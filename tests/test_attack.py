@@ -134,6 +134,10 @@ def test_config_rejects_non_finite_target_and_nan_box():
         AttackConfig(target=np.zeros(1), delta=1.0, selector=np.array([[np.inf, 0.0]]))
     with pytest.raises(ValueError, match="NaN"):
         AttackConfig(target=np.zeros(1), delta=1.0, box_lo=[np.nan], box_hi=[1.0])
+    with pytest.raises(ValueError, match="tol_target and tol_improve must be finite"):
+        AttackConfig(target=np.zeros(1), delta=1.0, tol_target=np.nan)
+    with pytest.raises(ValueError, match="tol_target and tol_improve must be finite"):
+        AttackConfig(target=np.zeros(1), delta=1.0, tol_improve=-np.inf)
     cfg = AttackConfig(target=np.zeros(1), delta=1.0, box_lo=[-np.inf], box_hi=[np.inf])
     assert np.isinf(cfg.box_lo).all() and np.isinf(cfg.box_hi).all()
 

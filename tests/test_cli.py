@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from semipoison import cli, victims
+from semipoison import cli, errors, victims
 from semipoison.data import load_csv, synth_lane_change, write_csv
 
 
@@ -61,6 +61,17 @@ def test_train_header_only_file_is_validation_error(tmp_path, capsys):
     bad.write_text("lateral_velocity,space_headway,label\n")
     code = run_cli("train", "--out", tmp_path, "--data", bad)
     assert code == 2
+
+
+def test_train_overflowing_feature_is_validation_error(tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    data.write_text(
+        "lateral_velocity,space_headway,label\n-0.7,1e308,1\n-0.1,-1e308,-1\n0.05,1e308,-1\n"
+    )
+    code = run_cli("train", "--out", tmp_path / "run", "--data", data)
+    assert code == 2
+    assert "feature 'space_headway' has a non-finite mean or std" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--svm-c", "inf"), ("--ridge-eps", "nan")])
@@ -282,11 +293,14 @@ def test_config_file_values_of_flag_types_accepted(tmp_path, capsys):
         # finite targets whose squared residual overflows
         ("attack", "--synth-n", 20, "--target=1e200,0"),
         ("compare", "--synth-n", 20, "--target=1e200,0"),
+        # non-finite tolerances: a NaN tol_target never stops a run as optimal
+        ("attack", "--synth-n", 20, "--tol-target", "nan"),
+        ("attack", "--synth-n", 20, "--tol-improve", "inf"),
     ],
     ids=[
         "trials", "tol", "attack-delta", "compare-delta", "quadratic-delta", "svm-c", "box",
         "target-nan", "target-inf", "bounds-nan", "attack-target-overflow",
-        "compare-target-overflow",
+        "compare-target-overflow", "tol-target-nan", "tol-improve-inf",
     ],
 )
 def test_rejected_run_creates_no_output(tmp_path, capsys, argv):
@@ -295,6 +309,55 @@ def test_rejected_run_creates_no_output(tmp_path, capsys, argv):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("train", "--synth-n", 20, "--seed", 3),
+        ("attack", "--synth-n", 16, "--seed", 5, "--max-iters", 10, "--bounds=-3,3,5,60"),
+        ("compare", "--synth-n", 12, "--seed", 2, "--max-iters", 5),
+        ("compare", "--victim", "quadratic", "--max-iters", 5),
+        ("sensitivity-check", "--trials", 10, "--seed", 3),
+    ],
+    ids=["train", "attack", "compare", "compare-quadratic", "sensitivity-check"],
+)
+def test_run_reproduces_from_its_config_file(tmp_path, capsys, argv):
+    first = tmp_path / "first"
+    second = tmp_path / "second"
+    code = run_cli(*argv, "--out", first)
+    printed = capsys.readouterr().out
+    assert run_cli(argv[0], "--config", first / "config.json", "--out", second) == code
+    assert capsys.readouterr().out == printed
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        if name != "config.json":
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    configs = [json.loads((out / "config.json").read_text()) for out in (first, second)]
+    assert configs[0] == {**configs[1], "out": str(first)}
+
+
+@pytest.mark.parametrize(
+    "error, code", [(errors.ParseError, 2), (errors.SingularHessian, 3), (ValueError, 2)]
+)
+def test_error_types_map_to_exit_codes(monkeypatch, capsys, error, code):
+    def fail(resolved):
+        raise error("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "toy", fail)
+    assert run_cli("toy") == code
+    assert "boom" in capsys.readouterr().err
+
+
+def test_every_error_type_has_an_exit_code():
+    """Each toolkit error but Stalled, which the attack driver handles, maps to exit 2 or 3."""
+    kinds = [v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)]
+    unmapped = [
+        kind.__name__ for kind in kinds
+        if not issubclass(kind, (errors.InputError, errors.SolverError))
+    ]
+    assert sorted(unmapped) == ["SemipoisonError", "Stalled"]
 
 
 # ---------------------------------------------------------------- compare

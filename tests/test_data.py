@@ -169,6 +169,15 @@ def test_constant_feature_is_degenerate():
         normalize(ds)
 
 
+def test_overflowing_feature_is_degenerate(tmp_path):
+    # the std of these headways overflows to inf; no RuntimeWarning may escape either
+    text = "lateral_velocity,space_headway,label\n-0.7,1e308,1\n-0.1,-1e308,-1\n0.05,1e308,-1\n"
+    ds = load_csv(write(tmp_path, text))
+    assert not np.isfinite(ds.std[1])
+    with pytest.raises(DegenerateFeature, match="'space_headway' has a non-finite mean or std"):
+        normalize(ds)
+
+
 def test_denormalize_round_trip():
     rng = np.random.default_rng(7)
     ds = synth_lane_change(30, seed=9)
