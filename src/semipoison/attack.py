@@ -427,9 +427,13 @@ def _try_step(model, x, solution, d, dg, value, config, x_base, lo, hi, selector
     """Trial steps along d until the objective strictly decreases.
 
     Each trial re-solves the victim warm from solution, the one at x.
-    Returns (x_new, solution, value_new, step) or None when rejected.
+    Returns (x_new, solution, value_new, step) or None when rejected,
+    also when the first trial step overflows: halving never makes inf
+    smaller than MIN_STEP.
     """
     eta = -dg / config.curvature_bound  # positive: callers pass dg < 0
+    if not np.isfinite(eta):
+        return None
     while True:
         trial = project_to_feasible(x + eta * d, x_base, config.delta, lo, hi)
         if not np.array_equal(trial, x):

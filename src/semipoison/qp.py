@@ -39,6 +39,12 @@ TOL_COMPLEMENTARITY = 1e-8
 
 _SYM_TOL = 1e-10
 _DROP_TOL = 1e-9
+# Null-space size k from which _reduced_eigh may take its thin route, the
+# measured crossover: with one curved variable the full route takes 27 us
+# at k=10, 44 us at k=16, 90 us at k=24 and 2.0 ms at k=164; the thin
+# route's QR makes it 45-50 us at every k (one BLAS thread, shared
+# 2-core Xeon VM).
+_THIN_MIN = 16
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -164,6 +170,9 @@ class KktSolution:
     callers that need its data at the solution do not assemble it again.
     working holds the final working rows in working order, and Q and T
     their factors: A[working]' = Q[:, :m] R with T = R^-1, Q orthogonal.
+    Working order is the equality rows, then the start's inequality rows
+    in decreasing index, then the rows that joined, in the order they
+    joined.
     """
 
     y: np.ndarray
@@ -197,23 +206,28 @@ class KktResiduals:
 
 
 def kkt_residuals(problem: QpProblem, y: np.ndarray, lam: np.ndarray) -> KktResiduals:
-    """Evaluate the four KKT residuals of a candidate primal-dual pair."""
+    """Evaluate the four KKT residuals of a candidate primal-dual pair.
+
+    A residual that overflows comes back as inf or NaN, without a
+    warning, and so fails within_default_tolerances.
+    """
     y = np.asarray(y, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if y.shape != (problem.n_var,):
         raise DimensionMismatch(f"y must have shape ({problem.n_var},), got {y.shape}")
     if lam.shape != (problem.n_con,):
         raise DimensionMismatch(f"lam must have shape ({problem.n_con},), got {lam.shape}")
-    g = problem.constraint_values(y)
     r = problem.n_ineq
-    grad = problem.H @ y + problem.c
-    if problem.n_con:
-        grad = grad + problem.A.T @ lam
-    stationarity = float(np.abs(grad).max(initial=0.0))
-    primal_ineq = float(np.maximum(g[:r], 0.0).max(initial=0.0))
-    primal_eq = float(np.abs(g[r:]).max(initial=0.0))
-    dual = float(np.maximum(-lam[:r], 0.0).max(initial=0.0))
-    complementarity = float(np.abs(lam[:r] * g[:r]).max(initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = problem.constraint_values(y)
+        grad = problem.H @ y + problem.c
+        if problem.n_con:
+            grad = grad + problem.A.T @ lam
+        stationarity = float(np.abs(grad).max(initial=0.0))
+        primal_ineq = float(np.maximum(g[:r], 0.0).max(initial=0.0))
+        primal_eq = float(np.abs(g[r:]).max(initial=0.0))
+        dual = float(np.maximum(-lam[:r], 0.0).max(initial=0.0))
+        complementarity = float(np.abs(lam[:r] * g[:r]).max(initial=0.0))
     return KktResiduals(stationarity, max(primal_ineq, primal_eq), dual, complementarity)
 
 
@@ -247,6 +261,28 @@ def classify_active(problem: QpProblem, solution: KktSolution) -> ActiveStructur
     return ActiveStructure(active=active, weakly_active=weakly, strict=strict)
 
 
+def _reduced_eigh(H, Z):
+    """Eigenpairs (w, V) of the reduced Hessian Z'HZ, V with orthonormal columns.
+
+    Z'HZ is zero on the complement of V's span.  When the null space has
+    k >= _THIN_MIN directions and fewer than k variables have a nonzero
+    row of H, only those `curved` variables bend: with
+    Z[curved]' = U R (thin QR), Z'HZ = U (R H_cc R') U', and the small
+    matrix R H_cc R' is decomposed instead of the k-square Z'HZ
+    (Nocedal & Wright, Numerical Optimization, 16.5).
+    """
+    k = Z.shape[1]
+    if k >= _THIN_MIN:
+        curved = np.flatnonzero(np.abs(H).max(axis=0))
+        if curved.size < k:
+            U, R = np.linalg.qr(Z[curved].T)
+            Hr = R @ H[np.ix_(curved, curved)] @ R.T
+            w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
+            return w, U @ V
+    Hr = Z.T @ H @ Z
+    return np.linalg.eigh(0.5 * (Hr + Hr.T))
+
+
 def _working_subproblem(H, c, A_w, b_w, y, Q, T):
     """Minimize the objective subject to A_w q + b_w = 0, anchored near y.
 
@@ -268,9 +304,7 @@ def _working_subproblem(H, c, A_w, b_w, y, Q, T):
         return y0, None, multipliers
     g0 = H @ y0 + c
     gr = Z.T @ g0
-    Hr = Z.T @ H @ Z
-    Hr = 0.5 * (Hr + Hr.T)
-    w, V = np.linalg.eigh(Hr)
+    w, V = _reduced_eigh(H, Z)
     wmax = max(float(w.max(initial=0.0)), 1.0)
     eps = 1e-11 * wmax
     neg = w < -eps
@@ -281,9 +315,8 @@ def _working_subproblem(H, c, A_w, b_w, y, Q, T):
         if gr @ V[:, j] > 0:
             d = -d
         return None, d, None
-    zero = ~pos
-    if zero.any():
-        gz = V[:, zero] @ (V[:, zero].T @ gr)
+    if np.count_nonzero(pos) < gr.size:  # some null-space directions are flat
+        gz = gr - V[:, pos] @ (V[:, pos].T @ gr)
         if np.abs(gz).max(initial=0.0) > 1e-9 * (1.0 + np.abs(gr).max(initial=0.0)):
             d = -(Z @ gz)
             return None, d / np.linalg.norm(d), None
@@ -327,7 +360,10 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, order, factors, max_iter
     `factors` is (live, Q, T0) from _independent_factors of the rows
     A[order], the equality rows first; the working set starts as the rows
     it kept, and Q and a copy of T0 are updated as rows join and
-    leave (Gill, Golub, Murray & Saunders 1974).  Each iteration moves
+    leave (Gill, Golub, Murray & Saunders 1974).  Joining rows go last.
+    A leaving row costs a re-triangularization of the rows after it, and
+    Bland's rule drops low indices first, so solve_qp puts the start's
+    inequality rows in decreasing index.  Each iteration moves
     toward the working-set minimizer y_hat, or along a ray of unbounded
     descent, up to the first blocking row, which joins; a row that the
     start's independence test would drop does not block.  When no row
@@ -455,7 +491,11 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
         within TOL_FEAS; any other start is ignored and phase 1 runs as
         without one.  Either way the working set starts as the
         independent constraints active at the starting point, so a start
-        close to the optimum needs few iterations.
+        close to the optimum needs few iterations.  The equality rows
+        come first, then the active inequality rows in decreasing index:
+        Bland's rule drops the lowest index, and a row dropped near the
+        tail of the factors leaves few rows after it to re-triangularize.
+        Of two dependent start rows the higher index is kept.
 
     Returns
     -------
@@ -478,7 +518,7 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     if phase1:
         y0, factors = _phase1(problem)  # the equality rows' factors
     candidates = np.flatnonzero(problem.A_ineq @ y0 + problem.b_ineq >= -1e-9)
-    order = np.concatenate([np.arange(problem.n_ineq, problem.n_con), candidates])
+    order = np.concatenate([np.arange(problem.n_ineq, problem.n_con), candidates[::-1]])
     if candidates.size or not phase1:
         factors = _independent_factors(problem.A[order], problem.n_eq)
     y, lam, iterations, factors = _active_set_loop(problem, y0, order, factors, max_iter)

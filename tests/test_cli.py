@@ -2,16 +2,33 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semipoison
 from semipoison import cli, errors, victims
 from semipoison.data import load_csv, synth_lane_change, write_csv
 
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def run_cli_process(*argv, timeout):
+    """Run the CLI in a fresh interpreter with default warning filters."""
+    src = str(Path(semipoison.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONWARNINGS", None)
+    script = "import sys; from semipoison.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
 
 
 def read_rows(path):
@@ -203,6 +220,27 @@ def test_attack_nan_curvature_bound_is_validation_error(tmp_path, capsys):
     code = run_cli("attack", "--out", tmp_path, "--curvature-bound", "nan")
     assert code == 2
     assert "curvature_bound must be finite" in capsys.readouterr().err
+
+
+def test_attack_overflowing_trial_step_ends(tmp_path):
+    """-dg / curvature_bound overflows to inf; halving it must not loop forever."""
+    proc = run_cli_process(
+        "attack", "--out", tmp_path, "--synth-n", 20, "--curvature-bound", "1e-320",
+        "--max-iters", 3, timeout=60,
+    )
+    assert proc.returncode in (0, 4), proc.stderr
+    assert "Warning" not in proc.stderr
+
+
+def test_attack_overflowing_kkt_residual_is_solver_error(tmp_path, capsys):
+    """With C = 1e300 a victim solve ends at a point whose residuals overflow."""
+    code = run_cli(
+        "attack", "--out", tmp_path, "--synth-n", 20, "--seed", 3, "--svm-c", "1e300",
+        "--max-iters", 3,
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "violating KKT tolerances" in err and "RuntimeWarning" not in err
 
 
 # ---------------------------------------------------------------- config file

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from semipoison import errors, qp
+from semipoison.data import normalize, synth_lane_change
 from semipoison.qp import (
     QpProblem,
     _independent_factors,
@@ -14,6 +15,7 @@ from semipoison.qp import (
     kkt_residuals,
     solve_qp,
 )
+from semipoison.victims import SvmModel, svm_victim
 
 from _oracles import enumerate_qp, independent_subset_mgs, lstsq_multipliers
 
@@ -438,6 +440,25 @@ def test_nearly_dependent_blocking_row_joins():
     assert_allclose(sol.lam, ref[1], rtol=1e-9)
 
 
+def test_start_rows_are_in_decreasing_index():
+    """Working order: the equality rows, then the start's active rows, highest first.
+
+    Bland's rule drops the lowest index, so the rows it drops first sit at
+    the tail of the factors.  The start is the optimum, with rows 0, 2
+    and 3 active and row 1 slack, so no row joins or leaves.
+    """
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((5, 6))
+    b = np.array([0.0, -1.0, 0.0, 0.0, 0.0])
+    lam = np.array([1.0, 0.0, 2.0, 0.5, -0.7])  # rows 0-3 inequalities, row 4 an equality
+    prob = QpProblem(np.eye(6), -(A.T @ lam), A[:4], b[:4], A[4:], b[4:])
+    sol = solve_qp(prob, start=np.zeros(6))
+    assert not sol.phase1 and sol.iterations == 1
+    assert sol.working.tolist() == [4, 3, 2, 0]
+    assert_allclose(sol.lam, lam, atol=1e-12)
+    check_final_factors(sol)
+
+
 ROW_KINDS = ["fresh", "dup", "scaled", "zero"]
 
 
@@ -485,6 +506,85 @@ def test_degenerate_rows_give_kkt_point_or_typed_error(seed, n_var, eq_kinds, in
         res = kkt_residuals(prob, sol.y, sol.lam)
         lam_inf = float(np.abs(sol.lam).max(initial=0.0))
         assert res.within_default_tolerances(float(np.abs(c).max()), lam_inf)
+
+
+# ---------------------------------------------------------------------------
+# reduced Hessian
+# ---------------------------------------------------------------------------
+
+
+def _cold_svm_problem(n):
+    data = normalize(synth_lane_change(n, seed=0))
+    return svm_victim(SvmModel(data.features, data.labels, C=10.0)).assemble(data.features.ravel())
+
+
+def _flat_qp(rng):
+    """A QP in 20-30 variables of which 0-4 are curved, boxed in [-1, 1]^n.
+
+    With none curved it is an LP.  Up to five general rows are offset
+    from an interior point, so some fail at 0 and phase 1 must move off it.
+    """
+    n_var = int(rng.integers(20, 31))
+    curved = rng.choice(n_var, size=int(rng.integers(0, 5)), replace=False)
+    H = np.zeros((n_var, n_var))
+    if curved.size:
+        M = rng.standard_normal((int(rng.integers(1, curved.size + 1)), curved.size))
+        H[np.ix_(curved, curved)] = M.T @ M
+    G = rng.standard_normal((int(rng.integers(0, 6)), n_var))
+    y_int = rng.uniform(-0.5, 0.5, n_var)
+    A = np.vstack([np.eye(n_var), -np.eye(n_var), G])
+    b = np.concatenate([-np.ones(2 * n_var), -(G @ y_int) - rng.uniform(0.05, 1.0, G.shape[0])])
+    return QpProblem(H, rng.standard_normal(n_var), A, b)
+
+
+def _eigh_sizes(monkeypatch):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a):
+        sizes.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return sizes
+
+
+def test_thin_reduced_hessian_matches_full(monkeypatch):
+    """Phase 1 and QPs with few curved variables take the thin route.
+
+    The full route (Z'HZ decomposed whole, forced by raising _THIN_MIN) is
+    the reference: the same iteration counts, y within 1e-10 and lam
+    within 1e-9 of their largest entries.
+    """
+    rng = np.random.default_rng(13)
+    problems = [_cold_svm_problem(n) for n in (20, 40, 80)]
+    problems += [_flat_qp(rng) for _ in range(50)]
+    sizes = _eigh_sizes(monkeypatch)
+    thin = [solve_qp(prob) for prob in problems]
+    thin_max = max(sizes)
+    sizes.clear()
+    monkeypatch.setattr(qp, "_THIN_MIN", 10**9)
+    full = [solve_qp(prob) for prob in problems]
+    assert thin_max < max(sizes)
+    for prob, a, b in zip(problems, thin, full):
+        assert (a.iterations, a.phase1) == (b.iterations, b.phase1)
+        assert np.abs(a.y - b.y).max() <= 1e-10 * np.abs(b.y).max()
+        assert np.abs(a.lam - b.lam).max() <= 1e-9 * np.abs(b.lam).max()
+        res = kkt_residuals(prob, a.y, a.lam)
+        lam_inf = float(np.abs(a.lam).max(initial=0.0))
+        assert res.within_default_tolerances(float(np.abs(prob.c).max()), lam_inf)
+
+
+def test_cold_svm_solve_decomposes_only_small_reduced_hessians(monkeypatch):
+    """Phase 1's Hessian has rank 1; the main loop's null space stays small.
+
+    At n = 160 the full route's phase 1 decomposes a 164-square Z'HZ.
+    """
+    prob = _cold_svm_problem(160)
+    sizes = _eigh_sizes(monkeypatch)
+    sol = solve_qp(prob)
+    assert sol.phase1 and sizes
+    assert max(sizes) <= 15
 
 
 # ---------------------------------------------------------------------------
