@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,7 @@ MIN_STEP = 1e-8  # backtracking gives up below this trial length
 FD_OBJECTIVE_STEP = 1e-6
 CONVERGENCE_REL_SLACK = 1e-6
 CONVERGENCE_ABS_SLACK = 1e-15
+MAX_RANDOM_DIRS = 10_000  # each point's candidates are a (2 * point_dim + count, point_dim) array
 
 
 @dataclass(eq=False)
@@ -104,8 +106,8 @@ class AttackConfig:
             raise ValueError(f"unknown step_mode {self.step_mode!r}")
         if self.point_dim < 1:
             raise ValueError("point_dim must be at least 1")
-        if self.num_random_dirs < 0:
-            raise ValueError("num_random_dirs must be nonnegative")
+        if not 0 <= self.num_random_dirs <= MAX_RANDOM_DIRS:
+            raise ValueError(f"num_random_dirs must be in [0, {MAX_RANDOM_DIRS}]")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if (self.box_lo is None) != (self.box_hi is None):
@@ -207,34 +209,28 @@ def objective(selected: np.ndarray, target: np.ndarray) -> float:
         return float(r @ r)
 
 
-def _tile_bounds(config: AttackConfig, dim_data: int):
-    if config.box_lo is None:
-        return None, None
-    reps = dim_data // config.point_dim
-    return np.tile(config.box_lo, reps), np.tile(config.box_hi, reps)
-
-
 def project_to_feasible(x, x_base, delta, lo=None, hi=None) -> np.ndarray:
     """Nearest practical point of the ball-and-box region.
 
-    Clips to the box, then pulls radially toward the base point until the
-    ball constraint holds; the base point sits inside the box, so the
-    pull preserves box feasibility and the combination is exact under
-    floating point (verified against the same norm the caller would use).
+    lo and hi bound the coordinates of each data point, lo.size of them
+    (a full-length box is one point).  Clips to the box, then pulls
+    radially toward the base point until the ball constraint holds; the
+    base point sits inside the box, so the pull preserves box feasibility
+    and the combination is exact under floating point (verified against
+    the same norm the caller would use).  A distance whose square
+    overflows counts as inf, without a warning.
     """
     x_base = np.asarray(x_base, dtype=float)
     z = np.array(x, dtype=float, copy=True)
-    if lo is not None:
-        z = np.clip(z, lo, hi)
-    for shrink in (0.0, 1e-15, 1e-12, 1e-9):
-        dist = float(np.linalg.norm(z - x_base))
-        if dist <= delta:
-            return z
-        z = x_base + (z - x_base) * ((delta / dist) * (1.0 - shrink))
-        if lo is not None:
-            z = np.clip(z, lo, hi)
-    if float(np.linalg.norm(z - x_base)) <= delta:
-        return z
+    with np.errstate(over="ignore"):
+        for shrink in (None, 0.0, 1e-15, 1e-12, 1e-9):
+            if shrink is not None:  # pull toward the base point
+                z = x_base + (z - x_base) * ((delta / dist) * (1.0 - shrink))
+            if lo is not None:
+                z = np.clip(z.reshape(-1, np.size(lo)), lo, hi).ravel()
+            dist = float(np.linalg.norm(z - x_base))
+            if dist <= delta:
+                return z
     return x_base.copy()  # round-off exhausted; the base point is always feasible
 
 
@@ -242,48 +238,53 @@ def _point_slots(point_index: int, point_dim: int) -> slice:
     return slice(point_index * point_dim, (point_index + 1) * point_dim)
 
 
-def _feasible_mask(x, D, x_base, delta, lo, hi) -> np.ndarray:
-    """Rows of D along which a tiny step stays inside the ball and the box."""
-    trial = x + PROBE_STEP * D
-    ok = np.linalg.norm(trial - x_base, axis=1) <= delta + BOUNDARY_SLACK * max(1.0, delta)
-    if lo is not None:
-        ok &= np.all((trial >= lo - BOUNDARY_SLACK) & (trial <= hi + BOUNDARY_SLACK), axis=1)
+def _feasible_mask(x, x_base, owner, V, config: AttackConfig) -> np.ndarray:
+    """Rows V[i] along which a tiny step of point owner[i] stays in the ball and box.
+
+    owner is an index array or one index for every row.  The moved data's
+    squared distance is the current one with the owner's term replaced;
+    the box test reads the owner's coordinates only, as the other points
+    lie inside the box.
+    """
+    pd = config.point_dim
+    r = x - x_base
+    own = r.reshape(-1, pd)[owner]
+    moved = own + PROBE_STEP * V
+    dist = np.sqrt(np.maximum(r @ r - (own * own).sum(axis=-1), 0.0) + (moved * moved).sum(axis=1))
+    ok = dist <= config.delta + BOUNDARY_SLACK * max(1.0, config.delta)
+    if config.box_lo is not None:
+        trial = x.reshape(-1, pd)[owner] + PROBE_STEP * V
+        lo, hi = config.box_lo - BOUNDARY_SLACK, config.box_hi + BOUNDARY_SLACK
+        ok &= np.all((trial >= lo) & (trial <= hi), axis=1)
     return ok
 
 
-def _axis_directions(slots: slice, dim_data: int) -> np.ndarray:
-    """Rows +e_j, -e_j for every coordinate j in slots, in that order.
-
-    Built from zeros so that every zero entry is +0.0: equal directions
-    then have equal bytes and share the derivative cache.
-    """
-    cols = np.arange(dim_data)[slots]
-    rows = 2 * np.arange(cols.size)
-    D = np.zeros((2 * cols.size, dim_data))
-    D[rows, cols] = 1.0
-    D[rows + 1, cols] = -1.0
-    return D
+def _axis_rows(point_dim: int) -> np.ndarray:
+    """Rows +e_j, -e_j of R^point_dim for every j, in that order."""
+    rows = np.eye(point_dim).repeat(2, axis=0)
+    rows[1::2] = 0.0 - rows[1::2]  # +0.0 off the axis: traces never print -0.0
+    return rows
 
 
-def _random_directions(point_index, point_dim, dim_data, count, rng) -> np.ndarray:
-    D = np.zeros((count, dim_data))
-    slots = _point_slots(point_index, point_dim)
-    for d in D:
+def _random_rows(point_dim: int, count: int, rng) -> np.ndarray:
+    """count random unit rows of R^point_dim."""
+    V = np.empty((count, point_dim))
+    for row in V:
         v = rng.standard_normal(point_dim)
-        nrm = float(np.linalg.norm(v))
-        while nrm < 1e-12:  # essentially never; redraw rather than divide by 0
+        while (nrm := math.sqrt(v @ v)) < 1e-12:  # redraw rather than divide by 0
             v = rng.standard_normal(point_dim)
-            nrm = float(np.linalg.norm(v))
-        d[slots] = v / nrm
-    return D
+        row[:] = v / nrm
+    return V
 
 
 def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rng=None):
-    """Candidate unit directions confined to one data point's coordinates.
+    """Candidate unit directions for one data point, as rows of length point_dim.
 
     The +/- coordinate axes of the point plus config.num_random_dirs
-    random unit vectors in its subspace, keeping those along which a tiny
-    step stays inside both the norm ball around x_base and the box.
+    random unit vectors, keeping those along which a tiny step of the
+    point stays inside both the norm ball around x_base and the box.  A
+    row v moves the point's coordinates x[point_index * point_dim :
+    (point_index + 1) * point_dim] and no others.
 
     Raises EmptyDirectionSet when nothing survives the filter (the point
     is pinned at a corner of the feasible region, or delta is zero).
@@ -298,16 +299,13 @@ def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rn
         raise DimensionMismatch(f"point_index {point_index} out of range [0, {n_points})")
     x_base = x if x_base is None else np.asarray(x_base, dtype=float)
     rng = np.random.default_rng(config.seed) if rng is None else rng
-    lo, hi = _tile_bounds(config, x.size)
 
-    D = np.vstack([
-        _axis_directions(_point_slots(point_index, config.point_dim), x.size),
-        _random_directions(point_index, config.point_dim, x.size, config.num_random_dirs, rng),
-    ])
-    kept = list(D[_feasible_mask(x, D, x_base, config.delta, lo, hi)])
-    if not kept:
+    pd = config.point_dim
+    V = np.vstack([_axis_rows(pd), _random_rows(pd, config.num_random_dirs, rng)])
+    V = V[_feasible_mask(x, x_base, point_index, V, config)]
+    if not len(V):
         raise EmptyDirectionSet(f"no feasible perturbation direction for point {point_index}")
-    return kept
+    return V
 
 
 def _factored_gradient(H, B, grad_y, working, Q, T):
@@ -348,11 +346,10 @@ class _ObjectiveDerivative:
         self.selector = selector
         self.target = target
         self.value = value
-        resid = selector @ solution.y - target
-        self.grad_y = 2.0 * (selector.T @ resid)
+        self.grad_y = 2.0 * (selector.T @ (selector @ solution.y - target))
         self.aux = None
         self.gradient = None
-        self._cache: dict[bytes, tuple[float, str]] = {}
+        self._cache: dict[tuple[int, bytes], tuple[float, str]] = {}
         try:
             aux = build_auxiliary(model, self.x, solution)
         except RegularityFailure:
@@ -367,25 +364,30 @@ class _ObjectiveDerivative:
             aux.H_aux, aux.B, self.grad_y, solution.working, solution.Q, solution.T
         )
 
-    def dG(self, D: np.ndarray) -> tuple[np.ndarray, list[str]]:
-        """Derivatives along the rows of D, and the route behind each.
+    def dG(self, owner, V: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        """Derivatives along the rows of V, and the route behind each.
 
-        The linear route scores every row with one product; the aux and
-        fd routes go row by row, caching each value by the row's bytes.
+        Row V[i] moves point owner[i] (an index array, or one index for all
+        rows) in its V.shape[1] coordinates.  The linear route reads the
+        owner's slice of the gradient; the aux and fd routes expand each
+        row to full length and cache its value by (point, row bytes).
         """
         if self.gradient is not None:
-            return D @ self.gradient, ["linear"] * len(D)
-        scored = [self._per_direction(d) for d in D]
+            G = self.gradient.reshape(-1, V.shape[1])
+            return (V * G[owner]).sum(axis=1), ["linear"] * len(V)
+        owner = np.broadcast_to(owner, len(V))
+        scored = [self._per_direction(int(p), v) for p, v in zip(owner, V)]
         return np.array([v for v, _ in scored], dtype=float), [r for _, r in scored]
 
-    def _per_direction(self, dx) -> tuple[float, str]:
-        key = dx.tobytes()
+    def _per_direction(self, p, v) -> tuple[float, str]:
+        key = (p, v.tobytes())
         if key not in self._cache:
+            dx = np.zeros(self.x.size)
+            dx[_point_slots(p, v.size)] = v
             out = None
             if self.aux is not None:
                 try:
-                    dy = semi_derivative(self.aux, dx)
-                    out = (float(self.grad_y @ dy), "aux")
+                    out = (float(self.grad_y @ semi_derivative(self.aux, dx)), "aux")
                 except (AuxInfeasible, AuxUnbounded):
                     pass
             self._cache[key] = out or (self._finite_difference(dx), "fd")
@@ -395,35 +397,29 @@ class _ObjectiveDerivative:
         sol = solve_victim(self.model, self.x + FD_OBJECTIVE_STEP * dx, warm=self.solution)
         return (objective(self.selector @ sol.y, self.target) - self.value) / FD_OBJECTIVE_STEP
 
-    def steepest_direction(self, slots: slice):
+    def steepest_direction(self, p: int, point_dim: int):
+        """Row -g / |g| for the gradient's slice g at point p, as dG takes it.
+
+        None off the linear route or where g vanishes.
+        """
         if self.gradient is None:
             return None
-        g = self.gradient[slots]
+        g = self.gradient[_point_slots(p, point_dim)]
         nrm = float(np.linalg.norm(g))
-        if nrm <= 0.0:
-            return None
-        d = np.zeros(self.gradient.size)
-        d[slots] = -g / nrm
-        return d
+        return -g / nrm if nrm > 0.0 else None
 
 
-def objective_derivative(
-    model: VictimModel,
-    x,
-    dx,
-    config: AttackConfig,
-    *,
-    solution: KktSolution | None = None,
-) -> float:
+def objective_derivative(model: VictimModel, x, dx, config: AttackConfig, *,
+                         solution: KktSolution | None = None) -> float:
     """One-sided directional derivative of the attack objective along dx."""
     x = np.asarray(x, dtype=float)
-    selector, _, _, sol, value = _prepare(model, config, x, solution)
+    selector, sol, value = _prepare(model, config, x, solution)
     ev = _ObjectiveDerivative(model, x, sol, selector, config.target, value)
-    vals, _ = ev.dG(np.asarray(dx, dtype=float)[None])
+    vals, _ = ev.dG(0, np.asarray(dx, dtype=float).reshape(1, -1))  # one point: all of x
     return float(vals[0])
 
 
-def _try_step(model, x, solution, d, dg, value, config, x_base, lo, hi, selector, target):
+def _try_step(model, x, solution, d, dg, value, config, x_base, selector):
     """Trial steps along d until the objective strictly decreases.
 
     Each trial re-solves the victim warm from solution, the one at x.
@@ -435,10 +431,12 @@ def _try_step(model, x, solution, d, dg, value, config, x_base, lo, hi, selector
     if not np.isfinite(eta):
         return None
     while True:
-        trial = project_to_feasible(x + eta * d, x_base, config.delta, lo, hi)
+        trial = project_to_feasible(
+            x + eta * d, x_base, config.delta, config.box_lo, config.box_hi
+        )
         if not np.array_equal(trial, x):
             sol = solve_victim(model, trial, warm=solution)
-            val = objective(selector @ sol.y, target)
+            val = objective(selector @ sol.y, config.target)
             if val < value:
                 return trial, sol, val, eta
         if config.step_mode == "fixed-L":
@@ -448,30 +446,29 @@ def _try_step(model, x, solution, d, dg, value, config, x_base, lo, hi, selector
             return None
 
 
-def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector, lo, hi):
+def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector):
     """One accepted step, or the reason none exists.
 
     Probes every point at once, then works through the points in
     decreasing probe magnitude; a point whose candidates, plus its
     steepest direction when the data gradient is known, yield no strict
-    decrease is set aside for the rest of the round.  Raises
+    decrease is set aside for the rest of the round.  Every direction is
+    a row of length point_dim moving one point.  Raises
     EmptyDirectionSet when no point can move at all, Stalled when movable
     points admit no sampled descent (with the smallest derivative seen as
     certificate when it clears -TOL_STALL).
     """
-    target = config.target
-    n_points = model.dim_data // config.point_dim
-    ev = _ObjectiveDerivative(model, x, solution, selector, target, value)
+    pd = config.point_dim
+    n_points = model.dim_data // pd
+    ev = _ObjectiveDerivative(model, x, solution, selector, config.target, value)
 
     if config.random_probe:
-        D = np.vstack([_random_directions(p, config.point_dim, x.size, 1, rng)
-                       for p in range(n_points)])
-        owner = np.arange(n_points)
+        V = _random_rows(pd, n_points, rng)
     else:
-        D = _axis_directions(slice(None), x.size)
-        owner = np.arange(D.shape[0]) // (2 * config.point_dim)
-    ok = _feasible_mask(x, D, x_base, config.delta, lo, hi)
-    probe_vals, _ = ev.dG(D[ok])
+        V = np.tile(_axis_rows(pd), (n_points, 1))
+    owner = np.repeat(np.arange(n_points), len(V) // n_points)  # consecutive rows per point
+    ok = _feasible_mask(x, x_base, owner, V, config)
+    probe_vals, _ = ev.dG(owner[ok], V[ok])
     evaluated = [probe_vals]
     scores = np.full(n_points, np.inf)
     np.minimum.at(scores, owner[ok], probe_vals)
@@ -486,19 +483,18 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
         except EmptyDirectionSet:
             empty += 1
             continue
-        d_st = ev.steepest_direction(_point_slots(p, config.point_dim))
-        if d_st is not None and _feasible_mask(x, d_st[None], x_base, config.delta, lo, hi)[0]:
-            cands.append(d_st)
-        vals, routes = ev.dG(np.array(cands))
+        v_st = ev.steepest_direction(p, pd)
+        if v_st is not None and _feasible_mask(x, x_base, p, v_st[None], config)[0]:
+            cands = np.vstack([cands, v_st])
+        vals, routes = ev.dG(p, cands)
         evaluated.append(vals)
         best = int(np.argmin(vals))
         dg = float(vals[best])
         if dg >= -TOL_STALL:
             continue
-        outcome = _try_step(
-            model, x, solution, cands[best], dg, value, config, x_base, lo, hi,
-            selector, target,
-        )
+        d = np.zeros(x.size)
+        d[_point_slots(p, pd)] = cands[best]
+        outcome = _try_step(model, x, solution, d, dg, value, config, x_base, selector)
         if outcome is None:
             continue
         trial, sol_new, val_new, eta = outcome
@@ -506,7 +502,7 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
             k=k,
             objective_value=val_new,
             point=p,
-            direction=cands[best],
+            direction=d,
             derivative=dg,
             step=eta,
             distance=float(np.linalg.norm(trial - x_base)),
@@ -524,28 +520,25 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
 
 
 def _prepare(model, config, x, solution=None):
-    """Selector, tiled box bounds, solution at x and its objective value.
+    """Selector, solution at x and its objective value.
 
     Solves the victim at x unless solution is given.  Raises ValueError
     when the objective is not finite.
     """
     selector = config.resolve_selector(model.dim_var)
-    lo, hi = _tile_bounds(config, model.dim_data)
     sol = solution if solution is not None else solve_victim(model, x)
     value = objective(selector @ sol.y, config.target)
     if not np.isfinite(value):
         raise ValueError(f"objective at the data is {value}; the target is out of range")
-    return selector, lo, hi, sol, value
+    return selector, sol, value
 
 
 def _one_round(round_fn, x, model, config, x_base, rng, solution, k):
     """One round of round_fn at x, outside a driver; returns (x, solution, record)."""
     x = np.asarray(x, dtype=float)
     x_base = x if x_base is None else np.asarray(x_base, dtype=float)
-    selector, lo, hi, sol, value = _prepare(model, config, x, solution)
-    return round_fn(
-        model, x, value, sol, config, x_base=x_base, rng=rng, k=k, selector=selector, lo=lo, hi=hi
-    )
+    selector, sol, value = _prepare(model, config, x, solution)
+    return round_fn(model, x, value, sol, config, x_base=x_base, rng=rng, k=k, selector=selector)
 
 
 def attack_step(x, model: VictimModel, config: AttackConfig, *, x_base=None, rng=None,
@@ -575,8 +568,9 @@ def _drive(x_bar, model: VictimModel, config: AttackConfig, round_fn) -> AttackT
         raise DimensionMismatch(
             f"dim_data {model.dim_data} is not a multiple of point_dim {config.point_dim}"
         )
-    selector, lo, hi, sol, value = _prepare(model, config, x_bar)
-    if lo is not None and (np.any(x_bar < lo) or np.any(x_bar > hi)):
+    selector, sol, value = _prepare(model, config, x_bar)
+    points = x_bar.reshape(-1, config.point_dim)
+    if config.box_lo is not None and np.any((points < config.box_lo) | (points > config.box_hi)):
         raise ValueError("pristine data violates the box bounds")
     rng = np.random.default_rng(config.seed)
     x = x_bar.copy()
@@ -589,8 +583,7 @@ def _drive(x_bar, model: VictimModel, config: AttackConfig, round_fn) -> AttackT
             break
         try:
             x, sol, record = round_fn(
-                model, x, value, sol, config,
-                x_base=x_bar, rng=rng, k=k, selector=selector, lo=lo, hi=hi,
+                model, x, value, sol, config, x_base=x_bar, rng=rng, k=k, selector=selector
             )
         except EmptyDirectionSet:
             reason = "budget"
@@ -621,7 +614,7 @@ def run_attack(x_bar, model: VictimModel, config: AttackConfig) -> AttackTrace:
     return _drive(x_bar, model, config, _attack_round)
 
 
-def _gradient_round(model, x, value, solution, config, *, x_base, rng, k, selector, lo, hi):
+def _gradient_round(model, x, value, solution, config, *, x_base, rng, k, selector):
     """One projected step down the data gradient with the constraints ignored.
 
     Exact only where no training constraint is active; rng is unused.
@@ -636,9 +629,7 @@ def _gradient_round(model, x, value, solution, config, *, x_base, rng, k, select
     if gnorm <= TOL_STALL:
         raise Stalled("objective gradient vanished", certificate=-gnorm)
     d = -grad / gnorm
-    outcome = _try_step(
-        model, x, solution, d, -gnorm, value, config, x_base, lo, hi, selector, config.target
-    )
+    outcome = _try_step(model, x, solution, d, -gnorm, value, config, x_base, selector)
     if outcome is None:
         raise Stalled("no decrease along the gradient direction", certificate=None)
     trial, sol_new, val_new, eta = outcome

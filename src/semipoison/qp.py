@@ -354,6 +354,7 @@ def _independent_factors(stack: np.ndarray, n_base: int):
     return live[:k], Q, T
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite step or multiplier raises instead
 def _active_set_loop(problem: QpProblem, y: np.ndarray, order, factors, max_iter: int):
     """Primal active-set iteration from a feasible point.
 
@@ -384,8 +385,11 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, order, factors, max_iter
         m = idx.size
         y_hat, ray, multipliers = _working_subproblem(H, c, A[idx], b[idx], y, Q, T[:m, :m])
         p = y_hat - y if ray is None else ray
+        step = float(np.abs(p).max(initial=0.0))  # NaN when p holds one
+        if not math.isfinite(step):
+            raise MaxIterations("active-set step is not finite: the data are too large")
         stationary_tol = 1e-11 * (1.0 + np.abs(y).max(initial=0.0))
-        if ray is not None or np.abs(p).max(initial=0.0) > stationary_tol:
+        if ray is not None or step > stationary_tol:
             i = -1
             if r:  # ratio test over the inequality rows not in the working set
                 s = problem.A_ineq @ p
@@ -414,6 +418,8 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, order, factors, max_iter
 
         # y_hat minimizes over the working set: check multiplier signs
         lam_w = multipliers(y_hat)
+        if not np.isfinite(lam_w).all():
+            raise MaxIterations("working-set multipliers are not finite: the data are too large")
         negative = idx[(idx < r) & (lam_w < -_DROP_TOL)]
         if not negative.size:
             lam = np.zeros(problem.n_con)

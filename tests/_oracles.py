@@ -167,3 +167,31 @@ def dense_kkt_gradient(H, rows, W, grad_y):
     K[nv:, :nv] = rows
     rhs = np.concatenate([np.asarray(grad_y, dtype=float), np.zeros(k)])
     return -(np.asarray(W, dtype=float).T @ np.linalg.solve(K, rhs))
+
+
+def axis_directions(slots, dim_data):
+    """Full-length rows +e_j, -e_j for every coordinate j in slots, in that order.
+
+    Reference for the attack's point-local axis rows, which keep only a
+    point's own coordinates.
+    """
+    cols = np.arange(dim_data)[slots]
+    rows = 2 * np.arange(cols.size)
+    D = np.zeros((2 * cols.size, dim_data))
+    D[rows, cols] = 1.0
+    D[rows + 1, cols] = -1.0
+    return D
+
+
+def dense_feasible_mask(x, D, x_base, delta, lo, hi, probe_step=1e-9, slack=1e-12):
+    """Rows of D along which a step of probe_step stays inside the ball and the box.
+
+    Reference for the attack's point-local feasibility test: every row is
+    a full-length direction, the whole trial point is built, and lo/hi
+    (or None) bound every coordinate.
+    """
+    trial = x + probe_step * D
+    ok = np.linalg.norm(trial - x_base, axis=1) <= delta + slack * max(1.0, delta)
+    if lo is not None:
+        ok &= np.all((trial >= lo - slack) & (trial <= hi + slack), axis=1)
+    return ok

@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 
+import semipoison.attack as attack_module
 from semipoison.attack import (
     AttackConfig,
-    _axis_directions,
+    _axis_rows,
+    _feasible_mask,
     _ObjectiveDerivative,
+    _random_rows,
     AttackTrace,
     StepRecord,
     attack_step,
@@ -33,6 +36,7 @@ from semipoison.qp import classify_active
 from semipoison.sensitivity import semi_derivative
 from semipoison.victims import (
     SvmModel,
+    _AffineQpFamily,
     bound_tracking_model,
     generic_parametric_qp,
     kink_projection_model,
@@ -40,7 +44,7 @@ from semipoison.victims import (
     svm_victim,
 )
 
-from _oracles import dense_kkt_gradient
+from _oracles import axis_directions, dense_feasible_mask, dense_kkt_gradient
 
 
 def kink_config(**overrides):
@@ -157,11 +161,9 @@ def test_selector_defaults_to_identity():
 def test_interior_point_keeps_all_candidates():
     cfg = AttackConfig(target=np.zeros(1), delta=1.0, point_dim=2, num_random_dirs=4)
     dirs = feasible_directions(np.zeros(4), 0, cfg)
-    assert len(dirs) == 2 * 2 + 4
+    assert dirs.shape == (2 * 2 + 4, 2)  # rows in point 0's own coordinates
     for d in dirs:
-        assert d.shape == (4,)
         assert np.linalg.norm(d) == pytest.approx(1.0)
-        assert not d[2:].any()  # confined to point 0's coordinates
 
 
 def test_ball_boundary_removes_outward_radial():
@@ -170,7 +172,7 @@ def test_ball_boundary_removes_outward_radial():
     x = np.array([0.5, 0.0])  # on the boundary along +e0
     dirs = feasible_directions(x, 0, cfg, x_base=x_base)
     assert len(dirs) == 1
-    assert np.array_equal(dirs[0], np.array([-1.0, 0.0]))
+    assert np.array_equal(dirs[0], np.array([-1.0]))
     # the other point moves tangentially, so both of its axes survive
     assert len(feasible_directions(x, 1, cfg, x_base=x_base)) == 2
 
@@ -231,6 +233,58 @@ def test_projection_identity_inside():
     x = np.array([0.1, -0.2])
     out = project_to_feasible(x, np.zeros(2), 1.0)
     assert np.array_equal(out, x)
+
+
+def test_point_local_mask_matches_dense_reference():
+    """Random data in a box with coordinates on its faces, half of it on the ball."""
+    rng = np.random.default_rng(0)
+    kept = rejected = 0
+    for case in range(300):
+        pd, n_points = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        lo, hi = rng.uniform(-2.0, -0.5, pd), rng.uniform(0.5, 2.0, pd)
+        lo_t, hi_t = np.tile(lo, n_points), np.tile(hi, n_points)
+        x_base = rng.uniform(lo, hi, (n_points, pd)).ravel()
+        x = rng.uniform(lo, hi, (n_points, pd)).ravel()
+        faces = rng.random(x.size) < 0.3
+        x[faces] = np.where(rng.random(x.size) < 0.5, lo_t, hi_t)[faces]
+        dist = float(np.linalg.norm(x - x_base))
+        delta = dist if case % 2 else dist * rng.uniform(0.5, 1.5)  # odd cases on the ball
+        boxed = case % 3 != 0
+        cfg = AttackConfig(
+            target=np.zeros(1), delta=delta, point_dim=pd,
+            box_lo=lo if boxed else None, box_hi=hi if boxed else None,
+        )
+        V = np.vstack([_axis_rows(pd), _random_rows(pd, 6, rng)])
+        owner = np.repeat(np.arange(n_points), len(V))
+        D = np.zeros((owner.size, x.size))
+        for i, p in enumerate(owner):
+            D[i, p * pd:(p + 1) * pd] = V[i % len(V)]
+        want = dense_feasible_mask(
+            x, D, x_base, delta, lo_t if boxed else None, hi_t if boxed else None
+        )
+        got = _feasible_mask(x, x_base, owner, np.tile(V, (n_points, 1)), cfg)
+        assert np.array_equal(got, want)
+        for p in range(n_points):  # one point at a time, as feasible_directions asks
+            assert np.array_equal(_feasible_mask(x, x_base, p, V, cfg), want[owner == p])
+        kept += int(want.sum())
+        rejected += int((~want).sum())
+    assert kept > 1000 and rejected > 1000
+
+
+def test_projection_with_a_per_point_box_equals_the_tiled_box():
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        pd, n_points = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        lo, hi = rng.uniform(-1.5, -0.2, pd), rng.uniform(0.2, 1.5, pd)
+        x_base = rng.uniform(lo, hi, (n_points, pd)).ravel()
+        z = rng.normal(0.0, 2.0, x_base.size)
+        delta = rng.uniform(0.1, 2.0)
+        local = project_to_feasible(z, x_base, delta, lo, hi)
+        tiled = project_to_feasible(z, x_base, delta, np.tile(lo, n_points), np.tile(hi, n_points))
+        assert local.tobytes() == tiled.tobytes()
+        points = local.reshape(n_points, pd)
+        assert np.all(points >= lo) and np.all(points <= hi)
+        assert float(np.linalg.norm(local - x_base)) <= delta
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +493,43 @@ def test_linear_route_scores_match_semi_derivatives(seed):
     value = objective(selector @ sol.y, target)
     ev = _ObjectiveDerivative(model, x, sol, selector, target, value)
     assert ev.aux.structure.weakly_active == [] and ev.gradient is not None
-    D = _axis_directions(slice(None), x.size)
-    vals, routes = ev.dG(D)
-    assert routes == ["linear"] * len(D)
+    V = np.tile(_axis_rows(2), (x.size // 2, 1))
+    vals, routes = ev.dG(np.arange(2 * x.size) // 4, V)
+    assert routes == ["linear"] * len(V)
+    D = axis_directions(slice(None), x.size)  # the same rows at full length
     expected = np.array([ev.grad_y @ semi_derivative(ev.aux, d) for d in D])
     assert np.count_nonzero(expected) > 0
     assert np.abs(vals - expected).max() <= 1e-9
+
+
+def test_aux_round_scores_each_point_row_once(monkeypatch):
+    """At a kink the probe and each point's candidates share one (point, row) cache."""
+    # y = max(x_0 + x_2, 0): two 2-D points, weakly active bound at x = 0
+    model = _AffineQpFamily(
+        H=np.eye(1), c0=np.zeros(1), Cx=np.array([[-1.0, 0.0, -1.0, 0.0]]),
+        rows_a=-np.eye(1), rows_M=np.zeros((1, 1, 4)), rows_b0=np.zeros(1),
+        rows_beta=np.zeros((1, 4)), n_ineq=1,
+    ).as_victim()
+    cfg = AttackConfig(target=np.ones(1), delta=1.0, point_dim=2, num_random_dirs=3)
+    calls, scored = [], []
+    real_semi, real_dG = attack_module.semi_derivative, _ObjectiveDerivative.dG
+
+    def counting_semi(aux, dx):
+        calls.append(dx.copy())
+        return real_semi(aux, dx)
+
+    def recording_dG(self, owner, V):
+        scored.extend((int(p), v.tobytes()) for p, v in zip(np.broadcast_to(owner, len(V)), V))
+        return real_dG(self, owner, V)
+
+    monkeypatch.setattr(attack_module, "semi_derivative", counting_semi)
+    monkeypatch.setattr(_ObjectiveDerivative, "dG", recording_dG)
+    _, record = attack_step(np.zeros(4), model, cfg)
+    assert record.route == "aux" and record.point == 0
+    # the 8 probe rows, then point 0's 4 axis rows (cached) and 3 random rows
+    assert len(scored) == 8 + 4 + 3
+    assert len(calls) == len(set(scored)) == 8 + 3
+    assert all(dx.shape == (4,) and np.count_nonzero(dx) <= 2 for dx in calls)
 
 
 def check_linear_route(model, x, sol, selector, target):

@@ -14,6 +14,8 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 LAYER_SPANS = (
     "attack.round",
     "attack.linesearch",
+    "attack.feasible_directions",
+    "attack.project",
     "qp.victim_solve",
     "victims.grad_x",
     "sensitivity.build_aux",

@@ -243,6 +243,28 @@ def test_attack_overflowing_kkt_residual_is_solver_error(tmp_path, capsys):
     assert "violating KKT tolerances" in err and "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("argv", [("train",), ("attack", "--max-iters", 3)], ids=["train", "attack"])
+def test_overflowing_active_set_step_is_solver_error(tmp_path, capsys, argv, seed):
+    """With C = 1e308 the working-set minimizer overflows inside the active-set loop."""
+    code = run_cli(
+        *argv, "--out", tmp_path / "run", "--synth-n", 20, "--seed", seed, "--svm-c", "1e308"
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and "Warning" not in err
+
+
+def test_attack_trial_step_with_overflowing_norm(tmp_path, capsys):
+    """-dg / curvature_bound is finite but its squared norm overflows in the projection."""
+    code = run_cli(
+        "attack", "--out", tmp_path, "--synth-n", 20, "--curvature-bound", "1e-300",
+        "--max-iters", 3,
+    )
+    assert code in (0, 4)
+    assert "Warning" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- config file
 
 
@@ -334,11 +356,14 @@ def test_config_file_values_of_flag_types_accepted(tmp_path, capsys):
         # non-finite tolerances: a NaN tol_target never stops a run as optimal
         ("attack", "--synth-n", 20, "--tol-target", "nan"),
         ("attack", "--synth-n", 20, "--tol-improve", "inf"),
+        # rejected before a (count, point_dim) array of directions is allocated
+        ("attack", "--synth-n", 20, "--num-random-dirs", 100000000000, "--random-probe",
+         "--max-iters", 1),
     ],
     ids=[
         "trials", "tol", "attack-delta", "compare-delta", "quadratic-delta", "svm-c", "box",
         "target-nan", "target-inf", "bounds-nan", "attack-target-overflow",
-        "compare-target-overflow", "tol-target-nan", "tol-improve-inf",
+        "compare-target-overflow", "tol-target-nan", "tol-improve-inf", "random-dirs-huge",
     ],
 )
 def test_rejected_run_creates_no_output(tmp_path, capsys, argv):
