@@ -218,7 +218,7 @@ def project_to_feasible(x, x_base, delta, lo=None, hi=None) -> np.ndarray:
     base point sits inside the box, so the pull preserves box feasibility
     and the combination is exact under floating point (verified against
     the same norm the caller would use).  A distance whose square
-    overflows counts as inf, without a warning.
+    overflows is taken again from scaled differences, without a warning.
     """
     x_base = np.asarray(x_base, dtype=float)
     z = np.array(x, dtype=float, copy=True)
@@ -229,6 +229,9 @@ def project_to_feasible(x, x_base, delta, lo=None, hi=None) -> np.ndarray:
             if lo is not None:
                 z = np.clip(z.reshape(-1, np.size(lo)), lo, hi).ravel()
             dist = float(np.linalg.norm(z - x_base))
+            if dist == np.inf:
+                scale = np.abs(z - x_base).max()
+                dist = scale * float(np.linalg.norm((z - x_base) / scale))
             if dist <= delta:
                 return z
     return x_base.copy()  # round-off exhausted; the base point is always feasible
@@ -423,6 +426,8 @@ def _try_step(model, x, solution, d, dg, value, config, x_base, selector):
     """Trial steps along d until the objective strictly decreases.
 
     Each trial re-solves the victim warm from solution, the one at x.
+    The first trial is at most the ball's diameter long: a longer one
+    projects onto the boundary too, and halving it re-solves near there.
     Returns (x_new, solution, value_new, step) or None when rejected,
     also when the first trial step overflows: halving never makes inf
     smaller than MIN_STEP.
@@ -430,6 +435,7 @@ def _try_step(model, x, solution, d, dg, value, config, x_base, selector):
     eta = -dg / config.curvature_bound  # positive: callers pass dg < 0
     if not np.isfinite(eta):
         return None
+    eta = min(eta, 2.0 * config.delta / float(np.linalg.norm(d)))
     while True:
         trial = project_to_feasible(
             x + eta * d, x_base, config.delta, config.box_lo, config.box_hi

@@ -28,10 +28,12 @@ import numpy as np
 from .errors import DimensionMismatch, Infeasible, MaxIterations, Unbounded
 
 # Tolerances.  TOL_ACT / TOL_MULT are classify_active's thresholds for
-# active and weakly active constraints; the rest define when a candidate
-# point counts as a KKT point.
+# active and weakly active constraints; a row whose residual off the rows
+# before it exceeds TOL_INDEP of its norm is independent of them (working
+# rows and LICQ); the rest define when a candidate point counts as a KKT point.
 TOL_ACT = 1e-7
 TOL_MULT = 1e-7
+TOL_INDEP = 1e-8
 TOL_FEAS = 1e-8
 TOL_STATIONARITY = 1e-7
 TOL_DUAL = 1e-10
@@ -330,7 +332,7 @@ def _independent_factors(stack: np.ndarray, n_base: int):
     Greedy in row order: a row of norm at most 1e-14 is skipped, any
     other of the first n_base (base) rows counts when its residual off
     the rows counted before it exceeds 1e-12, and any other row when it
-    exceeds 1e-8 of its norm.  The residuals are the R diagonal of one
+    exceeds TOL_INDEP of its norm.  The residuals are the R diagonal of one
     complete QR of the rows, valid up to the first failing row, which is
     dropped before the rest are factored again.  Returns (live, Q, T):
     the indices of the k <= n rows kept, and stack[live]' = Q[:, :k] T^-1.
@@ -338,7 +340,7 @@ def _independent_factors(stack: np.ndarray, n_base: int):
     if not stack.shape[0]:  # nothing to factor
         return np.zeros(0, dtype=int), np.eye(stack.shape[1]), np.zeros((0, 0))
     scale = np.linalg.norm(stack, axis=1)
-    thresh = 1e-8 * scale
+    thresh = TOL_INDEP * scale
     thresh[:n_base] = 1e-12
     live = np.flatnonzero(scale > 1e-14)
     while True:
@@ -399,7 +401,8 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, order, factors, max_iter
                 t = np.full(r + 1, 1.0 if ray is None else np.inf)
                 np.divide(problem.A_ineq @ y + problem.b_ineq, -s, out=t[1:], where=can)
                 i = int(np.maximum(t, 0.0, out=t).argmin()) - 1
-                # a row off the working rows' span by at most 1e-8 of its norm cannot join
+                # a row off the working rows' span by at most TOL_INDEP of its norm
+                # cannot join (1e-16 is TOL_INDEP squared: 1e-8**2 != 1e-16)
                 while i >= 0 and (v := Q[:, m:].T @ A[i]) @ v <= 1e-16 * (A[i] @ A[i]):
                     t[i + 1] = np.inf
                     i = int(t.argmin()) - 1

@@ -235,6 +235,15 @@ def test_projection_identity_inside():
     assert np.array_equal(out, x)
 
 
+def test_projection_of_an_overflowing_distance_lands_on_the_ball():
+    # the sum of squares overflows; the point goes onto the ball along the
+    # same ray, not back to the base point
+    x_base = np.array([1.0, 0.0, 2.0])
+    z = project_to_feasible(x_base + [1e300, -1e300, 0.0], x_base, 2.0)
+    assert float(np.linalg.norm(z - x_base)) <= 2.0
+    np.testing.assert_allclose(z - x_base, [np.sqrt(2.0), -np.sqrt(2.0), 0.0], rtol=1e-12)
+
+
 def test_point_local_mask_matches_dense_reference():
     """Random data in a box with coordinates on its faces, half of it on the ball."""
     rng = np.random.default_rng(0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import semipoison
-from semipoison import cli, errors, victims
+from semipoison import attack, cli, errors, victims
 from semipoison.data import load_csv, synth_lane_change, write_csv
 
 
@@ -255,14 +255,28 @@ def test_overflowing_active_set_step_is_solver_error(tmp_path, capsys, argv, see
     assert err.startswith("solver error: ") and "Warning" not in err
 
 
-def test_attack_trial_step_with_overflowing_norm(tmp_path, capsys):
-    """-dg / curvature_bound is finite but its squared norm overflows in the projection."""
+def test_attack_trial_step_with_overflowing_norm(tmp_path, capsys, monkeypatch):
+    """-dg / curvature_bound is finite but its squared norm overflows in the projection.
+
+    The first trial of each round still lands on the ball, so backtracking
+    does not re-solve the victim hundreds of times on the way down.
+    """
+    solves = []
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args[1])
+        return victims.solve_victim(*args, **kwargs)
+
+    monkeypatch.setattr(attack, "solve_victim", counting_solve)
     code = run_cli(
         "attack", "--out", tmp_path, "--synth-n", 20, "--curvature-bound", "1e-300",
         "--max-iters", 3,
     )
     assert code in (0, 4)
     assert "Warning" not in capsys.readouterr().err
+    assert len(solves) <= 10
+    delta = json.loads((tmp_path / "config.json").read_text())["delta"]
+    assert json.loads((tmp_path / "attack.json").read_text())["displacement"] <= delta
 
 
 # ---------------------------------------------------------------- config file

@@ -11,8 +11,6 @@ from semipoison.attack import AttackConfig, gradient_baseline_step
 from semipoison.qp import KktSolution, QpProblem, classify_active, solve_qp
 from semipoison.sensitivity import (
     build_auxiliary,
-    check_licq,
-    check_ssoc,
     fd_directional_derivative,
     run_oracle_trials,
     semi_derivative,
@@ -51,26 +49,60 @@ def test_classify_active_includes_equalities():
     assert st.weakly_active == []
 
 
-def test_check_licq():
-    ok, sv = check_licq(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert ok and sv == pytest.approx(1.0)
-    ok, _ = check_licq(np.array([[1.0, 2.0], [1.0, 2.0]]))  # duplicated row
-    assert not ok
-    ok, _ = check_licq(np.array([[1.0], [-1.0]]))  # more rows than variables
-    assert not ok
-    ok, sv = check_licq(np.zeros((0, 3)))
-    assert ok and sv == np.inf
+def fixed_qp_model(H, c, **rows):
+    """Victim whose training QP ignores the one data coordinate."""
+    n = len(c)
+    n_con = sum(len(rows.get(k, ())) for k in ("A_ineq", "A_eq"))
+    return VictimModel(
+        dim_data=1,
+        dim_var=n,
+        assemble=lambda x: QpProblem(H, c, **rows),
+        grad_x_constraint=lambda x, y: np.zeros((n_con, 1)),
+        cross_hessian=lambda x, y, lam: np.zeros((n, 1)),
+    )
 
 
-def test_check_ssoc():
-    ok, ev = check_ssoc(np.diag([1.0, -1.0]), np.array([[0.0, 1.0]]))
-    assert ok and ev == pytest.approx(1.0)  # indefinite, but the bad direction is excluded
-    ok, ev = check_ssoc(np.diag([1.0, 0.0]), np.zeros((0, 2)))
-    assert not ok and ev == pytest.approx(0.0)
-    ok, _ = check_ssoc(np.diag([1.0, 0.0]), np.array([[0.0, 1.0]]))
-    assert ok  # the flat direction is excluded
-    ok, ev = check_ssoc(np.array([[2.0]]), np.array([[1.0]]))
-    assert ok and ev == np.inf  # null space is {0}
+def test_licq_rejects_nearly_dependent_working_rows():
+    # both equality rows are working rows; the second's R diagonal entry is
+    # 1e-10, below TOL_INDEP of its norm
+    A = np.array([[1.0, 0.0, 0.0], [1.0, 1e-10, 0.0]])
+    model = fixed_qp_model(np.eye(3), np.ones(3), A_eq=A, b_eq=np.zeros(2))
+    sol = solve_victim(model, np.zeros(1))
+    assert sorted(sol.working) == [0, 1]
+    with pytest.raises(errors.RegularityFailure):
+        build_auxiliary(model, np.zeros(1), sol)
+
+
+def test_licq_rejects_more_active_rows_than_the_null_space_holds():
+    # a duplicated, strictly active inequality: one copy is the working row,
+    # the other has no null-space direction left
+    model = fixed_qp_model(
+        np.eye(1), [-2.0], A_ineq=np.ones((2, 1)), b_ineq=-np.ones(2)
+    )
+    sol = solve_victim(model, np.zeros(1))
+    assert sol.working.size == 1
+    with pytest.raises(errors.RegularityFailure):
+        build_auxiliary(model, np.zeros(1), sol)
+
+
+@pytest.mark.parametrize("copies, margin", [(1, 1.0), (2, None)])
+def test_licq_reads_active_rows_outside_the_working_set(copies, margin):
+    # y = (1, 0) is the unconstrained minimizer, so y1 - 1 <= 0 is weakly
+    # active and never joins the (empty) working set; a second copy of the
+    # row is dependent on the first
+    model = fixed_qp_model(
+        np.eye(2), [-1.0, 0.0],
+        A_ineq=np.tile([[1.0, 0.0]], (copies, 1)), b_ineq=-np.ones(copies),
+    )
+    sol = solve_victim(model, np.zeros(1))
+    assert sol.working.size == 0
+    if margin is None:
+        with pytest.raises(errors.RegularityFailure):
+            build_auxiliary(model, np.zeros(1), sol)
+    else:
+        aux = build_auxiliary(model, np.zeros(1), sol)
+        assert aux.structure.weakly_active == [0]
+        assert aux.licq_margin == pytest.approx(margin)
 
 
 def test_kink_auxiliary_data():
@@ -83,8 +115,7 @@ def test_kink_auxiliary_data():
     assert_allclose(aux.B, [[-1.0], [0.0]])
     assert aux.structure.active == [0]
     assert aux.structure.weakly_active == [0]
-    assert check_ssoc(aux.H_aux, aux.rows[aux.structure.strict])[0]
-    assert aux.min_singular_value == pytest.approx(1.0)
+    assert aux.licq_margin == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("victim", ["svm", "generic"])
@@ -254,7 +285,6 @@ def test_aux_unbounded_when_second_order_condition_fails():
     x = np.array([0.3, 0.0])
     sol = solve_victim(model, x)
     aux = build_auxiliary(model, x, sol)
-    assert not check_ssoc(aux.H_aux, aux.rows[aux.structure.strict])[0]
     with pytest.raises(errors.AuxUnbounded):
         semi_derivative(aux, np.array([0.0, 1.0]))
 
