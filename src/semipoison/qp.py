@@ -539,4 +539,10 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
             f"(stationarity {res.stationarity:.2e}, primal {res.primal:.2e}, "
             f"dual {res.dual:.2e}, complementarity {res.complementarity:.2e})"
         )
-    return KktSolution(y, lam, problem.objective_value(y), iterations, phase1, problem, *factors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = problem.objective_value(y)
+    if not math.isfinite(value):
+        raise MaxIterations(
+            "objective value at the KKT point is not finite: the data are too large"
+        )
+    return KktSolution(y, lam, value, iterations, phase1, problem, *factors)

@@ -39,8 +39,9 @@ class VictimModel:
         Mixed second derivative of the Lagrangian
         objective + sum_i lam_i * g_i with respect to (y, x).
     feasible_start : callable(x, y_prev) -> y, optional
-        Turns the solution y_prev at nearby data into a point that is
-        feasible for the training problem at data x, for warm starts.
+        A point that is feasible for the training problem at data x:
+        built from y_prev, the solution at nearby data, for warm starts,
+        or from the data alone when y_prev is None, for cold starts.
     """
 
     dim_data: int
@@ -48,7 +49,7 @@ class VictimModel:
     assemble: Callable[[np.ndarray], QpProblem]
     grad_x_constraint: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cross_hessian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    feasible_start: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    feasible_start: Callable[[np.ndarray, np.ndarray | None], np.ndarray] | None = None
 
 
 def solve_victim(
@@ -56,18 +57,18 @@ def solve_victim(
 ) -> KktSolution:
     """Train the victim at data x (thin wrapper over solve_qp).
 
-    warm is the solution at nearby data.  When given, solve_qp starts
-    from model.feasible_start(x, warm.y), or from warm.y itself when the
-    model has no such hook; a start that is not feasible at x falls back
-    to phase 1, so warm changes the cost of the solve, not its result
-    beyond round-off.
+    warm is the solution at nearby data, or None for a cold solve.
+    solve_qp starts from model.feasible_start(x, warm.y), with None in
+    place of warm.y on a cold solve; a model without that hook starts
+    from warm.y itself, or from phase 1 on a cold solve.  A start that is
+    not feasible at x falls back to phase 1, so the start changes the
+    cost of the solve, not its result beyond round-off.
     """
     x = np.asarray(x, dtype=float)
     problem = model.assemble(x)
-    if warm is None:
-        return solve_qp(problem)
+    y_prev = None if warm is None else warm.y
     hook = model.feasible_start
-    return solve_qp(problem, start=warm.y if hook is None else hook(x, warm.y))
+    return solve_qp(problem, start=y_prev if hook is None else hook(x, y_prev))
 
 
 def _check_x(x, dim_data):
@@ -183,15 +184,52 @@ def svm_cross_hessian(svm: SvmModel, x: np.ndarray, y: np.ndarray, lam: np.ndarr
     return out
 
 
-def svm_feasible_start(svm: SvmModel, x: np.ndarray, y_prev: np.ndarray) -> np.ndarray:
-    """Keep (w, b) of y_prev and reset each slack to the least feasible value.
+def _least_squares_wb(svm: SvmModel, pts: np.ndarray) -> np.ndarray:
+    """(w, b) for a cold start: a least-squares fit to the labels, rescaled.
 
+    The fit theta solves min ||[x_i, 1] theta - l_i|| (lstsq, so repeated,
+    collinear or identical points are safe).  Scaling it by s = 1/m_k,
+    with m_i = l_i * (theta . [x_i, 1]) > 0, puts point k on the margin;
+    the scale with the lowest training objective wins.  For scale s the
+    points with m_i < m_k carry slack 1 - s*m_i, so sorted margins and
+    prefix sums price every candidate in O(n log n).  Zeros when no
+    margin is positive or no candidate's objective is finite.
+    """
+    n, C, eps = svm.n_points, svm.C, svm.ridge_eps
+    with np.errstate(all="ignore"):
+        theta = np.linalg.lstsq(np.column_stack([pts, np.ones(n)]), svm.labels, rcond=None)[0]
+        m = np.sort(svm.labels * (pts @ theta[:2] + theta[2]))
+        k = np.flatnonzero(m > 0.0)  # candidate k has k points with slack
+        if not k.size:
+            return np.zeros(3)
+        s = 1.0 / m[k]
+        s1 = np.concatenate([[0.0], np.cumsum(m)])[k]  # sum of the margins below m[k]
+        s2 = np.concatenate([[0.0], np.cumsum(m * m)])[k]
+        slack = k - s * s1  # sum of the slacks at scale s
+        slack_sq = k - 2.0 * s * s1 + s * s * s2
+        norm = theta[:2] @ theta[:2] + eps * theta[2] ** 2
+        # the objective over max(C, 1): the same minimizer, and C * slack cannot overflow
+        unit = max(C, 1.0)
+        value = (0.5 * s * s * norm + 0.5 * eps * slack_sq) / unit + (C / unit) * slack
+    finite = np.isfinite(value)
+    if not finite.any():
+        return np.zeros(3)
+    return theta * s[finite][np.argmin(value[finite])]
+
+
+def svm_feasible_start(svm: SvmModel, x: np.ndarray, y_prev: np.ndarray | None) -> np.ndarray:
+    """A feasible point at data x: (w, b) as given, least slack.
+
+    (w, b) is that of y_prev, or of _least_squares_wb when y_prev is None
+    (a cold start).  Each slack is then reset to its least feasible value
     xi_i = max(0, 1 - l_i * (w . x_i + b)), with l_i the label of point
-    i, meets margin row i and slack row i at data x wherever x_i moved.
+    i, which meets margin row i and slack row i at data x.
     """
     pts = _check_x(x, svm.dim_data).reshape(svm.n_points, 2)
-    y = np.array(y_prev, dtype=float)
-    y[3:] = np.maximum(0.0, 1.0 - svm.labels * (pts @ y[:2] + y[2]))
+    y = np.zeros(svm.dim_var)
+    y[:3] = _least_squares_wb(svm, pts) if y_prev is None else y_prev[:3]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite start means phase 1
+        y[3:] = np.maximum(0.0, 1.0 - svm.labels * (pts @ y[:2] + y[2]))
     return y
 
 

@@ -32,7 +32,7 @@ from semipoison.errors import (
     EmptyDirectionSet,
     Stalled,
 )
-from semipoison.qp import classify_active
+from semipoison.qp import classify_active, solve_qp
 from semipoison.sensitivity import semi_derivative
 from semipoison.victims import (
     SvmModel,
@@ -619,7 +619,12 @@ def test_single_steps_reject_an_overflowing_objective(step):
 
 @pytest.mark.parametrize("seed", [0, 3, 4])
 def test_warm_and_cold_solves_agree_along_attack_trajectory(seed):
-    """Replay an acceptance-style SVM attack and re-solve each iterate both ways."""
+    """Replay an acceptance-style SVM attack and re-solve each iterate three ways.
+
+    Warm from the previous iterate, cold from the model's least-squares
+    start (2-3 iterations where phase 1 takes about n), and cold from
+    phase 1.
+    """
     data = normalize(synth_lane_change(20, seed=seed))
     model = svm_victim(SvmModel(data.features, data.labels, C=10.0))
     selector = np.zeros((1, model.dim_var))
@@ -637,11 +642,13 @@ def test_warm_and_cold_solves_agree_along_attack_trajectory(seed):
         x = project_to_feasible(x + record.step * record.direction, x_bar, cfg.delta)
         problem = model.assemble(x)
         warm = solve_victim(model, x, warm=prev)
-        cold = solve_victim(model, x)
+        started = solve_victim(model, x)  # cold, from the least-squares start
+        cold = solve_qp(problem)
         assert not warm.phase1 and warm.iterations <= 5
-        assert cold.phase1
-        assert np.abs(warm.y - cold.y).max() <= 1e-10
-        assert vars(classify_active(problem, warm)) == vars(classify_active(problem, cold))
+        assert not started.phase1 and started.iterations <= 3 and cold.phase1
+        for sol in (warm, started):
+            assert np.abs(sol.y - cold.y).max() <= 1e-10
+            assert vars(classify_active(problem, sol)) == vars(classify_active(problem, cold))
         prev = warm
     assert np.array_equal(x, trace.x_final)
 

@@ -12,7 +12,7 @@ import pytest
 
 import semipoison
 from semipoison import attack, cli, errors, victims
-from semipoison.data import load_csv, synth_lane_change, write_csv
+from semipoison.data import Dataset, load_csv, synth_lane_change, write_csv
 
 
 def run_cli(*argv):
@@ -232,27 +232,65 @@ def test_attack_overflowing_trial_step_ends(tmp_path):
     assert "Warning" not in proc.stderr
 
 
+def flipped_csv(tmp_path, seed, flip):
+    """synth_lane_change(20, seed) with label `flip` flipped: no longer separable."""
+    data = synth_lane_change(20, seed=seed)
+    labels = data.labels.copy()
+    labels[flip] = -labels[flip]
+    path = tmp_path / "flipped.csv"
+    write_csv(Dataset(data.features, labels, seed=seed), path)
+    return path
+
+
 def test_attack_overflowing_kkt_residual_is_solver_error(tmp_path, capsys):
     """With C = 1e300 a victim solve ends at a point whose residuals overflow."""
     code = run_cli(
-        "attack", "--out", tmp_path, "--synth-n", 20, "--seed", 3, "--svm-c", "1e300",
-        "--max-iters", 3,
+        "attack", "--out", tmp_path / "run", "--data", flipped_csv(tmp_path, 3, 0),
+        "--svm-c", "1e300", "--max-iters", 3,
     )
     assert code == 3
     err = capsys.readouterr().err
     assert "violating KKT tolerances" in err and "RuntimeWarning" not in err
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "seed, flip, message",
+    [(0, 11, "active-set step is not finite"), (1, 3, "active-set step is not finite"),
+     (2, 12, "working-set multipliers are not finite")],
+    ids=["0", "1", "2"],
+)
 @pytest.mark.parametrize("argv", [("train",), ("attack", "--max-iters", 3)], ids=["train", "attack"])
-def test_overflowing_active_set_step_is_solver_error(tmp_path, capsys, argv, seed):
+def test_overflowing_active_set_step_is_solver_error(tmp_path, capsys, argv, seed, flip, message):
     """With C = 1e308 the working-set minimizer overflows inside the active-set loop."""
     code = run_cli(
-        *argv, "--out", tmp_path / "run", "--synth-n", 20, "--seed", seed, "--svm-c", "1e308"
+        *argv, "--out", tmp_path / "run", "--data", flipped_csv(tmp_path, seed, flip),
+        "--svm-c", "1e308",
     )
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("solver error: ") and "Warning" not in err
+    assert err.startswith(f"solver error: {message}") and "Warning" not in err
+
+
+@pytest.mark.parametrize("argv", [("train",), ("attack", "--max-iters", 3)], ids=["train", "attack"])
+def test_overflowing_objective_value_is_solver_error(tmp_path, argv):
+    """With C = 1e308 the solve meets the KKT gate but c @ y overflows."""
+    proc = run_cli_process(
+        *argv, "--out", tmp_path / "run", "--data", flipped_csv(tmp_path, 1, 2),
+        "--svm-c", "1e308", timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "objective value at the KKT point is not finite" in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
+def test_train_extreme_c_gives_hard_margin_svm(tmp_path, capsys):
+    """Separable data at C = 1e308 train to the same (w, b) as at C = 1e4."""
+    weights = []
+    for c in ("1e4", "1e308"):
+        assert run_cli("train", "--out", tmp_path / c, "--synth-n", 20, "--svm-c", c) == 0
+        weights.append(np.array(json.loads((tmp_path / c / "model.json").read_text())["w"]))
+    assert "Warning" not in capsys.readouterr().err
+    assert np.abs(weights[1] - weights[0]).max() <= 1e-12 * np.abs(weights[0]).max()
 
 
 def test_attack_trial_step_with_overflowing_norm(tmp_path, capsys, monkeypatch):

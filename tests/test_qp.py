@@ -1,5 +1,7 @@
 """Tests for the dense active-set QP solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from semipoison import errors, qp
-from semipoison.data import normalize, synth_lane_change
+from semipoison.data import Dataset, normalize, synth_lane_change
 from semipoison.qp import (
     QpProblem,
     _independent_factors,
@@ -15,7 +17,7 @@ from semipoison.qp import (
     kkt_residuals,
     solve_qp,
 )
-from semipoison.victims import SvmModel, svm_victim
+from semipoison.victims import SvmModel, svm_assemble, svm_feasible_start, svm_victim
 
 from _oracles import enumerate_qp, independent_subset_mgs, lstsq_multipliers
 
@@ -585,6 +587,25 @@ def test_cold_svm_solve_decomposes_only_small_reduced_hessians(monkeypatch):
     sol = solve_qp(prob)
     assert sol.phase1 and sizes
     assert max(sizes) <= 15
+
+
+def test_overflowing_objective_value_is_max_iterations():
+    """An objective value that overflows is a typed error, not a RuntimeWarning.
+
+    At C = 1e308 the KKT gate's tolerances are about 1e301, and this
+    solve passes the gate at a point where c @ y overflows.
+    """
+    data = synth_lane_change(20, seed=1)
+    labels = data.labels.copy()
+    labels[2] = -labels[2]
+    data = normalize(Dataset(data.features, labels, seed=1))
+    svm = SvmModel(data.features, data.labels, C=1e308)
+    x = data.features.ravel()
+    start = svm_feasible_start(svm, x, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.MaxIterations, match="objective value at the KKT point"):
+            solve_qp(svm_assemble(svm, x), start=start)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Tests for victim model construction and derivative callbacks."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from semipoison import errors, victims
-from semipoison.qp import classify_active
+from semipoison.qp import TOL_FEAS, classify_active, solve_qp
 from semipoison.victims import (
     SvmModel,
     bound_tracking_model,
@@ -18,6 +19,7 @@ from semipoison.victims import (
     solve_victim,
     svm_assemble,
     svm_cross_hessian,
+    svm_feasible_start,
     svm_grad_x_constraint,
     svm_victim,
     toy_bilevel_model,
@@ -240,3 +242,81 @@ def test_warm_solve_after_small_data_move_matches_cold(seed, x, dx):
     warm = solve_victim(model, x + dx, warm=solve_victim(model, x))
     cold = solve_victim(model, x + dx)
     assert np.abs(warm.y - cold.y).max() <= 1e-9
+
+
+def _outcome(solve):
+    """(solution, None), or (None, the type of the SemipoisonError raised)."""
+    try:
+        return solve(), None
+    except errors.SemipoisonError as exc:
+        return None, type(exc)
+
+
+def _relative_stationarity(problem, sol):
+    """max |H y + c + A' lam| over the largest of its three terms: scale-free."""
+    terms = (problem.H @ sol.y, problem.c, problem.A.T @ sol.lam)
+    return np.abs(sum(terms)).max() / max(np.abs(t).max() for t in terms)
+
+
+# log10 of C and of ridge_eps: often moderate, sometimes anywhere up to 1e300
+LOG_SCALE = st.one_of(st.floats(-8.0, 8.0), st.floats(-8.0, 300.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@example(seed=2, n=2, kind="gauss", log_c=-5.0, log_eps=-5.0)  # phase 1 stops short
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    kind=st.sampled_from(["gauss", "dup", "collinear", "identical", "one-class", "flipped"]),
+    log_c=LOG_SCALE,
+    log_eps=LOG_SCALE,
+)
+def test_cold_svm_start_is_feasible_and_changes_no_result(seed, n, kind, log_c, log_eps):
+    """The least-squares cold start is feasible, or the solve falls back to phase 1.
+
+    Nothing warns.  With C and ridge_eps at most 1e5 the start is
+    feasible, and the started and the phase-1 solve both succeed or both
+    raise the same typed error.  Where both succeed they agree within
+    1e-10 plus round-off amplified by kappa, the spread of the problem's
+    scales (1, C and ridge_eps), or else the started solve is the more
+    nearly stationary of the two: solve_qp's stationarity tolerance
+    scales with |c| alone, so at small C phase 1 can stop short of the
+    optimum (the pinned example), and at extreme scales the two solves
+    may also end in different errors.
+    """
+    rng = np.random.default_rng(seed)
+    feats = rng.standard_normal((n, 2))
+    labels = np.where(feats[:, 0] + feats[:, 1] > 0.0, 1, -1)
+    if kind == "dup":
+        feats = feats[rng.integers(n, size=n)]
+        labels = rng.choice([-1, 1], n)  # copies of one point may disagree
+    elif kind == "collinear":
+        feats = np.outer(rng.standard_normal(n), rng.standard_normal(2))
+    elif kind == "identical":
+        feats = np.tile(feats[0], (n, 1))
+    elif kind == "one-class":
+        labels = np.ones(n, dtype=int)
+    elif kind == "flipped":
+        labels[rng.random(n) < 0.3] *= -1
+    C, eps = 10.0**log_c, 10.0**log_eps
+    svm = SvmModel(feats, labels, C=C, ridge_eps=eps)
+    x = feats.ravel()
+    problem = svm_assemble(svm, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = svm_feasible_start(svm, x, None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            feasible = bool(np.isfinite(start).all())
+            feasible = feasible and problem.constraint_values(start).max() <= TOL_FEAS
+        sol, err = _outcome(lambda: solve_victim(svm_victim(svm), x))
+        ref, ref_err = _outcome(lambda: solve_qp(problem))
+    if sol is not None:
+        assert sol.phase1 == (not feasible)
+    if max(C, eps) <= 1e5:
+        assert feasible and err is ref_err
+    if sol is not None and ref is not None:
+        kappa = max(1.0, C, eps) / min(1.0, eps)
+        tol = (1e-10 + 1e-14 * kappa) * (1.0 + np.abs(ref.y).max())
+        if np.abs(sol.y - ref.y).max() > tol:
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _relative_stationarity(problem, sol) <= _relative_stationarity(problem, ref)
