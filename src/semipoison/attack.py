@@ -49,7 +49,7 @@ MIN_STEP = 1e-8  # backtracking gives up below this trial length
 FD_OBJECTIVE_STEP = 1e-6
 CONVERGENCE_REL_SLACK = 1e-6
 CONVERGENCE_ABS_SLACK = 1e-15
-MAX_RANDOM_DIRS = 10_000  # each point's candidates are a (2 * point_dim + count, point_dim) array
+RANDOM_DIRS = 8  # random candidate directions per point, on top of the +/- axes
 
 
 @dataclass(eq=False)
@@ -65,7 +65,7 @@ class AttackConfig:
     curvature_bound is the L estimate behind the step rule: a direction
     with derivative dG gets the trial length -dG / curvature_bound, which
     fixed-L mode applies once and backtracking mode halves until the
-    objective decreases.
+    objective decreases.  Candidate directions are fixed: see feasible_directions.
     """
 
     target: np.ndarray
@@ -76,8 +76,6 @@ class AttackConfig:
     box_hi: np.ndarray | None = None
     curvature_bound: float = 1.0
     step_mode: str = "backtracking"
-    num_random_dirs: int = 8
-    random_probe: bool = False
     tol_target: float = 1e-12
     tol_improve: float = 1e-12
     max_iters: int = 200
@@ -106,8 +104,6 @@ class AttackConfig:
             raise ValueError(f"unknown step_mode {self.step_mode!r}")
         if self.point_dim < 1:
             raise ValueError("point_dim must be at least 1")
-        if not 0 <= self.num_random_dirs <= MAX_RANDOM_DIRS:
-            raise ValueError(f"num_random_dirs must be in [0, {MAX_RANDOM_DIRS}]")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if (self.box_lo is None) != (self.box_hi is None):
@@ -283,8 +279,8 @@ def _random_rows(point_dim: int, count: int, rng) -> np.ndarray:
 def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rng=None):
     """Candidate unit directions for one data point, as rows of length point_dim.
 
-    The +/- coordinate axes of the point plus config.num_random_dirs
-    random unit vectors, keeping those along which a tiny step of the
+    The +/- coordinate axes of the point plus RANDOM_DIRS random unit
+    vectors drawn from rng, keeping those along which a tiny step of the
     point stays inside both the norm ball around x_base and the box.  A
     row v moves the point's coordinates x[point_index * point_dim :
     (point_index + 1) * point_dim] and no others.
@@ -304,7 +300,7 @@ def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rn
     rng = np.random.default_rng(config.seed) if rng is None else rng
 
     pd = config.point_dim
-    V = np.vstack([_axis_rows(pd), _random_rows(pd, config.num_random_dirs, rng)])
+    V = np.vstack([_axis_rows(pd), _random_rows(pd, RANDOM_DIRS, rng)])
     V = V[_feasible_mask(x, x_base, point_index, V, config)]
     if not len(V):
         raise EmptyDirectionSet(f"no feasible perturbation direction for point {point_index}")
@@ -468,11 +464,8 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
     n_points = model.dim_data // pd
     ev = _ObjectiveDerivative(model, x, solution, selector, config.target, value)
 
-    if config.random_probe:
-        V = _random_rows(pd, n_points, rng)
-    else:
-        V = np.tile(_axis_rows(pd), (n_points, 1))
-    owner = np.repeat(np.arange(n_points), len(V) // n_points)  # consecutive rows per point
+    V = np.tile(_axis_rows(pd), (n_points, 1))
+    owner = np.repeat(np.arange(n_points), 2 * pd)  # each point's +/- axes, consecutively
     ok = _feasible_mask(x, x_base, owner, V, config)
     probe_vals, _ = ev.dG(owner[ok], V[ok])
     evaluated = [probe_vals]

@@ -89,8 +89,6 @@ ATTACK_FLAGS = {
     "max_iters": (200, {"type": int}),
     "tol_improve": (1e-12, {"type": float, "help": "stop below this per-step decrease"}),
     "tol_target": (1e-10, {"type": float, "help": "declare success at this objective"}),
-    "num_random_dirs": (8, {"type": int}),
-    "random_probe": (False, {"action": "store_true"}),
 }
 FLAGS = {
     "train": {**COMMON_FLAGS, **DATA_FLAGS},
@@ -117,15 +115,11 @@ SUBCOMMAND_HELP = {
 }
 # the JSON types a config-file value may have, by the type its flag parses to
 CONFIG_TYPES = {
-    bool: (bool, "true or false"),
     int: (int, "an integer"),
     float: ((int, float), "a number"),
     str: (str, "a string"),
 }
-SEARCH_KNOBS = (
-    "curvature_bound", "step_mode", "num_random_dirs", "random_probe",
-    "tol_target", "tol_improve", "max_iters", "seed",
-)
+SEARCH_KNOBS = ("curvature_bound", "step_mode", "tol_target", "tol_improve", "max_iters", "seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,10 +162,9 @@ def _check_config_value(key: str, value, default, options: dict) -> None:
     """
     if value is None and default is None:
         return
-    kind = bool if options.get("action") == "store_true" else options.get("type", str)
-    kinds, name = CONFIG_TYPES[kind]
-    # true and false are Python ints, but not JSON numbers
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
+    kinds, name = CONFIG_TYPES[options.get("type", str)]
+    # true and false are Python ints, but no flag takes them
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValueError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
     choices = options.get("choices")
     if choices is not None and value not in choices:

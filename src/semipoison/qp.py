@@ -41,12 +41,6 @@ TOL_COMPLEMENTARITY = 1e-8
 
 _SYM_TOL = 1e-10
 _DROP_TOL = 1e-9
-# Null-space size k from which _reduced_eigh may take its thin route, the
-# measured crossover: with one curved variable the full route takes 27 us
-# at k=10, 44 us at k=16, 90 us at k=24 and 2.0 ms at k=164; the thin
-# route's QR makes it 45-50 us at every k (one BLAS thread, shared
-# 2-core Xeon VM).
-_THIN_MIN = 16
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -54,6 +48,14 @@ def _finite(a: np.ndarray, name: str) -> np.ndarray:
     if np.count_nonzero(np.isfinite(a)) != a.size:
         raise ValueError(f"{name} contains NaN or infinite entries")
     return a
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """a's row norms without overflow: above 1e100, rows are scaled by a power of two (exact)."""
+    if not np.abs(a).max(initial=0.0) > 1e100:  # no square can overflow
+        return np.linalg.norm(a, axis=1)
+    e = np.frexp(np.abs(a).max(axis=1))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(a, -e[:, None]), axis=1), e)
 
 
 def _as_matrix(a, n_cols: int, name: str) -> np.ndarray:
@@ -263,28 +265,6 @@ def classify_active(problem: QpProblem, solution: KktSolution) -> ActiveStructur
     return ActiveStructure(active=active, weakly_active=weakly, strict=strict)
 
 
-def _reduced_eigh(H, Z):
-    """Eigenpairs (w, V) of the reduced Hessian Z'HZ, V with orthonormal columns.
-
-    Z'HZ is zero on the complement of V's span.  When the null space has
-    k >= _THIN_MIN directions and fewer than k variables have a nonzero
-    row of H, only those `curved` variables bend: with
-    Z[curved]' = U R (thin QR), Z'HZ = U (R H_cc R') U', and the small
-    matrix R H_cc R' is decomposed instead of the k-square Z'HZ
-    (Nocedal & Wright, Numerical Optimization, 16.5).
-    """
-    k = Z.shape[1]
-    if k >= _THIN_MIN:
-        curved = np.flatnonzero(np.abs(H).max(axis=0))
-        if curved.size < k:
-            U, R = np.linalg.qr(Z[curved].T)
-            Hr = R @ H[np.ix_(curved, curved)] @ R.T
-            w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
-            return w, U @ V
-    Hr = Z.T @ H @ Z
-    return np.linalg.eigh(0.5 * (Hr + Hr.T))
-
-
 def _working_subproblem(H, c, A_w, b_w, y, Q, T):
     """Minimize the objective subject to A_w q + b_w = 0, anchored near y.
 
@@ -293,6 +273,8 @@ def _working_subproblem(H, c, A_w, b_w, y, Q, T):
     minimizer (None if unbounded), a direction of unbounded descent in
     that null space (None when the minimizer exists), and multipliers(q)
     (None with a ray), the least-squares solution of A_w' lam = -(H q + c).
+    Z'HZ is decomposed whole: a negative eigenvalue, or a flat direction
+    with a nonzero reduced gradient, gives the ray; else the minimizer.
     """
     m = T.shape[0]
     Y, Z = Q[:, :m], Q[:, m:]
@@ -306,7 +288,8 @@ def _working_subproblem(H, c, A_w, b_w, y, Q, T):
         return y0, None, multipliers
     g0 = H @ y0 + c
     gr = Z.T @ g0
-    w, V = _reduced_eigh(H, Z)
+    Hr = Z.T @ H @ Z
+    w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
     wmax = max(float(w.max(initial=0.0)), 1.0)
     eps = 1e-11 * wmax
     neg = w < -eps
@@ -339,7 +322,7 @@ def _independent_factors(stack: np.ndarray, n_base: int):
     """
     if not stack.shape[0]:  # nothing to factor
         return np.zeros(0, dtype=int), np.eye(stack.shape[1]), np.zeros((0, 0))
-    scale = np.linalg.norm(stack, axis=1)
+    scale = row_norms(stack)
     thresh = TOL_INDEP * scale
     thresh[:n_base] = 1e-12
     live = np.flatnonzero(scale > 1e-14)

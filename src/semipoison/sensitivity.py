@@ -77,7 +77,7 @@ def _licq_margin(problem: QpProblem, solution: KktSolution, active) -> float:
     if extra.size:
         R = np.linalg.qr(Q[:, m:].T @ problem.A[extra].T, mode="r")
         resid = np.append(resid, np.abs(R.diagonal()))
-    norms = np.linalg.norm(problem.A[np.append(working, extra)], axis=1)
+    norms = qp.row_norms(problem.A[np.append(working, extra)])
     ratio = np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0.0)  # a zero row fails
     return float(ratio.min(initial=np.inf))
 

@@ -354,11 +354,11 @@ def generic_parametric_qp(
 
     H is SPD with eigenvalues in [0.5, 3]; constraint normals carry a
     small x-dependence (scale `coupling`) so the cross Hessian depends on
-    the multipliers.  The origin in y is strictly feasible at x = 0, so
-    assembled problems stay feasible for moderate ||x||.  Construction
-    assembles no problem; tests/test_victims.py checks the derivative
-    callbacks against central finite differences for every fixture shape
-    the package draws.
+    the multipliers.  A random point y_int is strictly feasible at x = 0
+    (inequality slacks 0.5-1.5), so problems stay feasible for moderate
+    ||x||.  Construction assembles no problem; tests/test_victims.py
+    checks the derivative callbacks against central finite differences
+    for every fixture shape the package draws.
     """
     rng = np.random.default_rng(seed)
     m = n_ineq + n_eq

@@ -13,6 +13,7 @@ from semipoison.attack import (
     _ObjectiveDerivative,
     _random_rows,
     AttackTrace,
+    RANDOM_DIRS,
     StepRecord,
     attack_step,
     convergence_check,
@@ -159,22 +160,23 @@ def test_selector_defaults_to_identity():
 
 
 def test_interior_point_keeps_all_candidates():
-    cfg = AttackConfig(target=np.zeros(1), delta=1.0, point_dim=2, num_random_dirs=4)
+    cfg = AttackConfig(target=np.zeros(1), delta=1.0, point_dim=2)
     dirs = feasible_directions(np.zeros(4), 0, cfg)
-    assert dirs.shape == (2 * 2 + 4, 2)  # rows in point 0's own coordinates
+    assert dirs.shape == (2 * 2 + RANDOM_DIRS, 2)  # rows in point 0's own coordinates
     for d in dirs:
         assert np.linalg.norm(d) == pytest.approx(1.0)
 
 
 def test_ball_boundary_removes_outward_radial():
-    cfg = AttackConfig(target=np.zeros(1), delta=0.5, point_dim=1, num_random_dirs=0)
+    cfg = AttackConfig(target=np.zeros(1), delta=0.5, point_dim=1)
     x_base = np.zeros(2)
     x = np.array([0.5, 0.0])  # on the boundary along +e0
     dirs = feasible_directions(x, 0, cfg, x_base=x_base)
-    assert len(dirs) == 1
-    assert np.array_equal(dirs[0], np.array([-1.0]))
-    # the other point moves tangentially, so both of its axes survive
-    assert len(feasible_directions(x, 1, cfg, x_base=x_base)) == 2
+    # in 1-D every random unit row is +1 or -1, and only -1 points inward
+    assert len(dirs) < 2 + RANDOM_DIRS
+    assert np.array_equal(dirs, np.full((len(dirs), 1), -1.0))
+    # the other point moves tangentially, so every candidate survives
+    assert len(feasible_directions(x, 1, cfg, x_base=x_base)) == 2 + RANDOM_DIRS
 
 
 def test_box_face_removes_outgoing_candidates():
@@ -182,14 +184,15 @@ def test_box_face_removes_outgoing_candidates():
         target=np.zeros(1),
         delta=10.0,
         point_dim=2,
-        num_random_dirs=0,
         box_lo=np.array([-1.0, -1.0]),
         box_hi=np.array([1.0, 1.0]),
     )
     x = np.array([1.0, 0.2])  # first coordinate at the upper face
     dirs = feasible_directions(x, 0, cfg, x_base=np.zeros(2))
-    assert len(dirs) == 3
-    assert not any(np.array_equal(d, np.array([1.0, 0.0])) for d in dirs)
+    # the axes come first: all but +e0 survive, then the random rows that stay inside
+    assert np.array_equal(dirs[:3], [[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    assert 3 < len(dirs) < 3 + RANDOM_DIRS
+    assert (dirs[:, 0] <= 1e-3).all()  # a 1e-9 probe step leaves the face by at most 1e-12
 
 
 def test_zero_budget_empties_every_direction():
@@ -468,13 +471,6 @@ def test_run_attack_is_deterministic():
     assert [r.objective_value for r in t1.records] == [r.objective_value for r in t2.records]
 
 
-def test_random_probe_variant_still_descends():
-    model, x0 = separable_svm(n=8, seed=1)
-    cfg = svm_config(model, max_iters=15, random_probe=True)
-    trace = run_attack(x0, model, cfg)
-    assert trace.final_objective < trace.initial_objective
-
-
 def test_svm_scenario_reaches_target_weight_gap():
     model, x0 = separable_svm(n=12, seed=3)
     cfg = svm_config(model)
@@ -519,7 +515,7 @@ def test_aux_round_scores_each_point_row_once(monkeypatch):
         rows_a=-np.eye(1), rows_M=np.zeros((1, 1, 4)), rows_b0=np.zeros(1),
         rows_beta=np.zeros((1, 4)), n_ineq=1,
     ).as_victim()
-    cfg = AttackConfig(target=np.ones(1), delta=1.0, point_dim=2, num_random_dirs=3)
+    cfg = AttackConfig(target=np.ones(1), delta=1.0, point_dim=2)
     calls, scored = [], []
     real_semi, real_dG = attack_module.semi_derivative, _ObjectiveDerivative.dG
 
@@ -535,9 +531,9 @@ def test_aux_round_scores_each_point_row_once(monkeypatch):
     monkeypatch.setattr(_ObjectiveDerivative, "dG", recording_dG)
     _, record = attack_step(np.zeros(4), model, cfg)
     assert record.route == "aux" and record.point == 0
-    # the 8 probe rows, then point 0's 4 axis rows (cached) and 3 random rows
-    assert len(scored) == 8 + 4 + 3
-    assert len(calls) == len(set(scored)) == 8 + 3
+    # the 8 probe rows, then point 0's 4 axis rows (cached) and its random rows
+    assert len(scored) == 8 + 4 + RANDOM_DIRS
+    assert len(calls) == len(set(scored)) == 8 + RANDOM_DIRS == 16
     assert all(dx.shape == (4,) and np.count_nonzero(dx) <= 2 for dx in calls)
 
 

@@ -356,7 +356,7 @@ def test_config_file_must_be_object(tmp_path, capsys):
         ("train", {"synth_n": "40"}),
         ("train", {"svm_c": "10"}),
         ("train", {"seed": "x"}),
-        ("attack", {"random_probe": "yes"}),
+        ("attack", {"bounds": [-3, 3, 5, 60]}),
         ("attack", {"delta": True}),
         ("train", {"synth_n": 40.0}),
         ("train", {"seed": None}),
@@ -376,9 +376,8 @@ def test_config_file_value_of_wrong_type_rejected(tmp_path, capsys, command, doc
 
 
 def test_config_file_values_of_flag_types_accepted(tmp_path, capsys):
-    # an integer for a float flag, null where the default is null, a switch
-    doc = {"svm_c": 10, "delta": 2, "data": None, "synth_n": 16, "random_probe": True,
-           "max_iters": 1}
+    # an integer for a float flag, null where the default is null
+    doc = {"svm_c": 10, "delta": 2, "data": None, "synth_n": 16, "max_iters": 1}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "run"
@@ -408,17 +407,19 @@ def test_config_file_values_of_flag_types_accepted(tmp_path, capsys):
         # non-finite tolerances: a NaN tol_target never stops a run as optimal
         ("attack", "--synth-n", 20, "--tol-target", "nan"),
         ("attack", "--synth-n", 20, "--tol-improve", "inf"),
-        # rejected before a (count, point_dim) array of directions is allocated
-        ("attack", "--synth-n", 20, "--num-random-dirs", 100000000000, "--random-probe",
-         "--max-iters", 1),
+        # a config file naming the removed direction knobs: unknown keys
+        ("attack", "--synth-n", 20, "--config", {"num_random_dirs": 8, "random_probe": True}),
     ],
     ids=[
         "trials", "tol", "attack-delta", "compare-delta", "quadratic-delta", "svm-c", "box",
         "target-nan", "target-inf", "bounds-nan", "attack-target-overflow",
-        "compare-target-overflow", "tol-target-nan", "tol-improve-inf", "random-dirs-huge",
+        "compare-target-overflow", "tol-target-nan", "tol-improve-inf", "removed-keys",
     ],
 )
 def test_rejected_run_creates_no_output(tmp_path, capsys, argv):
+    if isinstance(argv[-1], dict):  # the contents of the --config file
+        (tmp_path / "cfg.json").write_text(json.dumps(argv[-1]))
+        argv = (*argv[:-1], tmp_path / "cfg.json")
     out = tmp_path / "run"
     code = run_cli(*argv, "--out", out)
     assert code == 2

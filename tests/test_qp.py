@@ -539,54 +539,22 @@ def _flat_qp(rng):
     return QpProblem(H, rng.standard_normal(n_var), A, b)
 
 
-def _eigh_sizes(monkeypatch):
-    sizes = []
-    eigh = np.linalg.eigh
+def test_cold_svm_and_flat_qps_reach_kkt_points():
+    """Phase 1 (a rank-1 Hessian) and QPs with few curved variables.
 
-    def recorded(a):
-        sizes.append(a.shape[0])
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
-    return sizes
-
-
-def test_thin_reduced_hessian_matches_full(monkeypatch):
-    """Phase 1 and QPs with few curved variables take the thin route.
-
-    The full route (Z'HZ decomposed whole, forced by raising _THIN_MIN) is
-    the reference: the same iteration counts, y within 1e-10 and lam
-    within 1e-9 of their largest entries.
+    Both leave most null-space directions flat, so the working-set
+    subproblem often returns a flat ray or a minimizer with zero curvature
+    along part of the null space.
     """
     rng = np.random.default_rng(13)
     problems = [_cold_svm_problem(n) for n in (20, 40, 80)]
     problems += [_flat_qp(rng) for _ in range(50)]
-    sizes = _eigh_sizes(monkeypatch)
-    thin = [solve_qp(prob) for prob in problems]
-    thin_max = max(sizes)
-    sizes.clear()
-    monkeypatch.setattr(qp, "_THIN_MIN", 10**9)
-    full = [solve_qp(prob) for prob in problems]
-    assert thin_max < max(sizes)
-    for prob, a, b in zip(problems, thin, full):
-        assert (a.iterations, a.phase1) == (b.iterations, b.phase1)
-        assert np.abs(a.y - b.y).max() <= 1e-10 * np.abs(b.y).max()
-        assert np.abs(a.lam - b.lam).max() <= 1e-9 * np.abs(b.lam).max()
-        res = kkt_residuals(prob, a.y, a.lam)
-        lam_inf = float(np.abs(a.lam).max(initial=0.0))
+    for i, prob in enumerate(problems):
+        sol = solve_qp(prob)
+        assert sol.phase1 or i >= 3
+        res = kkt_residuals(prob, sol.y, sol.lam)
+        lam_inf = float(np.abs(sol.lam).max(initial=0.0))
         assert res.within_default_tolerances(float(np.abs(prob.c).max()), lam_inf)
-
-
-def test_cold_svm_solve_decomposes_only_small_reduced_hessians(monkeypatch):
-    """Phase 1's Hessian has rank 1; the main loop's null space stays small.
-
-    At n = 160 the full route's phase 1 decomposes a 164-square Z'HZ.
-    """
-    prob = _cold_svm_problem(160)
-    sizes = _eigh_sizes(monkeypatch)
-    sol = solve_qp(prob)
-    assert sol.phase1 and sizes
-    assert max(sizes) <= 15
 
 
 def test_overflowing_objective_value_is_max_iterations():
@@ -606,6 +574,16 @@ def test_overflowing_objective_value_is_max_iterations():
         warnings.simplefilter("error")
         with pytest.raises(errors.MaxIterations, match="objective value at the KKT point"):
             solve_qp(svm_assemble(svm, x), start=start)
+
+
+def test_row_norms_keep_every_bit_and_do_not_overflow():
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 5)) * 10.0 ** np.arange(-100, 150, 32)[:, None]
+    A[3] = 0.0
+    assert np.abs(A).max() > 1e100  # the scaled route, whose squares all fit here
+    assert np.array_equal(qp.row_norms(A), np.linalg.norm(A, axis=1))
+    huge = np.array([[1e300, -1e300], [3e300, 4e300]])
+    assert_allclose(qp.row_norms(huge), [np.sqrt(2.0) * 1e300, 5e300], rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,23 @@ def test_licq_reads_active_rows_outside_the_working_set(copies, margin):
         assert aux.licq_margin == pytest.approx(margin)
 
 
+@pytest.mark.parametrize("labels, solves", [([1.0, -1.0, 1.0], False), ([1.0, 1.0, -1.0], True)])
+def test_svm_rows_near_1e300_raise_no_overflow_warning(labels, solves):
+    """Row norms that overflow a plain sum of squares are taken scaled.
+
+    The solve ends in a typed SolverError, or returns a KKT point whose
+    LICQ margin build_auxiliary reads without a warning.
+    """
+    X = np.array([[1e300, -1e300], [5e299, 1e300], [-1e300, 0.3]])
+    model = svm_victim(SvmModel(X, np.array(labels)))
+    if not solves:
+        with pytest.raises(errors.SolverError):
+            solve_victim(model, X.ravel())
+        return
+    sol = solve_victim(model, X.ravel())
+    assert 0.0 < build_auxiliary(model, X.ravel(), sol).licq_margin <= 1.0
+
+
 def test_kink_auxiliary_data():
     model = kink_projection_model()
     x = np.array([0.0])
