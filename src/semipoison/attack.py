@@ -38,7 +38,7 @@ from .errors import (
     SingularHessian,
     Stalled,
 )
-from .qp import KktSolution
+from .qp import KktSolution, adjoint
 from .sensitivity import build_auxiliary, semi_derivative
 from .victims import VictimModel, solve_victim
 
@@ -307,28 +307,6 @@ def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rn
     return V
 
 
-def _factored_gradient(H, B, grad_y, working, Q, T):
-    """Data gradient B_con[working]' nu - B_y' u of the objective.
-
-    B = [B_y; B_con] stacks the data derivatives of the Lagrangian's
-    y-gradient over those of every constraint row.  (u, nu) solves the
-    stationarity system [[H, A'], [A, 0]] (u, nu) = (grad_y, 0) of the
-    working rows A, A' = Q[:, :m] T^-1, on those factors (Nocedal &
-    Wright, section 16.2): u = Z (Z'HZ)^-1 Z' grad_y with Z = Q[:, m:],
-    nu = T Y'(grad_y - H u) with Y = Q[:, :m].  None if Z'HZ is singular.
-    """
-    nv, m = H.shape[0], T.shape[0]
-    Y, Z = Q[:, :m], Q[:, m:]
-    u = np.zeros(nv)
-    if Z.shape[1]:
-        try:
-            u = Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ grad_y)
-        except np.linalg.LinAlgError:
-            return None
-    nu = T @ (Y.T @ (grad_y - H @ u))
-    return -(B[:nv].T @ u - B[nv:][working].T @ nu)
-
-
 class _ObjectiveDerivative:
     """Directional derivatives of the attack objective at a fixed iterate.
 
@@ -359,9 +337,13 @@ class _ObjectiveDerivative:
         # strict complementarity: dy is linear in dx, so one adjoint solve
         # gives the gradient of G.  Only working rows carry nonzero multipliers
         # and LICQ held, so the solver's final working set is the strict set.
-        self.gradient = _factored_gradient(
-            aux.H_aux, aux.B, self.grad_y, solution.working, solution.Q, solution.T
-        )
+        # B = [B_y; B_con] stacks the data derivatives of the Lagrangian's
+        # y-gradient over those of every constraint row.
+        pair = adjoint(solution, self.grad_y)
+        if pair is not None:
+            u, nu = pair
+            B, nv = aux.B, aux.dim_var
+            self.gradient = -(B[:nv].T @ u - B[nv:][solution.working].T @ nu)
 
     def dG(self, owner, V: np.ndarray) -> tuple[np.ndarray, list[str]]:
         """Derivatives along the rows of V, and the route behind each.
@@ -621,9 +603,11 @@ def _gradient_round(model, x, value, solution, config, *, x_base, rng, k, select
     H, y = solution.problem.H, solution.y
     grad_y = 2.0 * (selector.T @ (selector @ y - config.target))
     cross = model.cross_hessian(x, y, np.zeros(solution.problem.n_con))
-    grad = _factored_gradient(H, cross, grad_y, [], np.eye(H.shape[0]), np.zeros((0, 0)))
-    if grad is None:
-        raise SingularHessian("training objective Hessian is singular")
+    try:
+        u = np.linalg.solve(H, grad_y)
+    except np.linalg.LinAlgError:
+        raise SingularHessian("training objective Hessian is singular") from None
+    grad = -(cross.T @ u)
     gnorm = float(np.linalg.norm(grad))
     if gnorm <= TOL_STALL:
         raise Stalled("objective gradient vanished", certificate=-gnorm)

@@ -187,6 +187,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
+    if resolved.get("seed", 0) < 0:  # numpy's own message would not name the key
+        raise ValueError(f"seed must be nonnegative, got {resolved['seed']}")
     return resolved
 
 

@@ -172,11 +172,11 @@ class KktSolution:
     takes one.  phase1 tells whether a phase-1 search supplied the
     starting point.  problem is the QpProblem that solve_qp solved, so
     callers that need its data at the solution do not assemble it again.
-    working holds the final working rows in working order, and Q and T
-    their factors: A[working]' = Q[:, :m] R with T = R^-1, Q orthogonal.
-    Working order is the equality rows, then the start's inequality rows
-    in decreasing index, then the rows that joined, in the order they
-    joined.
+    working holds the final working rows, and Q and T their factors:
+    A[working]' = Q[:, :m] R with T = R^-1, Q orthogonal.  The start rows
+    come first, in the order solve_qp describes, then the rows that
+    joined, in the order they joined.  adjoint and licq_margin read the
+    factors.
     """
 
     y: np.ndarray
@@ -269,23 +269,18 @@ def _working_subproblem(H, c, A_w, b_w, y, Q, T):
     """Minimize the objective subject to A_w q + b_w = 0, anchored near y.
 
     A_w' = Q[:, :m] R with Q orthogonal and T = R^-1, so Z = Q[:, m:]
-    spans the null space of A_w.  Returns (y_hat, ray, multipliers): the
-    minimizer (None if unbounded), a direction of unbounded descent in
-    that null space (None when the minimizer exists), and multipliers(q)
-    (None with a ray), the least-squares solution of A_w' lam = -(H q + c).
-    Z'HZ is decomposed whole: a negative eigenvalue, or a flat direction
-    with a nonzero reduced gradient, gives the ray; else the minimizer.
+    spans the null space of A_w.  Returns (y_hat, ray): the minimizer
+    (None if unbounded) and a direction of unbounded descent in that
+    null space (None when the minimizer exists).  Z'HZ is decomposed
+    whole: a negative eigenvalue, or a flat direction with a nonzero
+    reduced gradient, gives the ray; else the minimizer.
     """
     m = T.shape[0]
     Y, Z = Q[:, :m], Q[:, m:]
-
-    def multipliers(q):
-        return -(T @ (Y.T @ (H @ q + c)))
-
     # min-norm correction onto the working affine set
     y0 = y - Y @ (T.T @ (A_w @ y + b_w))
     if Z.shape[1] == 0:
-        return y0, None, multipliers
+        return y0, None
     g0 = H @ y0 + c
     gr = Z.T @ g0
     Hr = Z.T @ H @ Z
@@ -299,14 +294,14 @@ def _working_subproblem(H, c, A_w, b_w, y, Q, T):
         d = Z @ V[:, j]
         if gr @ V[:, j] > 0:
             d = -d
-        return None, d, None
+        return None, d
     if np.count_nonzero(pos) < gr.size:  # some null-space directions are flat
         gz = gr - V[:, pos] @ (V[:, pos].T @ gr)
         if np.abs(gz).max(initial=0.0) > 1e-9 * (1.0 + np.abs(gr).max(initial=0.0)):
             d = -(Z @ gz)
-            return None, d / np.linalg.norm(d), None
+            return None, d / np.linalg.norm(d)
     u = -V[:, pos] @ ((V[:, pos].T @ gr) / w[pos])  # zeros when no curvature is positive
-    return y0 + Z @ u, None, multipliers
+    return y0 + Z @ u, None
 
 
 def _independent_factors(stack: np.ndarray, n_base: int):
@@ -340,16 +335,14 @@ def _independent_factors(stack: np.ndarray, n_base: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step or multiplier raises instead
-def _active_set_loop(problem: QpProblem, y: np.ndarray, order, factors, max_iter: int):
-    """Primal active-set iteration from a feasible point.
+def _active_set_loop(problem: QpProblem, y: np.ndarray, max_iter: int | None = None):
+    """Primal active-set iteration from a feasible point y.
 
-    `factors` is (live, Q, T0) from _independent_factors of the rows
-    A[order], the equality rows first; the working set starts as the rows
-    it kept, and Q and a copy of T0 are updated as rows join and
-    leave (Gill, Golub, Murray & Saunders 1974).  Joining rows go last.
-    A leaving row costs a re-triangularization of the rows after it, and
-    Bland's rule drops low indices first, so solve_qp puts the start's
-    inequality rows in decreasing index.  Each iteration moves
+    The working set starts as the rows at y that solve_qp describes,
+    factored by _independent_factors, and its Q and T are updated as
+    rows join and leave (Gill, Golub, Murray & Saunders 1974).  Joining
+    rows go last; a leaving row costs a re-triangularization of the rows
+    after it.  max_iter defaults to solve_qp's cap.  Each iteration moves
     toward the working-set minimizer y_hat, or along a ray of unbounded
     descent, up to the first blocking row, which joins; a row that the
     start's independence test would drop does not block.  When no row
@@ -359,16 +352,18 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, order, factors, max_iter
     iterations, (working, Q, T)): the final working rows and their factors.
     """
     A, b, H, c, r, n = problem.A, problem.b, problem.H, problem.c, problem.n_ineq, problem.n_var
-    live, Q, T0 = factors
+    if max_iter is None:
+        max_iter = max(200, 30 * (problem.n_con + 1))
+    candidates = np.flatnonzero(problem.A_ineq @ y + problem.b_ineq >= -1e-9)
+    order = np.concatenate([np.arange(r, problem.n_con), candidates[::-1]])
+    live, Q, T0 = _independent_factors(A[order], problem.n_eq)
     working = order[live].tolist()
     T = np.zeros((n, n))  # T[:m, :m] is R^-1 for the m working rows
-    T[: len(working), : len(working)] = T0
-    in_w = np.zeros(r, dtype=bool)
-    in_w[[i for i in working if i < r]] = True
+    T[: live.size, : live.size] = T0
     for it in range(max_iter):
         idx = np.array(working, dtype=int)
         m = idx.size
-        y_hat, ray, multipliers = _working_subproblem(H, c, A[idx], b[idx], y, Q, T[:m, :m])
+        y_hat, ray = _working_subproblem(H, c, A[idx], b[idx], y, Q, T[:m, :m])
         p = y_hat - y if ray is None else ray
         step = float(np.abs(p).max(initial=0.0))  # NaN when p holds one
         if not math.isfinite(step):
@@ -378,7 +373,7 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, order, factors, max_iter
             i = -1
             if r:  # ratio test over the inequality rows not in the working set
                 s = problem.A_ineq @ p
-                s[in_w] = 0.0
+                s[idx[idx < r]] = 0.0
                 can = s > 1e-13 * max(1.0, float(np.abs(s).max()))
                 # t[0], the unit step (none along a ray), wins ties; then the lowest index
                 t = np.full(r + 1, 1.0 if ray is None else np.inf)
@@ -397,13 +392,12 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, order, factors, max_iter
                 T[:m, m] = (T[:m, :m] @ (Q[:, :m].T @ A[i])) / -beta
                 T[m, m] = 1.0 / beta
                 working.append(i)
-                in_w[i] = True
                 continue
             if ray is not None:
                 raise Unbounded("objective decreases without bound along a feasible ray")
 
         # y_hat minimizes over the working set: check multiplier signs
-        lam_w = multipliers(y_hat)
+        lam_w = -(T[:m, :m] @ (Q[:, :m].T @ (H @ y_hat + c)))  # A_w' lam_w = -(H y_hat + c)
         if not np.isfinite(lam_w).all():
             raise MaxIterations("working-set multipliers are not finite: the data are too large")
         negative = idx[(idx < r) & (lam_w < -_DROP_TOL)]
@@ -418,20 +412,20 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, order, factors, max_iter
             T[:m, j:m] = T[:m, j:m] @ q
         T[j : m - 1] = T[j + 1 : m]  # the new R^-1 is T q without row j
         T[m - 1] = T[:, m - 1] = 0.0
-        in_w[working.pop(j)] = False
+        working.pop(j)
         y = y_hat
     raise MaxIterations(f"active-set method did not converge in {max_iter} iterations")
 
 
-def _phase1(problem: QpProblem):
-    """Find a feasible point and the equality rows' factors, or raise Infeasible.
+def _phase1(problem: QpProblem) -> np.ndarray:
+    """Find a feasible point, or raise Infeasible.
 
     Equalities hold at the min-norm point of their independent rows; an
     auxiliary QP, min 0.5 t^2 subject to A_ineq y + b_ineq <= t, solved by
-    the same loop on the same factors, drives any violation left to 0.
+    the same loop, drives any violation left to 0.
     """
     n, r = problem.n_var, problem.n_ineq
-    live, Q, T = eq = _independent_factors(problem.A_eq, problem.n_eq)
+    live, Q, T = _independent_factors(problem.A_eq, problem.n_eq)
     y0 = np.zeros(n)
     if problem.n_eq:
         y0 = -(Q[:, : live.size] @ (T.T @ problem.b_eq[live]))
@@ -440,19 +434,17 @@ def _phase1(problem: QpProblem):
             raise Infeasible("equality constraints are inconsistent")
     viol = float((problem.A_ineq @ y0 + problem.b_ineq).max(initial=0.0))
     if viol <= TOL_FEAS:
-        return y0, eq
+        return y0
     H1 = np.diag(np.append(np.zeros(n), 1.0))
     A1 = np.hstack([problem.A, np.where(np.arange(problem.n_con) < r, -1.0, 0.0)[:, None]])
     aux = QpProblem(H1, np.zeros(n + 1), A1[:r], problem.b_ineq, A1[r:], problem.b_eq)
     del A1  # aux.A is a copy; freeing A1 keeps the phase-1 loop's peak memory down
+    # t clears every violation, so the loop starts on the equality rows alone
     start = np.concatenate([y0, [viol * (1.0 + 1e-3) + 1e-6]])
-    Q1 = np.eye(n + 1)  # the equality rows' factors with the t column added
-    Q1[:n, :n] = Q
-    max_iter = max(200, 30 * (aux.n_con + 1))
-    y_aux = _active_set_loop(aux, start, np.arange(r, aux.n_con), (live, Q1, T), max_iter)[0]
+    y_aux = _active_set_loop(aux, start)[0]
     if y_aux[n] > 1e-9:
         raise Infeasible(f"no feasible point (minimal constraint violation {y_aux[n]:.3e})")
-    return y_aux[:n], eq
+    return y_aux[:n]
 
 
 def _usable_start(problem: QpProblem, start) -> np.ndarray | None:
@@ -483,11 +475,12 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
         within TOL_FEAS; any other start is ignored and phase 1 runs as
         without one.  Either way the working set starts as the
         independent constraints active at the starting point, so a start
-        close to the optimum needs few iterations.  The equality rows
-        come first, then the active inequality rows in decreasing index:
-        Bland's rule drops the lowest index, and a row dropped near the
-        tail of the factors leaves few rows after it to re-triangularize.
-        Of two dependent start rows the higher index is kept.
+        close to the optimum needs few iterations.  These start rows are
+        the equality rows, then the inequality rows within 1e-9 of
+        active (g_i >= -1e-9) in decreasing index: Bland's rule drops the
+        lowest index, and a row dropped near the tail of the factors
+        leaves few rows after it to re-triangularize.  Of two dependent
+        start rows the later one in this order is dropped.
 
     Returns
     -------
@@ -503,17 +496,11 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     DimensionMismatch
         When start does not have shape (n_var,).
     """
-    if max_iter is None:
-        max_iter = max(200, 30 * (problem.n_con + 1))
     y0 = None if start is None else _usable_start(problem, start)
     phase1 = y0 is None
     if phase1:
-        y0, factors = _phase1(problem)  # the equality rows' factors
-    candidates = np.flatnonzero(problem.A_ineq @ y0 + problem.b_ineq >= -1e-9)
-    order = np.concatenate([np.arange(problem.n_ineq, problem.n_con), candidates[::-1]])
-    if candidates.size or not phase1:
-        factors = _independent_factors(problem.A[order], problem.n_eq)
-    y, lam, iterations, factors = _active_set_loop(problem, y0, order, factors, max_iter)
+        y0 = _phase1(problem)
+    y, lam, iterations, factors = _active_set_loop(problem, y0, max_iter)
     res = kkt_residuals(problem, y, lam)
     c_inf = float(np.abs(problem.c).max(initial=0.0))
     if not res.within_default_tolerances(c_inf, float(np.abs(lam).max(initial=0.0))):
@@ -529,3 +516,44 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
             "objective value at the KKT point is not finite: the data are too large"
         )
     return KktSolution(y, lam, value, iterations, phase1, problem, *factors)
+
+
+def adjoint(solution: KktSolution, g: np.ndarray):
+    """Solve [[H, A'], [A, 0]] (u, nu) = (g, 0) for the final working rows A.
+
+    The solve runs on the solution's factors A' = Q[:, :m] T^-1 (Nocedal
+    & Wright, section 16.2): u = Z (Z'HZ)^-1 Z' g with Z = Q[:, m:], and
+    nu = T Y'(g - H u) with Y = Q[:, :m].  Returns (u, nu), with nu in
+    the order of solution.working, or None if Z'HZ is singular.
+    """
+    H, Q, T = solution.problem.H, solution.Q, solution.T
+    m = T.shape[0]
+    Y, Z = Q[:, :m], Q[:, m:]
+    u = np.zeros(H.shape[0])
+    if Z.shape[1]:
+        try:
+            u = Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ g)
+        except np.linalg.LinAlgError:
+            return None
+    return u, T @ (Y.T @ (g - H @ u))
+
+
+def licq_margin(solution: KktSolution, active) -> float:
+    """Smallest |R_jj| / |a_j| over the active rows: each row's residual off those before it.
+
+    The working rows come first, R = T^-1 from the solver; the other
+    active rows follow, factored in the working rows' null space Q[:, m:].
+    More of them than its dimension leave a zero residual.
+    """
+    A, working, Q, T = solution.problem.A, solution.working, solution.Q, solution.T
+    m, live = working.size, set(working.tolist())
+    extra = np.array([i for i in active if i not in live], dtype=int)
+    if extra.size > Q.shape[1] - m:
+        return 0.0
+    resid = 1.0 / np.abs(T.diagonal())
+    if extra.size:
+        R = np.linalg.qr(Q[:, m:].T @ A[extra].T, mode="r")
+        resid = np.append(resid, np.abs(R.diagonal()))
+    norms = row_norms(A[np.append(working, extra)])
+    ratio = np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0.0)  # a zero row fails
+    return float(ratio.min(initial=np.inf))

@@ -61,27 +61,6 @@ class AuxiliaryProblem:
         return self.B.shape[1]
 
 
-def _licq_margin(problem: QpProblem, solution: KktSolution, active) -> float:
-    """Smallest |R_jj| / |a_j| over the active rows: each row's residual off those before it.
-
-    The working rows come first, R = T^-1 from the solver; the other
-    active rows follow, factored in the working rows' null space Q[:, m:].
-    More of them than its dimension leave a zero residual.
-    """
-    working, Q, T = solution.working, solution.Q, solution.T
-    m, live = working.size, set(working.tolist())
-    extra = np.array([i for i in active if i not in live], dtype=int)
-    if extra.size > Q.shape[1] - m:
-        return 0.0
-    resid = 1.0 / np.abs(T.diagonal())
-    if extra.size:
-        R = np.linalg.qr(Q[:, m:].T @ problem.A[extra].T, mode="r")
-        resid = np.append(resid, np.abs(R.diagonal()))
-    norms = qp.row_norms(problem.A[np.append(working, extra)])
-    ratio = np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0.0)  # a zero row fails
-    return float(ratio.min(initial=np.inf))
-
-
 def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) -> AuxiliaryProblem:
     """Assemble the directional-derivative QP data at a solved point.
 
@@ -97,7 +76,7 @@ def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) ->
     x = np.asarray(x, dtype=float)
     problem = solution.problem
     structure = classify_active(problem, solution)
-    margin = _licq_margin(problem, solution, structure.active)
+    margin = qp.licq_margin(solution, structure.active)
     if not margin > qp.TOL_INDEP:
         raise RegularityFailure(
             f"active constraint gradients are dependent (LICQ margin {margin:.3e})"

@@ -409,11 +409,16 @@ def test_config_file_values_of_flag_types_accepted(tmp_path, capsys):
         ("attack", "--synth-n", 20, "--tol-improve", "inf"),
         # a config file naming the removed direction knobs: unknown keys
         ("attack", "--synth-n", 20, "--config", {"num_random_dirs": 8, "random_probe": True}),
+        # negative seeds, by flag and by config file
+        ("sensitivity-check", "--seed", -1),
+        ("attack", "--synth-n", 20, "--seed", -1),
+        ("sensitivity-check", "--config", {"seed": -1}),
     ],
     ids=[
         "trials", "tol", "attack-delta", "compare-delta", "quadratic-delta", "svm-c", "box",
         "target-nan", "target-inf", "bounds-nan", "attack-target-overflow",
         "compare-target-overflow", "tol-target-nan", "tol-improve-inf", "removed-keys",
+        "sensitivity-seed", "attack-seed", "config-seed",
     ],
 )
 def test_rejected_run_creates_no_output(tmp_path, capsys, argv):
@@ -425,6 +430,14 @@ def test_rejected_run_creates_no_output(tmp_path, capsys, argv):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_negative_seed_message_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    for argv in (("train", "--seed", -1), ("sensitivity-check", "--config", cfg)):
+        assert run_cli(*argv, "--out", tmp_path / "run") == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
 
 
 @pytest.mark.parametrize(

@@ -464,26 +464,37 @@ def test_start_rows_are_in_decreasing_index():
 ROW_KINDS = ["fresh", "dup", "scaled", "zero"]
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_var=st.integers(1, 4),
     eq_kinds=st.lists(st.sampled_from(ROW_KINDS), max_size=3),
     ineq_kinds=st.lists(st.sampled_from(ROW_KINDS), max_size=6),
     rank_h=st.integers(0, 4),
+    near_singular=st.booleans(),
 )
-def test_degenerate_rows_give_kkt_point_or_typed_error(seed, n_var, eq_kinds, ineq_kinds, rank_h):
-    """Duplicated, scaled and zero rows, and PSD H of any rank.
+def test_degenerate_rows_give_kkt_point_or_typed_error(
+    seed, n_var, eq_kinds, ineq_kinds, rank_h, near_singular
+):
+    """Duplicated, scaled and zero rows, and PSD H of any rank or near-singular.
 
     Each row is fresh, a copy or a scaled copy of an earlier row of
     either block, or zero.  The rows hold at a known point, half of the
     inequalities with zero slack, so copies are active there together.
-    Cold and warm from that point, solve_qp returns a point within the
-    KKT tolerances or raises a SemipoisonError.
+    A near-singular H has largest eigenvalue 1 and the others log-uniform
+    down to 1e-13.  Cold and warm from that point, solve_qp returns a
+    point within the KKT tolerances or raises a SemipoisonError.
     """
     rng = np.random.default_rng(seed)
-    M = rng.standard_normal((min(rank_h, n_var), n_var))
-    H, c = M.T @ M, rng.standard_normal(n_var)
+    if near_singular:
+        U = np.linalg.qr(rng.standard_normal((n_var, n_var)))[0]
+        eigs = 10.0 ** rng.uniform(-13.0, 0.0, n_var)
+        eigs[0] = 1.0
+        H = (U * eigs) @ U.T
+    else:
+        M = rng.standard_normal((min(rank_h, n_var), n_var))
+        H = M.T @ M
+    c = rng.standard_normal(n_var)
     rows = []
     for kind in eq_kinds + ineq_kinds:
         if kind == "zero":

@@ -7,7 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from semipoison import errors, qp, sensitivity
-from semipoison.attack import AttackConfig, gradient_baseline_step
+from semipoison.attack import (
+    AttackConfig,
+    _ObjectiveDerivative,
+    gradient_baseline_step,
+    objective,
+)
 from semipoison.qp import KktSolution, QpProblem, classify_active, solve_qp
 from semipoison.sensitivity import (
     build_auxiliary,
@@ -304,6 +309,33 @@ def test_aux_unbounded_when_second_order_condition_fails():
     aux = build_auxiliary(model, x, sol)
     with pytest.raises(errors.AuxUnbounded):
         semi_derivative(aux, np.array([0.0, 1.0]))
+
+
+def test_singular_adjoint_scores_by_aux_then_fd():
+    """A flat Z'HZ: no adjoint, so each direction goes to the aux QP, then to FD.
+
+    At x = (0.3, 0) the objective |y - (0, 1)|^2 has grad_y = (0.6, -2).
+    Along +-e1 the aux QP gives dy = +-e1; along e2 it is unbounded, and
+    the FD re-solve then meets the same flat direction and raises.
+    """
+    model = flat_direction_model()
+    x = np.array([0.3, 0.0])
+    sol = solve_victim(model, x)
+    selector, target = np.eye(2), np.array([0.0, 1.0])
+    ev = _ObjectiveDerivative(model, x, sol, selector, target, objective(sol.y, target))
+    assert qp.adjoint(sol, ev.grad_y) is None and ev.gradient is None
+    values, routes = ev.dG(0, np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    assert_allclose(values, [0.6, -0.6], rtol=1e-12)
+    assert routes == ["aux", "aux"]
+    e2 = np.array([0.0, 1.0])
+    with pytest.raises(errors.AuxUnbounded):
+        semi_derivative(ev.aux, e2)
+    fd_calls = []
+    fd = ev._finite_difference
+    ev._finite_difference = lambda dx: fd_calls.append(dx) or fd(dx)
+    with pytest.raises(errors.Unbounded):
+        ev.dG(0, e2[None])
+    assert len(fd_calls) == 1
 
 
 def test_gradient_baseline_raises_singular_hessian_on_flat_direction():
