@@ -390,16 +390,6 @@ class _ObjectiveDerivative:
         return -g / nrm if nrm > 0.0 else None
 
 
-def objective_derivative(model: VictimModel, x, dx, config: AttackConfig, *,
-                         solution: KktSolution | None = None) -> float:
-    """One-sided directional derivative of the attack objective along dx."""
-    x = np.asarray(x, dtype=float)
-    selector, sol, value = _prepare(model, config, x, solution)
-    ev = _ObjectiveDerivative(model, x, sol, selector, config.target, value)
-    vals, _ = ev.dG(0, np.asarray(dx, dtype=float).reshape(1, -1))  # one point: all of x
-    return float(vals[0])
-
-
 def _try_step(model, x, solution, d, dg, value, config, x_base, selector):
     """Trial steps along d until the objective strictly decreases.
 
@@ -500,42 +490,6 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
     raise Stalled("no candidate direction decreases the objective", certificate=certificate)
 
 
-def _prepare(model, config, x, solution=None):
-    """Selector, solution at x and its objective value.
-
-    Solves the victim at x unless solution is given.  Raises ValueError
-    when the objective is not finite.
-    """
-    selector = config.resolve_selector(model.dim_var)
-    sol = solution if solution is not None else solve_victim(model, x)
-    value = objective(selector @ sol.y, config.target)
-    if not np.isfinite(value):
-        raise ValueError(f"objective at the data is {value}; the target is out of range")
-    return selector, sol, value
-
-
-def _one_round(round_fn, x, model, config, x_base, rng, solution, k):
-    """One round of round_fn at x, outside a driver; returns (x, solution, record)."""
-    x = np.asarray(x, dtype=float)
-    x_base = x if x_base is None else np.asarray(x_base, dtype=float)
-    selector, sol, value = _prepare(model, config, x, solution)
-    return round_fn(model, x, value, sol, config, x_base=x_base, rng=rng, k=k, selector=selector)
-
-
-def attack_step(x, model: VictimModel, config: AttackConfig, *, x_base=None, rng=None,
-                solution: KktSolution | None = None, k: int = 1):
-    """One attack iteration: probe, select a point, direction search, step.
-
-    Returns (x_next, record).  x_base is the pristine data anchoring the
-    budget ball and defaults to x itself.  Raises ValueError on a
-    non-finite objective, Stalled when no sampled direction descends and
-    EmptyDirectionSet when no point can move; solver errors propagate.
-    """
-    rng = np.random.default_rng(config.seed) if rng is None else rng
-    x_next, _, record = _one_round(_attack_round, x, model, config, x_base, rng, solution, k)
-    return x_next, record
-
-
 def _drive(x_bar, model: VictimModel, config: AttackConfig, round_fn) -> AttackTrace:
     """Repeat round_fn from pristine data until a stopping rule fires.
 
@@ -549,7 +503,11 @@ def _drive(x_bar, model: VictimModel, config: AttackConfig, round_fn) -> AttackT
         raise DimensionMismatch(
             f"dim_data {model.dim_data} is not a multiple of point_dim {config.point_dim}"
         )
-    selector, sol, value = _prepare(model, config, x_bar)
+    selector = config.resolve_selector(model.dim_var)
+    sol = solve_victim(model, x_bar)
+    value = objective(selector @ sol.y, config.target)
+    if not np.isfinite(value):
+        raise ValueError(f"objective at the data is {value}; the target is out of range")
     points = x_bar.reshape(-1, config.point_dim)
     if config.box_lo is not None and np.any((points < config.box_lo) | (points > config.box_hi)):
         raise ValueError("pristine data violates the box bounds")
@@ -627,20 +585,6 @@ def _gradient_round(model, x, value, solution, config, *, x_base, rng, k, select
         route="grad",
     )
     return trial, sol_new, record
-
-
-def gradient_baseline_step(x, model: VictimModel, config: AttackConfig, *, x_base=None,
-                           solution: KktSolution | None = None, k: int = 1):
-    """One projected step of the classical gradient attack.
-
-    Treats the trained parameters as an unconstrained stationary point,
-    moves the whole data vector down the resulting gradient, and projects
-    back into the ball and box.  Comparison baseline only.  Returns
-    (x_next, record, solution).  Raises ValueError, SingularHessian, and
-    Stalled when the gradient vanishes or no trial length decreases it.
-    """
-    x_next, sol, record = _one_round(_gradient_round, x, model, config, x_base, None, solution, k)
-    return x_next, record, sol
 
 
 def run_gradient_baseline(x_bar, model: VictimModel, config: AttackConfig) -> AttackTrace:

@@ -195,9 +195,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
 def _prepare_out(resolved: dict) -> Path:
     """Create the output directory and write the resolved configuration into it."""
     out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
     text = json.dumps(resolved, indent=2, sort_keys=True)
-    (out / "config.json").write_text(text + "\n", encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.json").write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write output directory {out}: {exc.strerror}") from None
     return out
 
 

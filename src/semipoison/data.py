@@ -86,12 +86,12 @@ def load_csv(path) -> Dataset:
     """Parse a dataset file and compute its normalization statistics.
 
     The file must start with the exact header
-    ``lateral_velocity,space_headway,label``; both LF and CRLF endings
-    parse identically.  Row numbers in diagnostics count the header as
+    ``lateral_velocity,space_headway,label``, after an optional UTF-8 BOM;
+    LF and CRLF endings parse identically.  Row numbers count the header as
     row 1.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with fh:

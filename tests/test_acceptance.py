@@ -6,15 +6,15 @@ capture) in addition to the usual pytest outcome.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from semipoison.attack import (
     AttackConfig,
-    attack_step,
     convergence_check,
-    gradient_baseline_step,
+    project_to_feasible,
     run_attack,
     run_gradient_baseline,
 )
@@ -104,7 +104,7 @@ def svm_runs():
 
 @pytest.fixture(scope="module")
 def boxed_iterates():
-    """Stepwise box-constrained SVM attack, every iterate kept."""
+    """Box-constrained SVM attack, every iterate rebuilt from its trace."""
     data, model, config = svm_scenario(SCENARIO_SEED)
     lo, hi = normalized_box([-3.0, 5.0], [3.0, 60.0], data)
     config = AttackConfig(
@@ -120,20 +120,13 @@ def boxed_iterates():
         seed=SCENARIO_SEED,
     )
     x_bar = data.features.ravel()
-    rng = np.random.default_rng(config.seed)
-    sol = solve_victim(model, x_bar)
+    trace = run_attack(x_bar, model, replace(config, tol_improve=0.0))
     iterates = []
     x = x_bar
-    from semipoison.errors import EmptyDirectionSet, Stalled
-
-    for k in range(1, config.max_iters + 1):
-        try:
-            x, record = attack_step(x, model, config, x_base=x_bar, rng=rng, k=k)
-        except (Stalled, EmptyDirectionSet):
-            break
+    for record in trace.records:
+        x = project_to_feasible(x + record.step * record.direction, x_bar, config.delta, lo, hi)
         iterates.append(x)
-        if record.objective_value <= config.tol_target:
-            break
+    assert np.array_equal(x, trace.x_final)
     lo_full = np.tile(lo, len(x_bar) // 2)
     hi_full = np.tile(hi, len(x_bar) // 2)
     return x_bar, iterates, config, lo_full, hi_full
@@ -184,9 +177,9 @@ def test_criterion_3_reduction_to_classical_gradient(capsys):
             seed=seed,
         )
         x = 0.3 * np.ones(model.dim_data)
-        rng = np.random.default_rng(seed)
-        _, rec_semi = attack_step(x, model, config, x_base=x, rng=rng)
-        _, rec_grad, _ = gradient_baseline_step(x, model, config, x_base=x)
+        one_round = replace(config, max_iters=1)
+        rec_semi = run_attack(x, model, one_round).records[0]
+        rec_grad = run_gradient_baseline(x, model, one_round).records[0]
         worst = max(worst, float(np.abs(rec_semi.direction - rec_grad.direction).max()))
     passed = worst <= 1e-8
     verdict(capsys, 3, passed, f"unconstrained direction gap {worst:.2e} <= 1e-8 over 5 seeds")

@@ -1,6 +1,7 @@
 """Attack engine: direction search, stepping, stopping rules, baseline."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +16,9 @@ from semipoison.attack import (
     AttackTrace,
     RANDOM_DIRS,
     StepRecord,
-    attack_step,
     convergence_check,
     feasible_directions,
-    gradient_baseline_step,
     objective,
-    objective_derivative,
     project_to_feasible,
     run_attack,
     run_gradient_baseline,
@@ -31,7 +29,6 @@ from semipoison.data import normalize, synth_lane_change
 from semipoison.errors import (
     DimensionMismatch,
     EmptyDirectionSet,
-    Stalled,
 )
 from semipoison.qp import classify_active, solve_qp
 from semipoison.sensitivity import semi_derivative
@@ -304,34 +301,44 @@ def test_projection_with_a_per_point_box_equals_the_tiled_box():
 # ---------------------------------------------------------------------------
 
 
-def test_kink_objective_derivatives():
+def kink_derivatives(x, target, V):
+    """Objective derivatives of the 1-D kink fixture at x along the rows of V."""
     model = kink_projection_model()
-    cfg = kink_config()
-    x = np.zeros(1)
-    assert objective_derivative(model, x, np.array([1.0]), cfg) == pytest.approx(-2.0, abs=1e-12)
-    assert objective_derivative(model, x, np.array([-1.0]), cfg) == pytest.approx(0.0, abs=1e-12)
+    sol = solve_victim(model, x)
+    value = objective(sol.y, target)
+    vals, _ = _ObjectiveDerivative(model, x, sol, np.eye(1), target, value).dG(0, V)
+    return vals
+
+
+def test_kink_objective_derivatives():
+    vals = kink_derivatives(np.zeros(1), np.array([1.0]), np.array([[1.0], [-1.0]]))
+    assert vals[0] == pytest.approx(-2.0, abs=1e-12)
+    assert vals[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_attained_target_has_zero_derivative():
-    model = kink_projection_model()
-    cfg = kink_config(target=np.array([0.7]))
-    x = np.array([0.7])
-    for dx in (np.array([1.0]), np.array([-1.0]), np.array([0.3])):
-        assert objective_derivative(model, x, dx, cfg) == pytest.approx(0.0, abs=1e-9)
+    vals = kink_derivatives(np.array([0.7]), np.array([0.7]), np.array([[1.0], [-1.0], [0.3]]))
+    assert np.abs(vals).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
-# single steps
+# first rounds
 # ---------------------------------------------------------------------------
+
+
+def first_record(run, x, model, cfg):
+    """The record of the first round of run from x."""
+    return run(x, model, replace(cfg, max_iters=1)).records[0]
 
 
 def test_kink_first_step_is_curvature_scaled():
     model = kink_projection_model()
-    cfg = kink_config()  # curvature bound 2, so the step is -(-2)/2 = 1
-    x_next, record = attack_step(np.zeros(1), model, cfg)
+    cfg = kink_config(max_iters=1)  # curvature bound 2, so the step is -(-2)/2 = 1
+    trace = run_attack(np.zeros(1), model, cfg)
+    record = trace.records[0]
     assert record.direction[0] == 1.0
     assert record.step == pytest.approx(1.0)
-    assert x_next[0] == pytest.approx(1.0)
+    assert trace.x_final[0] == pytest.approx(1.0)
     assert record.objective_value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -339,10 +346,11 @@ def test_step_at_optimum_stalls_with_zero_certificate():
     model = kink_projection_model()
     x = np.array([0.6])
     sol = solve_victim(model, x)
-    cfg = kink_config(target=np.array([sol.y[0]]))
-    with pytest.raises(Stalled) as err:
-        attack_step(x, model, cfg)
-    assert err.value.certificate == 0.0
+    # a negative tol_target lets a round run at G = 0
+    cfg = kink_config(target=np.array([sol.y[0]]), tol_target=-1.0)
+    trace = run_attack(x, model, cfg)
+    assert trace.reason == "stalled" and trace.records == []
+    assert trace.stall_certificate == 0.0
 
 
 def test_gradient_baseline_step_matches_attack_direction_unconstrained():
@@ -352,8 +360,8 @@ def test_gradient_baseline_step_matches_attack_direction_unconstrained():
     cfg = AttackConfig(
         target=target, delta=10.0, point_dim=2, curvature_bound=5.0, step_mode="fixed-L"
     )
-    _, rec_semi = attack_step(x, model, cfg)
-    _, rec_grad, _ = gradient_baseline_step(x, model, cfg)
+    rec_semi = first_record(run_attack, x, model, cfg)
+    rec_grad = first_record(run_gradient_baseline, x, model, cfg)
     assert np.abs(rec_semi.direction - rec_grad.direction).max() < 1e-8
     assert rec_semi.derivative == pytest.approx(rec_grad.derivative, rel=1e-8)
 
@@ -361,9 +369,9 @@ def test_gradient_baseline_step_matches_attack_direction_unconstrained():
 def test_gradient_baseline_stalls_when_data_only_enters_constraints():
     model = bound_tracking_model()
     cfg = AttackConfig(target=np.array([0.5]), delta=2.0, curvature_bound=2.0)
-    with pytest.raises(Stalled) as err:
-        gradient_baseline_step(np.zeros(1), model, cfg)
-    assert err.value.certificate == 0.0
+    trace = run_gradient_baseline(np.zeros(1), model, cfg)
+    assert trace.reason == "stalled" and trace.records == []
+    assert trace.stall_certificate == 0.0
 
 
 def test_semi_derivative_attack_descends_where_baseline_stalls():
@@ -529,7 +537,7 @@ def test_aux_round_scores_each_point_row_once(monkeypatch):
 
     monkeypatch.setattr(attack_module, "semi_derivative", counting_semi)
     monkeypatch.setattr(_ObjectiveDerivative, "dG", recording_dG)
-    _, record = attack_step(np.zeros(4), model, cfg)
+    record = first_record(run_attack, np.zeros(4), model, cfg)
     assert record.route == "aux" and record.point == 0
     # the 8 probe rows, then point 0's 4 axis rows (cached) and its random rows
     assert len(scored) == 8 + 4 + RANDOM_DIRS
@@ -598,7 +606,7 @@ def test_gradient_baseline_matches_dense_kkt_solve():
     assert list(sol.working) == []
     target = sol.y + np.array([0.5, -0.2, 0.1])
     cfg = AttackConfig(target=target, delta=10.0, point_dim=2, curvature_bound=5.0)
-    _, record, _ = gradient_baseline_step(x, model, cfg)
+    record = first_record(run_gradient_baseline, x, model, cfg)
     want = dense_kkt_gradient(H, np.zeros((0, 3)), cross, 2.0 * (sol.y - target))
     # the step's direction is -grad / |grad| and its derivative -|grad|
     got = record.direction * record.derivative
@@ -606,11 +614,11 @@ def test_gradient_baseline_matches_dense_kkt_solve():
     assert check_linear_route(model, x, sol, np.eye(3), target) == 3
 
 
-@pytest.mark.parametrize("step", [attack_step, gradient_baseline_step])
-def test_single_steps_reject_an_overflowing_objective(step):
+@pytest.mark.parametrize("run", [run_attack, run_gradient_baseline])
+def test_drivers_reject_an_overflowing_objective(run):
     cfg = AttackConfig(target=[1e200, 0, 0], delta=1.0, point_dim=2)
     with pytest.raises(ValueError, match="out of range"):
-        step(np.full(2, 0.3), generic_parametric_qp(0, 3, 2, 0, 0), cfg)
+        run(np.full(2, 0.3), generic_parametric_qp(0, 3, 2, 0, 0), cfg)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 4])

@@ -432,6 +432,22 @@ def test_rejected_run_creates_no_output(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize(
+    "argv",
+    [("train", "--synth-n", 20), ("attack", "--synth-n", 8, "--max-iters", 2)],
+    ids=["train", "attack"],
+)
+def test_out_naming_a_file_is_validation_error(tmp_path, capsys, argv, under):
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    out = afile / "sub" if under else afile
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output directory ") and str(out) in err
+    assert afile.read_text() == "keep\n"
+
+
 def test_negative_seed_message_names_the_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": -1}))

@@ -46,8 +46,10 @@ def test_load_well_formed(tmp_path):
 def test_crlf_parses_identically(tmp_path):
     lf = load_csv(write(tmp_path, WELL_FORMED, "lf.csv"))
     crlf = load_csv(write(tmp_path, WELL_FORMED.replace("\n", "\r\n"), "crlf.csv"))
-    assert np.array_equal(lf.features, crlf.features)
-    assert np.array_equal(lf.labels, crlf.labels)
+    bom = load_csv(write(tmp_path, "\ufeff" + WELL_FORMED.replace("\n", "\r\n"), "bom.csv"))
+    for other in (crlf, bom):
+        assert np.array_equal(lf.features, other.features)
+        assert np.array_equal(lf.labels, other.labels)
 
 
 def test_zero_label_is_rejected_with_row_number(tmp_path):

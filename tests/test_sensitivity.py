@@ -10,8 +10,8 @@ from semipoison import errors, qp, sensitivity
 from semipoison.attack import (
     AttackConfig,
     _ObjectiveDerivative,
-    gradient_baseline_step,
     objective,
+    run_gradient_baseline,
 )
 from semipoison.qp import KktSolution, QpProblem, classify_active, solve_qp
 from semipoison.sensitivity import (
@@ -341,7 +341,7 @@ def test_singular_adjoint_scores_by_aux_then_fd():
 def test_gradient_baseline_raises_singular_hessian_on_flat_direction():
     config = AttackConfig(target=np.zeros(2), delta=1.0, point_dim=2)
     with pytest.raises(errors.SingularHessian):
-        gradient_baseline_step(np.array([0.3, 0.0]), flat_direction_model(), config)
+        run_gradient_baseline(np.array([0.3, 0.0]), flat_direction_model(), config)
 
 
 def test_fd_directional_derivative_validation():
