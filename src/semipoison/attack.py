@@ -326,7 +326,6 @@ class _ObjectiveDerivative:
         self.grad_y = 2.0 * (selector.T @ (selector @ solution.y - target))
         self.aux = None
         self.gradient = None
-        self._cache: dict[tuple[int, bytes], tuple[float, str]] = {}
         try:
             aux = build_auxiliary(model, self.x, solution)
         except RegularityFailure:
@@ -351,7 +350,7 @@ class _ObjectiveDerivative:
         Row V[i] moves point owner[i] (an index array, or one index for all
         rows) in its V.shape[1] coordinates.  The linear route reads the
         owner's slice of the gradient; the aux and fd routes expand each
-        row to full length and cache its value by (point, row bytes).
+        row to full length and pay one auxiliary QP or re-solve for it.
         """
         if self.gradient is not None:
             G = self.gradient.reshape(-1, V.shape[1])
@@ -361,18 +360,14 @@ class _ObjectiveDerivative:
         return np.array([v for v, _ in scored], dtype=float), [r for _, r in scored]
 
     def _per_direction(self, p, v) -> tuple[float, str]:
-        key = (p, v.tobytes())
-        if key not in self._cache:
-            dx = np.zeros(self.x.size)
-            dx[_point_slots(p, v.size)] = v
-            out = None
-            if self.aux is not None:
-                try:
-                    out = (float(self.grad_y @ semi_derivative(self.aux, dx)), "aux")
-                except (AuxInfeasible, AuxUnbounded):
-                    pass
-            self._cache[key] = out or (self._finite_difference(dx), "fd")
-        return self._cache[key]
+        dx = np.zeros(self.x.size)
+        dx[_point_slots(p, v.size)] = v
+        if self.aux is not None:
+            try:
+                return float(self.grad_y @ semi_derivative(self.aux, dx)), "aux"
+            except (AuxInfeasible, AuxUnbounded):
+                pass
+        return self._finite_difference(dx), "fd"
 
     def _finite_difference(self, dx):
         sol = solve_victim(self.model, self.x + FD_OBJECTIVE_STEP * dx, warm=self.solution)
@@ -386,19 +381,23 @@ class _ObjectiveDerivative:
         if self.gradient is None:
             return None
         g = self.gradient[_point_slots(p, point_dim)]
-        nrm = float(np.linalg.norm(g))
+        with np.errstate(over="ignore"):
+            nrm = float(np.linalg.norm(g))
+        if nrm == np.inf:  # |g|^2 overflowed: take the row from a scaled copy
+            g = g / np.abs(g).max()
+            nrm = float(np.linalg.norm(g))
         return -g / nrm if nrm > 0.0 else None
 
 
-def _try_step(model, x, solution, d, dg, value, config, x_base, selector):
+def _try_step(model, x, solution, d, dg, value, config, x_base, selector, *, k, point, route):
     """Trial steps along d until the objective strictly decreases.
 
     Each trial re-solves the victim warm from solution, the one at x.
     The first trial is at most the ball's diameter long: a longer one
     projects onto the boundary too, and halving it re-solves near there.
-    Returns (x_new, solution, value_new, step) or None when rejected,
-    also when the first trial step overflows: halving never makes inf
-    smaller than MIN_STEP.
+    Returns (x_new, solution, record), record being iteration k's
+    StepRecord, or None when rejected, also when the first trial step
+    overflows: halving never makes inf smaller than MIN_STEP.
     """
     eta = -dg / config.curvature_bound  # positive: callers pass dg < 0
     if not np.isfinite(eta):
@@ -412,7 +411,8 @@ def _try_step(model, x, solution, d, dg, value, config, x_base, selector):
             sol = solve_victim(model, trial, warm=solution)
             val = objective(selector @ sol.y, config.target)
             if val < value:
-                return trial, sol, val, eta
+                distance = float(np.linalg.norm(trial - x_base))
+                return trial, sol, StepRecord(k, val, point, d, dg, eta, distance, route)
         if config.step_mode == "fixed-L":
             return None
         eta *= 0.5
@@ -439,10 +439,11 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
     V = np.tile(_axis_rows(pd), (n_points, 1))
     owner = np.repeat(np.arange(n_points), 2 * pd)  # each point's +/- axes, consecutively
     ok = _feasible_mask(x, x_base, owner, V, config)
-    probe_vals, _ = ev.dG(owner[ok], V[ok])
+    probe_vals, probe_routes = ev.dG(owner[ok], V[ok])
     evaluated = [probe_vals]
     scores = np.full(n_points, np.inf)
     np.minimum.at(scores, owner[ok], probe_vals)
+    first = np.searchsorted(owner[ok], np.arange(n_points + 1))  # probe row offsets by point
     probed = np.isfinite(scores)
     # probed points by decreasing |score| (ties by index), then the unprobed ones
     order = sorted(range(n_points), key=lambda p: (not probed[p], -abs(scores[p])))
@@ -457,36 +458,29 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
         v_st = ev.steepest_direction(p, pd)
         if v_st is not None and _feasible_mask(x, x_base, p, v_st[None], config)[0]:
             cands = np.vstack([cands, v_st])
-        vals, routes = ev.dG(p, cands)
-        evaluated.append(vals)
+        # cands opens with p's feasible axis rows, which the probe scored: score the rest
+        lo, hi = first[p], first[p + 1]
+        new_vals, new_routes = ev.dG(p, cands[hi - lo :])
+        evaluated.append(new_vals)
+        vals = np.concatenate([probe_vals[lo:hi], new_vals])
+        routes = probe_routes[lo:hi] + new_routes
         best = int(np.argmin(vals))
         dg = float(vals[best])
         if dg >= -TOL_STALL:
             continue
         d = np.zeros(x.size)
         d[_point_slots(p, pd)] = cands[best]
-        outcome = _try_step(model, x, solution, d, dg, value, config, x_base, selector)
-        if outcome is None:
-            continue
-        trial, sol_new, val_new, eta = outcome
-        record = StepRecord(
-            k=k,
-            objective_value=val_new,
-            point=p,
-            direction=d,
-            derivative=dg,
-            step=eta,
-            distance=float(np.linalg.norm(trial - x_base)),
-            route=routes[best],
+        outcome = _try_step(
+            model, x, solution, d, dg, value, config, x_base, selector,
+            k=k, point=p, route=routes[best],
         )
-        return trial, sol_new, record
+        if outcome is not None:
+            return outcome
 
     if order and empty == len(order):
         raise EmptyDirectionSet("no feasible perturbation direction remains for any point")
-    evaluated = np.concatenate(evaluated)
-    certificate = float(evaluated.min()) if evaluated.size else None
-    if certificate is not None and certificate < -TOL_STALL:
-        certificate = None  # descent existed but every trial step was rejected
+    seen = np.concatenate(evaluated)  # no certificate where descent existed but every step failed
+    certificate = float(seen.min()) if seen.size and seen.min() >= -TOL_STALL else None
     raise Stalled("no candidate direction decreases the objective", certificate=certificate)
 
 
@@ -570,21 +564,12 @@ def _gradient_round(model, x, value, solution, config, *, x_base, rng, k, select
     if gnorm <= TOL_STALL:
         raise Stalled("objective gradient vanished", certificate=-gnorm)
     d = -grad / gnorm
-    outcome = _try_step(model, x, solution, d, -gnorm, value, config, x_base, selector)
+    outcome = _try_step(
+        model, x, solution, d, -gnorm, value, config, x_base, selector, k=k, point=-1, route="grad"
+    )
     if outcome is None:
         raise Stalled("no decrease along the gradient direction", certificate=None)
-    trial, sol_new, val_new, eta = outcome
-    record = StepRecord(
-        k=k,
-        objective_value=val_new,
-        point=-1,
-        direction=d,
-        derivative=-gnorm,
-        step=eta,
-        distance=float(np.linalg.norm(trial - x_base)),
-        route="grad",
-    )
-    return trial, sol_new, record
+    return outcome
 
 
 def run_gradient_baseline(x_bar, model: VictimModel, config: AttackConfig) -> AttackTrace:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -172,7 +174,7 @@ def _check_config_value(key: str, value, default, options: dict) -> None:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file, and explicit flags (strongest last)."""
+    """Merge defaults, config file, and explicit flags (strongest last), then vet seed and out."""
     flags = FLAGS[args.command]
     resolved = {key: default for key, (default, _) in flags.items()}
     if args.config:
@@ -189,6 +191,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
             resolved[key] = value
     if resolved.get("seed", 0) < 0:  # numpy's own message would not name the key
         raise ValueError(f"seed must be nonnegative, got {resolved['seed']}")
+    out = Path(resolved.get("out", "."))  # before any work, creating nothing; toy has no out
+    near = next(p for p in (out, *out.parents) if p.exists())
+    if not near.is_dir():  # with the reason _prepare_out's mkdir would give
+        reason = os.strerror(errno.EEXIST if near == out else errno.ENOTDIR)
+        raise ValueError(f"cannot write output directory {out}: {reason}")
     return resolved
 
 

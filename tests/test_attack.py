@@ -1,10 +1,13 @@
 """Attack engine: direction search, stepping, stopping rules, baseline."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import semipoison.attack as attack_module
 from semipoison.attack import (
@@ -29,6 +32,7 @@ from semipoison.data import normalize, synth_lane_change
 from semipoison.errors import (
     DimensionMismatch,
     EmptyDirectionSet,
+    SemipoisonError,
 )
 from semipoison.qp import classify_active, solve_qp
 from semipoison.sensitivity import semi_derivative
@@ -479,6 +483,86 @@ def test_run_attack_is_deterministic():
     assert [r.objective_value for r in t1.records] == [r.objective_value for r in t2.records]
 
 
+def _attack_outcome(x_bar, model, cfg):
+    """(trace, None), or (None, the type of the SemipoisonError raised); nothing warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return run_attack(x_bar, model, cfg), None
+        except SemipoisonError as exc:
+            return None, type(exc)
+
+
+# log10 of C and of ridge_eps: often moderate, sometimes anywhere up to 1e300
+LOG_SCALE = st.one_of(st.floats(-8.0, 8.0), st.floats(-12.0, 300.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@example(  # |g|^2 overflowed in steepest_direction: a RuntimeWarning, then a zero row
+    seed=1, n=3, kind="gauss", log_c=171.0, log_eps=0.25, delta=1.0,
+    boxed=False, pinned=0.0, step_mode="backtracking",
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    kind=st.sampled_from(["gauss", "dup", "collinear", "one-class", "flipped"]),
+    log_c=LOG_SCALE,
+    log_eps=LOG_SCALE,
+    delta=st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(1e-3, 3.0)),
+    boxed=st.booleans(),
+    pinned=st.floats(0.0, 1.0),
+    step_mode=st.sampled_from(["backtracking", "fixed-L"]),
+)
+def test_attack_stays_feasible_descends_and_reruns(
+    seed, n, kind, log_c, log_eps, delta, boxed, pinned, step_mode
+):
+    """Degenerate small SVMs: a typed error, or a feasible, monotone, reproducible trace.
+
+    The box is the data's bounding box, with a share of the points moved
+    to its corners, where they can hardly move.  Iterates are rebuilt
+    from the records as criterion 7 rebuilds them.
+    """
+    rng = np.random.default_rng(seed)
+    feats = rng.standard_normal((n, 2))
+    labels = np.where(feats[:, 0] > feats[:, 1], 1, -1)
+    if kind == "dup":
+        feats = feats[rng.integers(n, size=n)]
+        labels = rng.choice([-1, 1], n)  # copies of one point may disagree
+    elif kind == "collinear":
+        feats = np.outer(rng.standard_normal(n), rng.standard_normal(2))
+    elif kind == "one-class":
+        labels = np.ones(n, dtype=int)
+    elif kind == "flipped":
+        labels[rng.random(n) < 0.3] *= -1
+    lo = hi = None
+    if boxed:
+        lo, hi = feats.min(axis=0), feats.max(axis=0)
+        corner = rng.random(n) < pinned
+        feats[corner] = np.where(rng.random((n, 2)) < 0.5, lo, hi)[corner]
+    model = svm_victim(SvmModel(feats, labels, C=10.0**log_c, ridge_eps=10.0**log_eps))
+    cfg = svm_config(
+        model, delta=delta, box_lo=lo, box_hi=hi, step_mode=step_mode,
+        max_iters=8, tol_improve=0.0, seed=seed % 1000,
+    )
+    x_bar = feats.ravel()
+    trace, err = _attack_outcome(x_bar, model, cfg)
+    rerun, rerun_err = _attack_outcome(x_bar, model, cfg)
+    assert err is rerun_err
+    if trace is None:
+        return
+    assert [r.as_dict() for r in rerun.records] == [r.as_dict() for r in trace.records]
+    assert rerun.reason == trace.reason
+    x = x_bar
+    for record in trace.records:
+        x = project_to_feasible(x + record.step * record.direction, x_bar, delta, lo, hi)
+        assert float(np.linalg.norm(x - x_bar)) <= delta
+        if boxed:
+            assert np.all((x.reshape(-1, 2) >= lo) & (x.reshape(-1, 2) <= hi))
+    assert np.array_equal(x, trace.x_final)
+    hist = trace.objective_history
+    assert all(b <= a for a, b in zip(hist, hist[1:]))
+
+
 def test_svm_scenario_reaches_target_weight_gap():
     model, x0 = separable_svm(n=12, seed=3)
     cfg = svm_config(model)
@@ -515,34 +599,62 @@ def test_linear_route_scores_match_semi_derivatives(seed):
     assert np.abs(vals - expected).max() <= 1e-9
 
 
-def test_aux_round_scores_each_point_row_once(monkeypatch):
-    """At a kink the probe and each point's candidates share one (point, row) cache."""
-    # y = max(x_0 + x_2, 0): two 2-D points, weakly active bound at x = 0
-    model = _AffineQpFamily(
-        H=np.eye(1), c0=np.zeros(1), Cx=np.array([[-1.0, 0.0, -1.0, 0.0]]),
-        rows_a=-np.eye(1), rows_M=np.zeros((1, 1, 4)), rows_b0=np.zeros(1),
-        rows_beta=np.zeros((1, 4)), n_ineq=1,
+def kink_pair(route):
+    """Two 2-D points with a kink at x = 0, scored on the given route there.
+
+    aux: y = max(x_0 + x_2, 0), a weakly active bound.  fd: y = |x_0 + x_2|
+    from y >= x_0 + x_2 and y >= -(x_0 + x_2), two dependent active rows
+    at x = 0, so LICQ fails.
+    """
+    if route == "aux":
+        Cx, beta = np.array([[-1.0, 0.0, -1.0, 0.0]]), np.zeros((1, 4))
+    else:
+        Cx, beta = np.zeros((1, 4)), np.array([[1.0, 0.0, 1.0, 0.0], [-1.0, 0.0, -1.0, 0.0]])
+    m = len(beta)
+    return _AffineQpFamily(
+        H=np.eye(1), c0=np.zeros(1), Cx=Cx, rows_a=-np.ones((m, 1)),
+        rows_M=np.zeros((m, 1, 4)), rows_b0=np.zeros(m), rows_beta=beta, n_ineq=m,
     ).as_victim()
+
+
+def check_round_scores_each_point_row_once(monkeypatch, route):
+    """At a kink the searched point's axis rows keep their probe scores."""
+    model = kink_pair(route)
     cfg = AttackConfig(target=np.ones(1), delta=1.0, point_dim=2)
     calls, scored = [], []
-    real_semi, real_dG = attack_module.semi_derivative, _ObjectiveDerivative.dG
-
-    def counting_semi(aux, dx):
-        calls.append(dx.copy())
-        return real_semi(aux, dx)
+    real_dG = _ObjectiveDerivative.dG
 
     def recording_dG(self, owner, V):
         scored.extend((int(p), v.tobytes()) for p, v in zip(np.broadcast_to(owner, len(V)), V))
         return real_dG(self, owner, V)
 
-    monkeypatch.setattr(attack_module, "semi_derivative", counting_semi)
+    if route == "aux":
+        real_semi = attack_module.semi_derivative
+        monkeypatch.setattr(
+            attack_module, "semi_derivative",
+            lambda aux, dx: calls.append(dx.copy()) or real_semi(aux, dx),
+        )
+    else:
+        real_fd = _ObjectiveDerivative._finite_difference
+        monkeypatch.setattr(
+            _ObjectiveDerivative, "_finite_difference",
+            lambda self, dx: calls.append(dx.copy()) or real_fd(self, dx),
+        )
     monkeypatch.setattr(_ObjectiveDerivative, "dG", recording_dG)
     record = first_record(run_attack, np.zeros(4), model, cfg)
-    assert record.route == "aux" and record.point == 0
-    # the 8 probe rows, then point 0's 4 axis rows (cached) and its random rows
-    assert len(scored) == 8 + 4 + RANDOM_DIRS
-    assert len(calls) == len(set(scored)) == 8 + RANDOM_DIRS == 16
+    assert record.route == route and record.point == 0
+    # the 8 probe rows, then point 0's random rows; its axis rows are not rescored
+    assert len(scored) == len(set(scored)) == 8 + RANDOM_DIRS == 16
+    assert len(calls) == len({dx.tobytes() for dx in calls}) == 16
     assert all(dx.shape == (4,) and np.count_nonzero(dx) <= 2 for dx in calls)
+
+
+def test_aux_round_scores_each_point_row_once(monkeypatch):
+    check_round_scores_each_point_row_once(monkeypatch, "aux")
+
+
+def test_fd_round_scores_each_point_row_once(monkeypatch):
+    check_round_scores_each_point_row_once(monkeypatch, "fd")
 
 
 def check_linear_route(model, x, sol, selector, target):

@@ -435,14 +435,24 @@ def test_rejected_run_creates_no_output(tmp_path, capsys, argv):
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 @pytest.mark.parametrize(
     "argv",
-    [("train", "--synth-n", 20), ("attack", "--synth-n", 8, "--max-iters", 2)],
-    ids=["train", "attack"],
+    [
+        ("train", "--synth-n", 20),
+        ("attack", "--synth-n", 8, "--max-iters", 2),
+        ("compare", "--synth-n", 8, "--max-iters", 2),
+    ],
+    ids=["train", "attack", "compare"],
 )
-def test_out_naming_a_file_is_validation_error(tmp_path, capsys, argv, under):
+def test_out_naming_a_file_is_validation_error(tmp_path, capsys, monkeypatch, argv, under):
+    """Rejected before the work: the solver never runs."""
+    solves, real_solve = [], victims.solve_qp
+    monkeypatch.setattr(
+        victims, "solve_qp", lambda *a, **k: solves.append(a) or real_solve(*a, **k)
+    )
     afile = tmp_path / "afile"
     afile.write_text("keep\n")
     out = afile / "sub" if under else afile
     assert run_cli(*argv, "--out", out) == 2
+    assert solves == []
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output directory ") and str(out) in err
     assert afile.read_text() == "keep\n"
