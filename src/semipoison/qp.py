@@ -335,11 +335,12 @@ def _independent_factors(stack: np.ndarray, n_base: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step or multiplier raises instead
-def _active_set_loop(problem: QpProblem, y: np.ndarray, max_iter: int | None = None):
+def _active_set_loop(problem: QpProblem, y: np.ndarray, max_iter=None, factored=None):
     """Primal active-set iteration from a feasible point y.
 
     The working set starts as the rows at y that solve_qp describes,
-    factored by _independent_factors, and its Q and T are updated as
+    factored by _independent_factors unless factored, _phase1's (rows,
+    live, Q, T), holds exactly these rows.  Its Q and T are updated as
     rows join and leave (Gill, Golub, Murray & Saunders 1974).  Joining
     rows go last; a leaving row costs a re-triangularization of the rows
     after it.  max_iter defaults to solve_qp's cap.  Each iteration moves
@@ -356,7 +357,10 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, max_iter: int | None = N
         max_iter = max(200, 30 * (problem.n_con + 1))
     candidates = np.flatnonzero(problem.A_ineq @ y + problem.b_ineq >= -1e-9)
     order = np.concatenate([np.arange(r, problem.n_con), candidates[::-1]])
-    live, Q, T0 = _independent_factors(A[order], problem.n_eq)
+    if factored is not None and np.array_equal(order, factored[0]):
+        live, Q, T0 = factored[1:]
+    else:
+        live, Q, T0 = _independent_factors(A[order], problem.n_eq)
     working = order[live].tolist()
     T = np.zeros((n, n))  # T[:m, :m] is R^-1 for the m working rows
     T[: live.size, : live.size] = T0
@@ -417,24 +421,38 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, max_iter: int | None = N
     raise MaxIterations(f"active-set method did not converge in {max_iter} iterations")
 
 
-def _phase1(problem: QpProblem) -> np.ndarray:
+def _phase1(problem: QpProblem):
     """Find a feasible point, or raise Infeasible.
 
-    Equalities hold at the min-norm point of their independent rows; an
-    auxiliary QP, min 0.5 t^2 subject to A_ineq y + b_ineq <= t, solved by
-    the same loop, drives any violation left to 0.
+    Equalities hold at the min-norm point y0 of their independent rows.
+    If y0 violates inequalities, its projection onto the equality rows
+    and the violated ones, in the loop's start order, is the start when
+    it meets every row within TOL_FEAS; else an auxiliary QP, min 0.5 t^2
+    subject to A_ineq y + b_ineq <= t, solved by the same loop from y0,
+    drives the violation to 0.  Returns (y, factored): the rows factored
+    last and _independent_factors' (live, Q, T) on them, for the loop to
+    reuse, or None when no row was factored or the auxiliary QP ran.
     """
     n, r = problem.n_var, problem.n_ineq
-    live, Q, T = _independent_factors(problem.A_eq, problem.n_eq)
-    y0 = np.zeros(n)
+    rows, y0, factored = np.arange(r, problem.n_con), np.zeros(n), None
     if problem.n_eq:
+        factored = (rows, *_independent_factors(problem.A_eq, problem.n_eq))
+        _, live, Q, T = factored
         y0 = -(Q[:, : live.size] @ (T.T @ problem.b_eq[live]))
         resid = np.abs(problem.A_eq @ y0 + problem.b_eq).max()
         if resid > 1e-8 * (1.0 + np.abs(problem.b_eq).max()):
             raise Infeasible("equality constraints are inconsistent")
-    viol = float((problem.A_ineq @ y0 + problem.b_ineq).max(initial=0.0))
+    g = problem.A_ineq @ y0 + problem.b_ineq
+    viol = float(g.max(initial=0.0))
     if viol <= TOL_FEAS:
-        return y0
+        return y0, factored
+    rows = np.concatenate([rows, np.flatnonzero(g > TOL_FEAS)[::-1]])
+    factored = (rows, *_independent_factors(problem.A[rows], problem.n_eq))
+    _, live, Q, T = factored
+    w = rows[live]
+    y = y0 - Q[:, : live.size] @ (T.T @ (problem.A[w] @ y0 + problem.b[w]))
+    if _usable_start(problem, y) is not None:
+        return y, factored
     H1 = np.diag(np.append(np.zeros(n), 1.0))
     A1 = np.hstack([problem.A, np.where(np.arange(problem.n_con) < r, -1.0, 0.0)[:, None]])
     aux = QpProblem(H1, np.zeros(n + 1), A1[:r], problem.b_ineq, A1[r:], problem.b_eq)
@@ -444,7 +462,7 @@ def _phase1(problem: QpProblem) -> np.ndarray:
     y_aux = _active_set_loop(aux, start)[0]
     if y_aux[n] > 1e-9:
         raise Infeasible(f"no feasible point (minimal constraint violation {y_aux[n]:.3e})")
-    return y_aux[:n]
+    return y_aux[:n], None
 
 
 def _usable_start(problem: QpProblem, start) -> np.ndarray | None:
@@ -472,8 +490,11 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     start : (n_var,) array, optional
         A warm start, typically the solution of a nearby problem.  It
         replaces phase 1 when it is finite and meets every constraint
-        within TOL_FEAS; any other start is ignored and phase 1 runs as
-        without one.  Either way the working set starts as the
+        within TOL_FEAS; any other start is ignored, and the result is
+        the cold one bit for bit.  Phase 1 (see _phase1) takes the
+        min-norm point of the equality rows, or else its projection onto
+        them and the violated rows when that is feasible, or else solves
+        an auxiliary QP.  Either way the working set starts as the
         independent constraints active at the starting point, so a start
         close to the optimum needs few iterations.  These start rows are
         the equality rows, then the inequality rows within 1e-9 of
@@ -497,10 +518,10 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
         When start does not have shape (n_var,).
     """
     y0 = None if start is None else _usable_start(problem, start)
-    phase1 = y0 is None
+    phase1, factored = y0 is None, None
     if phase1:
-        y0 = _phase1(problem)
-    y, lam, iterations, factors = _active_set_loop(problem, y0, max_iter)
+        y0, factored = _phase1(problem)
+    y, lam, iterations, factors = _active_set_loop(problem, y0, max_iter, factored)
     res = kkt_residuals(problem, y, lam)
     c_inf = float(np.abs(problem.c).max(initial=0.0))
     if not res.within_default_tolerances(c_inf, float(np.abs(lam).max(initial=0.0))):

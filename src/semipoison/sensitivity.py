@@ -132,7 +132,8 @@ def fd_directional_derivative(
     """One-sided finite-difference estimate (y(x + h dx) - y(x)) / h, h = FD_STEP.
 
     base_solution is the victim's solution at x.  Re-solves the training
-    problem once, at x + h dx; solver errors propagate.
+    problem once, at x + h dx, warm from base_solution, which gives the
+    cold solve where that point is infeasible; solver errors propagate.
     """
     x = np.asarray(x, dtype=float)
     dx = np.asarray(dx, dtype=float)
@@ -140,7 +141,7 @@ def fd_directional_derivative(
         raise DimensionMismatch("dx must match the shape of x")
     if not np.linalg.norm(dx) > 0:
         raise DimensionMismatch("dx must be nonzero")
-    y1 = solve_victim(model, x + FD_STEP * dx).y
+    y1 = solve_victim(model, x + FD_STEP * dx, warm=base_solution).y
     return (y1 - base_solution.y) / FD_STEP
 
 

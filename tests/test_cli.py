@@ -197,6 +197,20 @@ def test_attack_raw_bounds_respected(tmp_path):
     assert np.all(poisoned.features[:, 1] <= 60 + 1e-9)
 
 
+def test_attack_raw_budget_is_converted_to_normalized_units(tmp_path, monkeypatch):
+    """--delta-units raw divides the budget by the largest raw feature std."""
+    budgets, inner = [], cli.run_attack
+    monkeypatch.setattr(
+        cli, "run_attack", lambda x0, model, cfg: budgets.append(cfg.delta) or inner(x0, model, cfg)
+    )
+    for units in ("raw", "normalized"):
+        argv = ("--synth-n", 8, "--seed", 0, "--max-iters", 1, "--delta", 2.0)
+        assert run_cli("attack", *argv, "--delta-units", units, "--out", tmp_path / units) in (0, 4)
+    std = synth_lane_change(8, 0).features.std(axis=0).max()
+    assert std > 1.0
+    assert budgets == [2.0 / std, 2.0]
+
+
 def test_attack_bad_target_string(tmp_path, capsys):
     code = run_cli("attack", "--out", tmp_path, "--target", "w1=w2")
     assert code == 2
@@ -345,8 +359,28 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
 def test_config_file_must_be_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2, 3]")
-    code = run_cli("train", "--config", cfg, "--out", tmp_path)
+    code = run_cli("train", "--config", cfg, "--out", tmp_path / "run")
     assert code == 2
+    assert capsys.readouterr().err == f"error: config file {cfg} must hold a flat JSON object\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "error: cannot read config file {}: "),
+        ("{not json", "error: config file {} is not valid JSON: "),
+    ],
+    ids=["missing", "not-json"],
+)
+def test_unreadable_config_file_exits_2_before_any_output(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "run"
+    assert run_cli("attack", "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(message.format(cfg))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

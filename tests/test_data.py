@@ -52,6 +52,14 @@ def test_crlf_parses_identically(tmp_path):
         assert np.array_equal(lf.labels, other.labels)
 
 
+def test_trailing_blank_lines_are_ignored(tmp_path):
+    plain = load_csv(write(tmp_path, WELL_FORMED, "plain.csv"))
+    for i, tail in enumerate(["\n", "\n\n\n", "\r\n \r\n", " \n\t\n"]):
+        padded = load_csv(write(tmp_path, WELL_FORMED + tail, f"padded{i}.csv"))
+        assert np.array_equal(plain.features, padded.features)
+        assert np.array_equal(plain.labels, padded.labels)
+
+
 def test_zero_label_is_rejected_with_row_number(tmp_path):
     text = "lateral_velocity,space_headway,label\n-0.7,17.5,1\n-0.1,44.0,0\n"
     with pytest.raises(BadLabel, match="row 3"):

@@ -1,5 +1,6 @@
 """Tests for the dense active-set QP solver."""
 
+import collections
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from semipoison import errors, qp
+from semipoison import errors, qp, sensitivity
 from semipoison.data import Dataset, normalize, synth_lane_change
 from semipoison.qp import (
     QpProblem,
@@ -519,6 +520,122 @@ def test_degenerate_rows_give_kkt_point_or_typed_error(
         res = kkt_residuals(prob, sol.y, sol.lam)
         lam_inf = float(np.abs(sol.lam).max(initial=0.0))
         assert res.within_default_tolerances(float(np.abs(c).max()), lam_inf)
+
+
+# ---------------------------------------------------------------------------
+# phase 1
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named qp function to count its calls; returns the counts."""
+    calls = collections.Counter()
+    for name in names:
+        inner = getattr(qp, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(qp, name, counted)
+    return calls
+
+
+def test_one_projection_starts_the_loop(monkeypatch):
+    """The origin violates rows 0 and 1, and its projection onto them is feasible.
+
+    Phase 1 factors rows 1 and 0 once, for the projection, and the loop
+    starts from those factors: no auxiliary t-loop, no second factorization.
+    """
+    H, c = np.eye(2), [-3.0, 0.0]
+    A, b = [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [1.0, 1.0, -10.0]
+    calls = _count_calls(monkeypatch, "_active_set_loop", "_independent_factors")
+    sol = solve_qp(QpProblem(H, c, A_ineq=A, b_ineq=b))
+    assert sol.phase1
+    assert calls == {"_active_set_loop": 1, "_independent_factors": 1}
+    ref = enumerate_qp(H, c, A, b)
+    assert_allclose(sol.y, ref[0], rtol=0.0, atol=1e-12)
+    assert_allclose(sol.lam, ref[1], rtol=0.0, atol=1e-12)
+
+
+def test_projection_outside_another_row_runs_the_t_loop(monkeypatch):
+    """Projected onto row 0, the origin lands at (1, 0), outside row 1.
+
+    The auxiliary t-loop then runs from the origin, and the main loop
+    from its point reaches the enumerated optimum.
+    """
+    H, c = np.eye(2), np.zeros(2)
+    A, b = [[-1.0, 0.0], [1.0, -1.0]], [1.0, -0.5]
+    prob = QpProblem(H, c, A_ineq=A, b_ineq=b)
+    assert prob.constraint_values(np.array([1.0, 0.0]))[1] > qp.TOL_FEAS
+    calls = _count_calls(monkeypatch, "_active_set_loop")
+    sol = solve_qp(prob)
+    assert sol.phase1 and calls["_active_set_loop"] == 2  # the t-loop, then the main loop
+    ref = enumerate_qp(H, c, A, b)
+    assert_allclose(sol.y, ref[0], rtol=0.0, atol=1e-12)
+    assert_allclose(sol.lam, ref[1], rtol=0.0, atol=1e-12)
+
+
+def test_violated_row_in_the_equalities_span_goes_to_the_t_loop(monkeypatch):
+    """Row 0, y_0 >= 1, is a multiple of the equality row y_0 = 0 and fails all along it.
+
+    The projection's factorization drops row 0, so the projection cannot
+    satisfy it, and the t-loop decides: no feasible point.  Inconsistent
+    equalities raise before any projection.
+    """
+    H, c = np.eye(2), np.zeros(2)
+    prob = QpProblem(H, c, A_ineq=[[-2.0, 0.0]], b_ineq=[2.0], A_eq=[[1.0, 0.0]], b_eq=[0.0])
+    calls = _count_calls(monkeypatch, "_active_set_loop", "_independent_factors")
+    with pytest.raises(errors.Infeasible, match="no feasible point"):
+        solve_qp(prob)
+    # equality rows, then equality and violated rows, then the t-loop's start
+    assert calls == {"_independent_factors": 3, "_active_set_loop": 1}
+    inconsistent = QpProblem(
+        H, c, A_ineq=[[-1.0, 0.0]], b_ineq=[1.0], A_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[0.0, -1.0]
+    )
+    with pytest.raises(errors.Infeasible, match="equality constraints are inconsistent"):
+        solve_qp(inconsistent)
+    assert calls == {"_independent_factors": 4, "_active_set_loop": 1}
+
+
+def test_phase1_factors_match_a_recomputation(monkeypatch):
+    """The factors phase 1 hands to the loop are _independent_factors' on its rows, bit for bit.
+
+    The random QPs of criterion 8, with and without equality rows, reach
+    both of phase 1's exits that hand factors over: a feasible equality
+    point and a feasible projection.
+    """
+    inner = qp._active_set_loop
+    handed = collections.Counter()
+
+    def checked(problem, y, max_iter=None, factored=None):
+        if factored is not None:
+            rows, *factors = factored
+            again = _independent_factors(problem.A[rows], problem.n_eq)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(again, factors))
+            handed[rows.size > problem.n_eq] += 1
+        return inner(problem, y, max_iter, factored)
+
+    monkeypatch.setattr(qp, "_active_set_loop", checked)
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n_var = int(rng.integers(2, 7))
+        n_eq = int(rng.integers(0, min(3, n_var)))
+        n_ineq = int(rng.integers(0, 9 - n_eq))
+        solve_qp(random_feasible_qp(rng, n_var, n_ineq, n_eq))
+    assert handed[False] > 10 and handed[True] > 10
+
+
+def test_oracle_trials_factor_each_start_once(monkeypatch):
+    """run_oracle_trials(500, seed=0) makes at most 1,856 factorizations.
+
+    Phase 1 hands the rows it factored to the loop, and the FD re-solve
+    starts warm.  Factoring the equality rows in phase 1 and again at
+    the start of both loops took 3,359.
+    """
+    calls = _count_calls(monkeypatch, "_independent_factors")
+    sensitivity.run_oracle_trials(500, seed=0)
+    assert calls["_independent_factors"] <= 1856
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,28 @@ def test_fd_directional_derivative_validation():
         fd_directional_derivative(model, x, np.ones(2), base_solution=sol)
 
 
+def test_fd_re_solve_starts_warm_from_the_base_point(monkeypatch):
+    """A base point still feasible at x + h dx replaces phase 1 in the FD re-solve.
+
+    Row 1 is active at the base point, and dx moves it inward.  The
+    quotient matches the one from a cold re-solve up to round-off.
+    """
+    model = generic_parametric_qp(5)
+    x, dx = np.full(3, 0.1), np.array([0.0, 0.0, 1.0])
+    x_h = x + sensitivity.FD_STEP * dx
+    base = solve_victim(model, x)
+    assert abs(base.problem.constraint_values(base.y)[1]) <= qp.TOL_ACT
+    assert qp._usable_start(model.assemble(x_h), base.y) is not None
+    cold = (solve_victim(model, x_h).y - base.y) / sensitivity.FD_STEP
+    phase1, inner = [], qp._phase1
+    monkeypatch.setattr(qp, "_phase1", lambda problem: phase1.append(problem) or inner(problem))
+    warm = fd_directional_derivative(model, x, dx, base_solution=base)
+    assert phase1 == []
+    assert np.abs(warm - cold).max() <= 1e-9
+    solve_victim(model, x_h)  # the patch sees a cold solve
+    assert len(phase1) == 1
+
+
 def test_semi_derivative_direction_validation():
     model = kink_projection_model()
     sol = solve_victim(model, np.array([0.5]))
