@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, Infeasible, MaxIterations, Unbounded
+from .errors import DimensionMismatch, Infeasible, InputError, MaxIterations, Unbounded
 
 # Tolerances.  TOL_ACT / TOL_MULT are classify_active's thresholds for
 # active and weakly active constraints; a row whose residual off the rows
@@ -429,15 +429,18 @@ def _phase1(problem: QpProblem):
     and the violated ones, in the loop's start order, is the start when
     it meets every row within TOL_FEAS; else an auxiliary QP, min 0.5 t^2
     subject to A_ineq y + b_ineq <= t, solved by the same loop from y0,
-    drives the violation to 0.  Returns (y, factored): the rows factored
-    last and _independent_factors' (live, Q, T) on them, for the loop to
-    reuse, or None when no row was factored or the auxiliary QP ran.
+    drives the violation to 0.  That loop starts on the equality rows
+    alone, whose factors with a zero t-column are the equality factors
+    bordered by one unit basis vector, so they are handed over, not
+    recomputed.  Returns (y, factored): the rows factored last and
+    _independent_factors' (live, Q, T) on them, for the loop to reuse,
+    or None when no row was factored or the auxiliary QP ran.
     """
     n, r = problem.n_var, problem.n_ineq
-    rows, y0, factored = np.arange(r, problem.n_con), np.zeros(n), None
+    eq_rows, y0, eq = np.arange(r, problem.n_con), np.zeros(n), None
     if problem.n_eq:
-        factored = (rows, *_independent_factors(problem.A_eq, problem.n_eq))
-        _, live, Q, T = factored
+        eq = (eq_rows, *_independent_factors(problem.A_eq, problem.n_eq))
+        _, live, Q, T = eq
         y0 = -(Q[:, : live.size] @ (T.T @ problem.b_eq[live]))
         resid = np.abs(problem.A_eq @ y0 + problem.b_eq).max()
         if resid > 1e-8 * (1.0 + np.abs(problem.b_eq).max()):
@@ -445,8 +448,8 @@ def _phase1(problem: QpProblem):
     g = problem.A_ineq @ y0 + problem.b_ineq
     viol = float(g.max(initial=0.0))
     if viol <= TOL_FEAS:
-        return y0, factored
-    rows = np.concatenate([rows, np.flatnonzero(g > TOL_FEAS)[::-1]])
+        return y0, eq
+    rows = np.concatenate([eq_rows, np.flatnonzero(g > TOL_FEAS)[::-1]])
     factored = (rows, *_independent_factors(problem.A[rows], problem.n_eq))
     _, live, Q, T = factored
     w = rows[live]
@@ -459,7 +462,10 @@ def _phase1(problem: QpProblem):
     del A1  # aux.A is a copy; freeing A1 keeps the phase-1 loop's peak memory down
     # t clears every violation, so the loop starts on the equality rows alone
     start = np.concatenate([y0, [viol * (1.0 + 1e-3) + 1e-6]])
-    y_aux = _active_set_loop(aux, start)[0]
+    live, Q1, T = np.zeros(0, dtype=int), np.eye(n + 1), np.zeros((0, 0))
+    if eq is not None:
+        _, live, Q1[:n, :n], T = eq
+    y_aux = _active_set_loop(aux, start, factored=(eq_rows, live, Q1, T))[0]
     if y_aux[n] > 1e-9:
         raise Infeasible(f"no feasible point (minimal constraint violation {y_aux[n]:.3e})")
     return y_aux[:n], None
@@ -539,6 +545,62 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     return KktSolution(y, lam, value, iterations, phase1, problem, *factors)
 
 
+def _factored(solution: KktSolution) -> bool:
+    return all(v is not None for v in (solution.problem, solution.working, solution.Q, solution.T))
+
+
+def solved_problem(solution: KktSolution) -> QpProblem:
+    """solution.problem, once solution is known to carry solve_qp's working-set factors.
+
+    Raises InputError for a KktSolution built without them, since every
+    function that reads the factors needs both.
+    """
+    if not _factored(solution):
+        raise InputError(
+            "solution must come from solve_qp: it has no problem or working-set factors"
+        )
+    return solution.problem
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
+def working_minimizer(solution: KktSolution, c: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Minimize 0.5 d'Hd + c'd subject to A[w] d + b[w] = 0 over the working rows w.
+
+    H and A are solution.problem's, b holds one offset per constraint,
+    and the solve runs on the solution's factors through
+    _working_subproblem: one KKT solve, no factorization (Nocedal &
+    Wright, section 16.2).  Returns None where the objective decreases
+    without bound on that affine set, as solve_qp's Unbounded would.
+
+    Raises MaxIterations when the minimizer is not finite.
+    """
+    problem, w = solved_problem(solution), solution.working
+    d = _working_subproblem(
+        problem.H, c, problem.A[w], b[w], np.zeros(problem.n_var), solution.Q, solution.T
+    )[0]
+    if d is not None and not np.isfinite(d).all():
+        raise MaxIterations("working-set minimizer is not finite: the data are too large")
+    return d
+
+
+@np.errstate(over="ignore", invalid="ignore")  # solve_qp ignores a non-finite start
+def working_start(solution: KktSolution, problem: QpProblem) -> np.ndarray:
+    """solution.y moved by one least-norm step back onto its working rows in problem.
+
+    problem is the training problem at nearby data.  The step
+    y - Y T'(A[w] y + b[w]) runs on the solution's factors of the old
+    rows w, so the new rows hold at its end up to the square of the
+    change in the data, and the inactive rows keep their slack up to
+    its size.  Returns solution.y itself when solution has no factors
+    (it was not built by solve_qp) or problem's rows differ in shape.
+    """
+    y = solution.y
+    if not _factored(solution) or solution.problem.A.shape != problem.A.shape:
+        return y
+    w, T = solution.working, solution.T
+    return y - solution.Q[:, : T.shape[0]] @ (T.T @ (problem.A[w] @ y + problem.b[w]))
+
+
 def adjoint(solution: KktSolution, g: np.ndarray):
     """Solve [[H, A'], [A, 0]] (u, nu) = (g, 0) for the final working rows A.
 
@@ -547,7 +609,7 @@ def adjoint(solution: KktSolution, g: np.ndarray):
     nu = T Y'(g - H u) with Y = Q[:, :m].  Returns (u, nu), with nu in
     the order of solution.working, or None if Z'HZ is singular.
     """
-    H, Q, T = solution.problem.H, solution.Q, solution.T
+    H, Q, T = solved_problem(solution).H, solution.Q, solution.T
     m = T.shape[0]
     Y, Z = Q[:, :m], Q[:, m:]
     u = np.zeros(H.shape[0])
@@ -566,7 +628,7 @@ def licq_margin(solution: KktSolution, active) -> float:
     active rows follow, factored in the working rows' null space Q[:, m:].
     More of them than its dimension leave a zero residual.
     """
-    A, working, Q, T = solution.problem.A, solution.working, solution.Q, solution.T
+    A, working, Q, T = solved_problem(solution).A, solution.working, solution.Q, solution.T
     m, live = working.size, set(working.tolist())
     extra = np.array([i for i in active if i not in live], dtype=int)
     if extra.size > Q.shape[1] - m:

@@ -17,6 +17,12 @@ solver's own factors, that the active constraint gradients are linearly
 independent (LICQ).  H_aux must be positive definite on the null space of
 the strictly active rows (a strong second-order condition); where it is
 not, semi_derivative raises AuxUnbounded.
+
+Without weakly active rows the auxiliary problem has equality rows only,
+and under LICQ they are the training solution's final working rows, so
+semi_derivative solves it as one KKT system on the training solver's
+factors (qp.working_minimizer); the auxiliary QP is solved by solve_qp
+only where some active row is weakly active.
 """
 
 from __future__ import annotations
@@ -44,13 +50,26 @@ ORACLE_MARGIN = 1e-4  # strict-complementarity margin of the oracle's gate
 
 @dataclass(eq=False)
 class AuxiliaryProblem:
-    """Data of the directional-derivative QP at a solved point."""
+    """Data of the directional-derivative QP at a solved point.
 
-    H_aux: np.ndarray
-    rows: np.ndarray  # every constraint row in problem order; structure indexes it
+    solution is the training solution it was built at; the constraints
+    are linear in y, so the training problem's H is H_aux and its rows
+    are the auxiliary problem's, both read from solution.problem.
+    """
+
+    solution: KktSolution
     structure: ActiveStructure
     B: np.ndarray  # (dim_var + n_con, dim_data)
     licq_margin: float  # smallest |R_jj| / |a_j| of the active rows; inf with none
+
+    @property
+    def H_aux(self) -> np.ndarray:
+        return self.solution.problem.H
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Every constraint row in problem order; structure indexes it."""
+        return self.solution.problem.A
 
     @property
     def dim_var(self) -> int:
@@ -66,6 +85,7 @@ def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) ->
 
     solution must come from solve_qp: its problem, the training problem at
     x, is not assembled again, and its working-set factors decide LICQ.
+    A KktSolution built without them raises InputError.
 
     Raises RegularityFailure when LICQ fails, that is when an active row's
     residual off the rows before it is at most qp.TOL_INDEP of its norm:
@@ -74,7 +94,7 @@ def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) ->
     semi_derivative raises AuxUnbounded.
     """
     x = np.asarray(x, dtype=float)
-    problem = solution.problem
+    problem = qp.solved_problem(solution)
     structure = classify_active(problem, solution)
     margin = qp.licq_margin(solution, structure.active)
     if not margin > qp.TOL_INDEP:
@@ -83,14 +103,17 @@ def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) ->
         )
     grads = np.asarray(model.grad_x_constraint(x, solution.y), dtype=float)
     B = np.vstack([model.cross_hessian(x, solution.y, solution.lam), -grads])
-    # constraints are linear in y, so the training Hessian is H_aux
-    return AuxiliaryProblem(problem.H, problem.A, structure, B, margin)
+    return AuxiliaryProblem(solution, structure, B, margin)
 
 
 def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
     """One-sided derivative dy of the solution map along dx.
 
     Positively homogeneous in dx: scaling dx by a > 0 scales dy by a.
+    Without weakly active rows the strictly active rows are the training
+    solution's working rows (LICQ holds), and dy is the minimizer over
+    them on the training factors, qp.working_minimizer: no QP is solved.
+    With weakly active rows the auxiliary QP is solved by solve_qp.
 
     Raises
     ------
@@ -110,6 +133,11 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
     mu = z[aux.dim_var :]
 
     weak, strict = aux.structure.weakly_active, aux.structure.strict
+    if not weak:  # only working rows carry multipliers, so under LICQ strict is the working set
+        dy = qp.working_minimizer(aux.solution, -v, mu)
+        if dy is None:
+            raise AuxUnbounded("auxiliary objective decreases without bound on the active rows")
+        return dy
     problem = QpProblem(
         aux.H_aux,
         -v,
@@ -132,8 +160,12 @@ def fd_directional_derivative(
     """One-sided finite-difference estimate (y(x + h dx) - y(x)) / h, h = FD_STEP.
 
     base_solution is the victim's solution at x.  Re-solves the training
-    problem once, at x + h dx, warm from base_solution, which gives the
-    cold solve where that point is infeasible; solver errors propagate.
+    problem once, at x + h dx, warm from base_solution through
+    solve_victim: a model without a feasible_start hook starts from the
+    base point stepped back onto its working rows at x + h dx, which an
+    active row moving outward by O(h) would otherwise leave infeasible,
+    and phase 1 runs only where that start is infeasible.  Solver errors
+    propagate.
     """
     x = np.asarray(x, dtype=float)
     dx = np.asarray(dx, dtype=float)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadLabel, DimensionMismatch, OutOfDomain
-from .qp import KktSolution, QpProblem, solve_qp
+from .qp import KktSolution, QpProblem, solve_qp, working_start
 
 
 @dataclass(eq=False)
@@ -59,16 +59,22 @@ def solve_victim(
 
     warm is the solution at nearby data, or None for a cold solve.
     solve_qp starts from model.feasible_start(x, warm.y), with None in
-    place of warm.y on a cold solve; a model without that hook starts
-    from warm.y itself, or from phase 1 on a cold solve.  A start that is
-    not feasible at x falls back to phase 1, so the start changes the
-    cost of the solve, not its result beyond round-off.
+    place of warm.y on a cold solve.  A model without that hook starts
+    from qp.working_start(warm, problem): warm.y moved by one least-norm
+    step, on warm's factors, back onto warm's working rows at x (or
+    warm.y itself when warm was not built by solve_qp), or from phase 1
+    on a cold solve.  A start that is not feasible at x falls back to
+    phase 1, so the start changes the cost of the solve, not its result
+    beyond round-off.
     """
     x = np.asarray(x, dtype=float)
     problem = model.assemble(x)
-    y_prev = None if warm is None else warm.y
     hook = model.feasible_start
-    return solve_qp(problem, start=y_prev if hook is None else hook(x, y_prev))
+    if hook is not None:
+        start = hook(x, None if warm is None else warm.y)
+    else:
+        start = None if warm is None else working_start(warm, problem)
+    return solve_qp(problem, start=start)
 
 
 def _check_x(x, dim_data):

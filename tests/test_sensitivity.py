@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from semipoison import errors, qp, sensitivity
+from semipoison import errors, qp, sensitivity, victims
 from semipoison.attack import (
     AttackConfig,
     _ObjectiveDerivative,
@@ -30,6 +30,8 @@ from semipoison.victims import (
     svm_victim,
     toy_bilevel_model,
 )
+
+from _oracles import enumerate_qp
 
 
 def test_classify_active_threshold_cases():
@@ -302,13 +304,85 @@ def flat_direction_model():
     )
 
 
-def test_aux_unbounded_when_second_order_condition_fails():
+def _count_aux_solves(monkeypatch):
+    """Calls of sensitivity.solve_qp, the auxiliary QP's solver; returns their list."""
+    calls, inner = [], sensitivity.solve_qp
+    monkeypatch.setattr(sensitivity, "solve_qp", lambda problem: calls.append(problem) or inner(problem))
+    return calls
+
+
+def test_aux_unbounded_when_second_order_condition_fails(monkeypatch):
+    """No row is weakly active, so the ray is found on the training factors, with no QP."""
     model = flat_direction_model()
     x = np.array([0.3, 0.0])
     sol = solve_victim(model, x)
     aux = build_auxiliary(model, x, sol)
+    calls = _count_aux_solves(monkeypatch)
     with pytest.raises(errors.AuxUnbounded):
         semi_derivative(aux, np.array([0.0, 1.0]))
+    assert calls == []
+
+
+def test_overflowing_derivative_raises_a_solver_error():
+    """dy = B dx / 1e-10 with B = 1e308 overflows: a typed error, not a non-finite dy."""
+    model = VictimModel(
+        dim_data=1,
+        dim_var=1,
+        assemble=lambda x: QpProblem([[1e-10]], [0.0]),
+        grad_x_constraint=lambda x, y: np.zeros((0, 1)),
+        cross_hessian=lambda x, y, lam: np.array([[1e308]]),
+    )
+    x = np.zeros(1)
+    aux = build_auxiliary(model, x, solve_victim(model, x))
+    with pytest.raises(errors.MaxIterations, match="not finite"):
+        semi_derivative(aux, np.ones(1))
+
+
+def test_weakly_active_row_solves_the_auxiliary_qp(monkeypatch):
+    """At the kink the bound is weakly active: one auxiliary QP per direction."""
+    model = kink_projection_model()
+    x = np.array([0.0])
+    aux = build_auxiliary(model, x, solve_victim(model, x))
+    calls = _count_aux_solves(monkeypatch)
+    for k, dx in enumerate((1.0, -1.0, 2.0), start=1):
+        semi_derivative(aux, np.array([dx]))
+        assert len(calls) == k
+
+
+def test_factor_route_matches_the_assembled_auxiliary_qp(monkeypatch):
+    """Without weakly active rows the derivative is the equality-constrained auxiliary QP's.
+
+    Over 300 random fixtures, with and without equality rows, dy from the
+    training factors agrees within 1e-10 with solve_qp on the auxiliary
+    QP assembled from the strictly active rows and with brute-force
+    enumeration, and no auxiliary QP is solved for it.
+    """
+    rng = np.random.default_rng(314)
+    reached = {False: 0, True: 0}
+    calls = _count_aux_solves(monkeypatch)  # the references below call qp.solve_qp
+    for _ in range(300):
+        dim_var, dim_data = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        n_eq, n_ineq = int(rng.integers(0, 3)), int(rng.integers(1, 6))
+        model = generic_parametric_qp(int(rng.integers(0, 2**31 - 1)), dim_var, dim_data, n_ineq, n_eq)
+        x, dx = 0.2 * rng.standard_normal(dim_data), rng.standard_normal(dim_data)
+        try:
+            aux = build_auxiliary(model, x, solve_victim(model, x))
+        except errors.SolverError:
+            continue
+        if aux.structure.weakly_active:
+            continue
+        dy = semi_derivative(aux, dx)
+        z = -(aux.B @ dx)
+        strict = aux.structure.strict
+        rows, offsets = aux.rows[strict], z[dim_var:][strict]
+        ref = solve_qp(QpProblem(aux.H_aux, -z[:dim_var], A_eq=rows, b_eq=offsets)).y
+        enum = enumerate_qp(aux.H_aux, -z[:dim_var], A_eq=rows, b_eq=offsets)[0]
+        scale = 1.0 + np.abs(ref).max()
+        assert np.abs(dy - ref).max() <= 1e-10 * scale
+        assert np.abs(dy - enum).max() <= 1e-10 * scale
+        reached[n_eq > 0] += 1
+    assert calls == []
+    assert reached[False] > 50 and reached[True] > 150
 
 
 def test_singular_adjoint_scores_by_aux_then_fd():
@@ -355,25 +429,82 @@ def test_fd_directional_derivative_validation():
 
 
 def test_fd_re_solve_starts_warm_from_the_base_point(monkeypatch):
-    """A base point still feasible at x + h dx replaces phase 1 in the FD re-solve.
+    """The FD re-solve at x + h dx starts from the base point, with no phase 1.
 
-    Row 1 is active at the base point, and dx moves it inward.  The
-    quotient matches the one from a cold re-solve up to round-off.
+    Row 1 is active at the base point.  dx = e3 moves it inward, so the
+    base point itself is feasible; dx = -e3 moves it outward, so the base
+    point is not, and the start is its least-norm step back onto the row.
+    Either quotient matches the one from a cold re-solve up to round-off.
     """
     model = generic_parametric_qp(5)
-    x, dx = np.full(3, 0.1), np.array([0.0, 0.0, 1.0])
-    x_h = x + sensitivity.FD_STEP * dx
+    x = np.full(3, 0.1)
     base = solve_victim(model, x)
     assert abs(base.problem.constraint_values(base.y)[1]) <= qp.TOL_ACT
-    assert qp._usable_start(model.assemble(x_h), base.y) is not None
-    cold = (solve_victim(model, x_h).y - base.y) / sensitivity.FD_STEP
     phase1, inner = [], qp._phase1
     monkeypatch.setattr(qp, "_phase1", lambda problem: phase1.append(problem) or inner(problem))
-    warm = fd_directional_derivative(model, x, dx, base_solution=base)
-    assert phase1 == []
-    assert np.abs(warm - cold).max() <= 1e-9
-    solve_victim(model, x_h)  # the patch sees a cold solve
-    assert len(phase1) == 1
+    for outward in (False, True):
+        dx = np.array([0.0, 0.0, -1.0 if outward else 1.0])
+        x_h = x + sensitivity.FD_STEP * dx
+        assert (qp._usable_start(model.assemble(x_h), base.y) is None) == outward
+        cold = (solve_victim(model, x_h).y - base.y) / sensitivity.FD_STEP
+        assert len(phase1) == 1  # the patch sees a cold solve
+        phase1.clear()
+        warm = fd_directional_derivative(model, x, dx, base_solution=base)
+        assert phase1 == []
+        assert np.abs(warm - cold).max() <= 1e-9
+
+
+def test_oracle_trials_run_phase1_once_per_fixture(monkeypatch):
+    """run_oracle_trials(500, seed=0) solves no auxiliary QP and runs phase 1 once per fixture.
+
+    Every trial's fixture is solved cold, once; every FD re-solve starts
+    warm, and no gated trial has a weakly active row.
+    """
+    aux_calls = _count_aux_solves(monkeypatch)
+    phase1, inner = [], qp._phase1
+    monkeypatch.setattr(qp, "_phase1", lambda problem: phase1.append(problem) or inner(problem))
+    trials = run_oracle_trials(500, seed=0)
+    assert aux_calls == []
+    assert len(phase1) == len(trials) == 503
+
+
+def test_hook_less_warm_without_usable_factors_starts_from_its_point(monkeypatch):
+    """A warm solution with no factors, or factors of other rows, gives its y as the start.
+
+    The first is built by hand; the second solves a fixture with one
+    more inequality row.
+    """
+    model = generic_parametric_qp(5)
+    x = np.full(3, 0.1)
+    sol = solve_victim(model, x)
+    bare = KktSolution(sol.y, sol.lam, sol.value)
+    other = solve_victim(generic_parametric_qp(5, n_ineq=4), x)
+    starts, inner = [], victims.solve_qp
+    monkeypatch.setattr(victims, "solve_qp", lambda p, start: starts.append(start) or inner(p, start=start))
+    for warm in (bare, other):
+        assert np.abs(solve_victim(model, x, warm=warm).y - sol.y).max() <= 1e-9
+    assert starts[0] is bare.y and starts[1] is other.y
+
+
+@pytest.mark.parametrize("keep_problem", [False, True])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda model, x, sol: build_auxiliary(model, x, sol),
+        lambda model, x, sol: qp.adjoint(sol, np.ones(model.dim_var)),
+        lambda model, x, sol: qp.licq_margin(sol, [1]),
+        lambda model, x, sol: qp.working_minimizer(sol, np.ones(model.dim_var), np.zeros(3)),
+    ],
+    ids=["build_auxiliary", "adjoint", "licq_margin", "working_minimizer"],
+)
+def test_hand_built_solution_raises_input_error(entry, keep_problem):
+    """A KktSolution without solve_qp's problem or factors is named as the caller's error."""
+    model = generic_parametric_qp(5)
+    x = np.full(3, 0.1)
+    sol = solve_victim(model, x)
+    bare = KktSolution(sol.y, sol.lam, sol.value, problem=sol.problem if keep_problem else None)
+    with pytest.raises(errors.InputError, match="solution must come from solve_qp"):
+        entry(model, x, bare)
 
 
 def test_semi_derivative_direction_validation():
