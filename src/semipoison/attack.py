@@ -11,9 +11,9 @@ per-feature box bounds.
 Directional derivatives are exact one-sided values from the auxiliary
 problem of the sensitivity module.  When the solution map is plainly
 differentiable at the current iterate (every active constraint has a
-nonzero multiplier) they collapse to one adjoint solve on the training
-solver's own factors that yields the full data gradient at once; where
-regularity fails entirely, one-sided finite differences take over.
+nonzero multiplier) they collapse to one adjoint solve, the same factor
+solve as the semi-derivative's, giving the full data gradient at once;
+where regularity fails entirely, one-sided finite differences take over.
 
 A classical gradient attack that ignores the training constraints is
 included for comparison, as is a geometric-decay check for step-size
@@ -38,7 +38,7 @@ from .errors import (
     SingularHessian,
     Stalled,
 )
-from .qp import KktSolution, adjoint
+from .qp import KktSolution, working_minimizer
 from .sensitivity import build_auxiliary, semi_derivative
 from .victims import VictimModel, solve_victim
 
@@ -333,16 +333,16 @@ class _ObjectiveDerivative:
         self.aux = aux
         if aux.structure.weakly_active:
             return
-        # strict complementarity: dy is linear in dx, so one adjoint solve
-        # gives the gradient of G.  Only working rows carry nonzero multipliers
-        # and LICQ held, so the solver's final working set is the strict set.
-        # B = [B_y; B_con] stacks the data derivatives of the Lagrangian's
-        # y-gradient over those of every constraint row.
-        pair = adjoint(solution, self.grad_y)
-        if pair is not None:
-            u, nu = pair
+        # strict complementarity: dy is linear in dx, so one adjoint solve,
+        # [[H, A_w'], [A_w, 0]] (u, nu) = (grad_y, 0), gives the gradient of G.
+        # A_w, the solver's final working rows, is the strict set: only they
+        # carry nonzero multipliers, and LICQ held.  B = [B_y; B_con] stacks the
+        # data derivatives of the Lagrangian's y-gradient and constraint rows.
+        u = working_minimizer(solution, -self.grad_y, np.zeros(aux.rows.shape[0]))
+        if u is not None:
+            nu = solution.factors.multipliers(self.grad_y - aux.H_aux @ u)
             B, nv = aux.B, aux.dim_var
-            self.gradient = -(B[:nv].T @ u - B[nv:][solution.working].T @ nu)
+            self.gradient = -(B[:nv].T @ u - B[nv:][solution.factors.rows].T @ nu)
 
     def dG(self, owner, V: np.ndarray) -> tuple[np.ndarray, list[str]]:
         """Derivatives along the rows of V, and the route behind each.

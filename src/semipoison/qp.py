@@ -172,11 +172,10 @@ class KktSolution:
     takes one.  phase1 tells whether a phase-1 search supplied the
     starting point.  problem is the QpProblem that solve_qp solved, so
     callers that need its data at the solution do not assemble it again.
-    working holds the final working rows, and Q and T their factors:
-    A[working]' = Q[:, :m] R with T = R^-1, Q orthogonal.  The start rows
-    come first, in the order solve_qp describes, then the rows that
-    joined, in the order they joined.  adjoint and licq_margin read the
-    factors.
+    factors holds the final working rows and their factors (see
+    WorkingFactors): the start rows first, in the order solve_qp
+    describes, then the rows that joined, in the order they joined.
+    working_minimizer, working_start and licq_margin read them.
     """
 
     y: np.ndarray
@@ -185,9 +184,7 @@ class KktSolution:
     iterations: int = 0
     phase1: bool = False
     problem: QpProblem | None = None
-    working: np.ndarray | None = None
-    Q: np.ndarray | None = None
-    T: np.ndarray | None = None
+    factors: WorkingFactors | None = None
 
 
 @dataclass
@@ -265,20 +262,78 @@ def classify_active(problem: QpProblem, solution: KktSolution) -> ActiveStructur
     return ActiveStructure(active=active, weakly_active=weakly, strict=strict)
 
 
-def _working_subproblem(H, c, A_w, b_w, y, Q, T):
-    """Minimize the objective subject to A_w q + b_w = 0, anchored near y.
+class WorkingFactors:
+    """Working rows w of a constraint matrix A and their factors A[w]' = Q[:, :m] R.
 
-    A_w' = Q[:, :m] R with Q orthogonal and T = R^-1, so Z = Q[:, m:]
-    spans the null space of A_w.  Returns (y_hat, ray): the minimizer
-    (None if unbounded) and a direction of unbounded descent in that
-    null space (None when the minimizer exists).  Z'HZ is decomposed
-    whole: a negative eigenvalue, or a flat direction with a nonzero
-    reduced gradient, gives the ray; else the minimizer.
+    rows holds w in working order, Q is n x n and orthogonal, and the n x n
+    buffer T holds R^-1 in its leading m x m block, zeros elsewhere.  Rows
+    join at the end and leave from anywhere; Q and T are updated in place
+    (Gill, Golub, Murray & Saunders 1974).
     """
-    m = T.shape[0]
-    Y, Z = Q[:, :m], Q[:, m:]
-    # min-norm correction onto the working affine set
-    y0 = y - Y @ (T.T @ (A_w @ y + b_w))
+
+    def __init__(self, rows: np.ndarray, Q: np.ndarray, T: np.ndarray):
+        self.rows, self.Q, self.T = rows, Q, np.zeros(Q.shape)
+        self.T[: len(T), : len(T)] = T
+
+    @property
+    def null_space(self) -> np.ndarray:
+        return self.Q[:, self.rows.size :]
+
+    @property
+    def r_diagonal(self) -> np.ndarray:
+        """|R_jj|: each working row's residual off the rows before it."""
+        return 1.0 / np.abs(self.T.diagonal()[: self.rows.size])
+
+    def onto(self, y: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """y moved by the least-norm step onto A[w] q + b[w] = 0: y - Y T'(A[w] y + b[w])."""
+        w = self.rows
+        return y - self.Q[:, : w.size] @ (self.T[: w.size, : w.size].T @ (A[w] @ y + b[w]))
+
+    def multipliers(self, g: np.ndarray) -> np.ndarray:
+        """lam with A[w]' lam = g, for g in the span of the working rows: T Y'g."""
+        m = self.rows.size
+        return self.T[:m, :m] @ (self.Q[:, :m].T @ g)
+
+    def join(self, i: int, a: np.ndarray) -> bool:
+        """Row i, a, joins by one Householder reflection of Q[:, m:]; False if a is in the span."""
+        m, Q, T = self.rows.size, self.Q, self.T
+        v = Q[:, m:].T @ a
+        # a is in the span when off it by at most TOL_INDEP of its norm (1e-16 is
+        # TOL_INDEP squared: 1e-8**2 != 1e-16)
+        if v @ v <= 1e-16 * (a @ a):
+            return False
+        beta = -math.copysign(math.sqrt(v @ v), v[0])
+        v[0] -= beta
+        Q[:, m:] -= (Q[:, m:] @ v)[:, None] * (v * (2.0 / (v @ v)))
+        T[:m, m] = (T[:m, :m] @ (Q[:, :m].T @ a)) / -beta
+        T[m, m] = 1.0 / beta
+        self.rows = np.append(self.rows, i)
+        return True
+
+    def drop(self, i: int, A: np.ndarray) -> None:
+        """Working row i of A leaves; the rows after it are re-triangularized."""
+        m, Q, T = self.rows.size, self.Q, self.T
+        j = int(np.flatnonzero(self.rows == i)[0])
+        if j < m - 1:  # without row j, R's rows j.. are upper Hessenberg: one QR fixes them
+            q = np.linalg.qr(Q[:, j:m].T @ A[self.rows[j + 1 :]].T, mode="complete")[0]
+            Q[:, j:m] = Q[:, j:m] @ q
+            T[:m, j:m] = T[:m, j:m] @ q
+        T[j : m - 1] = T[j + 1 : m]  # the new R^-1 is T q without row j
+        T[m - 1] = T[:, m - 1] = 0.0
+        self.rows = np.delete(self.rows, j)
+
+
+def _working_subproblem(H, c, A, b, y, factors: WorkingFactors):
+    """Minimize the objective subject to A[w] q + b[w] = 0 on factors' rows w, anchored near y.
+
+    Returns (y_hat, ray): the minimizer (None if unbounded) and a
+    direction of unbounded descent in the null space Z of A[w] (None
+    when the minimizer exists).  Z'HZ is decomposed whole: a negative
+    eigenvalue, or a flat direction with a nonzero reduced gradient,
+    gives the ray; else the minimizer.
+    """
+    y0 = factors.onto(y, A, b)
+    Z = factors.null_space
     if Z.shape[1] == 0:
         return y0, None
     g0 = H @ y0 + c
@@ -304,19 +359,20 @@ def _working_subproblem(H, c, A_w, b_w, y, Q, T):
     return y0 + Z @ u, None
 
 
-def _independent_factors(stack: np.ndarray, n_base: int):
-    """A linearly independent subset of the rows of `stack`, and its QR.
+def _independent_factors(A: np.ndarray, rows: np.ndarray, n_base: int) -> WorkingFactors:
+    """A linearly independent subset of the rows A[rows], and its factors.
 
-    Greedy in row order: a row of norm at most 1e-14 is skipped, any
-    other of the first n_base (base) rows counts when its residual off
-    the rows counted before it exceeds 1e-12, and any other row when it
-    exceeds TOL_INDEP of its norm.  The residuals are the R diagonal of one
-    complete QR of the rows, valid up to the first failing row, which is
-    dropped before the rest are factored again.  Returns (live, Q, T):
-    the indices of the k <= n rows kept, and stack[live]' = Q[:, :k] T^-1.
+    Greedy in the order of rows: a row of norm at most 1e-14 is skipped,
+    any other of the first n_base (base) rows counts when its residual
+    off the rows counted before it exceeds 1e-12, and any other row when
+    it exceeds TOL_INDEP of its norm.  The residuals are the R diagonal
+    of one complete QR of the rows, valid up to the first failing row,
+    which is dropped before the rest are factored again.  Returns the
+    factors of the k <= n rows kept, in the same order.
     """
-    if not stack.shape[0]:  # nothing to factor
-        return np.zeros(0, dtype=int), np.eye(stack.shape[1]), np.zeros((0, 0))
+    if not rows.size:  # nothing to factor
+        return WorkingFactors(rows, np.eye(A.shape[1]), np.zeros((0, 0)))
+    stack = A[rows]
     scale = row_norms(stack)
     thresh = TOL_INDEP * scale
     thresh[:n_base] = 1e-12
@@ -331,7 +387,7 @@ def _independent_factors(stack: np.ndarray, n_base: int):
     T = np.diag(1.0 / R.diagonal())
     for j in range(1, k):  # R^-1 column by column: back-substitution needs no LU
         T[:j, j] = (T[:j, :j] @ R[:j, j]) * -T[j, j]
-    return live[:k], Q, T
+    return WorkingFactors(rows[live[:k]], Q, T)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step or multiplier raises instead
@@ -340,34 +396,27 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, max_iter=None, factored=
 
     The working set starts as the rows at y that solve_qp describes,
     factored by _independent_factors unless factored, _phase1's (rows,
-    live, Q, T), holds exactly these rows.  Its Q and T are updated as
-    rows join and leave (Gill, Golub, Murray & Saunders 1974).  Joining
-    rows go last; a leaving row costs a re-triangularization of the rows
-    after it.  max_iter defaults to solve_qp's cap.  Each iteration moves
-    toward the working-set minimizer y_hat, or along a ray of unbounded
-    descent, up to the first blocking row, which joins; a row that the
-    start's independence test would drop does not block.  When no row
-    blocks the unit step, or y already is y_hat, it checks the multiplier
-    signs at y_hat and returns, or drops a row with a negative one.  Ties
-    and drops follow Bland's rule (smallest index).  Returns (y, lam,
-    iterations, (working, Q, T)): the final working rows and their factors.
+    factors), factored exactly these rows.  max_iter defaults to
+    solve_qp's cap.  Each iteration moves toward the working-set
+    minimizer y_hat, or along a ray of unbounded descent, up to the first
+    blocking row, which joins; a row that WorkingFactors.join refuses
+    (one in the working rows' span) does not block.  When no row blocks
+    the unit step, or y already is y_hat, it checks the multiplier signs
+    at y_hat and returns, or drops a row with a negative one.  Ties and
+    drops follow Bland's rule (smallest index).  Returns (y, lam,
+    iterations, factors), factors being the final working rows'.
     """
-    A, b, H, c, r, n = problem.A, problem.b, problem.H, problem.c, problem.n_ineq, problem.n_var
+    A, b, H, c, r = problem.A, problem.b, problem.H, problem.c, problem.n_ineq
     if max_iter is None:
         max_iter = max(200, 30 * (problem.n_con + 1))
     candidates = np.flatnonzero(problem.A_ineq @ y + problem.b_ineq >= -1e-9)
     order = np.concatenate([np.arange(r, problem.n_con), candidates[::-1]])
-    if factored is not None and np.array_equal(order, factored[0]):
-        live, Q, T0 = factored[1:]
-    else:
-        live, Q, T0 = _independent_factors(A[order], problem.n_eq)
-    working = order[live].tolist()
-    T = np.zeros((n, n))  # T[:m, :m] is R^-1 for the m working rows
-    T[: live.size, : live.size] = T0
+    if factored is None or not np.array_equal(order, factored[0]):
+        factored = order, _independent_factors(A, order, problem.n_eq)
+    factors = factored[1]
     for it in range(max_iter):
-        idx = np.array(working, dtype=int)
-        m = idx.size
-        y_hat, ray = _working_subproblem(H, c, A[idx], b[idx], y, Q, T[:m, :m])
+        idx = factors.rows
+        y_hat, ray = _working_subproblem(H, c, A, b, y, factors)
         p = y_hat - y if ray is None else ray
         step = float(np.abs(p).max(initial=0.0))  # NaN when p holds one
         if not math.isfinite(step):
@@ -383,40 +432,25 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, max_iter=None, factored=
                 t = np.full(r + 1, 1.0 if ray is None else np.inf)
                 np.divide(problem.A_ineq @ y + problem.b_ineq, -s, out=t[1:], where=can)
                 i = int(np.maximum(t, 0.0, out=t).argmin()) - 1
-                # a row off the working rows' span by at most TOL_INDEP of its norm
-                # cannot join (1e-16 is TOL_INDEP squared: 1e-8**2 != 1e-16)
-                while i >= 0 and (v := Q[:, m:].T @ A[i]) @ v <= 1e-16 * (A[i] @ A[i]):
+                while i >= 0 and not factors.join(i, A[i]):
                     t[i + 1] = np.inf
                     i = int(t.argmin()) - 1
-            if i >= 0:  # row i joins: one Householder reflection of Q[:, m:]
+            if i >= 0:
                 y = y + t[i + 1] * p
-                beta = -math.copysign(math.sqrt(v @ v), v[0])
-                v[0] -= beta
-                Q[:, m:] -= (Q[:, m:] @ v)[:, None] * (v * (2.0 / (v @ v)))
-                T[:m, m] = (T[:m, :m] @ (Q[:, :m].T @ A[i])) / -beta
-                T[m, m] = 1.0 / beta
-                working.append(i)
                 continue
             if ray is not None:
                 raise Unbounded("objective decreases without bound along a feasible ray")
 
         # y_hat minimizes over the working set: check multiplier signs
-        lam_w = -(T[:m, :m] @ (Q[:, :m].T @ (H @ y_hat + c)))  # A_w' lam_w = -(H y_hat + c)
+        lam_w = -factors.multipliers(H @ y_hat + c)  # A_w' lam_w = -(H y_hat + c)
         if not np.isfinite(lam_w).all():
             raise MaxIterations("working-set multipliers are not finite: the data are too large")
         negative = idx[(idx < r) & (lam_w < -_DROP_TOL)]
         if not negative.size:
             lam = np.zeros(problem.n_con)
             lam[idx] = np.where((idx >= r) | (lam_w > 0.0), lam_w, 0.0)
-            return y_hat, lam, it + 1, (idx, Q, T[:m, :m].copy())
-        j = working.index(int(negative.min()))
-        if j < m - 1:  # without row j, R's rows j.. are upper Hessenberg: one QR fixes them
-            q = np.linalg.qr(Q[:, j:m].T @ A[idx[j + 1 :]].T, mode="complete")[0]
-            Q[:, j:m] = Q[:, j:m] @ q
-            T[:m, j:m] = T[:m, j:m] @ q
-        T[j : m - 1] = T[j + 1 : m]  # the new R^-1 is T q without row j
-        T[m - 1] = T[:, m - 1] = 0.0
-        working.pop(j)
+            return y_hat, lam, it + 1, factors
+        factors.drop(int(negative.min()), A)
         y = y_hat
     raise MaxIterations(f"active-set method did not converge in {max_iter} iterations")
 
@@ -431,41 +465,38 @@ def _phase1(problem: QpProblem):
     subject to A_ineq y + b_ineq <= t, solved by the same loop from y0,
     drives the violation to 0.  That loop starts on the equality rows
     alone, whose factors with a zero t-column are the equality factors
-    bordered by one unit basis vector, so they are handed over, not
-    recomputed.  Returns (y, factored): the rows factored last and
-    _independent_factors' (live, Q, T) on them, for the loop to reuse,
-    or None when no row was factored or the auxiliary QP ran.
+    bordered by one unit basis vector.  Returns (y, factored): the rows
+    factored last and their factors, for the loop to reuse, or None when
+    the auxiliary QP ran.
     """
     n, r = problem.n_var, problem.n_ineq
-    eq_rows, y0, eq = np.arange(r, problem.n_con), np.zeros(n), None
+    eq_rows, y0 = np.arange(r, problem.n_con), np.zeros(n)
     if problem.n_eq:
-        eq = (eq_rows, *_independent_factors(problem.A_eq, problem.n_eq))
-        _, live, Q, T = eq
-        y0 = -(Q[:, : live.size] @ (T.T @ problem.b_eq[live]))
+        eq = _independent_factors(problem.A, eq_rows, problem.n_eq)
+        y0 = eq.onto(y0, problem.A, problem.b)
         resid = np.abs(problem.A_eq @ y0 + problem.b_eq).max()
         if resid > 1e-8 * (1.0 + np.abs(problem.b_eq).max()):
             raise Infeasible("equality constraints are inconsistent")
+    else:
+        eq = WorkingFactors(eq_rows, np.eye(n), np.zeros((0, 0)))
     g = problem.A_ineq @ y0 + problem.b_ineq
     viol = float(g.max(initial=0.0))
     if viol <= TOL_FEAS:
-        return y0, eq
+        return y0, (eq_rows, eq)
     rows = np.concatenate([eq_rows, np.flatnonzero(g > TOL_FEAS)[::-1]])
-    factored = (rows, *_independent_factors(problem.A[rows], problem.n_eq))
-    _, live, Q, T = factored
-    w = rows[live]
-    y = y0 - Q[:, : live.size] @ (T.T @ (problem.A[w] @ y0 + problem.b[w]))
+    factors = _independent_factors(problem.A, rows, problem.n_eq)
+    y = factors.onto(y0, problem.A, problem.b)
     if _usable_start(problem, y) is not None:
-        return y, factored
+        return y, (rows, factors)
     H1 = np.diag(np.append(np.zeros(n), 1.0))
     A1 = np.hstack([problem.A, np.where(np.arange(problem.n_con) < r, -1.0, 0.0)[:, None]])
     aux = QpProblem(H1, np.zeros(n + 1), A1[:r], problem.b_ineq, A1[r:], problem.b_eq)
     del A1  # aux.A is a copy; freeing A1 keeps the phase-1 loop's peak memory down
     # t clears every violation, so the loop starts on the equality rows alone
     start = np.concatenate([y0, [viol * (1.0 + 1e-3) + 1e-6]])
-    live, Q1, T = np.zeros(0, dtype=int), np.eye(n + 1), np.zeros((0, 0))
-    if eq is not None:
-        _, live, Q1[:n, :n], T = eq
-    y_aux = _active_set_loop(aux, start, factored=(eq_rows, live, Q1, T))[0]
+    Q1 = np.eye(n + 1)
+    Q1[:n, :n] = eq.Q
+    y_aux = _active_set_loop(aux, start, factored=(eq_rows, WorkingFactors(eq.rows, Q1, eq.T)))[0]
     if y_aux[n] > 1e-9:
         raise Infeasible(f"no feasible point (minimal constraint violation {y_aux[n]:.3e})")
     return y_aux[:n], None
@@ -542,11 +573,7 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
         raise MaxIterations(
             "objective value at the KKT point is not finite: the data are too large"
         )
-    return KktSolution(y, lam, value, iterations, phase1, problem, *factors)
-
-
-def _factored(solution: KktSolution) -> bool:
-    return all(v is not None for v in (solution.problem, solution.working, solution.Q, solution.T))
+    return KktSolution(y, lam, value, iterations, phase1, problem, factors)
 
 
 def solved_problem(solution: KktSolution) -> QpProblem:
@@ -555,10 +582,8 @@ def solved_problem(solution: KktSolution) -> QpProblem:
     Raises InputError for a KktSolution built without them, since every
     function that reads the factors needs both.
     """
-    if not _factored(solution):
-        raise InputError(
-            "solution must come from solve_qp: it has no problem or working-set factors"
-        )
+    if solution.problem is None or solution.factors is None:
+        raise InputError("solution must come from solve_qp: no problem or working-set factors")
     return solution.problem
 
 
@@ -574,10 +599,8 @@ def working_minimizer(solution: KktSolution, c: np.ndarray, b: np.ndarray) -> np
 
     Raises MaxIterations when the minimizer is not finite.
     """
-    problem, w = solved_problem(solution), solution.working
-    d = _working_subproblem(
-        problem.H, c, problem.A[w], b[w], np.zeros(problem.n_var), solution.Q, solution.T
-    )[0]
+    problem = solved_problem(solution)
+    d = _working_subproblem(problem.H, c, problem.A, b, np.zeros_like(c), solution.factors)[0]
     if d is not None and not np.isfinite(d).all():
         raise MaxIterations("working-set minimizer is not finite: the data are too large")
     return d
@@ -588,55 +611,34 @@ def working_start(solution: KktSolution, problem: QpProblem) -> np.ndarray:
     """solution.y moved by one least-norm step back onto its working rows in problem.
 
     problem is the training problem at nearby data.  The step
-    y - Y T'(A[w] y + b[w]) runs on the solution's factors of the old
-    rows w, so the new rows hold at its end up to the square of the
+    (WorkingFactors.onto) runs on the solution's factors of the old
+    rows, so the new rows hold at its end up to the square of the
     change in the data, and the inactive rows keep their slack up to
     its size.  Returns solution.y itself when solution has no factors
     (it was not built by solve_qp) or problem's rows differ in shape.
     """
-    y = solution.y
-    if not _factored(solution) or solution.problem.A.shape != problem.A.shape:
-        return y
-    w, T = solution.working, solution.T
-    return y - solution.Q[:, : T.shape[0]] @ (T.T @ (problem.A[w] @ y + problem.b[w]))
-
-
-def adjoint(solution: KktSolution, g: np.ndarray):
-    """Solve [[H, A'], [A, 0]] (u, nu) = (g, 0) for the final working rows A.
-
-    The solve runs on the solution's factors A' = Q[:, :m] T^-1 (Nocedal
-    & Wright, section 16.2): u = Z (Z'HZ)^-1 Z' g with Z = Q[:, m:], and
-    nu = T Y'(g - H u) with Y = Q[:, :m].  Returns (u, nu), with nu in
-    the order of solution.working, or None if Z'HZ is singular.
-    """
-    H, Q, T = solved_problem(solution).H, solution.Q, solution.T
-    m = T.shape[0]
-    Y, Z = Q[:, :m], Q[:, m:]
-    u = np.zeros(H.shape[0])
-    if Z.shape[1]:
-        try:
-            u = Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ g)
-        except np.linalg.LinAlgError:
-            return None
-    return u, T @ (Y.T @ (g - H @ u))
+    old, factors = solution.problem, solution.factors
+    if old is None or factors is None or old.A.shape != problem.A.shape:
+        return solution.y
+    return factors.onto(solution.y, problem.A, problem.b)
 
 
 def licq_margin(solution: KktSolution, active) -> float:
     """Smallest |R_jj| / |a_j| over the active rows: each row's residual off those before it.
 
-    The working rows come first, R = T^-1 from the solver; the other
-    active rows follow, factored in the working rows' null space Q[:, m:].
+    The working rows come first, with R from the solver's factors; the
+    other active rows follow, factored in the working rows' null space.
     More of them than its dimension leave a zero residual.
     """
-    A, working, Q, T = solved_problem(solution).A, solution.working, solution.Q, solution.T
-    m, live = working.size, set(working.tolist())
+    A, factors = solved_problem(solution).A, solution.factors
+    live, Z = set(factors.rows.tolist()), factors.null_space
     extra = np.array([i for i in active if i not in live], dtype=int)
-    if extra.size > Q.shape[1] - m:
+    if extra.size > Z.shape[1]:
         return 0.0
-    resid = 1.0 / np.abs(T.diagonal())
+    resid = factors.r_diagonal
     if extra.size:
-        R = np.linalg.qr(Q[:, m:].T @ A[extra].T, mode="r")
+        R = np.linalg.qr(Z.T @ A[extra].T, mode="r")
         resid = np.append(resid, np.abs(R.diagonal()))
-    norms = row_norms(A[np.append(working, extra)])
+    norms = row_norms(A[np.append(factors.rows, extra)])
     ratio = np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0.0)  # a zero row fails
     return float(ratio.min(initial=np.inf))

@@ -122,15 +122,19 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
     AuxUnbounded
         The auxiliary objective is unbounded; the second-order regularity
         condition fails at this point.
+    MaxIterations
+        B dx or dy is not finite: the data are too large.
     """
     dx = np.asarray(dx, dtype=float)
     if dx.shape != (aux.dim_data,):
         raise DimensionMismatch(f"dx must have shape ({aux.dim_data},), got {dx.shape}")
     if not np.linalg.norm(dx) > 0:
         raise DimensionMismatch("dx must be nonzero")
-    z = -(aux.B @ dx)
-    v = z[: aux.dim_var]
-    mu = z[aux.dim_var :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = -(aux.B @ dx)
+    if not np.isfinite(z).all():
+        raise MaxIterations("derivative data B dx is not finite: the data are too large")
+    v, mu = z[: aux.dim_var], z[aux.dim_var :]
 
     weak, strict = aux.structure.weakly_active, aux.structure.strict
     if not weak:  # only working rows carry multipliers, so under LICQ strict is the working set
@@ -138,14 +142,8 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
         if dy is None:
             raise AuxUnbounded("auxiliary objective decreases without bound on the active rows")
         return dy
-    problem = QpProblem(
-        aux.H_aux,
-        -v,
-        A_ineq=aux.rows[weak],
-        b_ineq=mu[weak],
-        A_eq=aux.rows[strict],
-        b_eq=mu[strict],
-    )
+    # the weakly active rows as inequalities, the strict ones as equalities
+    problem = QpProblem(aux.H_aux, -v, aux.rows[weak], mu[weak], aux.rows[strict], mu[strict])
     try:
         return solve_qp(problem).y
     except Infeasible as exc:

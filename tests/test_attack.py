@@ -668,7 +668,7 @@ def check_linear_route(model, x, sol, selector, target):
     if ev.aux is None or ev.aux.structure.weakly_active:
         return None
     strict = ev.aux.structure.strict
-    assert sorted(sol.working) == strict
+    assert sorted(sol.factors.rows) == strict
     nv = ev.aux.dim_var
     W = np.vstack([ev.aux.B[:nv], -ev.aux.B[nv:][strict]])
     want = dense_kkt_gradient(ev.aux.H_aux, ev.aux.rows[strict], W, ev.grad_y)
@@ -715,7 +715,7 @@ def test_gradient_baseline_matches_dense_kkt_solve():
     model, H, cross = unconstrained_fixture()
     x = np.array([0.3, -0.2])
     sol = solve_victim(model, x)
-    assert list(sol.working) == []
+    assert list(sol.factors.rows) == []
     target = sol.y + np.array([0.5, -0.2, 0.1])
     cfg = AttackConfig(target=target, delta=10.0, point_dim=2, curvature_bound=5.0)
     record = first_record(run_gradient_baseline, x, model, cfg)

@@ -217,6 +217,21 @@ def test_attack_bad_target_string(tmp_path, capsys):
     assert "target" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--target=x,1", "target weights must be numbers, got 'x,1'"),
+        ("--bounds=a,3,5,60", "bounds must be numbers, got 'a,3,5,60'"),
+    ],
+    ids=["target", "bounds"],
+)
+def test_non_numeric_values_exit_2_before_any_output(tmp_path, capsys, flag, message):
+    out = tmp_path / "run"
+    assert run_cli("attack", "--synth-n", 20, flag, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_attack_bad_bounds_string(tmp_path, capsys):
     code = run_cli("attack", "--out", tmp_path, "--bounds", "1,2,3")
     assert code == 2

@@ -185,9 +185,15 @@ def test_dimension_mismatch():
         QpProblem(np.eye(2), np.zeros(2), A_ineq=np.zeros((1, 3)), b_ineq=np.zeros(1))
     with pytest.raises(errors.DimensionMismatch):
         QpProblem([[1.0, 0.5], [0.0, 1.0]], np.zeros(2))  # asymmetric H
+    with pytest.raises(errors.DimensionMismatch, match=r"b_ineq must have shape \(1,\)"):
+        QpProblem(np.eye(2), np.zeros(2), A_ineq=np.zeros((1, 2)), b_ineq=np.zeros(2))
+    with pytest.raises(errors.DimensionMismatch, match=r"b_eq must have shape \(2,\)"):
+        QpProblem(np.eye(2), np.zeros(2), A_eq=np.eye(2), b_eq=np.zeros(1))
     prob = QpProblem(np.eye(2), np.zeros(2))
     with pytest.raises(errors.DimensionMismatch):
         kkt_residuals(prob, np.zeros(3), np.zeros(0))
+    with pytest.raises(errors.DimensionMismatch, match=r"lam must have shape \(1,\)"):
+        kkt_residuals(QpProblem(np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0]]), np.zeros(2), np.zeros(2))
 
 
 def test_kkt_residuals_exact_and_perturbed():
@@ -263,20 +269,17 @@ def test_factors_stay_exact_through_updates(monkeypatch):
     """On criterion 8's problems the updated factors still factor A_w.
 
     At every iteration, so after each row added and each row dropped, Q
-    stays orthogonal and Q[:, :m] R reproduces A_w' (R = T^-1), both
-    within 1e-12 of the largest entry.
+    stays orthogonal and Q[:, :m] R reproduces A_w' (R^-1 is T's leading
+    block, and T is zero outside it), both within 1e-12 of the largest
+    entry.
     """
     inner = qp._working_subproblem
     seen = []
 
-    def checked(H, c, A_w, b_w, y, Q, T):
-        n, m = Q.shape[0], T.shape[0]
-        assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-12
-        if m:
-            R = np.linalg.inv(T)
-            assert np.abs(Q[:, :m] @ R - A_w.T).max() <= 1e-12 * np.abs(A_w).max()
-        seen.append((n, m))
-        return inner(H, c, A_w, b_w, y, Q, T)
+    def checked(H, c, A, b, y, factors):
+        check_factors(factors, A)
+        seen.append((A.shape[1], factors.rows.size))
+        return inner(H, c, A, b, y, factors)
 
     monkeypatch.setattr(qp, "_working_subproblem", checked)
     rng = np.random.default_rng(2024)
@@ -310,13 +313,14 @@ def test_ratio_test_tie_goes_to_the_lower_index(scales):
     assert_allclose(sol.lam[0], 1.0 / s0, atol=1e-12)
 
 
-def check_final_factors(sol):
-    """Q is orthogonal and Q[:, :m] T^-1 reproduces the working rows' transpose."""
-    n, m = sol.problem.n_var, len(sol.working)
-    assert sol.Q.shape == (n, n) and sol.T.shape == (m, m)
-    assert np.abs(sol.Q.T @ sol.Q - np.eye(n)).max() <= 1e-12
-    rows = sol.problem.A[sol.working]
-    rebuilt = sol.Q[:, :m] @ np.linalg.inv(sol.T) if m else np.zeros((n, 0))
+def check_factors(factors, A):
+    """Q is orthogonal, T is zero outside its leading m x m block R^-1, and Q[:, :m] R = A[w]'."""
+    Q, T, n, m = factors.Q, factors.T, A.shape[1], factors.rows.size
+    assert Q.shape == T.shape == (n, n)
+    assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-12
+    assert not T[m:].any() and not T[:, m:].any()
+    rows = A[factors.rows]
+    rebuilt = Q[:, :m] @ np.linalg.inv(T[:m, :m]) if m else np.zeros((n, 0))
     assert np.abs(rebuilt - rows.T).max(initial=0.0) <= 1e-12 * np.abs(rows).max(initial=0.0)
 
 
@@ -324,8 +328,8 @@ def test_solution_carries_its_problem():
     prob = QpProblem([[1.0]], [0.0], A_ineq=[[-1.0]], b_ineq=[1.0])
     for sol in (solve_qp(prob), solve_qp(prob, start=np.array([2.0]))):
         assert sol.problem is prob
-        assert list(sol.working) == [0]
-        check_final_factors(sol)
+        assert list(sol.factors.rows) == [0]
+        check_factors(sol.factors, sol.problem.A)
     rng = np.random.default_rng(11)
     sizes = set()
     for _ in range(40):
@@ -333,8 +337,8 @@ def test_solution_carries_its_problem():
         cold = solve_qp(prob)
         for sol in (cold, solve_qp(prob, start=y_int)):
             assert sol.problem is prob
-            check_final_factors(sol)
-            sizes.add(len(sol.working))
+            check_factors(sol.factors, sol.problem.A)
+            sizes.add(len(sol.factors.rows))
     assert sizes >= {1, 2, 3, 4, 5}  # from one working row to a full set
 
 
@@ -457,9 +461,9 @@ def test_start_rows_are_in_decreasing_index():
     prob = QpProblem(np.eye(6), -(A.T @ lam), A[:4], b[:4], A[4:], b[4:])
     sol = solve_qp(prob, start=np.zeros(6))
     assert not sol.phase1 and sol.iterations == 1
-    assert sol.working.tolist() == [4, 3, 2, 0]
+    assert sol.factors.rows.tolist() == [4, 3, 2, 0]
     assert_allclose(sol.lam, lam, atol=1e-12)
-    check_final_factors(sol)
+    check_factors(sol.factors, sol.problem.A)
 
 
 ROW_KINDS = ["fresh", "dup", "scaled", "zero"]
@@ -614,13 +618,14 @@ def test_phase1_factors_match_a_recomputation(monkeypatch):
 
     def checked(problem, y, max_iter=None, factored=None):
         if factored is not None:
-            rows, *factors = factored
-            again = _independent_factors(problem.A[rows], problem.n_eq)
+            rows, factors = factored
+            again = _independent_factors(problem.A, rows, problem.n_eq)
+            pairs = [(again.rows, factors.rows), (again.Q, factors.Q), (again.T, factors.T)]
             if in_phase1:
-                assert all(np.array_equal(a, b) for a, b in zip(again, factors))
+                assert all(np.array_equal(a, b) for a, b in pairs)
                 handed["t-loop"] += 1
             else:
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(again, factors))
+                assert all(a.tobytes() == b.tobytes() for a, b in pairs)
                 handed[rows.size > problem.n_eq] += 1
         return inner_loop(problem, y, max_iter, factored)
 
@@ -740,7 +745,8 @@ def test_row_norms_keep_every_bit_and_do_not_overflow():
 
 def _independent_subset(rows, base):
     """Indices into rows of those _independent_factors keeps after the base rows."""
-    live = _independent_factors(np.vstack([base, rows]), len(base))[0]
+    stack = np.vstack([base, rows])
+    live = _independent_factors(stack, np.arange(len(stack)), len(base)).rows
     return [int(i) - len(base) for i in live if i >= len(base)]
 
 
@@ -808,9 +814,10 @@ def test_base_row_threshold_is_absolute(eps, kept):
     """
     a = np.array([[1.0, 2.0, 2.0]])
     base = np.vstack([a, a + eps * np.array([[0.0, 1.0, -1.0]])])
-    live, Q, T = _independent_factors(base, 2)
-    assert live.tolist() == kept
-    assert_allclose(Q[:, : len(kept)] @ np.linalg.inv(T), base[kept].T, atol=1e-12)
+    factors = _independent_factors(base, np.arange(2), 2)
+    k = len(kept)
+    assert factors.rows.tolist() == kept
+    assert_allclose(factors.Q[:, :k] @ np.linalg.inv(factors.T[:k, :k]), base[kept].T, atol=1e-12)
     assert _independent_subset(base[1:], base[:1]) == []
 
 

@@ -75,7 +75,7 @@ def test_licq_rejects_nearly_dependent_working_rows():
     A = np.array([[1.0, 0.0, 0.0], [1.0, 1e-10, 0.0]])
     model = fixed_qp_model(np.eye(3), np.ones(3), A_eq=A, b_eq=np.zeros(2))
     sol = solve_victim(model, np.zeros(1))
-    assert sorted(sol.working) == [0, 1]
+    assert sorted(sol.factors.rows) == [0, 1]
     with pytest.raises(errors.RegularityFailure):
         build_auxiliary(model, np.zeros(1), sol)
 
@@ -87,7 +87,7 @@ def test_licq_rejects_more_active_rows_than_the_null_space_holds():
         np.eye(1), [-2.0], A_ineq=np.ones((2, 1)), b_ineq=-np.ones(2)
     )
     sol = solve_victim(model, np.zeros(1))
-    assert sol.working.size == 1
+    assert sol.factors.rows.size == 1
     with pytest.raises(errors.RegularityFailure):
         build_auxiliary(model, np.zeros(1), sol)
 
@@ -102,7 +102,7 @@ def test_licq_reads_active_rows_outside_the_working_set(copies, margin):
         A_ineq=np.tile([[1.0, 0.0]], (copies, 1)), b_ineq=-np.ones(copies),
     )
     sol = solve_victim(model, np.zeros(1))
-    assert sol.working.size == 0
+    assert sol.factors.rows.size == 0
     if margin is None:
         with pytest.raises(errors.RegularityFailure):
             build_auxiliary(model, np.zeros(1), sol)
@@ -324,18 +324,29 @@ def test_aux_unbounded_when_second_order_condition_fails(monkeypatch):
 
 
 def test_overflowing_derivative_raises_a_solver_error():
-    """dy = B dx / 1e-10 with B = 1e308 overflows: a typed error, not a non-finite dy."""
-    model = VictimModel(
-        dim_data=1,
-        dim_var=1,
-        assemble=lambda x: QpProblem([[1e-10]], [0.0]),
-        grad_x_constraint=lambda x, y: np.zeros((0, 1)),
-        cross_hessian=lambda x, y, lam: np.array([[1e308]]),
-    )
-    x = np.zeros(1)
-    aux = build_auxiliary(model, x, solve_victim(model, x))
-    with pytest.raises(errors.MaxIterations, match="not finite"):
-        semi_derivative(aux, np.ones(1))
+    """A non-finite dy or B dx is a typed error on both routes, with no numpy warning.
+
+    B = 1e308.  Without constraints, dy = B dx / 1e-10 overflows on the
+    factor route.  With the weakly active row -y <= 0, B dx = 2e308
+    overflows before the auxiliary QP is assembled.
+    """
+    cases = [
+        (QpProblem([[1e-10]], [0.0]), 1.0),
+        (QpProblem([[1.0]], [0.0], A_ineq=[[-1.0]], b_ineq=[0.0]), 2.0),
+    ]
+    for problem, dx in cases:
+        model = VictimModel(
+            dim_data=1,
+            dim_var=1,
+            assemble=lambda x, problem=problem: problem,
+            grad_x_constraint=lambda x, y, problem=problem: np.zeros((problem.n_con, 1)),
+            cross_hessian=lambda x, y, lam: np.array([[1e308]]),
+        )
+        x = np.zeros(1)
+        aux = build_auxiliary(model, x, solve_victim(model, x))
+        assert len(aux.structure.weakly_active) == problem.n_con
+        with pytest.raises(errors.MaxIterations, match="not finite"):
+            semi_derivative(aux, np.array([dx]))
 
 
 def test_weakly_active_row_solves_the_auxiliary_qp(monkeypatch):
@@ -388,7 +399,10 @@ def test_factor_route_matches_the_assembled_auxiliary_qp(monkeypatch):
 def test_singular_adjoint_scores_by_aux_then_fd():
     """A flat Z'HZ: no adjoint, so each direction goes to the aux QP, then to FD.
 
-    At x = (0.3, 0) the objective |y - (0, 1)|^2 has grad_y = (0.6, -2).
+    The adjoint u minimizes 0.5 u'Hu - grad_y'u on the working rows' null
+    space, and grad_y has a component along the flat direction, so it
+    does not exist.  At x = (0.3, 0) the objective |y - (0, 1)|^2 has
+    grad_y = (0.6, -2).
     Along +-e1 the aux QP gives dy = +-e1; along e2 it is unbounded, and
     the FD re-solve then meets the same flat direction and raises.
     """
@@ -397,7 +411,8 @@ def test_singular_adjoint_scores_by_aux_then_fd():
     sol = solve_victim(model, x)
     selector, target = np.eye(2), np.array([0.0, 1.0])
     ev = _ObjectiveDerivative(model, x, sol, selector, target, objective(sol.y, target))
-    assert qp.adjoint(sol, ev.grad_y) is None and ev.gradient is None
+    assert qp.working_minimizer(sol, -ev.grad_y, np.zeros(sol.problem.n_con)) is None
+    assert ev.gradient is None
     values, routes = ev.dG(0, np.array([[1.0, 0.0], [-1.0, 0.0]]))
     assert_allclose(values, [0.6, -0.6], rtol=1e-12)
     assert routes == ["aux", "aux"]
@@ -491,11 +506,10 @@ def test_hook_less_warm_without_usable_factors_starts_from_its_point(monkeypatch
     "entry",
     [
         lambda model, x, sol: build_auxiliary(model, x, sol),
-        lambda model, x, sol: qp.adjoint(sol, np.ones(model.dim_var)),
         lambda model, x, sol: qp.licq_margin(sol, [1]),
         lambda model, x, sol: qp.working_minimizer(sol, np.ones(model.dim_var), np.zeros(3)),
     ],
-    ids=["build_auxiliary", "adjoint", "licq_margin", "working_minimizer"],
+    ids=["build_auxiliary", "licq_margin", "working_minimizer"],
 )
 def test_hand_built_solution_raises_input_error(entry, keep_problem):
     """A KktSolution without solve_qp's problem or factors is named as the caller's error."""
