@@ -8,12 +8,11 @@ most sensitive point a short way along its best descent direction.  All
 iterates stay inside a norm ball around the pristine data and inside
 per-feature box bounds.
 
-Directional derivatives are exact one-sided values from the auxiliary
-problem of the sensitivity module.  When the solution map is plainly
-differentiable at the current iterate (every active constraint has a
-nonzero multiplier) they collapse to one adjoint solve, the same factor
-solve as the semi-derivative's, giving the full data gradient at once;
-where regularity fails entirely, one-sided finite differences take over.
+Directional derivatives come from sensitivity.PointDerivative, the one
+place that chooses their route: the full data gradient at once where the
+solution map is differentiable at the current iterate, exact one-sided
+values from the auxiliary problem where it is only regular, and, where
+the object has neither, a one-sided finite difference of the objective.
 
 A classical gradient attack that ignores the training constraints is
 included for comparison, as is a geometric-decay check for step-size
@@ -29,17 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AuxInfeasible,
-    AuxUnbounded,
-    DimensionMismatch,
-    EmptyDirectionSet,
-    RegularityFailure,
-    SingularHessian,
-    Stalled,
-)
-from .qp import KktSolution, working_minimizer
-from .sensitivity import build_auxiliary, semi_derivative
+from .errors import DimensionMismatch, EmptyDirectionSet, SingularHessian, Stalled
+from .qp import KktSolution
+# build_auxiliary and semi_derivative are unused here; perfbench/tracing.py patches them by name
+from .sensitivity import PointDerivative, build_auxiliary, semi_derivative
 from .victims import VictimModel, solve_victim
 
 PROBE_STEP = 1e-9
@@ -310,10 +302,10 @@ def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rn
 class _ObjectiveDerivative:
     """Directional derivatives of the attack objective at a fixed iterate.
 
-    Routes, in order of preference: one adjoint solve on the training
-    solver's factors when the solution map is differentiable here (no
-    weakly active constraints), the auxiliary problem per direction
-    otherwise, and a one-sided finite difference when regularity fails.
+    The chain rule grad_y' dy on the routes sensitivity.PointDerivative
+    chooses: its data gradient where the solution map is differentiable
+    here, its semi-derivative per direction otherwise, and a one-sided
+    finite difference of the objective where it returns neither.
     """
 
     def __init__(self, model, x, solution, selector, target, value):
@@ -324,25 +316,8 @@ class _ObjectiveDerivative:
         self.target = target
         self.value = value
         self.grad_y = 2.0 * (selector.T @ (selector @ solution.y - target))
-        self.aux = None
-        self.gradient = None
-        try:
-            aux = build_auxiliary(model, self.x, solution)
-        except RegularityFailure:
-            return
-        self.aux = aux
-        if aux.structure.weakly_active:
-            return
-        # strict complementarity: dy is linear in dx, so one adjoint solve,
-        # [[H, A_w'], [A_w, 0]] (u, nu) = (grad_y, 0), gives the gradient of G.
-        # A_w, the solver's final working rows, is the strict set: only they
-        # carry nonzero multipliers, and LICQ held.  B = [B_y; B_con] stacks the
-        # data derivatives of the Lagrangian's y-gradient and constraint rows.
-        u = working_minimizer(solution, -self.grad_y, np.zeros(aux.rows.shape[0]))
-        if u is not None:
-            nu = solution.factors.multipliers(self.grad_y - aux.H_aux @ u)
-            B, nv = aux.B, aux.dim_var
-            self.gradient = -(B[:nv].T @ u - B[nv:][solution.factors.rows].T @ nu)
+        self.point = PointDerivative(model, self.x, solution)
+        self.gradient = self.point.gradient(self.grad_y)
 
     def dG(self, owner, V: np.ndarray) -> tuple[np.ndarray, list[str]]:
         """Derivatives along the rows of V, and the route behind each.
@@ -362,11 +337,9 @@ class _ObjectiveDerivative:
     def _per_direction(self, p, v) -> tuple[float, str]:
         dx = np.zeros(self.x.size)
         dx[_point_slots(p, v.size)] = v
-        if self.aux is not None:
-            try:
-                return float(self.grad_y @ semi_derivative(self.aux, dx)), "aux"
-            except (AuxInfeasible, AuxUnbounded):
-                pass
+        dy = self.point.along(dx)
+        if dy is not None:
+            return float(self.grad_y @ dy), "aux"
         return self._finite_difference(dx), "fd"
 
     def _finite_difference(self, dx):

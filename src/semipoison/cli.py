@@ -38,20 +38,8 @@ from .data import (
     write_stats_json,
     write_csv,
 )
-from .errors import (
-    AuxInfeasible,
-    AuxUnbounded,
-    InputError,
-    ParseError,
-    RegularityFailure,
-    SolverError,
-)
-from .sensitivity import (
-    build_auxiliary,
-    fd_directional_derivative,
-    run_oracle_trials,
-    semi_derivative,
-)
+from .errors import InputError, ParseError, SolverError
+from .sensitivity import PointDerivative, fd_directional_derivative, run_oracle_trials
 from .victims import (
     SvmModel,
     generic_parametric_qp,
@@ -192,7 +180,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if resolved.get("seed", 0) < 0:  # numpy's own message would not name the key
         raise ValueError(f"seed must be nonnegative, got {resolved['seed']}")
     out = Path(resolved.get("out", "."))  # before any work, creating nothing; toy has no out
-    near = next(p for p in (out, *out.parents) if p.exists())
+    try:
+        near = next(p for p in (out, *out.parents) if p.exists())
+    except OSError as exc:  # a name too long to look up, say
+        raise ValueError(f"cannot write output directory {out}: {exc.strerror}") from None
     if not near.is_dir():  # with the reason _prepare_out's mkdir would give
         reason = os.strerror(errno.EEXIST if near == out else errno.ENOTDIR)
         raise ValueError(f"cannot write output directory {out}: {reason}")
@@ -420,7 +411,8 @@ def toy_report() -> dict:
     The lower problem learns y(x) = |x|; the upper objective x + 2 y(x)
     is to be maximized over the data x.  At x = 0 the two one-sided
     rates are 3 (rightward) and 1 (leftward), so the right direction
-    wins, kink notwithstanding.
+    wins, kink notwithstanding.  sensitivity.PointDerivative picks the
+    route, and finite differences give the rates where it has none.
     """
     model = toy_bilevel_model()
     xs = np.linspace(-1.0, 1.0, 201)
@@ -429,17 +421,17 @@ def toy_report() -> dict:
 
     x0 = np.zeros(1)
     sol = solve_victim(model, x0)
+    point = PointDerivative(model, x0, sol)
     rates = {}
     route = "one-sided derivative"
     for label, dx in (("right", 1.0), ("left", -1.0)):
         direction = np.array([dx])
-        try:
-            dy = float(semi_derivative(build_auxiliary(model, x0, sol), direction)[0])
-        except (RegularityFailure, AuxInfeasible, AuxUnbounded):
+        dy = point.along(direction)
+        if dy is None:
             # the kink pins two bounds at once, so fall back to the defining limit
-            dy = float(fd_directional_derivative(model, x0, direction, base_solution=sol)[0])
+            dy = fd_directional_derivative(model, x0, direction, base_solution=sol)
             route = "finite-difference fallback"
-        rates[label] = dx + 2.0 * dy
+        rates[label] = dx + 2.0 * float(dy[0])
     chosen = 1 if rates["right"] >= rates["left"] else -1
     return {
         "grid_x": xs,

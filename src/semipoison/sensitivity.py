@@ -23,6 +23,9 @@ and under LICQ they are the training solution's final working rows, so
 semi_derivative solves it as one KKT system on the training solver's
 factors (qp.working_minimizer); the auxiliary QP is solved by solve_qp
 only where some active row is weakly active.
+
+PointDerivative, built once per solved point, is the one place that chooses
+the route: the data gradient, the semi-derivative, or None for a fallback.
 """
 
 from __future__ import annotations
@@ -152,6 +155,45 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
         raise AuxUnbounded(str(exc)) from exc
 
 
+class PointDerivative:
+    """Derivatives of the solution map at one solved point, by the one route that applies.
+
+    aux is the auxiliary problem, or None where LICQ fails.  gradient and
+    along return None off their route, for the caller's finite difference.
+    """
+
+    def __init__(self, model: VictimModel, x: np.ndarray, solution: KktSolution):
+        try:
+            self.aux = build_auxiliary(model, x, solution)
+        except RegularityFailure:
+            self.aux = None
+
+    def gradient(self, grad_y: np.ndarray) -> np.ndarray | None:
+        """Data gradient of grad_y' y(x), or None unless the map is differentiable here.
+
+        With LICQ and no weakly active row, the working rows A_w are the
+        strict set and dy is linear in dx: one adjoint solve,
+        [[H, A_w'], [A_w, 0]] (u, nu) = (grad_y, 0), gives the gradient from
+        B = [B_y; B_con].  None also where Z'HZ is flat.
+        """
+        aux = self.aux
+        if aux is None or aux.structure.weakly_active:
+            return None
+        u = qp.working_minimizer(aux.solution, -grad_y, np.zeros(aux.rows.shape[0]))
+        if u is None:
+            return None
+        factors = aux.solution.factors
+        nu = factors.multipliers(grad_y - aux.H_aux @ u)
+        return -(aux.B[: aux.dim_var].T @ u - aux.B[aux.dim_var :][factors.rows].T @ nu)
+
+    def along(self, dx: np.ndarray) -> np.ndarray | None:
+        """semi_derivative(aux, dx), or None where LICQ fails or it has no solution."""
+        try:
+            return None if self.aux is None else semi_derivative(self.aux, dx)
+        except (AuxInfeasible, AuxUnbounded):
+            return None
+
+
 def fd_directional_derivative(
     model: VictimModel, x: np.ndarray, dx: np.ndarray, *, base_solution: KktSolution
 ) -> np.ndarray:
@@ -216,26 +258,16 @@ def run_oracle_trials(n_trials: int, seed: int = 0) -> list[OracleTrial]:
         except (Infeasible, Unbounded, MaxIterations):
             results.append(OracleTrial(trial_seed, "skipped (solve)"))
             continue
-        problem = sol.problem
-        g = problem.constraint_values(sol.y)
-        clean = all(
-            abs(g[i]) <= qp.TOL_ACT or g[i] < -ORACLE_MARGIN for i in range(problem.n_ineq)
-        ) and all(
-            sol.lam[i] > ORACLE_MARGIN
-            for i in range(problem.n_ineq)
-            if abs(g[i]) <= qp.TOL_ACT
-        )
-        if clean:
-            try:
-                aux = build_auxiliary(model, x, sol)
-            except RegularityFailure:
-                clean = False
-        if not clean:
+        g = sol.problem.constraint_values(sol.y)[:n_ineq]
+        # active rows need a multiplier above the margin, inactive ones a slack above it
+        clean = np.all(np.where(np.abs(g) <= qp.TOL_ACT, sol.lam[:n_ineq], -g) > ORACLE_MARGIN)
+        point = PointDerivative(model, x, sol) if clean else None
+        if point is None or point.aux is None:
             results.append(OracleTrial(trial_seed, "skipped (regularity)"))
             continue
         dx = rng.standard_normal(dim_data)
         dx /= np.linalg.norm(dx)
-        dy = semi_derivative(aux, dx)
+        dy = semi_derivative(point.aux, dx)
         fd = fd_directional_derivative(model, x, dx, base_solution=sol)
         dev = float(np.abs(dy - fd).max() / (1.0 + np.abs(dy).max(initial=0.0)))
         results.append(OracleTrial(trial_seed, "ok", dev))

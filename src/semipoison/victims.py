@@ -381,42 +381,3 @@ def generic_parametric_qp(
     if n_eq:
         rows_b0[n_ineq:] = -(rows_a[n_ineq:] @ y_int)
     return _AffineQpFamily(H, c0, Cx, rows_a, rows_M, rows_b0, rows_beta, n_ineq).as_victim()
-
-
-def kink_projection_model() -> VictimModel:
-    """Projection of x onto the nonnegative half-line: y(x) = max(x, 0).
-
-    minimize 0.5*(y - x)^2  subject to  -y <= 0.  The solution map has a
-    kink at x = 0 where the bound is active with zero multiplier.
-    """
-    fam = _AffineQpFamily(
-        H=np.array([[1.0]]),
-        c0=np.zeros(1),
-        Cx=np.array([[-1.0]]),
-        rows_a=np.array([[-1.0]]),
-        rows_M=np.zeros((1, 1, 1)),
-        rows_b0=np.zeros(1),
-        rows_beta=np.zeros((1, 1)),
-        n_ineq=1,
-    )
-    return fam.as_victim()
-
-
-def bound_tracking_model(pull: float = 1.0) -> VictimModel:
-    """Track a fixed setpoint under a data-controlled ceiling: y(x) = min(x, pull).
-
-    minimize 0.5*(y - pull)^2  subject to  y - x <= 0.  The data enters
-    the constraint only, so the objective's mixed second derivative in
-    (x, y) is identically zero.
-    """
-    fam = _AffineQpFamily(
-        H=np.array([[1.0]]),
-        c0=np.array([-float(pull)]),
-        Cx=np.zeros((1, 1)),
-        rows_a=np.array([[1.0]]),
-        rows_M=np.zeros((1, 1, 1)),
-        rows_b0=np.zeros(1),
-        rows_beta=np.array([[-1.0]]),
-        n_ineq=1,
-    )
-    return fam.as_victim()

@@ -1,7 +1,7 @@
-"""Independent test oracles.
+"""Independent test oracles and the 1-D victim fixtures.
 
 Kept deliberately naive: correctness over speed, no shared code with the
-package beyond problem containers.
+package beyond problem containers (the fixtures are affine QP families).
 """
 
 from __future__ import annotations
@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from semipoison.victims import VictimModel, _AffineQpFamily
 
 
 def enumerate_qp(H, c, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None, tol=1e-9):
@@ -195,3 +197,42 @@ def dense_feasible_mask(x, D, x_base, delta, lo, hi, probe_step=1e-9, slack=1e-1
     if lo is not None:
         ok &= np.all((trial >= lo - slack) & (trial <= hi + slack), axis=1)
     return ok
+
+
+def kink_projection_model() -> VictimModel:
+    """Projection of x onto the nonnegative half-line: y(x) = max(x, 0).
+
+    minimize 0.5*(y - x)^2  subject to  -y <= 0.  The solution map has a
+    kink at x = 0 where the bound is active with zero multiplier.
+    """
+    fam = _AffineQpFamily(
+        H=np.array([[1.0]]),
+        c0=np.zeros(1),
+        Cx=np.array([[-1.0]]),
+        rows_a=np.array([[-1.0]]),
+        rows_M=np.zeros((1, 1, 1)),
+        rows_b0=np.zeros(1),
+        rows_beta=np.zeros((1, 1)),
+        n_ineq=1,
+    )
+    return fam.as_victim()
+
+
+def bound_tracking_model(pull: float = 1.0) -> VictimModel:
+    """Track a fixed setpoint under a data-controlled ceiling: y(x) = min(x, pull).
+
+    minimize 0.5*(y - pull)^2  subject to  y - x <= 0.  The data enters
+    the constraint only, so the objective's mixed second derivative in
+    (x, y) is identically zero.
+    """
+    fam = _AffineQpFamily(
+        H=np.array([[1.0]]),
+        c0=np.array([-float(pull)]),
+        Cx=np.zeros((1, 1)),
+        rows_a=np.array([[1.0]]),
+        rows_M=np.zeros((1, 1, 1)),
+        rows_b0=np.zeros(1),
+        rows_beta=np.array([[-1.0]]),
+        n_ineq=1,
+    )
+    return fam.as_victim()

@@ -25,12 +25,11 @@ from semipoison.sensitivity import build_auxiliary, run_oracle_trials, semi_deri
 from semipoison.victims import (
     SvmModel,
     generic_parametric_qp,
-    kink_projection_model,
     solve_victim,
     svm_victim,
 )
 
-from _oracles import enumerate_qp
+from _oracles import enumerate_qp, kink_projection_model
 from test_qp import random_feasible_qp
 
 SVM_SEEDS = range(10)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import semipoison.attack as attack_module
+import semipoison.sensitivity as sensitivity_module
 from semipoison.attack import (
     AttackConfig,
     _axis_rows,
@@ -39,14 +39,18 @@ from semipoison.sensitivity import semi_derivative
 from semipoison.victims import (
     SvmModel,
     _AffineQpFamily,
-    bound_tracking_model,
     generic_parametric_qp,
-    kink_projection_model,
     solve_victim,
     svm_victim,
 )
 
-from _oracles import axis_directions, dense_feasible_mask, dense_kkt_gradient
+from _oracles import (
+    axis_directions,
+    bound_tracking_model,
+    dense_feasible_mask,
+    dense_kkt_gradient,
+    kink_projection_model,
+)
 
 
 def kink_config(**overrides):
@@ -131,6 +135,30 @@ def test_config_validation():
         )
     with pytest.raises(DimensionMismatch):
         AttackConfig(target=np.zeros(2), delta=1.0, selector=np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: AttackConfig(target=np.zeros(1), delta=1.0, selector=np.ones(3)),
+         DimensionMismatch, "selector must be a 2-D matrix"),
+        (lambda: AttackConfig(target=np.zeros(1), delta=1.0, point_dim=0),
+         ValueError, "point_dim must be at least 1"),
+        (lambda: AttackConfig(target=np.zeros(1), delta=1.0, max_iters=-1),
+         ValueError, "max_iters must be nonnegative"),
+        (lambda: AttackConfig(
+            target=np.zeros(1), delta=1.0, point_dim=2, box_lo=[0.0], box_hi=[1.0, 1.0]
+        ), DimensionMismatch, "box bounds must have shape (2,) got (1,) and (2,)"),
+        (lambda: AttackConfig(
+            target=np.zeros(1), delta=1.0, selector=np.ones((1, 2))
+        ).resolve_selector(3), DimensionMismatch, "selector must have 3 columns, got 2"),
+    ],
+    ids=["selector-ndim", "point-dim", "max-iters", "box-shape", "selector-columns"],
+)
+def test_config_typed_errors(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert info.type is error and str(info.value) == message
 
 
 def test_config_rejects_non_finite_target_and_nan_box():
@@ -589,12 +617,12 @@ def test_linear_route_scores_match_semi_derivatives(seed):
     target = np.zeros(1)
     value = objective(selector @ sol.y, target)
     ev = _ObjectiveDerivative(model, x, sol, selector, target, value)
-    assert ev.aux.structure.weakly_active == [] and ev.gradient is not None
+    assert ev.point.aux.structure.weakly_active == [] and ev.gradient is not None
     V = np.tile(_axis_rows(2), (x.size // 2, 1))
     vals, routes = ev.dG(np.arange(2 * x.size) // 4, V)
     assert routes == ["linear"] * len(V)
     D = axis_directions(slice(None), x.size)  # the same rows at full length
-    expected = np.array([ev.grad_y @ semi_derivative(ev.aux, d) for d in D])
+    expected = np.array([ev.grad_y @ semi_derivative(ev.point.aux, d) for d in D])
     assert np.count_nonzero(expected) > 0
     assert np.abs(vals - expected).max() <= 1e-9
 
@@ -629,9 +657,9 @@ def check_round_scores_each_point_row_once(monkeypatch, route):
         return real_dG(self, owner, V)
 
     if route == "aux":
-        real_semi = attack_module.semi_derivative
+        real_semi = sensitivity_module.semi_derivative
         monkeypatch.setattr(
-            attack_module, "semi_derivative",
+            sensitivity_module, "semi_derivative",
             lambda aux, dx: calls.append(dx.copy()) or real_semi(aux, dx),
         )
     else:
@@ -665,13 +693,14 @@ def check_linear_route(model, x, sol, selector, target):
     active).  On the route the working set must be the strict set.
     """
     ev = _ObjectiveDerivative(model, x, sol, selector, target, objective(selector @ sol.y, target))
-    if ev.aux is None or ev.aux.structure.weakly_active:
+    aux = ev.point.aux
+    if aux is None or aux.structure.weakly_active:
         return None
-    strict = ev.aux.structure.strict
+    strict = aux.structure.strict
     assert sorted(sol.factors.rows) == strict
-    nv = ev.aux.dim_var
-    W = np.vstack([ev.aux.B[:nv], -ev.aux.B[nv:][strict]])
-    want = dense_kkt_gradient(ev.aux.H_aux, ev.aux.rows[strict], W, ev.grad_y)
+    nv = aux.dim_var
+    W = np.vstack([aux.B[:nv], -aux.B[nv:][strict]])
+    want = dense_kkt_gradient(aux.H_aux, aux.rows[strict], W, ev.grad_y)
     assert np.abs(want).max() > 0
     assert np.abs(ev.gradient - want).max() <= 1e-10 * np.abs(want).max()
     return nv - len(strict)

@@ -507,6 +507,31 @@ def test_out_naming_a_file_is_validation_error(tmp_path, capsys, monkeypatch, ar
     assert afile.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("command", ["train", "attack", "sensitivity-check"])
+def test_out_name_too_long_is_validation_error(tmp_path, capsys, monkeypatch, command):
+    """A 300-character --out exits 2 with the OS's reason, creating nothing."""
+    monkeypatch.chdir(tmp_path)
+    argv = (command, "--synth-n", 8) if command != "sensitivity-check" else (command,)
+    assert run_cli(*argv, "--out", "d" * 300) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write output directory {'d' * 300}: File name too long\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_that_cannot_be_created_is_validation_error(tmp_path, capsys, monkeypatch):
+    """An OSError from creating the output directory exits 2 with its reason."""
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    out = tmp_path / "run"
+    assert run_cli("train", "--synth-n", 8, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write output directory {out}: Permission denied\n"
+    assert not out.exists()
+
+
 def test_negative_seed_message_names_the_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": -1}))

@@ -25,13 +25,12 @@ from semipoison.victims import (
     SvmModel,
     VictimModel,
     generic_parametric_qp,
-    kink_projection_model,
     solve_victim,
     svm_victim,
     toy_bilevel_model,
 )
 
-from _oracles import enumerate_qp
+from _oracles import enumerate_qp, kink_projection_model
 
 
 def test_classify_active_threshold_cases():
@@ -418,13 +417,45 @@ def test_singular_adjoint_scores_by_aux_then_fd():
     assert routes == ["aux", "aux"]
     e2 = np.array([0.0, 1.0])
     with pytest.raises(errors.AuxUnbounded):
-        semi_derivative(ev.aux, e2)
+        semi_derivative(ev.point.aux, e2)
     fd_calls = []
     fd = ev._finite_difference
     ev._finite_difference = lambda dx: fd_calls.append(dx) or fd(dx)
     with pytest.raises(errors.Unbounded):
         ev.dG(0, e2[None])
     assert len(fd_calls) == 1
+
+
+def test_point_derivative_picks_one_route_per_point():
+    """gradient, along or None at four points: smooth, kinked, non-regular, flat."""
+    # strictly complementary SVM point: the gradient gives every product grad_y' dy
+    data = normalize(synth_lane_change(20, seed=0))
+    model = svm_victim(SvmModel(data.features, data.labels, C=10.0))
+    x = data.features.ravel()
+    point = sensitivity.PointDerivative(model, x, solve_victim(model, x))
+    assert point.aux.structure.weakly_active == []
+    grad_y = np.zeros(model.dim_var)
+    grad_y[:2] = [1.0, -1.0]
+    want = np.array([grad_y @ semi_derivative(point.aux, d) for d in np.eye(x.size)])
+    assert np.count_nonzero(want) > 0
+    assert np.abs(point.gradient(grad_y) - want).max() <= 1e-9
+    # the kink of max(x, 0): a weakly active bound, no gradient, one-sided rates
+    x0 = np.zeros(1)
+    kink = kink_projection_model()
+    point = sensitivity.PointDerivative(kink, x0, solve_victim(kink, x0))
+    assert point.gradient(np.ones(1)) is None
+    for dx in (np.ones(1), -np.ones(1)):
+        assert np.array_equal(point.along(dx), semi_derivative(point.aux, dx))
+    # the toy's two bounds at x = 0 are dependent: LICQ fails
+    toy = toy_bilevel_model()
+    point = sensitivity.PointDerivative(toy, x0, solve_victim(toy, x0))
+    assert point.aux is None and point.along(np.ones(1)) is None
+    assert point.gradient(np.ones(1)) is None
+    # flat Z'HZ: the auxiliary objective is unbounded along e2
+    flat, x = flat_direction_model(), np.array([0.3, 0.0])
+    point = sensitivity.PointDerivative(flat, x, solve_victim(flat, x))
+    assert point.along(np.array([0.0, 1.0])) is None
+    assert_allclose(point.along(np.array([1.0, 0.0])), [1.0, 0.0], rtol=1e-12)
 
 
 def test_gradient_baseline_raises_singular_hessian_on_flat_direction():

@@ -13,9 +13,7 @@ from semipoison import errors, victims
 from semipoison.qp import TOL_FEAS, classify_active, solve_qp
 from semipoison.victims import (
     SvmModel,
-    bound_tracking_model,
     generic_parametric_qp,
-    kink_projection_model,
     solve_victim,
     svm_assemble,
     svm_cross_hessian,
@@ -26,7 +24,7 @@ from semipoison.victims import (
     toy_lower_solution,
 )
 
-from _oracles import validate_derivative_callbacks
+from _oracles import bound_tracking_model, kink_projection_model, validate_derivative_callbacks
 
 
 def separable_svm(n=10, seed=42, C=10.0):
@@ -120,6 +118,24 @@ def test_svm_validation_errors():
     svm = separable_svm(n=4)
     with pytest.raises(errors.DimensionMismatch):
         svm_assemble(svm, np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SvmModel(np.zeros((2, 2)), np.array([1, -1, 1])),
+         "labels must be one per feature row"),
+        (lambda: svm_cross_hessian(separable_svm(n=4), np.zeros(8), np.zeros(3), np.zeros(7)),
+         "lam must have length 8, got (7,)"),
+        (lambda: victims.toy_assemble(np.zeros(2)),
+         "toy data vector must have shape (1,), got (2,)"),
+    ],
+    ids=["svm-labels", "svm-cross-hessian-lam", "toy-assemble"],
+)
+def test_victim_shape_errors(build, message):
+    with pytest.raises(errors.DimensionMismatch) as info:
+        build()
+    assert info.type is errors.DimensionMismatch and str(info.value) == message
 
 
 def test_toy_solution_is_absolute_value():
