@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import json
 import os
 import sys
@@ -112,6 +113,7 @@ CONFIG_TYPES = {
 SEARCH_KNOBS = ("curvature_bound", "step_mode", "tol_target", "tol_improve", "max_iters", "seed")
 
 
+@functools.cache  # one tree per process: each main call in it parses with the same one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semipoison",

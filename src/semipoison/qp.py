@@ -10,6 +10,9 @@ H must be symmetric and positive semidefinite on the feasible tangent
 space.  All linear algebra is dense; the intended scale is tens of
 variables and at most a few hundred constraints.  The working rows are
 factored once per solve, then updated as rows join or leave the set.
+Start rows that open with bounds (rows with one nonzero, such as an
+SVM's slack signs) are factored in closed form, so the one QR runs only
+on the other start rows, restricted to the variables the bounds leave free.
 
 Constraints are indexed inequalities first: constraint i is row i of
 the stacked matrix A = [A_ineq; A_eq], with offset b[i].  Multipliers
@@ -365,20 +368,48 @@ def _independent_factors(A: np.ndarray, rows: np.ndarray, n_base: int) -> Workin
     Greedy in the order of rows: a row of norm at most 1e-14 is skipped,
     any other of the first n_base (base) rows counts when its residual
     off the rows counted before it exceeds 1e-12, and any other row when
-    it exceeds TOL_INDEP of its norm.  The residuals are the R diagonal
-    of one complete QR of the rows, valid up to the first failing row,
-    which is dropped before the rest are factored again.  Returns the
-    factors of the k <= n rows kept, in the same order.
+    it exceeds TOL_INDEP of its norm.  Returns the factors of the k <= n
+    rows kept, in the same order.
+
+    The leading run of bound rows is factored in closed form (Gill,
+    Murray & Wright 1981, section 5.5).  Row i is in the run when its
+    one nonzero s_i bounds a variable j_i that no run row before it
+    bounds, and |s_i|, its residual, is above the cut (1e-14; 1e-12 for
+    a base row).  Q's first p columns are sign(s_i) e_(j_i), and R's
+    leading block is D = diag(|s_i|).  The other rows' residuals are
+    those of their entries at the free variables: the R_f diagonal of
+    one complete QR of those entries, valid up to the first failing row,
+    which is dropped before the rest are factored again.  With C the
+    kept rows' entries at the bounded variables times sign(s_i), T's
+    blocks are D^-1, -D^-1 C T_f and T_f = R_f^-1.  A cold SVM start is
+    a run of slack-sign bounds and a margin row or two.
     """
+    n = A.shape[1]
     if not rows.size:  # nothing to factor
-        return WorkingFactors(rows, np.eye(A.shape[1]), np.zeros((0, 0)))
+        return WorkingFactors(rows, np.eye(n), np.zeros((0, 0)))
     stack = A[rows]
-    scale = row_norms(stack)
+    p = 0
+    if np.count_nonzero(stack[0]) == 1:  # the rows open with a bound: find the run's end
+        nonzero = stack != 0.0
+        single = nonzero.sum(axis=1) == 1
+        q = single.size if single.all() else int(single.argmin())
+        cols = nonzero[:q].argmax(axis=1)  # the variable row i bounds
+        s = stack[np.arange(q), cols]
+        by_col = np.argsort(cols, kind="stable")  # a variable's rows, in row order
+        again = by_col[1:][cols[by_col[1:]] == cols[by_col[:-1]]]  # its rows after the first
+        small = np.abs(s) <= np.where(np.arange(q) < n_base, 1e-12, 1e-14)
+        p = int(np.concatenate([again, np.flatnonzero(small), [q]]).min())
+        cols, s = cols[:p], s[:p]
+        free = np.ones(n, dtype=bool)
+        free[cols] = False
+    rest = stack[p:]
+    scale = row_norms(rest)
     thresh = TOL_INDEP * scale
-    thresh[:n_base] = 1e-12
+    thresh[: max(n_base - p, 0)] = 1e-12
     live = np.flatnonzero(scale > 1e-14)
+    sub = rest[:, free] if p else rest
     while True:
-        Q, R = np.linalg.qr(stack[live].T, mode="complete")
+        Qf, R = np.linalg.qr(sub[live].T, mode="complete")
         k = min(R.shape)
         fail = np.flatnonzero(np.abs(R.diagonal()) <= thresh[live[:k]])
         if not fail.size:
@@ -387,7 +418,16 @@ def _independent_factors(A: np.ndarray, rows: np.ndarray, n_base: int) -> Workin
     T = np.diag(1.0 / R.diagonal())
     for j in range(1, k):  # R^-1 column by column: back-substitution needs no LU
         T[:j, j] = (T[:j, :j] @ R[:j, j]) * -T[j, j]
-    return WorkingFactors(rows[live[:k]], Q, T)
+    if not p:
+        return WorkingFactors(rows[live[:k]], Qf, T)
+    Q = np.zeros((n, n))
+    Q[cols, np.arange(p)] = np.sign(s)
+    Q[free, p:] = Qf
+    T_run = np.zeros((p + k, p + k))
+    T_run[:p, :p] = np.diag(1.0 / np.abs(s))
+    T_run[:p, p:] = -(rest[live[:k]][:, cols].T / s[:, None]) @ T  # -D^-1 C T_f
+    T_run[p:, p:] = T
+    return WorkingFactors(np.concatenate([rows[:p], rows[p:][live[:k]]]), Q, T_run)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step or multiplier raises instead
@@ -538,7 +578,8 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
         active (g_i >= -1e-9) in decreasing index: Bland's rule drops the
         lowest index, and a row dropped near the tail of the factors
         leaves few rows after it to re-triangularize.  Of two dependent
-        start rows the later one in this order is dropped.
+        start rows the later one in this order is dropped.  The bound
+        rows that lead this order (see _independent_factors) cost no QR.
 
     Returns
     -------

@@ -50,6 +50,28 @@ def test_train_prints_exact_fields(tmp_path, capsys):
     assert on_disk == doc
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [["train", "--synth-n", "99", "--bogus"], ["attack", "--svm-c", "3", "--delta", "x"]],
+    ids=["unknown-flag", "bad-value"],
+)
+def test_bad_flag_leaves_the_next_call_unaffected(tmp_path, capsys, bad):
+    """main parses with one parser per process; a call that exits 2 leaves no state in it."""
+    assert run_cli("train", "--seed", 5, "--out", tmp_path / "before") == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(bad)
+    assert exc.value.code == 2
+    assert run_cli("train", "--seed", 5, "--out", tmp_path / "after") == 0
+    assert cli.build_parser() is cli.build_parser()
+    runs = [tmp_path / "before", tmp_path / "after"]
+    assert (runs[0] / "model.json").read_bytes() == (runs[1] / "model.json").read_bytes()
+    before, after = (json.loads((run / "config.json").read_text()) for run in runs)
+    assert (before.pop("out"), after.pop("out")) == tuple(map(str, runs))
+    assert after == before == {
+        "data": None, "ridge_eps": 1e-06, "seed": 5, "svm_c": 10.0, "synth_n": 40
+    }
+
+
 def test_train_writes_resolved_config(tmp_path, capsys):
     run_cli("train", "--out", tmp_path, "--seed", 11)
     resolved = json.loads((tmp_path / "config.json").read_text())

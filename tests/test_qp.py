@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from semipoison import errors, qp, sensitivity
+from semipoison.attack import AttackConfig, run_attack
 from semipoison.data import Dataset, normalize, synth_lane_change
 from semipoison.qp import (
     QpProblem,
@@ -265,6 +266,41 @@ def test_multipliers_match_least_squares_reference():
         assert gap <= 1e-10 * (1.0 + np.abs(ref).max(initial=0.0))
 
 
+def _check_factors_per_iteration(monkeypatch):
+    """Run check_factors at every working-set subproblem of every active-set loop.
+
+    Returns the list that collects one list per loop: (m, opens) for each
+    iteration, m being the working-row count and opens whether the first
+    working row is a bound row (one nonzero).
+    """
+    inner_loop, inner_sub = qp._active_set_loop, qp._working_subproblem
+    loops, current = [], []
+
+    def loop(problem, y, max_iter=None, factored=None):
+        current.append([])
+        try:
+            return inner_loop(problem, y, max_iter, factored)
+        finally:
+            loops.append(current.pop())
+
+    def checked(H, c, A, b, y, factors):
+        check_factors(factors, A)
+        m = factors.rows.size
+        if current:  # working_minimizer's solves run outside any loop
+            current[-1].append((m, m > 0 and np.count_nonzero(A[factors.rows[0]]) == 1))
+        return inner_sub(H, c, A, b, y, factors)
+
+    monkeypatch.setattr(qp, "_active_set_loop", loop)
+    monkeypatch.setattr(qp, "_working_subproblem", checked)
+    return loops
+
+
+def _joins_and_drops(loops):
+    """Rows added and dropped between consecutive iterations of one loop."""
+    steps = [m1 - m0 for its in loops for (m0, _), (m1, _) in zip(its, its[1:])]
+    return steps.count(1), steps.count(-1)
+
+
 def test_factors_stay_exact_through_updates(monkeypatch):
     """On criterion 8's problems the updated factors still factor A_w.
 
@@ -273,28 +309,35 @@ def test_factors_stay_exact_through_updates(monkeypatch):
     block, and T is zero outside it), both within 1e-12 of the largest
     entry.
     """
-    inner = qp._working_subproblem
-    seen = []
-
-    def checked(H, c, A, b, y, factors):
-        check_factors(factors, A)
-        seen.append((A.shape[1], factors.rows.size))
-        return inner(H, c, A, b, y, factors)
-
-    monkeypatch.setattr(qp, "_working_subproblem", checked)
+    loops = _check_factors_per_iteration(monkeypatch)
     rng = np.random.default_rng(2024)
-    adds = drops = 0
     for _ in range(500):
         n_var = int(rng.integers(2, 7))
         n_eq = int(rng.integers(0, min(3, n_var)))
         n_ineq = int(rng.integers(0, 9 - n_eq))
-        seen.clear()
         solve_qp(random_feasible_qp(rng, n_var, n_ineq, n_eq))
-        # consecutive iterations of one loop (phase 1 has one more variable)
-        for (n0, m0), (n1, m1) in zip(seen, seen[1:]):
-            adds += n0 == n1 and m1 == m0 + 1
-            drops += n0 == n1 and m1 == m0 - 1
+    adds, drops = _joins_and_drops(loops)
     assert adds > 100 and drops > 10
+
+
+def test_factors_stay_exact_along_an_svm_attack_chain(monkeypatch):
+    """The same check along an n=40 SVM attack, whose solves start on bound rows.
+
+    Each re-solve starts on the slack-sign bounds active at its start, a
+    leading run of bound rows factored in closed form; margin and slack
+    rows then join and leave those factors.  At curvature bound 1 the
+    first trial steps are long, so some start rows leave again.
+    """
+    loops = _check_factors_per_iteration(monkeypatch)
+    data = normalize(synth_lane_change(40, seed=3))
+    model = svm_victim(SvmModel(data.features, data.labels, C=10.0))
+    selector = np.zeros((1, model.dim_var))
+    selector[0, :2] = [1.0, -1.0]
+    config = AttackConfig(np.zeros(1), 3.0, selector, point_dim=2, tol_improve=1e-14, seed=3)
+    run_attack(data.features.ravel(), model, config)
+    adds, drops = _joins_and_drops(loops)
+    assert len(loops) > 30 and all(its[0][1] for its in loops)
+    assert adds > 50 and drops > 10
 
 
 @pytest.mark.parametrize("scales", [(1.0, 2.0), (2.0, 1.0)])
@@ -850,3 +893,161 @@ def test_independent_subset_matches_gram_schmidt_oracle(with_base):
             assert set(got) < set(ref) and base_rank + len(ref) > n_var
         kept_total += len(got)
     assert kept_total > 0
+
+
+# ---------------------------------------------------------------------------
+# leading bound rows, factored in closed form
+# ---------------------------------------------------------------------------
+
+
+def _unit(j, s, n_var=5):
+    row = np.zeros(n_var)
+    row[j] = s
+    return row
+
+
+_G = np.random.default_rng(5).standard_normal((3, 5))
+
+
+def _near_span(rows, rel):
+    """The sum of rows plus rel of its norm along a direction orthogonal to all of them."""
+    combo = rows.sum(axis=0)
+    return combo + rel * np.linalg.norm(combo) * np.linalg.svd(rows)[2][-1]
+
+
+# (base rows, candidate rows, the leading run's length, kept candidates)
+BOUND_RUNS = {
+    "repeated-variable": (
+        [], [_unit(1, 2.0), _unit(3, -0.5), _unit(1, -7.0), _unit(0, 3.0), _G[0]], 2, [0, 1, 3, 4]
+    ),
+    "tiny-bound": ([], [_unit(2, -4.0), _unit(0, 1e-14), _unit(0, 2.0), _G[0]], 1, [0, 2, 3]),
+    "base-below-cut": ([_unit(1, 3.0), _unit(4, -1e-13)], [_unit(4, -2.0), _G[1]], 1, [0, 1]),
+    "general-on-fixed": (
+        [], [_unit(0, 2.0), _unit(1, -1.0), [1.5, -2.0, 0, 0, 0], _G[0], _G[2]], 2, [0, 1, 3, 4]
+    ),
+    "duplicate-bound-later": (
+        [], [_unit(3, -1.0), _unit(0, 5.0), _G[2], _unit(3, 2.0), _unit(2, 1.0)], 2, [0, 1, 2, 4]
+    ),
+    # the base's cut ends with the base: a later row 1e-9 off it is dependent
+    "base-then-near-dependent": (
+        [_unit(2, -1.5), _G[0]],
+        [_near_span(np.vstack([_unit(2, 1.0), _G[0]]), 1e-9), _G[1]],
+        1,
+        [1],
+    ),
+    "all-fixed": (
+        [],
+        [_unit(j, s) for j, s in zip([3, 0, 4, 1, 2], [-2.0, 0.5, 1.0, -3.0, 1e-3])] + list(_G),
+        5,
+        [0, 1, 2, 3, 4],
+    ),
+}
+
+
+def check_bound_run(base, rows, run):
+    """Factor base + rows; check them, the closed-form run, and the Gram-Schmidt oracle's rows."""
+    base = np.reshape(base, (-1, rows.shape[1]))
+    stack = np.vstack([base, rows])
+    factors = _independent_factors(stack, np.arange(len(stack)), len(base))
+    check_factors(factors, stack)
+    assert factors.rows[:run].tolist() == list(range(run))
+    s = stack[np.arange(run), np.argmax(stack[:run] != 0.0, axis=1)]
+    assert np.array_equal(factors.Q[:, :run], np.sign(stack[:run]).T)  # sign(s_i) e_(j_i), exactly
+    assert np.array_equal(np.diag(factors.T)[:run], 1.0 / np.abs(s))
+    kept = [int(i) - len(base) for i in factors.rows if i >= len(base)]
+    assert kept == independent_subset_mgs(rows, base)
+    return kept
+
+
+@pytest.mark.parametrize("case", BOUND_RUNS)
+def test_leading_bound_rows_are_factored_in_closed_form(case):
+    """Signed, scaled unit rows open the set; the run ends where a row is not one.
+
+    A row repeating a run row's variable, a bound of norm at most 1e-14
+    and a base bound of at most 1e-12 each end the run.  A later row
+    touching only fixed variables, or a later copy of a bound, is
+    dropped; once every variable is fixed, every general row is.
+    """
+    base, rows, run, kept = BOUND_RUNS[case]
+    assert check_bound_run(base, np.array(rows, dtype=float), run) == kept
+
+
+def test_random_bound_runs_match_the_gram_schmidt_oracle():
+    """Random row sets opening with a run of signed, scaled bounds, some fixing every variable."""
+    rng = np.random.default_rng(28)
+    runs = collections.Counter()
+    for _ in range(300):
+        n_var = int(rng.integers(1, 8))
+        n_base = int(rng.integers(0, 3))
+        cols = rng.permutation(n_var)[: int(rng.integers(1, n_var + 1))]
+        scales = rng.choice([-1.0, 1.0], cols.size) * 10.0 ** rng.uniform(-3, 3, cols.size)
+        lead = np.zeros((cols.size, n_var))
+        lead[np.arange(cols.size), cols] = scales
+        run = cols.size
+        tail = [rng.standard_normal(n_var) for _ in range(int(rng.integers(0, 5)))]
+        if rng.random() < 0.5:  # a general row on the fixed variables only
+            tail.append(np.where(np.isin(np.arange(n_var), cols), rng.standard_normal(n_var), 0.0))
+        if rng.random() < 0.5:  # a later copy of a run bound
+            tail.append(-3.0 * lead[rng.integers(run)])
+        rng.shuffle(tail)
+        stack = np.vstack([lead, *tail])
+        base = stack[:n_base]
+        runs[run == n_var] += 1
+        check_bound_run(base, stack[n_base:], run)
+    assert runs[True] > 50 and runs[False] > 50
+
+
+def _box_qp(rng):
+    """A strictly convex QP in 2-4 variables, 1-3 general rows and scaled bounds; a feasible point.
+
+    Each variable gets a lower bound -s y_j + s l_j <= 0 and an upper
+    bound s y_j - s u_j <= 0 with probability 0.7 each, s spanning four
+    decades; the point w is on about a third of them, and on some general
+    rows.  The general rows come first, so the bounds active at a start
+    lead the working rows.
+    """
+    n_var = int(rng.integers(2, 5))
+    M = rng.standard_normal((n_var, n_var))
+    w = rng.uniform(-1.0, 1.0, n_var)
+    G = rng.standard_normal((int(rng.integers(1, 4)), n_var))
+    slack = np.where(rng.random(G.shape[0]) < 0.3, 0.0, rng.uniform(0.05, 1.0, G.shape[0]))
+    rows, offsets = list(G), list(-(G @ w) - slack)
+    for j in range(n_var):
+        for side in (-1.0, 1.0):
+            if rng.random() < 0.7:
+                s = side * 10.0 ** rng.uniform(-2, 2)
+                edge = w[j] + side * (0.0 if rng.random() < 0.35 else rng.uniform(0.1, 1.0))
+                rows.append(_unit(j, s, n_var))
+                offsets.append(-s * edge)
+    k = G.shape[0]
+    order = np.concatenate([np.arange(k), k + rng.permutation(len(rows) - k)])
+    H = M.T @ M + 0.1 * np.eye(n_var)
+    prob = QpProblem(H, rng.standard_normal(n_var), np.array(rows)[order], np.array(offsets)[order])
+    return prob, w
+
+
+def test_box_qps_match_enumeration_cold_and_warm(monkeypatch):
+    """Bound-heavy QPs: cold and from a feasible point, the solve reaches the enumerated optimum.
+
+    Most of the starts open with a run of bound rows.
+    """
+    inner = qp._independent_factors
+    opened = collections.Counter()
+
+    def spied(A, rows, n_base):
+        opened[bool(rows.size) and np.count_nonzero(A[rows[0]]) == 1] += 1
+        return inner(A, rows, n_base)
+
+    monkeypatch.setattr(qp, "_independent_factors", spied)
+    rng = np.random.default_rng(160)
+    for _ in range(100):
+        prob, w = _box_qp(rng)
+        ref = enumerate_qp(prob.H, prob.c, prob.A_ineq, prob.b_ineq)
+        assert ref is not None
+        for sol in (solve_qp(prob), solve_qp(prob, start=w)):
+            res = kkt_residuals(prob, sol.y, sol.lam)
+            lam_inf = float(np.abs(sol.lam).max(initial=0.0))
+            assert res.within_default_tolerances(float(np.abs(prob.c).max()), lam_inf)
+            assert_allclose(sol.value, ref[2], atol=1e-7)
+            assert_allclose(sol.y, ref[0], atol=1e-6)
+    assert opened[True] > 60
