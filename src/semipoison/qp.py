@@ -8,11 +8,11 @@ Problems are stated as
 
 H must be symmetric and positive semidefinite on the feasible tangent
 space.  All linear algebra is dense; the intended scale is tens of
-variables and at most a few hundred constraints.  The working rows are
-factored once per solve, then updated as rows join or leave the set.
-Start rows that open with bounds (rows with one nonzero, such as an
-SVM's slack signs) are factored in closed form, so the one QR runs only
-on the other start rows, restricted to the variables the bounds leave free.
+variables and at most a few hundred constraints.  The working rows'
+factors are built and updated by one Householder join per row and one
+small QR per dropped row.  Start rows that open with bounds (rows with
+one nonzero, such as an SVM's slack signs) are factored in closed form;
+the other start rows then join one by one, as rows join in the loop.
 
 Constraints are indexed inequalities first: constraint i is row i of
 the stacked matrix A = [A_ineq; A_eq], with offset b[i].  Multipliers
@@ -269,14 +269,13 @@ class WorkingFactors:
     """Working rows w of a constraint matrix A and their factors A[w]' = Q[:, :m] R.
 
     rows holds w in working order, Q is n x n and orthogonal, and the n x n
-    buffer T holds R^-1 in its leading m x m block, zeros elsewhere.  Rows
-    join at the end and leave from anywhere; Q and T are updated in place
-    (Gill, Golub, Murray & Saunders 1974).
+    buffer T, taken as given like Q, holds R^-1 in its leading m x m block.
+    Rows join at the end and leave from anywhere; Q and T are updated in
+    place (Gill, Golub, Murray & Saunders 1974).
     """
 
     def __init__(self, rows: np.ndarray, Q: np.ndarray, T: np.ndarray):
-        self.rows, self.Q, self.T = rows, Q, np.zeros(Q.shape)
-        self.T[: len(T), : len(T)] = T
+        self.rows, self.Q, self.T = rows, Q, T
 
     @property
     def null_space(self) -> np.ndarray:
@@ -297,17 +296,21 @@ class WorkingFactors:
         m = self.rows.size
         return self.T[:m, :m] @ (self.Q[:, :m].T @ g)
 
-    def join(self, i: int, a: np.ndarray) -> bool:
-        """Row i, a, joins by one Householder reflection of Q[:, m:]; False if a is in the span."""
+    def join(self, i: int, a: np.ndarray, cut: float) -> bool:
+        """Row i, a, joins by one Householder reflection of Q[:, m:]; False if |Q[:, m:]'a| <= cut.
+
+        That residual and the reflector square no entry of a, so a row of
+        any finite scale joins.
+        """
         m, Q, T = self.rows.size, self.Q, self.T
         v = Q[:, m:].T @ a
-        # a is in the span when off it by at most TOL_INDEP of its norm (1e-16 is
-        # TOL_INDEP squared: 1e-8**2 != 1e-16)
-        if v @ v <= 1e-16 * (a @ a):
+        norm = math.hypot(*v.tolist())
+        if norm <= cut:
             return False
-        beta = -math.copysign(math.sqrt(v @ v), v[0])
-        v[0] -= beta
-        Q[:, m:] -= (Q[:, m:] @ v)[:, None] * (v * (2.0 / (v @ v)))
+        beta = -math.copysign(norm, v[0])
+        u = v / norm
+        u[0] += math.copysign(1.0, v[0])  # now u'u = 2 |u_0|
+        Q[:, m:] -= (Q[:, m:] @ u)[:, None] * (u / abs(u[0]))
         T[:m, m] = (T[:m, :m] @ (Q[:, :m].T @ a)) / -beta
         T[m, m] = 1.0 / beta
         self.rows = np.append(self.rows, i)
@@ -375,21 +378,17 @@ def _independent_factors(A: np.ndarray, rows: np.ndarray, n_base: int) -> Workin
     Murray & Wright 1981, section 5.5).  Row i is in the run when its
     one nonzero s_i bounds a variable j_i that no run row before it
     bounds, and |s_i|, its residual, is above the cut (1e-14; 1e-12 for
-    a base row).  Q's first p columns are sign(s_i) e_(j_i), and R's
-    leading block is D = diag(|s_i|).  The other rows' residuals are
-    those of their entries at the free variables: the R_f diagonal of
-    one complete QR of those entries, valid up to the first failing row,
-    which is dropped before the rest are factored again.  With C the
-    kept rows' entries at the bounded variables times sign(s_i), T's
-    blocks are D^-1, -D^-1 C T_f and T_f = R_f^-1.  A cold SVM start is
-    a run of slack-sign bounds and a margin row or two.
+    a base row).  Q's first p columns are sign(s_i) e_(j_i), the free
+    variables' unit vectors follow, and T's leading block is
+    diag(1 / |s_i|).  The other rows join through WorkingFactors.join, as
+    in the active-set loop: no QR runs.  A cold SVM start is a run of
+    slack-sign bounds and a margin row or two.
     """
     n = A.shape[1]
-    if not rows.size:  # nothing to factor
-        return WorkingFactors(rows, np.eye(n), np.zeros((0, 0)))
     stack = A[rows]
-    p = 0
-    if np.count_nonzero(stack[0]) == 1:  # the rows open with a bound: find the run's end
+    Q, T = np.zeros((n, n)), np.zeros((n, n))
+    p, free = 0, np.ones(n, dtype=bool)
+    if rows.size and np.count_nonzero(stack[0]) == 1:  # a bound opens the rows: find the run's end
         nonzero = stack != 0.0
         single = nonzero.sum(axis=1) == 1
         q = single.size if single.all() else int(single.argmin())
@@ -400,34 +399,15 @@ def _independent_factors(A: np.ndarray, rows: np.ndarray, n_base: int) -> Workin
         small = np.abs(s) <= np.where(np.arange(q) < n_base, 1e-12, 1e-14)
         p = int(np.concatenate([again, np.flatnonzero(small), [q]]).min())
         cols, s = cols[:p], s[:p]
-        free = np.ones(n, dtype=bool)
         free[cols] = False
-    rest = stack[p:]
-    scale = row_norms(rest)
-    thresh = TOL_INDEP * scale
-    thresh[: max(n_base - p, 0)] = 1e-12
-    live = np.flatnonzero(scale > 1e-14)
-    sub = rest[:, free] if p else rest
-    while True:
-        Qf, R = np.linalg.qr(sub[live].T, mode="complete")
-        k = min(R.shape)
-        fail = np.flatnonzero(np.abs(R.diagonal()) <= thresh[live[:k]])
-        if not fail.size:
-            break
-        live = np.delete(live, fail[0])
-    T = np.diag(1.0 / R.diagonal())
-    for j in range(1, k):  # R^-1 column by column: back-substitution needs no LU
-        T[:j, j] = (T[:j, :j] @ R[:j, j]) * -T[j, j]
-    if not p:
-        return WorkingFactors(rows[live[:k]], Qf, T)
-    Q = np.zeros((n, n))
-    Q[cols, np.arange(p)] = np.sign(s)
-    Q[free, p:] = Qf
-    T_run = np.zeros((p + k, p + k))
-    T_run[:p, :p] = np.diag(1.0 / np.abs(s))
-    T_run[:p, p:] = -(rest[live[:k]][:, cols].T / s[:, None]) @ T  # -D^-1 C T_f
-    T_run[p:, p:] = T
-    return WorkingFactors(np.concatenate([rows[:p], rows[p:][live[:k]]]), Q, T_run)
+        Q[cols, np.arange(p)] = np.sign(s)
+        T[np.arange(p), np.arange(p)] = 1.0 / np.abs(s)
+    Q[free, np.arange(p, n)] = 1.0  # the free variables' unit vectors
+    factors = WorkingFactors(rows[:p], Q, T)
+    for k, norm in enumerate(row_norms(stack[p:]), p):
+        if norm > 1e-14:
+            factors.join(rows[k], stack[k], 1e-12 if k < n_base else TOL_INDEP * norm)
+    return factors
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step or multiplier raises instead
@@ -472,7 +452,7 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, max_iter=None, factored=
                 t = np.full(r + 1, 1.0 if ray is None else np.inf)
                 np.divide(problem.A_ineq @ y + problem.b_ineq, -s, out=t[1:], where=can)
                 i = int(np.maximum(t, 0.0, out=t).argmin()) - 1
-                while i >= 0 and not factors.join(i, A[i]):
+                while i >= 0 and not factors.join(i, A[i], TOL_INDEP * math.hypot(*A[i].tolist())):
                     t[i + 1] = np.inf
                     i = int(t.argmin()) - 1
             if i >= 0:
@@ -504,10 +484,9 @@ def _phase1(problem: QpProblem):
     it meets every row within TOL_FEAS; else an auxiliary QP, min 0.5 t^2
     subject to A_ineq y + b_ineq <= t, solved by the same loop from y0,
     drives the violation to 0.  That loop starts on the equality rows
-    alone, whose factors with a zero t-column are the equality factors
-    bordered by one unit basis vector.  Returns (y, factored): the rows
-    factored last and their factors, for the loop to reuse, or None when
-    the auxiliary QP ran.
+    alone, factored in the auxiliary QP's variables.  Returns (y,
+    factored): the rows factored last and their factors, for the loop to
+    reuse, or None when the auxiliary QP ran.
     """
     n, r = problem.n_var, problem.n_ineq
     eq_rows, y0 = np.arange(r, problem.n_con), np.zeros(n)
@@ -518,7 +497,7 @@ def _phase1(problem: QpProblem):
         if resid > 1e-8 * (1.0 + np.abs(problem.b_eq).max()):
             raise Infeasible("equality constraints are inconsistent")
     else:
-        eq = WorkingFactors(eq_rows, np.eye(n), np.zeros((0, 0)))
+        eq = WorkingFactors(eq_rows, np.eye(n), np.zeros((n, n)))
     g = problem.A_ineq @ y0 + problem.b_ineq
     viol = float(g.max(initial=0.0))
     if viol <= TOL_FEAS:
@@ -534,9 +513,8 @@ def _phase1(problem: QpProblem):
     del A1  # aux.A is a copy; freeing A1 keeps the phase-1 loop's peak memory down
     # t clears every violation, so the loop starts on the equality rows alone
     start = np.concatenate([y0, [viol * (1.0 + 1e-3) + 1e-6]])
-    Q1 = np.eye(n + 1)
-    Q1[:n, :n] = eq.Q
-    y_aux = _active_set_loop(aux, start, factored=(eq_rows, WorkingFactors(eq.rows, Q1, eq.T)))[0]
+    factored = eq_rows, _independent_factors(aux.A, eq_rows, problem.n_eq)
+    y_aux = _active_set_loop(aux, start, factored=factored)[0]
     if y_aux[n] > 1e-9:
         raise Infeasible(f"no feasible point (minimal constraint violation {y_aux[n]:.3e})")
     return y_aux[:n], None
@@ -579,7 +557,8 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
         lowest index, and a row dropped near the tail of the factors
         leaves few rows after it to re-triangularize.  Of two dependent
         start rows the later one in this order is dropped.  The bound
-        rows that lead this order (see _independent_factors) cost no QR.
+        rows that lead this order are factored in closed form, and the
+        others join them one by one (see _independent_factors).
 
     Returns
     -------

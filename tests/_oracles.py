@@ -111,10 +111,12 @@ def validate_derivative_callbacks(model, x, y, lam, h=1e-6, tol=1e-5):
 def independent_subset_mgs(rows, base):
     """Greedy independent-row selection by one modified Gram-Schmidt pass.
 
-    Reference for qp._independent_factors: base rows enter the basis when
-    their residual exceeds 1e-12; a candidate row is skipped when its norm
-    is at most 1e-14 and kept when its residual exceeds 1e-8 of its norm.
-    Returns the kept candidate indices in row order.
+    Reference for qp._independent_factors, which factors a leading run of
+    bounds in closed form and joins the other rows one Householder
+    reflection at a time: base rows enter the basis when their residual
+    exceeds 1e-12; a candidate row is skipped when its norm is at most
+    1e-14 and kept when its residual exceeds 1e-8 of its norm.  Returns
+    the kept candidate indices in row order.
     """
     basis = []
     for r in base:

@@ -367,6 +367,48 @@ def check_factors(factors, A):
     assert np.abs(rebuilt - rows.T).max(initial=0.0) <= 1e-12 * np.abs(rows).max(initial=0.0)
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e160, 1e200, 1e300])
+def test_rows_of_any_finite_scale_join(scale):
+    """join's span test and reflection square no entry of the row.
+
+    Squared, a row above about 1e154 overflows: inf <= 1e-16 * inf held,
+    so such a row was refused as dependent, with an overflow warning.
+    """
+    A = np.random.default_rng(30).standard_normal((4, 6)) * scale
+    factors = _independent_factors(A, np.zeros(0, dtype=int), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(4):
+            assert factors.join(i, A[i], qp.TOL_INDEP * qp.row_norms(A[i, None])[0])
+        assert not factors.join(4, A[:2].sum(axis=0), qp.TOL_INDEP * scale)
+        check_factors(factors, A)
+
+
+def test_negative_curvature_gives_a_ray_to_the_box():
+    """H = diag(1, -1) curves down along y_1: the working-set subproblem returns a ray.
+
+    Cold, from 0 and from (0.5, 0), the ray ends on the box face y_1 = 1,
+    and y_0 = -0.1 minimizes the convex part: value 0.005 - 0.5 - 0.01.
+    """
+    H, c = np.diag([1.0, -1.0]), np.array([0.1, 0.0])
+    prob = QpProblem(H, c, A_ineq=np.vstack([np.eye(2), -np.eye(2)]), b_ineq=-np.ones(4))
+    inner, curved_rays = qp._working_subproblem, []
+
+    def spied(H, c, A, b, y, factors):
+        y_hat, ray = inner(H, c, A, b, y, factors)
+        curved_rays.append(ray is not None and ray @ H @ ray < 0.0)
+        return y_hat, ray
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "_working_subproblem", spied)
+        for start in (None, np.zeros(2), np.array([0.5, 0.0])):
+            curved_rays.clear()
+            sol = solve_qp(prob, start=start)
+            assert any(curved_rays)
+            assert_allclose(sol.y, [-0.1, 1.0], rtol=0.0, atol=1e-12)
+            assert_allclose(sol.value, -0.505, rtol=1e-12)
+
+
 def test_solution_carries_its_problem():
     prob = QpProblem([[1.0]], [0.0], A_ineq=[[-1.0]], b_ineq=[1.0])
     for sol in (solve_qp(prob), solve_qp(prob, start=np.array([2.0]))):
@@ -635,15 +677,15 @@ def test_violated_row_in_the_equalities_span_goes_to_the_t_loop(monkeypatch):
     calls = _count_calls(monkeypatch, "_active_set_loop", "_independent_factors")
     with pytest.raises(errors.Infeasible, match="no feasible point"):
         solve_qp(prob)
-    # equality rows, then equality and violated rows; the t-loop starts on the
-    # equality rows' factors
-    assert calls == {"_independent_factors": 2, "_active_set_loop": 1}
+    # equality rows, then equality and violated rows, then the equality rows
+    # again in the t-loop's variables
+    assert calls == {"_independent_factors": 3, "_active_set_loop": 1}
     inconsistent = QpProblem(
         H, c, A_ineq=[[-1.0, 0.0]], b_ineq=[1.0], A_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[0.0, -1.0]
     )
     with pytest.raises(errors.Infeasible, match="equality constraints are inconsistent"):
         solve_qp(inconsistent)
-    assert calls == {"_independent_factors": 3, "_active_set_loop": 1}
+    assert calls == {"_independent_factors": 4, "_active_set_loop": 1}
 
 
 def test_phase1_factors_match_a_recomputation(monkeypatch):
@@ -652,8 +694,8 @@ def test_phase1_factors_match_a_recomputation(monkeypatch):
     The random QPs of criterion 8, with and without equality rows, reach
     all three of phase 1's hand-overs: a feasible equality point, a
     feasible projection, and the t-loop's start on the equality rows.
-    The t-loop's factors border the equality factors by a unit vector,
-    where LAPACK writes some zeros as -0.0, so they match by value.
+    The t-loop's start factors the equality rows again in its own
+    variables; they are compared by value.
     """
     inner_loop, inner_phase1 = qp._active_set_loop, qp._phase1
     handed = collections.Counter()
@@ -693,12 +735,14 @@ def test_phase1_factors_match_a_recomputation(monkeypatch):
 def test_oracle_trials_factor_each_start_once(monkeypatch):
     """run_oracle_trials(500, seed=0) makes at most 1,092 factorizations.
 
-    Phase 1 hands the rows it factored to the loop, and its t-loop starts
-    on phase 1's equality factors.  The FD re-solve starts warm on the
-    base solution's working rows, and the derivative is solved on the
-    training factors.  Factoring the equality rows in phase 1 and again
-    at the start of both loops took 3,359; with a cold auxiliary QP per
-    trial and phase 1 in 331 of the 500 FD re-solves, 1,689.
+    Phase 1 hands the rows it factored to the loop; its t-loop factors
+    the equality rows in its own variables (941 in all; 934 when it
+    bordered phase 1's equality factors instead).  The FD re-solve starts
+    warm on the base solution's working rows, and the derivative is
+    solved on the training factors.  Factoring the equality rows in
+    phase 1 and again at the start of both loops took 3,359; with a cold
+    auxiliary QP per trial and phase 1 in 331 of the 500 FD re-solves,
+    1,689.
     """
     calls = _count_calls(monkeypatch, "_independent_factors")
     sensitivity.run_oracle_trials(500, seed=0)
