@@ -259,12 +259,9 @@ def _axis_rows(point_dim: int) -> np.ndarray:
 
 def _random_rows(point_dim: int, count: int, rng) -> np.ndarray:
     """count random unit rows of R^point_dim."""
-    V = np.empty((count, point_dim))
+    V = rng.standard_normal((count, point_dim))
     for row in V:
-        v = rng.standard_normal(point_dim)
-        while (nrm := math.sqrt(v @ v)) < 1e-12:  # redraw rather than divide by 0
-            v = rng.standard_normal(point_dim)
-        row[:] = v / nrm
+        row /= math.sqrt(row @ row)  # math.sqrt: np.linalg.norm moves the last bit of some rows
     return V
 
 

@@ -10,8 +10,8 @@ QP assembled from the active constraints:
     subject to  a_i' dy + mu_i == 0   for strictly active i
                 a_i' dy + mu_i <= 0   for weakly active i (zero multiplier)
 
-where (v, mu) = -B dx,  B stacks the Lagrangian's mixed second
-derivative over -grad_x g_i for every constraint i.  Two regularity
+where v = -C dx and mu = J dx, C being the Lagrangian's mixed second
+derivative in (y, x) and J the constraints' Jacobian in x.  Two regularity
 conditions back this construction.  build_auxiliary checks, from the
 solver's own factors, that the active constraint gradients are linearly
 independent (LICQ).  H_aux must be positive definite on the null space of
@@ -62,7 +62,8 @@ class AuxiliaryProblem:
 
     solution: KktSolution
     structure: ActiveStructure
-    B: np.ndarray  # (dim_var + n_con, dim_data)
+    cross: np.ndarray  # C, (n_var, dim_data), as model.cross_hessian returns it
+    jac: np.ndarray  # J, (n_con, dim_data), as model.grad_x_constraint returns it
     licq_margin: float  # smallest |R_jj| / |a_j| of the active rows; inf with none
 
     @property
@@ -75,12 +76,8 @@ class AuxiliaryProblem:
         return self.solution.problem.A
 
     @property
-    def dim_var(self) -> int:
-        return self.H_aux.shape[0]
-
-    @property
     def dim_data(self) -> int:
-        return self.B.shape[1]
+        return self.cross.shape[1]
 
 
 def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) -> AuxiliaryProblem:
@@ -94,7 +91,8 @@ def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) ->
     residual off the rows before it is at most qp.TOL_INDEP of its norm:
     the auxiliary problem then does not determine the derivative.  The
     second-order condition is not checked here; where it fails,
-    semi_derivative raises AuxUnbounded.
+    semi_derivative raises AuxUnbounded.  A callback array of another
+    shape than C's or J's raises DimensionMismatch.
     """
     x = np.asarray(x, dtype=float)
     problem = qp.solved_problem(solution)
@@ -104,9 +102,13 @@ def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) ->
         raise RegularityFailure(
             f"active constraint gradients are dependent (LICQ margin {margin:.3e})"
         )
-    grads = np.asarray(model.grad_x_constraint(x, solution.y), dtype=float)
-    B = np.vstack([model.cross_hessian(x, solution.y, solution.lam), -grads])
-    return AuxiliaryProblem(solution, structure, B, margin)
+    jac = np.asarray(model.grad_x_constraint(x, solution.y), dtype=float)
+    cross = np.asarray(model.cross_hessian(x, solution.y, solution.lam), dtype=float)
+    got = cross.shape, jac.shape
+    want = (problem.n_var, model.dim_data), (problem.n_con, model.dim_data)
+    if got != want:
+        raise DimensionMismatch(f"cross_hessian, grad_x_constraint shapes {got}, not {want}")
+    return AuxiliaryProblem(solution, structure, cross, jac, margin)
 
 
 def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
@@ -126,7 +128,7 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
         The auxiliary objective is unbounded; the second-order regularity
         condition fails at this point.
     MaxIterations
-        B dx or dy is not finite: the data are too large.
+        C dx, J dx or dy is not finite: the data are too large.
     """
     dx = np.asarray(dx, dtype=float)
     if dx.shape != (aux.dim_data,):
@@ -134,19 +136,19 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
     if not np.linalg.norm(dx) > 0:
         raise DimensionMismatch("dx must be nonzero")
     with np.errstate(over="ignore", invalid="ignore"):
-        z = -(aux.B @ dx)
-    if not np.isfinite(z).all():
-        raise MaxIterations("derivative data B dx is not finite: the data are too large")
-    v, mu = z[: aux.dim_var], z[aux.dim_var :]
+        c, mu = aux.cross @ dx, aux.jac @ dx  # c = -v
+    if not (np.isfinite(c).all() and np.isfinite(mu).all()):
+        raise MaxIterations("derivative data C dx, J dx is not finite: the data are too large")
 
     weak, strict = aux.structure.weakly_active, aux.structure.strict
     if not weak:  # only working rows carry multipliers, so under LICQ strict is the working set
-        dy = qp.working_minimizer(aux.solution, -v, mu)
+        dy = qp.working_minimizer(aux.solution, c, mu)
         if dy is None:
             raise AuxUnbounded("auxiliary objective decreases without bound on the active rows")
         return dy
     # the weakly active rows as inequalities, the strict ones as equalities
-    problem = QpProblem(aux.H_aux, -v, aux.rows[weak], mu[weak], aux.rows[strict], mu[strict])
+    strict = strict[::-1]  # decreasing, as solve_qp orders start rows: the bounds lead
+    problem = QpProblem(aux.H_aux, c, aux.rows[weak], mu[weak], aux.rows[strict], mu[strict])
     try:
         return solve_qp(problem).y
     except Infeasible as exc:
@@ -173,8 +175,8 @@ class PointDerivative:
 
         With LICQ and no weakly active row, the working rows A_w are the
         strict set and dy is linear in dx: one adjoint solve,
-        [[H, A_w'], [A_w, 0]] (u, nu) = (grad_y, 0), gives the gradient from
-        B = [B_y; B_con].  None also where Z'HZ is flat.
+        [[H, A_w'], [A_w, 0]] (u, nu) = (grad_y, 0), gives the gradient
+        -(C'u + J[w]'nu).  None also where Z'HZ is flat.
         """
         aux = self.aux
         if aux is None or aux.structure.weakly_active:
@@ -184,7 +186,7 @@ class PointDerivative:
             return None
         factors = aux.solution.factors
         nu = factors.multipliers(grad_y - aux.H_aux @ u)
-        return -(aux.B[: aux.dim_var].T @ u - aux.B[aux.dim_var :][factors.rows].T @ nu)
+        return -(aux.cross.T @ u + aux.jac[factors.rows].T @ nu)
 
     def along(self, dx: np.ndarray) -> np.ndarray | None:
         """semi_derivative(aux, dx), or None where LICQ fails or it has no solution."""

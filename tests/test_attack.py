@@ -312,6 +312,16 @@ def test_point_local_mask_matches_dense_reference():
     assert kept > 1000 and rejected > 1000
 
 
+def test_random_rows_match_per_row_draws():
+    """One batched draw gives the rows, and leaves the stream, as one draw per row does."""
+    for seed in range(20):
+        for pd in range(1, 6):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [v / np.sqrt(v @ v) for v in (ref.standard_normal(pd) for _ in range(RANDOM_DIRS))]
+            assert np.array_equal(_random_rows(pd, RANDOM_DIRS, rng), want)
+            assert rng.standard_normal() == ref.standard_normal()
+
+
 def test_projection_with_a_per_point_box_equals_the_tiled_box():
     rng = np.random.default_rng(1)
     for _ in range(300):
@@ -698,8 +708,8 @@ def check_linear_route(model, x, sol, selector, target):
         return None
     strict = aux.structure.strict
     assert sorted(sol.factors.rows) == strict
-    nv = aux.dim_var
-    W = np.vstack([aux.B[:nv], -aux.B[nv:][strict]])
+    nv = aux.H_aux.shape[0]
+    W = np.vstack([aux.cross, aux.jac[strict]])
     want = dense_kkt_gradient(aux.H_aux, aux.rows[strict], W, ev.grad_y)
     assert np.abs(want).max() > 0
     assert np.abs(ev.gradient - want).max() <= 1e-10 * np.abs(want).max()

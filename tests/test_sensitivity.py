@@ -11,6 +11,7 @@ from semipoison.attack import (
     AttackConfig,
     _ObjectiveDerivative,
     objective,
+    run_attack,
     run_gradient_baseline,
 )
 from semipoison.qp import KktSolution, QpProblem, classify_active, solve_qp
@@ -135,10 +136,41 @@ def test_kink_auxiliary_data():
     aux = build_auxiliary(model, x, sol)
     assert_allclose(aux.H_aux, [[1.0]])
     assert_allclose(aux.rows[aux.structure.active], [[-1.0]])
-    assert_allclose(aux.B, [[-1.0], [0.0]])
+    assert_allclose(aux.cross, [[-1.0]])
+    assert_allclose(aux.jac, [[0.0]])
     assert aux.structure.active == [0]
     assert aux.structure.weakly_active == [0]
     assert aux.licq_margin == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "name, reshape",
+    [
+        ("cross_hessian", lambda M: np.vstack([M, np.ones(3)])),
+        ("grad_x_constraint", lambda M: M[:-1]),
+        ("cross_hessian", lambda M: M[:, :2]),
+        ("grad_x_constraint", lambda M: np.vstack([M, np.ones(3)])),
+    ],
+    ids=["cross-extra-row", "jac-row-short", "cross-two-columns", "jac-extra-row"],
+)
+def test_mis_shaped_derivative_callbacks_raise_dimension_mismatch(name, reshape):
+    """A cross Hessian or Jacobian of any other shape is refused, not sliced.
+
+    With the two blocks stacked, the extra cross-Hessian row shifted every
+    constraint offset: dy read (0.766, 0.133, -1.182, -0.079) where it is
+    (1.181, 0.951, 0.610, -0.218), with no error.
+    """
+    model = generic_parametric_qp(11, dim_var=4, dim_data=3, n_ineq=3)
+    x = np.array([0.05, -0.1, 0.02])
+    sol = solve_victim(model, x)
+    assert_allclose(
+        semi_derivative(build_auxiliary(model, x, sol), np.eye(3)[0]),
+        [1.18057876, 0.95100113, 0.60997759, -0.21805456],
+    )
+    real = getattr(model, name)
+    bad = dataclasses.replace(model, **{name: lambda *args: reshape(real(*args))})
+    with pytest.raises(errors.DimensionMismatch):
+        build_auxiliary(bad, x, sol)
 
 
 @pytest.mark.parametrize("victim", ["svm", "generic"])
@@ -323,10 +355,10 @@ def test_aux_unbounded_when_second_order_condition_fails(monkeypatch):
 
 
 def test_overflowing_derivative_raises_a_solver_error():
-    """A non-finite dy or B dx is a typed error on both routes, with no numpy warning.
+    """A non-finite dy or C dx is a typed error on both routes, with no numpy warning.
 
-    B = 1e308.  Without constraints, dy = B dx / 1e-10 overflows on the
-    factor route.  With the weakly active row -y <= 0, B dx = 2e308
+    C = 1e308.  Without constraints, dy = C dx / 1e-10 overflows on the
+    factor route.  With the weakly active row -y <= 0, C dx = 2e308
     overflows before the auxiliary QP is assembled.
     """
     cases = [
@@ -359,6 +391,43 @@ def test_weakly_active_row_solves_the_auxiliary_qp(monkeypatch):
         assert len(calls) == k
 
 
+def test_auxiliary_qp_factors_its_bound_rows_in_closed_form(monkeypatch):
+    """The auxiliary QP's strict rows go in decreasing index, so its bounds lead.
+
+    The seed-4 n=20 acceptance attack has 176 weakly active points, each
+    with 22 strict rows: 20 slack-sign bounds and 2 margin rows.  The
+    start's bound run is factored in closed form and only the rows after
+    it join: 2-5 joins per call, against 22-45 with the rows ascending.
+    """
+    data = normalize(synth_lane_change(20, seed=4))
+    model = svm_victim(SvmModel(data.features, data.labels, C=10.0))
+    selector = np.zeros((1, model.dim_var))
+    selector[0, :2] = [1.0, -1.0]
+    cfg = AttackConfig(
+        target=np.zeros(1), delta=3.0, selector=selector, point_dim=2,
+        curvature_bound=20.0, tol_target=1e-10, tol_improve=1e-14, seed=4,
+    )
+    joins, per_call = [], []
+    real_join, real_semi = qp.WorkingFactors.join, sensitivity.semi_derivative
+
+    def counting_join(self, *args):
+        joins.append(None)
+        return real_join(self, *args)
+
+    def counting_semi(aux, dx):
+        before = len(joins)
+        dy = real_semi(aux, dx)
+        if aux.structure.weakly_active:
+            per_call.append(len(joins) - before)
+        return dy
+
+    monkeypatch.setattr(qp.WorkingFactors, "join", counting_join)
+    monkeypatch.setattr(sensitivity, "semi_derivative", counting_semi)
+    run_attack(data.features.ravel(), model, cfg)
+    assert len(per_call) == 176
+    assert max(per_call) <= 5
+
+
 def test_factor_route_matches_the_assembled_auxiliary_qp(monkeypatch):
     """Without weakly active rows the derivative is the equality-constrained auxiliary QP's.
 
@@ -382,11 +451,11 @@ def test_factor_route_matches_the_assembled_auxiliary_qp(monkeypatch):
         if aux.structure.weakly_active:
             continue
         dy = semi_derivative(aux, dx)
-        z = -(aux.B @ dx)
+        c = aux.cross @ dx
         strict = aux.structure.strict
-        rows, offsets = aux.rows[strict], z[dim_var:][strict]
-        ref = solve_qp(QpProblem(aux.H_aux, -z[:dim_var], A_eq=rows, b_eq=offsets)).y
-        enum = enumerate_qp(aux.H_aux, -z[:dim_var], A_eq=rows, b_eq=offsets)[0]
+        rows, offsets = aux.rows[strict], (aux.jac @ dx)[strict]
+        ref = solve_qp(QpProblem(aux.H_aux, c, A_eq=rows, b_eq=offsets)).y
+        enum = enumerate_qp(aux.H_aux, c, A_eq=rows, b_eq=offsets)[0]
         scale = 1.0 + np.abs(ref).max()
         assert np.abs(dy - ref).max() <= 1e-10 * scale
         assert np.abs(dy - enum).max() <= 1e-10 * scale
