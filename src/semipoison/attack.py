@@ -21,13 +21,13 @@ rules with a known curvature bound.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import open_output, write_table
 from .errors import DimensionMismatch, EmptyDirectionSet, SingularHessian, Stalled
 from .qp import KktSolution
 # build_auxiliary and semi_derivative are unused here; perfbench/tracing.py patches them by name
@@ -595,16 +595,12 @@ def convergence_check(trace: AttackTrace, sigma: float, L: float) -> Convergence
 
 def write_trace_jsonl(trace: AttackTrace, path) -> None:
     """One JSON object per accepted iteration."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for record in trace.records:
             fh.write(json.dumps(record.as_dict()) + "\n")
 
 
 def write_summary_csv(trace: AttackTrace, path) -> None:
     """Objective value and displacement per iteration, starting at k=0."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "objective", "distance"])
-        writer.writerow([0, repr(trace.initial_objective), repr(0.0)])
-        for record in trace.records:
-            writer.writerow([record.k, repr(record.objective_value), repr(record.distance)])
+    rows = [(r.k, r.objective_value, r.distance) for r in trace.records]
+    write_table(path, ("k", "objective", "distance"), [(0, trace.initial_objective, 0.0)] + rows)

@@ -3,14 +3,14 @@
 Flags merge over an optional flat JSON config file (--config); explicit
 flags win, unknown config keys are rejected, and every run that writes
 files also writes the fully resolved configuration next to them.  Exit
-codes are machine-consumable: 0 success, 2 validation error, 3 solver or
-numeric failure, 4 attack stalled or out of budget before the target.
+codes are machine-consumable: 0 success, 2 validation error or an output
+file that cannot be written, 3 solver or numeric failure or out of memory,
+4 attack stalled or out of budget before the target.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import functools
 import json
@@ -36,8 +36,10 @@ from .data import (
     normalized_box,
     normalized_budget,
     synth_lane_change,
-    write_stats_json,
     write_csv,
+    write_json,
+    write_stats_json,
+    write_table,
 )
 from .errors import InputError, ParseError, SolverError
 from .sensitivity import PointDerivative, fd_directional_derivative, run_oracle_trials
@@ -195,20 +197,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
 def _prepare_out(resolved: dict) -> Path:
     """Create the output directory and write the resolved configuration into it."""
     out = Path(resolved["out"])
-    text = json.dumps(resolved, indent=2, sort_keys=True)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "config.json").write_text(text + "\n", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write output directory {out}: {exc.strerror}") from None
+    write_json(out / "config.json", dict(sorted(resolved.items())))
     return out
-
-
-def _report(summary: dict, path: Path) -> None:
-    """Print the run's JSON summary and write the same text to path."""
-    text = json.dumps(summary, indent=2)
-    print(text)
-    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _trained_svm(resolved: dict):
@@ -296,8 +290,8 @@ def cmd_train(resolved: dict) -> int:
     sol = solve_victim(model, ds.features.ravel())
     out = _prepare_out(resolved)
     w1, w2, b = (float(v) for v in sol.y[:3])
-    _report(_training_metrics(ds, w1, w2, b), out / "model.json")
     write_stats_json(ds, out / "stats.json")
+    print(write_json(out / "model.json", _training_metrics(ds, w1, w2, b)))
     return EXIT_OK
 
 
@@ -325,14 +319,12 @@ def cmd_attack(resolved: dict) -> int:
     write_summary_csv(trace, out / "summary.csv")
     poisoned_raw = denormalize(trace.x_final.reshape(-1, 2), ds)
     write_csv(Dataset(poisoned_raw, ds.labels), out / "poisoned.csv")
-    moved = np.linalg.norm(poisoned_raw - raw.features, axis=1)
-    with open(out / "diff.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point", "d_lateral_velocity", "d_space_headway", "displacement"])
-        for i in np.flatnonzero(moved > 1e-12):
-            d = poisoned_raw[i] - raw.features[i]
-            writer.writerow([int(i), repr(float(d[0])), repr(float(d[1])), repr(float(moved[i]))])
-    _report(_attack_summary(trace), out / "attack.json")
+    d = poisoned_raw - raw.features
+    moved = np.linalg.norm(d, axis=1)
+    rows = [(int(i), *d[i], moved[i]) for i in np.flatnonzero(moved > 1e-12)]
+    header = ("point", "d_lateral_velocity", "d_space_headway", "displacement")
+    write_table(out / "diff.csv", header, rows)
+    print(write_json(out / "attack.json", _attack_summary(trace)))
     return EXIT_OK if trace.reason in ("optimal", "max_iters") else EXIT_STALLED
 
 
@@ -362,17 +354,12 @@ def cmd_compare(resolved: dict) -> int:
     out = _prepare_out(resolved)
     write_trace_jsonl(trace_semi, out / "semi_trace.jsonl")
     write_trace_jsonl(trace_grad, out / "grad_trace.jsonl")
-    hist_semi = trace_semi.objective_history
-    hist_grad = trace_grad.objective_history
-    with open(out / "compare.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "objective_semi", "objective_grad"])
-        for k in range(max(len(hist_semi), len(hist_grad))):
-            semi = hist_semi[min(k, len(hist_semi) - 1)]
-            grad = hist_grad[min(k, len(hist_grad) - 1)]
-            writer.writerow([k, repr(semi), repr(grad)])
+    semi, grad = trace_semi.objective_history, trace_grad.objective_history
+    steps = range(max(len(semi), len(grad)))  # the shorter run holds its last value
+    rows = [(k, semi[min(k, len(semi) - 1)], grad[min(k, len(grad) - 1)]) for k in steps]
+    write_table(out / "compare.csv", ("k", "objective_semi", "objective_grad"), rows)
     summary = {"semi": _attack_summary(trace_semi), "gradient": _attack_summary(trace_grad)}
-    _report(summary, out / "compare.json")
+    print(write_json(out / "compare.json", summary))
     return EXIT_OK
 
 
@@ -385,12 +372,9 @@ def cmd_sensitivity_check(resolved: dict) -> int:
         raise ValueError("tol must be finite and nonnegative")
     out = _prepare_out(resolved)
     results = run_oracle_trials(trials, seed=resolved["seed"]) if trials else []
-    with open(out / "trials.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "seed", "status", "deviation"])
-        for i, r in enumerate(results):
-            dev = "" if np.isnan(r.deviation) else repr(r.deviation)
-            writer.writerow([i, r.seed, r.status, dev])
+    devs = ["" if np.isnan(r.deviation) else r.deviation for r in results]  # empty when skipped
+    rows = [(i, r.seed, r.status, dev) for i, (r, dev) in enumerate(zip(results, devs))]
+    write_table(out / "trials.csv", ("trial", "seed", "status", "deviation"), rows)
     if trials == 0:
         print("warning: 0 trials requested; the check passes vacuously", file=sys.stderr)
         print("sensitivity-check: PASS (vacuous)")
@@ -485,6 +469,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

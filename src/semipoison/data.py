@@ -9,13 +9,14 @@ budgets and box bounds between raw and normalized units.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLabel, DegenerateFeature, DimensionMismatch, ParseError
+from .errors import BadLabel, DegenerateFeature, DimensionMismatch, InputError, ParseError
 
 FEATURE_NAMES = ("lateral_velocity", "space_headway")
 CSV_HEADER = FEATURE_NAMES + ("label",)
@@ -129,20 +130,45 @@ def load_csv(path) -> Dataset:
     return Dataset(np.array(features), np.array(labels))
 
 
+@contextlib.contextmanager
+def open_output(path, newline=None):
+    """Every file the package writes, opened in UTF-8.
+
+    An OSError opening, writing or closing it is an InputError naming the file.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot write output file {path}: {exc.strerror}") from None
+
+
+def write_table(path, header, rows) -> None:
+    """CSV, header first, CRLF line ends; floats as repr(float(v)), which reads back exactly."""
+    with open_output(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+def write_json(path, doc) -> str:
+    """JSON indented by 2, then a newline; returns the text without it."""
+    text = json.dumps(doc, indent=2)
+    with open_output(path) as fh:
+        fh.write(text + "\n")
+    return text
+
+
 def write_csv(dataset: Dataset, path) -> None:
     """Write the dataset in the load_csv schema (values as stored)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(row[0])), repr(float(row[1])), int(label)])
+    rows = ((*row, int(label)) for row, label in zip(dataset.features, dataset.labels))
+    write_table(path, CSV_HEADER, rows)
 
 
 def write_stats_json(dataset: Dataset, path) -> None:
     """Normalization sidecar: per-feature name, mean, and std."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset.stats_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, dataset.stats_dict())
 
 
 def synth_lane_change(n: int, seed: int) -> Dataset:

@@ -354,12 +354,11 @@ def generic_parametric_qp(
     dim_data: int = 3,
     n_ineq: int = 3,
     n_eq: int = 0,
-    coupling: float = 0.3,
 ) -> VictimModel:
     """Random strictly convex QP family with affine-in-x data coupling.
 
     H is SPD with eigenvalues in [0.5, 3]; constraint normals carry a
-    small x-dependence (scale `coupling`) so the cross Hessian depends on
+    small x-dependence (scale 0.3) so the cross Hessian depends on
     the multipliers.  A random point y_int is strictly feasible at x = 0
     (inequality slacks 0.5-1.5), so problems stay feasible for moderate
     ||x||.  Construction assembles no problem; tests/test_victims.py
@@ -373,7 +372,7 @@ def generic_parametric_qp(
     c0 = rng.standard_normal(dim_var)
     Cx = rng.standard_normal((dim_var, dim_data))
     rows_a = rng.standard_normal((m, dim_var))
-    rows_M = coupling * rng.standard_normal((m, dim_var, dim_data))
+    rows_M = 0.3 * rng.standard_normal((m, dim_var, dim_data))
     rows_beta = rng.standard_normal((m, dim_data))
     y_int = rng.standard_normal(dim_var) * 0.5
     rows_b0 = np.empty(m)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import semipoison
-from semipoison import attack, cli, errors, victims
-from semipoison.data import Dataset, load_csv, synth_lane_change, write_csv
+from semipoison import attack, cli, errors, sensitivity, victims
+from semipoison.data import Dataset, load_csv, normalize, synth_lane_change, write_csv
 
 
 def run_cli(*argv):
@@ -552,6 +552,79 @@ def test_out_that_cannot_be_created_is_validation_error(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err == f"error: cannot write output directory {out}: Permission denied\n"
     assert not out.exists()
+
+
+TRAIN = ("train", "--synth-n", 8)
+ATTACK = ("attack", "--synth-n", 8, "--max-iters", 2)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("config.json", TRAIN),
+        ("model.json", TRAIN),
+        ("stats.json", TRAIN),
+        ("trace.jsonl", ATTACK),
+        ("summary.csv", ATTACK),
+        ("poisoned.csv", ATTACK),
+        ("diff.csv", ATTACK),
+        ("attack.json", ATTACK),
+        ("compare.csv", ("compare", "--synth-n", 8, "--max-iters", 2)),
+        ("trials.csv", ("sensitivity-check", "--trials", 2)),
+    ],
+)
+def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, name, argv):
+    """A directory in the place of an output file: exit 2 after the work, nothing printed."""
+    (tmp_path / name).mkdir()
+    assert run_cli(*argv, "--out", tmp_path) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot write output file {tmp_path / name}: Is a directory\n"
+    )
+    assert name == "config.json" or (tmp_path / "config.json").is_file()  # written before, kept
+
+
+@pytest.mark.parametrize("argv", [ATTACK, ("train", "--data", "lanes.csv")], ids=["synth", "csv"])
+def test_out_of_memory_exits_3_before_any_output(tmp_path, capsys, monkeypatch, argv):
+    """A dataset too large to hold (attack --synth-n 100000000000, say) exits 3 with one line."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 373. GiB for an array")
+
+    monkeypatch.setattr(cli, "synth_lane_change", exhausted)
+    monkeypatch.setattr(cli, "load_csv", exhausted)
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--out", out) == 3
+    assert capsys.readouterr() == ("", "error: out of memory: Unable to allocate 373. GiB for an array\n")
+    assert not out.exists()
+
+
+def test_output_formats(tmp_path, capsys, monkeypatch):
+    """CSV: header first, CRLF line ends, floats as repr(float(v)); JSON: indent 2, then a newline."""
+    dev = np.float64(2.0) / 3
+    trials = [sensitivity.OracleTrial(11, "ok", dev), sensitivity.OracleTrial(12, "skipped (solve)")]
+    monkeypatch.setattr(cli, "run_oracle_trials", lambda n_trials, seed: trials)
+    assert run_cli("sensitivity-check", "--trials", 2, "--out", tmp_path / "s") == 3
+    assert (tmp_path / "s" / "trials.csv").read_bytes() == (
+        f"trial,seed,status,deviation\r\n0,11,ok,{float(dev)!r}\r\n1,12,skipped (solve),\r\n"
+    ).encode()
+    assert float(read_rows(tmp_path / "s" / "trials.csv")[1][3]) == dev
+
+    capsys.readouterr()
+    assert run_cli("train", "--synth-n", 8, "--seed", 1, "--out", tmp_path / "t") == 0
+    printed = capsys.readouterr().out
+    docs = {
+        "config.json": {
+            "data": None, "out": str(tmp_path / "t"), "ridge_eps": 1e-6, "seed": 1, "svm_c": 10.0,
+            "synth_n": 8,
+        },
+        "model.json": json.loads(printed),
+        "stats.json": normalize(synth_lane_change(8, seed=1)).stats_dict(),
+    }
+    for name, doc in docs.items():
+        text = (tmp_path / "t" / name).read_text(encoding="utf-8")
+        assert text.endswith("}\n") and json.loads(text) == doc, name
+        assert text == json.dumps(doc, indent=2, sort_keys=name == "config.json") + "\n", name
+    assert (tmp_path / "t" / "model.json").read_text() == printed
 
 
 def test_negative_seed_message_names_the_key(tmp_path, capsys):
