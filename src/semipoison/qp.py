@@ -8,11 +8,15 @@ Problems are stated as
 
 H must be symmetric and positive semidefinite on the feasible tangent
 space.  All linear algebra is dense; the intended scale is tens of
-variables and at most a few hundred constraints.  The working rows'
-factors are built and updated by one Householder join per row and one
-small QR per dropped row.  Start rows that open with bounds (rows with
-one nonzero, such as an SVM's slack signs) are factored in closed form;
-the other start rows then join one by one, as rows join in the loop.
+variables and at most a few hundred constraints.  A working row with
+one nonzero (a bound, such as an SVM's slack sign) fixes its variable
+and is not factored; the other working rows are factored on the free
+variables only, so a working set of n - 3 bounds and a few general
+rows keeps n x 3 and 3 x 3 factors, not n x n ones.  A general row
+joins by one Householder reflection and leaves by one small QR; a
+bound that joins or leaves removes or adds one free variable.  Start
+rows that open with bounds are fixed in closed form, and the other
+start rows then join one by one, as rows join in the loop.
 
 Constraints are indexed inequalities first: constraint i is row i of
 the stacked matrix A = [A_ineq; A_eq], with offset b[i].  Multipliers
@@ -101,8 +105,9 @@ class QpProblem:
     ----------
     A, b : (n_ineq + n_eq, n_var) array, (n_ineq + n_eq,) array
         All constraint rows and offsets, inequalities first, stacked
-        once on construction.  A_ineq, A_eq, b_ineq and b_eq are views
-        of them.
+        once on construction when both blocks have rows, and otherwise
+        the block that has them, not copied.  A_ineq, A_eq, b_ineq and
+        b_eq are views of them.
     """
 
     H: np.ndarray
@@ -118,14 +123,15 @@ class QpProblem:
         H = np.asarray(self.H, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise DimensionMismatch(f"H must be square, got shape {H.shape}")
-        h_max = np.abs(H).max(initial=0.0)  # NaN or inf when H has such an entry
+        h_max = max(H.max(initial=0.0), -H.min(initial=0.0))  # NaN or inf when H has such an entry
         if not np.isfinite(h_max):
             raise ValueError("H contains NaN or infinite entries")
-        asym = np.abs(H - H.T).max(initial=0.0)
-        if asym > _SYM_TOL * max(1.0, h_max):
-            raise DimensionMismatch(f"H is not symmetric (asymmetry {asym:.3e})")
-        # an exactly symmetric H is its own symmetrization, bit for bit
-        self.H = H if asym == 0.0 else 0.5 * (H + H.T)
+        if not (H == H.T).all():  # an exactly symmetric H is its own symmetrization
+            asym = np.abs(H - H.T).max()
+            if asym > _SYM_TOL * max(1.0, h_max):
+                raise DimensionMismatch(f"H is not symmetric (asymmetry {asym:.3e})")
+            H = 0.5 * (H + H.T)
+        self.H = H
         n = H.shape[0]
         c = np.asarray(self.c, dtype=float)
         if c.shape != (n,):
@@ -135,7 +141,10 @@ class QpProblem:
         b_ineq = _as_vector(self.b_ineq, A_ineq.shape[0], "b_ineq")
         A_eq = _as_matrix(self.A_eq, n, "A_eq")
         b_eq = _as_vector(self.b_eq, A_eq.shape[0], "b_eq")
-        self.A, self.b = np.vstack([A_ineq, A_eq]), np.concatenate([b_ineq, b_eq])
+        if A_ineq.shape[0] and A_eq.shape[0]:
+            self.A, self.b = np.vstack([A_ineq, A_eq]), np.concatenate([b_ineq, b_eq])
+        else:  # one block holds every row: A is that block itself
+            self.A, self.b = (A_eq, b_eq) if A_eq.shape[0] else (A_ineq, b_ineq)
         r = A_ineq.shape[0]
         self.A_ineq, self.b_ineq = self.A[:r], self.b[:r]
         self.A_eq, self.b_eq = self.A[r:], self.b[r:]
@@ -176,8 +185,8 @@ class KktSolution:
     starting point.  problem is the QpProblem that solve_qp solved, so
     callers that need its data at the solution do not assemble it again.
     factors holds the final working rows and their factors (see
-    WorkingFactors): the start rows first, in the order solve_qp
-    describes, then the rows that joined, in the order they joined.
+    WorkingFactors): the bounds first, then the general rows, each in
+    the order they joined, start rows before the loop's.
     working_minimizer, working_start and licq_margin read them.
     """
 
@@ -266,67 +275,175 @@ def classify_active(problem: QpProblem, solution: KktSolution) -> ActiveStructur
 
 
 class WorkingFactors:
-    """Working rows w of a constraint matrix A and their factors A[w]' = Q[:, :m] R.
+    """Working rows w of a constraint matrix A: fixed variables and factored general rows.
 
-    rows holds w in working order, Q is n x n and orthogonal, and the n x n
-    buffer T, taken as given like Q, holds R^-1 in its leading m x m block.
-    Rows join at the end and leave from anywhere; Q and T are updated in
-    place (Gill, Golub, Murray & Saunders 1974).
+    rows holds w, the bounds first.  A bound is a row with one nonzero s,
+    on variable j: it fixes y_j = -b_i / s and is not factored (Gill,
+    Murray & Wright 1981, section 5.5.1).  fixed holds the bounds' j, in
+    the order they joined; s is read off A where it is needed.  The
+    other working rows, general, are factored on the nf free variables
+    only: A[general]' = Q[:, :m] R, where Q is n x nf, zero in the fixed
+    variables' rows and orthogonal in the free ones, and the nf x nf
+    buffer T, taken as given like Q, holds R^-1 in its leading m x m
+    block.  General rows join at the end and leave from anywhere, Q and
+    T updated in place (Gill, Golub, Murray & Saunders 1974); a bound
+    that joins fixes its variable, and one that leaves frees it.
     """
 
-    def __init__(self, rows: np.ndarray, Q: np.ndarray, T: np.ndarray):
-        self.rows, self.Q, self.T = rows, Q, T
+    def __init__(self, n: int, bounds=None, fixed=None):
+        """No general rows; bound row bounds[k], if given, fixes variable fixed[k]."""
+        if fixed is None:  # every variable free
+            self.rows, self.fixed = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+            self.Q, self.T = np.eye(n), np.zeros((n, n))
+            return
+        self.rows, self.fixed, nf = bounds, fixed, n - fixed.size
+        free = np.ones(n, dtype=bool)
+        free[fixed] = False
+        self.Q, self.T = np.zeros((n, nf)), np.zeros((nf, nf))
+        self.Q[free, np.arange(nf)] = 1.0  # the free variables' unit vectors
+
+    @property
+    def general(self) -> np.ndarray:
+        return self.rows[self.fixed.size :]
 
     @property
     def null_space(self) -> np.ndarray:
-        return self.Q[:, self.rows.size :]
+        """A basis of the working rows' null space, zero in the fixed variables."""
+        return self.Q[:, self.rows.size - self.fixed.size :]
 
     @property
     def r_diagonal(self) -> np.ndarray:
-        """|R_jj|: each working row's residual off the rows before it."""
-        return 1.0 / np.abs(self.T.diagonal()[: self.rows.size])
+        """|R_jj|: each general row's residual off the bounds and the general rows before it."""
+        return 1.0 / np.abs(self.T.diagonal()[: self.rows.size - self.fixed.size])
 
     def onto(self, y: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """y moved by the least-norm step onto A[w] q + b[w] = 0: y - Y T'(A[w] y + b[w])."""
-        w = self.rows
-        return y - self.Q[:, : w.size] @ (self.T[: w.size, : w.size].T @ (A[w] @ y + b[w]))
+        """y with each fixed variable at -b_i / s, then moved onto A[general] q + b[general] = 0.
 
-    def multipliers(self, g: np.ndarray) -> np.ndarray:
-        """lam with A[w]' lam = g, for g in the span of the working rows: T Y'g."""
-        m = self.rows.size
-        return self.T[:m, :m] @ (self.Q[:, :m].T @ g)
+        The second move is the least-norm step, Y T'(A[general] y + b[general]),
+        which leaves the fixed variables alone.
+        """
+        p = self.fixed.size
+        g, m = self.rows[p:], self.rows.size - p
+        if p:
+            bounds, y = self.rows[:p], y.copy()
+            y[self.fixed] = -b[bounds] / A[bounds, self.fixed]
+        return y - self.Q[:, :m] @ (self.T[:m, :m].T @ (A[g] @ y + b[g]))
+
+    def multipliers(self, g: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """lam with A[rows]' lam = g, for g in the span of the working rows.
+
+        The general rows' part is T Y'g; a bound's is
+        (g_j - (A[general]' lam_general)_j) / s, with no solve.
+        """
+        p = self.fixed.size
+        m = self.rows.size - p
+        lam = self.T[:m, :m] @ (self.Q[:, :m].T @ g)
+        if not p:
+            return lam
+        bounds, fixed = self.rows[:p], self.fixed
+        return np.concatenate([(g - lam @ A[self.rows[p:]])[fixed] / A[bounds, fixed], lam])
 
     def join(self, i: int, a: np.ndarray, cut: float) -> bool:
-        """Row i, a, joins by one Householder reflection of Q[:, m:]; False if |Q[:, m:]'a| <= cut.
+        """Row i, a, joins unless its residual off the working rows is at most cut; False then.
 
-        That residual and the reflector square no entry of a, so a row of
-        any finite scale joins.
+        A bound fixes its variable (_fix).  A general row's residual is
+        |Q[:, m:]'a|, and one Householder reflection of Q[:, m:] adds the
+        row.  That residual and the reflector square no entry of a, so a
+        row of any finite scale joins.
         """
-        m, Q, T = self.rows.size, self.Q, self.T
+        if np.count_nonzero(a) == 1:
+            j = int(np.flatnonzero(a)[0])
+            return self._fix(i, j, float(a[j]), cut)
+        m, Q, T = self.rows.size - self.fixed.size, self.Q, self.T
         v = Q[:, m:].T @ a
         norm = math.hypot(*v.tolist())
         if norm <= cut:
             return False
-        beta = -math.copysign(norm, v[0])
-        u = v / norm
-        u[0] += math.copysign(1.0, v[0])  # now u'u = 2 |u_0|
-        Q[:, m:] -= (Q[:, m:] @ u)[:, None] * (u / abs(u[0]))
+        beta = self._reflect(m, v, norm)
         T[:m, m] = (T[:m, :m] @ (Q[:, :m].T @ a)) / -beta
         T[m, m] = 1.0 / beta
         self.rows = np.append(self.rows, i)
         return True
 
+    def _reflect(self, m: int, v: np.ndarray, norm: float) -> float:
+        """Reflect Q[:, m:] so that v = Q[:, m:]'a, of norm > 0, becomes beta e_0; returns beta."""
+        Q = self.Q
+        beta = -math.copysign(norm, v[0])
+        u = v / norm
+        u[0] += math.copysign(1.0, v[0])  # now u'u = 2 |u_0|
+        Q[:, m:] -= (Q[:, m:] @ u)[:, None] * (u / abs(u[0]))
+        return beta
+
+    def _fix(self, i: int, j: int, s: float, cut: float) -> bool:
+        """Bound row i, entry s on variable j, fixes j; False if j is fixed or |s Q[j, m:]| <= cut.
+
+        |s| |Q[j, m:]| is the row's residual off the working rows.  The
+        unit row e_j joins as general row m, as join adds a row, and plane
+        rotations of Q's columns (m - 1, m), ..., (0, 1) move it to the
+        front: Q[:, 0] is then e_j, Q[j, 1:] is zero, and the rotated R^-1
+        without its first row and column is the inverse of the general
+        rows' new R.  Q without column 0, and with row j set to zero,
+        factors them on the other free variables.
+        """
+        if np.any(self.fixed == j):
+            return False  # the row is a multiple of j's bound
+        p, Q, T = self.fixed.size, self.Q, self.T
+        m = self.rows.size - p
+        v = Q[j, m:].copy()
+        norm = math.hypot(*v.tolist())
+        if abs(s) * norm <= cut:
+            return False
+        beta = self._reflect(m, v, norm)
+        T[:m, m] = (T[:m, :m] @ Q[j, :m]) / -beta
+        T[m, m] = 1.0 / beta
+        w = Q[j, : m + 1].copy()
+        for c in range(m - 1, -1, -1):  # rotate e_j's weight from column c + 1 into column c
+            r = math.hypot(w[c], w[c + 1])
+            G = np.array([[w[c], -w[c + 1]], [w[c + 1], w[c]]]) / r
+            Q[:, c : c + 2] = Q[:, c : c + 2] @ G
+            T[: m + 1, c : c + 2] = T[: m + 1, c : c + 2] @ G
+            w[c] = r
+        self.Q = Q[:, 1:].copy()
+        self.Q[j] = 0.0
+        self.T = np.zeros((T.shape[0] - 1, T.shape[0] - 1))
+        self.T[:m, :m] = T[:m, 1 : m + 1]
+        self.rows = np.insert(self.rows, p, i)
+        self.fixed = np.append(self.fixed, j)
+        return True
+
     def drop(self, i: int, A: np.ndarray) -> None:
-        """Working row i of A leaves; the rows after it are re-triangularized."""
-        m, Q, T = self.rows.size, self.Q, self.T
-        j = int(np.flatnonzero(self.rows == i)[0])
+        """Working row i of A leaves; the general rows after it are re-triangularized.
+
+        A bound first frees its variable (_free), as the leading general row.
+        """
+        t = int(np.flatnonzero(self.rows == i)[0])
+        if t < self.fixed.size:
+            self._free(t)
+            t = self.fixed.size
+        p, Q, T, rows = self.fixed.size, self.Q, self.T, self.rows
+        j, m = t - p, rows.size - p  # row i is general row j of m
         if j < m - 1:  # without row j, R's rows j.. are upper Hessenberg: one QR fixes them
-            q = np.linalg.qr(Q[:, j:m].T @ A[self.rows[j + 1 :]].T, mode="complete")[0]
+            q = np.linalg.qr(Q[:, j:m].T @ A[rows[t + 1 :]].T, mode="complete")[0]
             Q[:, j:m] = Q[:, j:m] @ q
             T[:m, j:m] = T[:m, j:m] @ q
         T[j : m - 1] = T[j + 1 : m]  # the new R^-1 is T q without row j
         T[m - 1] = T[:, m - 1] = 0.0
-        self.rows = np.delete(self.rows, j)
+        self.rows = np.delete(rows, t)
+
+    def _free(self, t: int) -> None:
+        """Bound t's variable j joins the free variables, its row the general rows, first.
+
+        Q gains the leading column e_j, so that R gains the leading row
+        (1, A[general, j]).  T's leading row stays zero, as drop deletes
+        that row and reads none of it.
+        """
+        j, p, nf = self.fixed[t], self.fixed.size, self.T.shape[0]
+        Q, T = np.zeros((self.Q.shape[0], nf + 1)), np.zeros((nf + 1, nf + 1))
+        Q[:, 1:], Q[j, 0] = self.Q, 1.0
+        T[1:, 1:] = self.T
+        self.Q, self.T = Q, T
+        self.rows = np.insert(np.delete(self.rows, t), p - 1, self.rows[t])
+        self.fixed = np.delete(self.fixed, t)
 
 
 def _working_subproblem(H, c, A, b, y, factors: WorkingFactors):
@@ -336,7 +453,8 @@ def _working_subproblem(H, c, A, b, y, factors: WorkingFactors):
     direction of unbounded descent in the null space Z of A[w] (None
     when the minimizer exists).  Z'HZ is decomposed whole: a negative
     eigenvalue, or a flat direction with a nonzero reduced gradient,
-    gives the ray; else the minimizer.
+    gives the ray; else the minimizer.  A 1 x 1 Z'HZ is its own
+    decomposition, as eigh would return it, and skips eigh's call.
     """
     y0 = factors.onto(y, A, b)
     Z = factors.null_space
@@ -345,7 +463,10 @@ def _working_subproblem(H, c, A, b, y, factors: WorkingFactors):
     g0 = H @ y0 + c
     gr = Z.T @ g0
     Hr = Z.T @ H @ Z
-    w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
+    if Hr.shape[0] == 1:  # one null-space direction, as an SVM's working set leaves
+        w, V = Hr[0], np.ones((1, 1))
+    else:
+        w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
     wmax = max(float(w.max(initial=0.0)), 1.0)
     eps = 1e-11 * wmax
     neg = w < -eps
@@ -372,41 +493,34 @@ def _independent_factors(A: np.ndarray, rows: np.ndarray, n_base: int) -> Workin
     any other of the first n_base (base) rows counts when its residual
     off the rows counted before it exceeds 1e-12, and any other row when
     it exceeds TOL_INDEP of its norm.  Returns the factors of the k <= n
-    rows kept, in the same order.
+    rows kept.
 
-    The leading run of bound rows is factored in closed form (Gill,
+    The leading run of bound rows is the fixed set, in closed form (Gill,
     Murray & Wright 1981, section 5.5).  Row i is in the run when its
     one nonzero s_i bounds a variable j_i that no run row before it
     bounds, and |s_i|, its residual, is above the cut (1e-14; 1e-12 for
-    a base row).  Q's first p columns are sign(s_i) e_(j_i), the free
-    variables' unit vectors follow, and T's leading block is
-    diag(1 / |s_i|).  The other rows join through WorkingFactors.join, as
-    in the active-set loop: no QR runs.  A cold SVM start is a run of
-    slack-sign bounds and a margin row or two.
+    a base row).  The other rows join through WorkingFactors.join, as in
+    the active-set loop, from the identity on the free variables.  A cold
+    SVM start is a run of slack-sign bounds and a margin row or two.
     """
-    n = A.shape[1]
-    stack = A[rows]
-    Q, T = np.zeros((n, n)), np.zeros((n, n))
-    p, free = 0, np.ones(n, dtype=bool)
-    if rows.size and np.count_nonzero(stack[0]) == 1:  # a bound opens the rows: find the run's end
-        nonzero = stack != 0.0
-        single = nonzero.sum(axis=1) == 1
+    n, p = A.shape[1], 0
+    if rows.size and np.count_nonzero(A[rows[0]]) == 1:  # a bound opens the rows: find its run
+        nonzero = A != 0.0  # one byte per entry: A[rows] is not copied
+        single = nonzero.sum(axis=1)[rows] == 1
         q = single.size if single.all() else int(single.argmin())
-        cols = nonzero[:q].argmax(axis=1)  # the variable row i bounds
-        s = stack[np.arange(q), cols]
+        cols = nonzero[rows[:q]].argmax(axis=1)  # the variable row i bounds
+        s = A[rows[:q], cols]
+        stop = np.abs(s) <= 1e-14  # the run stops at a row with a small entry
+        stop[:n_base] = np.abs(s[:n_base]) <= 1e-12
         by_col = np.argsort(cols, kind="stable")  # a variable's rows, in row order
-        again = by_col[1:][cols[by_col[1:]] == cols[by_col[:-1]]]  # its rows after the first
-        small = np.abs(s) <= np.where(np.arange(q) < n_base, 1e-12, 1e-14)
-        p = int(np.concatenate([again, np.flatnonzero(small), [q]]).min())
-        cols, s = cols[:p], s[:p]
-        free[cols] = False
-        Q[cols, np.arange(p)] = np.sign(s)
-        T[np.arange(p), np.arange(p)] = 1.0 / np.abs(s)
-    Q[free, np.arange(p, n)] = 1.0  # the free variables' unit vectors
-    factors = WorkingFactors(rows[:p], Q, T)
-    for k, norm in enumerate(row_norms(stack[p:]), p):
+        stop[by_col[1:][cols[by_col[1:]] == cols[by_col[:-1]]]] = True  # or at its second row
+        p = int(np.append(stop, True).argmax())
+        factors = WorkingFactors(n, rows[:p], cols[:p])
+    else:
+        factors = WorkingFactors(n)
+    for k, (i, norm) in enumerate(zip(rows[p:], row_norms(A[rows[p:]])), p):
         if norm > 1e-14:
-            factors.join(rows[k], stack[k], 1e-12 if k < n_base else TOL_INDEP * norm)
+            factors.join(i, A[i], 1e-12 if k < n_base else TOL_INDEP * norm)
     return factors
 
 
@@ -422,9 +536,12 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, max_iter=None, factored=
     blocking row, which joins; a row that WorkingFactors.join refuses
     (one in the working rows' span) does not block.  When no row blocks
     the unit step, or y already is y_hat, it checks the multiplier signs
-    at y_hat and returns, or drops a row with a negative one.  Ties and
-    drops follow Bland's rule (smallest index).  Returns (y, lam,
-    iterations, factors), factors being the final working rows'.
+    at y_hat and returns, or drops a row with a negative one; but a unit
+    step that shrinks y by more than 1e5 leaves round-off of y's size in
+    y_hat, above the 1e-11 |y_hat| the stationarity test allows, so the
+    loop solves again from y_hat first.  Ties and drops follow Bland's
+    rule (smallest index).  Returns (y, lam, iterations, factors),
+    factors being the final working rows'.
     """
     A, b, H, c, r = problem.A, problem.b, problem.H, problem.c, problem.n_ineq
     if max_iter is None:
@@ -460,9 +577,12 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, max_iter=None, factored=
                 continue
             if ray is not None:
                 raise Unbounded("objective decreases without bound along a feasible ray")
+            if step > 1e5 and step > 1e5 * (1.0 + np.abs(y_hat).max()):  # round-off of y's size
+                y = y_hat
+                continue
 
         # y_hat minimizes over the working set: check multiplier signs
-        lam_w = -factors.multipliers(H @ y_hat + c)  # A_w' lam_w = -(H y_hat + c)
+        lam_w = -factors.multipliers(H @ y_hat + c, A)  # A_w' lam_w = -(H y_hat + c)
         if not np.isfinite(lam_w).all():
             raise MaxIterations("working-set multipliers are not finite: the data are too large")
         negative = idx[(idx < r) & (lam_w < -_DROP_TOL)]
@@ -497,7 +617,7 @@ def _phase1(problem: QpProblem):
         if resid > 1e-8 * (1.0 + np.abs(problem.b_eq).max()):
             raise Infeasible("equality constraints are inconsistent")
     else:
-        eq = WorkingFactors(eq_rows, np.eye(n), np.zeros((n, n)))
+        eq = WorkingFactors(n)
     g = problem.A_ineq @ y0 + problem.b_ineq
     viol = float(g.max(initial=0.0))
     if viol <= TOL_FEAS:
@@ -510,7 +630,7 @@ def _phase1(problem: QpProblem):
     H1 = np.diag(np.append(np.zeros(n), 1.0))
     A1 = np.hstack([problem.A, np.where(np.arange(problem.n_con) < r, -1.0, 0.0)[:, None]])
     aux = QpProblem(H1, np.zeros(n + 1), A1[:r], problem.b_ineq, A1[r:], problem.b_eq)
-    del A1  # aux.A is a copy; freeing A1 keeps the phase-1 loop's peak memory down
+    del A1  # with equality rows aux.A is a stacked copy: freeing A1 lowers the loop's peak memory
     # t clears every violation, so the loop starts on the equality rows alone
     start = np.concatenate([y0, [viol * (1.0 + 1e-3) + 1e-6]])
     factored = eq_rows, _independent_factors(aux.A, eq_rows, problem.n_eq)
@@ -557,8 +677,8 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
         lowest index, and a row dropped near the tail of the factors
         leaves few rows after it to re-triangularize.  Of two dependent
         start rows the later one in this order is dropped.  The bound
-        rows that lead this order are factored in closed form, and the
-        others join them one by one (see _independent_factors).
+        rows that lead this order fix their variables in closed form,
+        and the others join one by one (see _independent_factors).
 
     Returns
     -------
@@ -631,11 +751,14 @@ def working_start(solution: KktSolution, problem: QpProblem) -> np.ndarray:
     """solution.y moved by one least-norm step back onto its working rows in problem.
 
     problem is the training problem at nearby data.  The step
-    (WorkingFactors.onto) runs on the solution's factors of the old
-    rows, so the new rows hold at its end up to the square of the
-    change in the data, and the inactive rows keep their slack up to
-    its size.  Returns solution.y itself when solution has no factors
-    (it was not built by solve_qp) or problem's rows differ in shape.
+    (WorkingFactors.onto) fixes each bound's variable at -b_i / s with
+    problem's b_i and s, so the bound rows hold exactly (up to the
+    change in the data where a bound row gains other nonzeros), and it
+    runs on the solution's factors of the old general rows, so these
+    hold at its end up to the square of that change.  The inactive rows
+    keep their slack up to its size.  Returns solution.y itself when
+    solution has no factors (it was not built by solve_qp) or problem's
+    rows differ in shape.
     """
     old, factors = solution.problem, solution.factors
     if old is None or factors is None or old.A.shape != problem.A.shape:
@@ -646,9 +769,11 @@ def working_start(solution: KktSolution, problem: QpProblem) -> np.ndarray:
 def licq_margin(solution: KktSolution, active) -> float:
     """Smallest |R_jj| / |a_j| over the active rows: each row's residual off those before it.
 
-    The working rows come first, with R from the solver's factors; the
-    other active rows follow, factored in the working rows' null space.
-    More of them than its dimension leave a zero residual.
+    The working rows come first: the bounds, each with residual |s| (a
+    ratio of 1), then the general rows, with R from the solver's factors.
+    The other active rows follow, factored in the working rows' null
+    space on the free variables.  More of them than its dimension leave
+    a zero residual.
     """
     A, factors = solved_problem(solution).A, solution.factors
     live, Z = set(factors.rows.tolist()), factors.null_space
@@ -659,6 +784,6 @@ def licq_margin(solution: KktSolution, active) -> float:
     if extra.size:
         R = np.linalg.qr(Z.T @ A[extra].T, mode="r")
         resid = np.append(resid, np.abs(R.diagonal()))
-    norms = row_norms(A[np.append(factors.rows, extra)])
+    norms = row_norms(A[np.append(factors.general, extra)])
     ratio = np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0.0)  # a zero row fails
-    return float(ratio.min(initial=np.inf))
+    return float(ratio.min(initial=1.0 if factors.fixed.size else np.inf))

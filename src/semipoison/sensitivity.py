@@ -184,9 +184,9 @@ class PointDerivative:
         u = qp.working_minimizer(aux.solution, -grad_y, np.zeros(aux.rows.shape[0]))
         if u is None:
             return None
-        factors = aux.solution.factors
-        nu = factors.multipliers(grad_y - aux.H_aux @ u)
-        return -(aux.cross.T @ u + aux.jac[factors.rows].T @ nu)
+        factors, nu = aux.solution.factors, np.zeros(aux.rows.shape[0])
+        nu[factors.rows] = factors.multipliers(grad_y - aux.H_aux @ u, aux.rows)
+        return -(aux.cross.T @ u + aux.jac.T @ nu)
 
     def along(self, dx: np.ndarray) -> np.ndarray | None:
         """semi_derivative(aux, dx), or None where LICQ fails or it has no solution."""

@@ -145,8 +145,8 @@ def svm_assemble(svm: SvmModel, x: np.ndarray) -> QpProblem:
     d = svm.dim_var
     H = np.zeros((d, d))
     H[0, 0] = H[1, 1] = 1.0
-    H[2, 2] = svm.ridge_eps
-    H[3:, 3:] = svm.ridge_eps * np.eye(n)
+    k = np.arange(2, d)
+    H[k, k] = svm.ridge_eps  # on b and the slacks
     c = np.zeros(d)
     c[3:] = svm.C
     A = np.zeros((2 * n, d))
@@ -154,8 +154,9 @@ def svm_assemble(svm: SvmModel, x: np.ndarray) -> QpProblem:
     A[:n, 0] = -y * pts[:, 0]
     A[:n, 1] = -y * pts[:, 1]
     A[:n, 2] = -y
-    A[:n, 3:] = -np.eye(n)
-    A[n:, 3:] = -np.eye(n)
+    i = np.arange(n)
+    A[:, 3:] = -0.0  # the -I blocks' zeros are -0.0, as negated identities have them
+    A[i, 3 + i] = A[n + i, 3 + i] = -1.0
     b = np.zeros(2 * n)
     b[:n] = 1.0
     return QpProblem(H, c, A_ineq=A, b_ineq=b)

@@ -1,7 +1,9 @@
-"""Independent test oracles and the 1-D victim fixtures.
+"""Independent test oracles, the 1-D victim fixtures and a soft-margin SVM.
 
-Kept deliberately naive: correctness over speed, no shared code with the
-package beyond problem containers (the fixtures are affine QP families).
+Kept deliberately naive: correctness over speed.  The oracles share no
+code with the package beyond problem containers; the 1-D fixtures are
+affine QP families, and the soft-margin SVM is the package's own victim
+on its synthetic data.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ import itertools
 
 import numpy as np
 
-from semipoison.victims import VictimModel, _AffineQpFamily
+from semipoison.data import Dataset, normalize, synth_lane_change
+from semipoison.victims import SvmModel, VictimModel, _AffineQpFamily, svm_victim
 
 
 def enumerate_qp(H, c, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None, tol=1e-9):
@@ -238,3 +241,16 @@ def bound_tracking_model(pull: float = 1.0) -> VictimModel:
         n_ineq=1,
     )
     return fam.as_victim()
+
+
+def soft_margin_svm(n: int, seed: int, flips) -> tuple[VictimModel, np.ndarray]:
+    """synth_lane_change(n, seed), labels at flips flipped, normalized: (victim, data vector).
+
+    The classes no longer separate, so some points carry a positive slack
+    and their slack-sign bounds leave and rejoin the solver's working set.
+    """
+    data = synth_lane_change(n, seed=seed)
+    labels = data.labels.copy()
+    labels[list(flips)] *= -1
+    data = normalize(Dataset(data.features, labels, seed=seed))
+    return svm_victim(SvmModel(data.features, data.labels, C=10.0)), data.features.ravel()

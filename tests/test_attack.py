@@ -50,6 +50,7 @@ from _oracles import (
     dense_feasible_mask,
     dense_kkt_gradient,
     kink_projection_model,
+    soft_margin_svm,
 )
 
 
@@ -536,7 +537,7 @@ LOG_SCALE = st.one_of(st.floats(-8.0, 8.0), st.floats(-12.0, 300.0))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@example(  # |g|^2 overflowed in steepest_direction: a RuntimeWarning, then a zero row
+@example(  # |g|^2 once overflowed in steepest_direction: a RuntimeWarning, then a zero row
     seed=1, n=3, kind="gauss", log_c=171.0, log_eps=0.25, delta=1.0,
     boxed=False, pinned=0.0, step_mode="backtracking",
 )
@@ -808,6 +809,45 @@ def test_warm_and_cold_solves_agree_along_attack_trajectory(seed):
     assert np.array_equal(x, trace.x_final)
 
 
+def test_warm_and_cold_solves_agree_along_a_soft_margin_attack():
+    """The same three-way re-solve along the soft-margin n=20 seed-0 attack (labels 0, 11 flipped).
+
+    Points with a positive slack free their slack variables, so the
+    solves' working sets lose and regain slack-sign bounds.
+    """
+    model, x_bar = soft_margin_svm(20, 0, [0, 11])
+    cfg = svm_config(model, max_iters=200)
+    trace = run_attack(x_bar, model, cfg)
+    assert len(trace.records) == 200
+    x = x_bar
+    prev = solve_victim(model, x)
+    positive_slack = 0
+    for record in trace.records:
+        x = project_to_feasible(x + record.step * record.direction, x_bar, cfg.delta)
+        problem = model.assemble(x)
+        warm = solve_victim(model, x, warm=prev)
+        started = solve_victim(model, x)
+        cold = solve_qp(problem)
+        assert not warm.phase1 and not started.phase1 and cold.phase1
+        for sol in (warm, started):
+            assert np.abs(sol.y - cold.y).max() <= 1e-10
+            assert vars(classify_active(problem, sol)) == vars(classify_active(problem, cold))
+        positive_slack += bool(np.any(cold.y[3:] > 1e-6))
+        prev = warm
+    assert np.array_equal(x, trace.x_final)
+    assert positive_slack == len(trace.records)
+
+
+def test_steepest_direction_scales_a_gradient_whose_square_overflows():
+    """|g|^2 overflows for a slice near 1e160: the row comes from a scaled copy, unwarned."""
+    ev = object.__new__(_ObjectiveDerivative)
+    ev.gradient = np.array([1.0, 2.0, 3e160, -4e160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = ev.steepest_direction(1, 2)
+    np.testing.assert_allclose(row, [-0.6, 0.8], rtol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # step-size rule and geometric decay
 # ---------------------------------------------------------------------------
@@ -839,6 +879,29 @@ def test_fixed_curvature_steps_decay_geometrically():
     report = convergence_check(trace, sigma, L)
     assert report.passed, f"violations at {report.violations}"
     assert report.empirical_factor <= report.bound_factor + 1e-9
+
+
+def test_backtracking_stops_at_the_round_off_floor():
+    """Halving below MIN_STEP rejects the round once no trial step decreases the objective.
+
+    The first trial step, at a tenth of the least curvature sigma of the
+    composed quadratic, overshoots and is halved.  With no tolerance to
+    stop it, the attack runs down to round-off, where every trial fails.
+    """
+    model, H, cross = unconstrained_fixture()
+    x0 = np.array([0.3, -0.2])
+    target = solve_victim(model, x0 + np.array([0.4, -0.3])).y
+    A = -np.linalg.solve(H, cross)
+    sigma = float(np.linalg.eigvalsh(2.0 * A.T @ A)[0])
+    cfg = AttackConfig(
+        target=target, delta=10.0, point_dim=2, curvature_bound=sigma / 10.0,
+        max_iters=300, tol_improve=0.0, tol_target=0.0,
+    )
+    trace = run_attack(x0, model, cfg)
+    assert trace.reason == "stalled" and 0 < len(trace.records) < 300
+    assert trace.final_objective <= 1e-12 * trace.initial_objective
+    hist = trace.objective_history
+    assert all(b < a for a, b in zip(hist, hist[1:]))
 
 
 def test_convergence_check_factor_examples():

@@ -294,10 +294,15 @@ def flipped_csv(tmp_path, seed, flip):
 
 
 def test_attack_overflowing_kkt_residual_is_solver_error(tmp_path, capsys):
-    """With C = 1e300 a victim solve ends at a point whose residuals overflow."""
+    """With C = 1e308 a victim solve ends at a point whose residuals overflow.
+
+    At C = 1e300 every flipped n=20 input of seeds 0-5 now solves within
+    the KKT tolerances, since a bound's multiplier is read off the
+    gradient; 34 of those 120 once failed the gate.
+    """
     code = run_cli(
-        "attack", "--out", tmp_path / "run", "--data", flipped_csv(tmp_path, 3, 0),
-        "--svm-c", "1e300", "--max-iters", 3,
+        "attack", "--out", tmp_path / "run", "--data", flipped_csv(tmp_path, 2, 12),
+        "--svm-c", "1e308", "--max-iters", 3,
     )
     assert code == 3
     err = capsys.readouterr().err
@@ -307,7 +312,7 @@ def test_attack_overflowing_kkt_residual_is_solver_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "seed, flip, message",
     [(0, 11, "active-set step is not finite"), (1, 3, "active-set step is not finite"),
-     (2, 12, "working-set multipliers are not finite")],
+     (2, 17, "working-set multipliers are not finite")],
     ids=["0", "1", "2"],
 )
 @pytest.mark.parametrize("argv", [("train",), ("attack", "--max-iters", 3)], ids=["train", "attack"])

@@ -1,6 +1,7 @@
 """Tests for the dense active-set QP solver."""
 
 import collections
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from semipoison.qp import (
 )
 from semipoison.victims import SvmModel, svm_assemble, svm_feasible_start, svm_victim
 
-from _oracles import enumerate_qp, independent_subset_mgs, lstsq_multipliers
+from _oracles import enumerate_qp, independent_subset_mgs, lstsq_multipliers, soft_margin_svm
 
 
 def random_feasible_qp(rng, n_var, n_ineq, n_eq=0, strictly_convex=True):
@@ -340,6 +341,112 @@ def test_factors_stay_exact_along_an_svm_attack_chain(monkeypatch):
     assert adds > 50 and drops > 10
 
 
+def _count_bound_updates(monkeypatch):
+    """Count the bounds that join (fixing a variable) and that leave (freeing one)."""
+    counts = collections.Counter()
+    fix, free = qp.WorkingFactors._fix, qp.WorkingFactors._free
+
+    def counted_fix(self, *args):
+        joined = fix(self, *args)
+        counts["joins"] += joined
+        return joined
+
+    def counted_free(self, *args):
+        counts["drops"] += 1
+        return free(self, *args)
+
+    monkeypatch.setattr(qp.WorkingFactors, "_fix", counted_fix)
+    monkeypatch.setattr(qp.WorkingFactors, "_free", counted_free)
+    return counts
+
+
+def test_factors_stay_exact_along_a_soft_margin_attack(monkeypatch):
+    """The same check along a soft-margin n=20 attack, where bound rows leave and rejoin.
+
+    With labels 0 and 11 flipped some points carry a positive slack:
+    inside the active-set loop a slack-sign bound joins, fixing its
+    slack, or leaves, freeing it.
+    """
+    loops = _check_factors_per_iteration(monkeypatch)
+    counts = _count_bound_updates(monkeypatch)
+    model, x = soft_margin_svm(20, 0, [0, 11])
+    selector = np.zeros((1, model.dim_var))
+    selector[0, :2] = [1.0, -1.0]
+    config = AttackConfig(
+        np.zeros(1), 3.0, selector, point_dim=2, curvature_bound=20.0, tol_target=1e-10,
+        tol_improve=1e-14, seed=0,
+    )
+    assert len(run_attack(x, model, config).records) == 200
+    assert counts["joins"] >= 1 and counts["drops"] >= 1
+    adds, drops = _joins_and_drops(loops)
+    assert adds > 50 and drops > 0
+
+
+def test_bound_on_a_fixed_or_determined_variable_is_refused():
+    """A bound joins only when its variable is free and not determined by the general rows.
+
+    Row 1 bounds y_0 again.  Once y_0's bound and the general row
+    y_0 + y_1 hold, y_1 is determined, so row 3's residual is 0 although
+    y_1 is free.  Row 4 fixes y_2, and y_1 is the one free variable left.
+    """
+    A = np.array([[2.0, 0, 0], [-3.0, 0, 0], [1.0, 1.0, 0], [0, 5.0, 0], [0, 0, 1e-3]])
+    factors = _independent_factors(A, np.array([0, 2]), 0)
+    assert factors.fixed.tolist() == [0] and factors.general.tolist() == [2]
+    assert not factors.join(1, A[1], 0.0)
+    assert not factors.join(3, A[3], 1e-12)
+    assert factors.join(4, A[4], qp.TOL_INDEP * 1e-3)
+    check_factors(factors, A)
+    assert factors.rows.tolist() == [0, 4, 2] and factors.Q.shape == (3, 1)
+
+
+def test_bound_drop_frees_its_variable():
+    """A bound that leaves frees its variable, and the general rows are factored on it too.
+
+    Bounds on y_0 and y_2 lead two general rows.  After each drop the
+    factors still factor the rows left, the step onto them is the
+    least-norm one, and the multipliers reproduce a known combination;
+    with no bound left, Q is 4 x 4 again.
+    """
+    rng = np.random.default_rng(7)
+    A = np.vstack([_unit(0, -2.0, 4), _unit(2, 0.5, 4), rng.standard_normal((2, 4))])
+    b = rng.standard_normal(4)
+    factors = _independent_factors(A, np.arange(4), 0)
+    for i, fixed in ((0, [2]), (1, [])):
+        factors.drop(i, A)
+        check_factors(factors, A)
+        assert factors.fixed.tolist() == fixed and factors.general.tolist() == [2, 3]
+        rows = factors.rows
+        lam = rng.standard_normal(rows.size)
+        assert_allclose(factors.multipliers(A[rows].T @ lam, A), lam, rtol=0.0, atol=1e-12)
+        y = rng.standard_normal(4)
+        ref = y - np.linalg.pinv(A[rows]) @ (A[rows] @ y + b[rows])
+        assert_allclose(factors.onto(y, A, b), ref, rtol=0.0, atol=1e-12)
+    assert factors.Q.shape == (4, 4)
+
+
+def test_every_variable_fixed_leaves_an_empty_free_block():
+    """At a vertex of the box every variable is fixed, and the free block is empty.
+
+    min 0.5 |y - (2, -2, 3)|^2 over [-1, 1]^3 ends at (1, -1, 1), with
+    the bounds' multipliers (1, 1, 2) read off the gradient.  The null
+    space is empty, the LICQ margin of the three bounds is 1, and a
+    general row cannot join.
+    """
+    prob = QpProblem(
+        np.eye(3), [-2.0, 2.0, -3.0], A_ineq=np.vstack([np.eye(3), -np.eye(3)]),
+        b_ineq=-np.ones(6),
+    )
+    for start in (None, np.zeros(3)):
+        sol = solve_qp(prob, start=start)
+        factors = sol.factors
+        check_factors(factors, prob.A)
+        assert factors.Q.shape == factors.null_space.shape == (3, 0)
+        assert_allclose(sol.y, [1.0, -1.0, 1.0], rtol=0.0, atol=1e-12)
+        assert_allclose(sol.lam, [1.0, 0.0, 2.0, 0.0, 1.0, 0.0], rtol=0.0, atol=1e-12)
+        assert qp.licq_margin(sol, [0, 2, 4]) == 1.0
+        assert not factors.join(6, np.ones(3), 0.0)
+
+
 @pytest.mark.parametrize("scales", [(1.0, 2.0), (2.0, 1.0)])
 def test_ratio_test_tie_goes_to_the_lower_index(scales):
     """Two rows block at the same step length; the lower index joins (Bland).
@@ -357,13 +464,27 @@ def test_ratio_test_tie_goes_to_the_lower_index(scales):
 
 
 def check_factors(factors, A):
-    """Q is orthogonal, T is zero outside its leading m x m block R^-1, and Q[:, :m] R = A[w]'."""
-    Q, T, n, m = factors.Q, factors.T, A.shape[1], factors.rows.size
-    assert Q.shape == T.shape == (n, n)
-    assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-12
+    """The bounds fix distinct variables, and the general rows are factored on the free ones.
+
+    Bound row rows[k] has one nonzero, on variable fixed[k].
+    Q is zero in the fixed variables' rows, and on the free ones
+    (Q_f = Q[free]) it is orthogonal; T is zero outside its leading
+    m x m block R^-1, and Q_f[:, :m] R = A[general][:, free]'.
+    """
+    n, fixed, m = A.shape[1], factors.fixed, factors.general.size
+    bounds = A[factors.rows[: fixed.size]]
+    assert np.array_equal(np.count_nonzero(bounds, axis=1), np.ones(fixed.size))
+    assert bounds[np.arange(fixed.size), fixed].all()
+    assert np.unique(fixed).size == fixed.size
+    free = np.setdiff1d(np.arange(n), fixed)
+    Q, T, nf = factors.Q, factors.T, free.size
+    assert Q.shape == (n, nf) and T.shape == (nf, nf)
+    assert not Q[fixed].any()
+    Q = Q[free]
+    assert np.abs(Q.T @ Q - np.eye(nf)).max(initial=0.0) <= 1e-12
     assert not T[m:].any() and not T[:, m:].any()
-    rows = A[factors.rows]
-    rebuilt = Q[:, :m] @ np.linalg.inv(T[:m, :m]) if m else np.zeros((n, 0))
+    rows = A[factors.general][:, free]
+    rebuilt = Q[:, :m] @ np.linalg.inv(T[:m, :m]) if m else np.zeros((nf, 0))
     assert np.abs(rebuilt - rows.T).max(initial=0.0) <= 1e-12 * np.abs(rows).max(initial=0.0)
 
 
@@ -705,7 +826,7 @@ def test_phase1_factors_match_a_recomputation(monkeypatch):
         if factored is not None:
             rows, factors = factored
             again = _independent_factors(problem.A, rows, problem.n_eq)
-            pairs = [(again.rows, factors.rows), (again.Q, factors.Q), (again.T, factors.T)]
+            pairs = [(getattr(again, k), getattr(factors, k)) for k in FACTOR_FIELDS]
             if in_phase1:
                 assert all(np.array_equal(a, b) for a, b in pairs)
                 handed["t-loop"] += 1
@@ -730,6 +851,9 @@ def test_phase1_factors_match_a_recomputation(monkeypatch):
         n_ineq = int(rng.integers(0, 9 - n_eq))
         solve_qp(random_feasible_qp(rng, n_var, n_ineq, n_eq))
     assert handed[False] > 10 and handed[True] > 10 and handed["t-loop"] > 10
+
+
+FACTOR_FIELDS = ["rows", "fixed", "Q", "T"]
 
 
 def test_oracle_trials_factor_each_start_once(monkeypatch):
@@ -796,6 +920,35 @@ def test_cold_svm_and_flat_qps_reach_kkt_points():
         assert res.within_default_tolerances(float(np.abs(prob.c).max()), lam_inf)
 
 
+def test_n160_svm_assembly_and_solve_copy_no_dense_arrays():
+    """tracemalloc byte counts on the n=160 seed-0 SVM, not timings.
+
+    svm_assemble peaks less than 25 % above the arrays it returns: no
+    identity temporaries, and QpProblem keeps A as assembled.  A solve
+    from the model's start peaks below 25 % of A's and H's bytes: its
+    factors cover the free variables only, and no n x n buffer or copy
+    of A's rows is made.
+    """
+    data = normalize(synth_lane_change(160, seed=0))
+    svm = SvmModel(data.features, data.labels, C=10.0)
+    x = data.features.ravel()
+    start = svm_feasible_start(svm, x, None)
+    solve_qp(svm_assemble(svm, x), start=start)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        prob = svm_assemble(svm, x)
+        assembled = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        solve_qp(prob, start=start)
+        solved = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (prob.H, prob.c, prob.A, prob.b))
+    assert assembled < 1.25 * kept
+    assert solved < 0.25 * (prob.A.nbytes + prob.H.nbytes)
+
+
 def test_overflowing_objective_value_is_max_iterations():
     """An objective value that overflows is a typed error, not a RuntimeWarning.
 
@@ -834,7 +987,7 @@ def _independent_subset(rows, base):
     """Indices into rows of those _independent_factors keeps after the base rows."""
     stack = np.vstack([base, rows])
     live = _independent_factors(stack, np.arange(len(stack)), len(base)).rows
-    return [int(i) - len(base) for i in live if i >= len(base)]
+    return sorted(int(i) - len(base) for i in live if i >= len(base))  # bounds lead rows
 
 
 def _planted_rows(rng, n_var, n_rows, base):
@@ -995,10 +1148,13 @@ def check_bound_run(base, rows, run):
     factors = _independent_factors(stack, np.arange(len(stack)), len(base))
     check_factors(factors, stack)
     assert factors.rows[:run].tolist() == list(range(run))
-    s = stack[np.arange(run), np.argmax(stack[:run] != 0.0, axis=1)]
-    assert np.array_equal(factors.Q[:, :run], np.sign(stack[:run]).T)  # sign(s_i) e_(j_i), exactly
-    assert np.array_equal(np.diag(factors.T)[:run], 1.0 / np.abs(s))
-    kept = [int(i) - len(base) for i in factors.rows if i >= len(base)]
+    cols = np.argmax(stack[:run] != 0.0, axis=1)
+    assert np.array_equal(factors.fixed[:run], cols)
+    alone = _independent_factors(stack, np.arange(run), len(base))  # the run, in closed form
+    free = np.setdiff1d(np.arange(stack.shape[1]), cols)
+    assert np.array_equal(alone.Q[free], np.eye(free.size)) and not alone.Q[cols].any()
+    assert not alone.T.any()
+    kept = sorted(int(i) - len(base) for i in factors.rows if i >= len(base))  # bounds lead rows
     assert kept == independent_subset_mgs(rows, base)
     return kept
 

@@ -1,6 +1,7 @@
 """Tests for victim model construction and derivative callbacks."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from semipoison import errors, victims
-from semipoison.qp import TOL_FEAS, classify_active, solve_qp
+from semipoison.qp import TOL_FEAS, classify_active, solve_qp, working_start
 from semipoison.victims import (
     SvmModel,
     generic_parametric_qp,
@@ -53,6 +54,33 @@ def test_svm_assemble_structure():
     assert prob.A_ineq[0, 3] == -1.0
     assert prob.b_ineq[0] == 1.0
     assert prob.b_ineq[4] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 20, 160])
+def test_svm_assemble_matches_the_identity_block_construction_bit_for_bit(n):
+    """H, c, A and b equal, bit for bit, the arrays built from np.eye(n) blocks.
+
+    The -I blocks' off-diagonal zeros are -0.0 there, and stay so.
+    """
+    rng = np.random.default_rng(n)
+    svm = SvmModel(rng.standard_normal((n, 2)), rng.choice([-1, 1], n), C=3.0, ridge_eps=1e-5)
+    x = svm.features.ravel()
+    d, y, pts = n + 3, svm.labels, svm.features
+    H = np.zeros((d, d))
+    H[0, 0] = H[1, 1] = 1.0
+    H[2, 2] = svm.ridge_eps
+    H[3:, 3:] = svm.ridge_eps * np.eye(n)
+    c = np.zeros(d)
+    c[3:] = svm.C
+    A = np.zeros((2 * n, d))
+    A[:n, 0], A[:n, 1], A[:n, 2] = -y * pts[:, 0], -y * pts[:, 1], -y
+    A[:n, 3:] = -np.eye(n)
+    A[n:, 3:] = -np.eye(n)
+    b = np.zeros(2 * n)
+    b[:n] = 1.0
+    prob = svm_assemble(svm, x)
+    for got, want in ((prob.H, H), (prob.c, c), (prob.A, A), (prob.b, b)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_svm_separable_solution_classifies_correctly():
@@ -260,6 +288,29 @@ def test_warm_solve_after_small_data_move_matches_cold(seed, x, dx):
     assert np.abs(warm.y - cold.y).max() <= 1e-9
 
 
+def test_warm_start_reads_a_bound_entry_at_the_new_data():
+    """working_start fixes a bound's variable with the bound's entry at the new data.
+
+    The bound -(1 + x) y + 1 <= 0 is active at the minimizer y = 1 / (1 + x)
+    of 0.5 y^2.  Moved from x = 0 to x = 0.1, the start meets it to
+    round-off, not only to within the change in its entry.
+    """
+    family = victims._AffineQpFamily(
+        H=np.eye(1), c0=np.zeros(1), Cx=np.zeros((1, 1)),
+        rows_a=np.array([[-1.0]]), rows_M=np.array([[[-1.0]]]),
+        rows_b0=np.array([1.0]), rows_beta=np.zeros((1, 1)), n_ineq=1,
+    )
+    model = family.as_victim()
+    warm = solve_victim(model, np.zeros(1))
+    assert warm.factors.fixed.tolist() == [0]
+    x = np.array([0.1])
+    problem = model.assemble(x)
+    start = working_start(warm, problem)
+    assert abs(problem.constraint_values(start)[0]) <= 1e-15
+    sol = solve_victim(model, x, warm=warm)
+    assert not sol.phase1 and sol.y[0] == pytest.approx(1.0 / 1.1, abs=1e-15)
+
+
 def _outcome(solve):
     """(solution, None), or (None, the type of the SemipoisonError raised)."""
     try:
@@ -280,6 +331,7 @@ LOG_SCALE = st.one_of(st.floats(-8.0, 8.0), st.floats(-8.0, 300.0))
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @example(seed=2, n=2, kind="gauss", log_c=-5.0, log_eps=-5.0)  # phase 1 stops short
+@example(seed=3, n=3, kind="collinear", log_c=196.75, log_eps=1.4375)  # see the test below
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 12),
@@ -297,8 +349,9 @@ def test_cold_svm_start_is_feasible_and_changes_no_result(seed, n, kind, log_c, 
     scales (1, C and ridge_eps), or else the started solve is the more
     nearly stationary of the two: solve_qp's stationarity tolerance
     scales with |c| alone, so at small C phase 1 can stop short of the
-    optimum (the pinned example), and at extreme scales the two solves
-    may also end in different errors.
+    optimum (the first pinned example), and at extreme scales the two
+    solves may also end in different errors.  Where the agreement
+    tolerance overflows to inf, only the stationarity comparison runs.
     """
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((n, 2))
@@ -332,7 +385,27 @@ def test_cold_svm_start_is_feasible_and_changes_no_result(seed, n, kind, log_c, 
         assert feasible and err is ref_err
     if sol is not None and ref is not None:
         kappa = max(1.0, C, eps) / min(1.0, eps)
-        tol = (1e-10 + 1e-14 * kappa) * (1.0 + np.abs(ref.y).max())
-        if np.abs(sol.y - ref.y).max() > tol:
+        tol = (1e-10 + 1e-14 * kappa) * (1.0 + float(np.abs(ref.y).max()))  # inf past 1e308
+        if not (math.isfinite(tol) and np.abs(sol.y - ref.y).max() <= tol):
             with np.errstate(over="ignore", invalid="ignore"):
                 assert _relative_stationarity(problem, sol) <= _relative_stationarity(problem, ref)
+
+
+def test_cold_solve_refines_a_minimizer_reached_from_far_away():
+    """A unit step that shrinks y by more than 1e5 is taken again from its end.
+
+    Cold, the active-set loop on this SVM (collinear features, C near
+    1e197) reaches |y| near 1e149.  The working-set minimizer computed
+    from there carries round-off near 1e133 in w, which the KKT gate's
+    |c|-scaled stationarity tolerance passed.  Refined, the cold solve
+    ends where the solve from the least-squares start ends.
+    """
+    rng = np.random.default_rng(3)
+    labels = np.where(rng.standard_normal((3, 2)).sum(axis=1) > 0.0, 1, -1)
+    feats = np.outer(rng.standard_normal(3), rng.standard_normal(2))
+    svm = SvmModel(feats, labels, C=10.0**196.75, ridge_eps=10.0**1.4375)
+    x = feats.ravel()
+    cold = solve_qp(svm_assemble(svm, x))
+    started = solve_victim(svm_victim(svm), x)
+    assert cold.phase1 and not started.phase1
+    assert_allclose(cold.y, started.y, rtol=0.0, atol=1e-12)
