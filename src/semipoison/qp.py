@@ -16,7 +16,9 @@ rows keeps n x 3 and 3 x 3 factors, not n x n ones.  A general row
 joins by one Householder reflection and leaves by one small QR; a
 bound that joins or leaves removes or adds one free variable.  Start
 rows that open with bounds are fixed in closed form, and the other
-start rows then join one by one, as rows join in the loop.
+start rows then join one by one, as rows join in the loop.  A hot start
+(working_start) skips that: it begins on a nearby solution's working
+rows, with a copy of their factors.
 
 Constraints are indexed inequalities first: constraint i is row i of
 the stacked matrix A = [A_ineq; A_eq], with offset b[i].  Multipliers
@@ -27,6 +29,7 @@ follow the same ordering, with stationarity
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +51,7 @@ TOL_COMPLEMENTARITY = 1e-8
 
 _SYM_TOL = 1e-10
 _DROP_TOL = 1e-9
+_START_TOL = 1e-9  # an inequality row within this of active at the start is a start row
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -266,12 +270,17 @@ def classify_active(problem: QpProblem, solution: KktSolution) -> ActiveStructur
     TOL_MULT; those are the constraints whose one-sided behaviour the
     auxiliary problem of the sensitivity module keeps as inequalities.
     """
-    g = problem.constraint_values(solution.y)
     r = problem.n_ineq
-    active = [i for i in range(problem.n_con) if i >= r or abs(g[i]) <= TOL_ACT]
-    weakly = [i for i in active if i < r and abs(solution.lam[i]) <= TOL_MULT]
-    strict = [i for i in active if i not in weakly]
-    return ActiveStructure(active=active, weakly_active=weakly, strict=strict)
+    active = np.abs(problem.constraint_values(solution.y)) <= TOL_ACT
+    active[r:] = True
+    weakly = np.abs(solution.lam) <= TOL_MULT
+    weakly[r:] = False
+    weakly &= active
+    return ActiveStructure(
+        active=np.flatnonzero(active).tolist(),
+        weakly_active=np.flatnonzero(weakly).tolist(),
+        strict=np.flatnonzero(active > weakly).tolist(),  # active and not weakly active
+    )
 
 
 class WorkingFactors:
@@ -301,6 +310,12 @@ class WorkingFactors:
         free[fixed] = False
         self.Q, self.T = np.zeros((n, nf)), np.zeros((nf, nf))
         self.Q[free, np.arange(nf)] = 1.0  # the free variables' unit vectors
+
+    def copy(self) -> WorkingFactors:
+        """Factors whose updates leave these alone (rows and fixed are only ever replaced)."""
+        other = copy.copy(self)
+        other.Q, other.T = self.Q.copy(), self.T.copy()
+        return other
 
     @property
     def general(self) -> np.ndarray:
@@ -505,10 +520,10 @@ def _independent_factors(A: np.ndarray, rows: np.ndarray, n_base: int) -> Workin
     """
     n, p = A.shape[1], 0
     if rows.size and np.count_nonzero(A[rows[0]]) == 1:  # a bound opens the rows: find its run
-        nonzero = A != 0.0  # one byte per entry: A[rows] is not copied
-        single = nonzero.sum(axis=1)[rows] == 1
+        nonzero = (A != 0.0)[rows]  # one byte per entry, no copy of A[rows]; counted on rows only
+        single = nonzero.sum(axis=1) == 1
         q = single.size if single.all() else int(single.argmin())
-        cols = nonzero[rows[:q]].argmax(axis=1)  # the variable row i bounds
+        cols = nonzero[:q].argmax(axis=1)  # the variable row i bounds
         s = A[rows[:q], cols]
         stop = np.abs(s) <= 1e-14  # the run stops at a row with a small entry
         stop[:n_base] = np.abs(s[:n_base]) <= 1e-12
@@ -524,15 +539,20 @@ def _independent_factors(A: np.ndarray, rows: np.ndarray, n_base: int) -> Workin
     return factors
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite step or multiplier raises instead
-def _active_set_loop(problem: QpProblem, y: np.ndarray, max_iter=None, factored=None):
-    """Primal active-set iteration from a feasible point y.
+def _start_rows(problem: QpProblem, y: np.ndarray) -> np.ndarray:
+    """The equality rows, then the inequality rows near active at y (_START_TOL), highest first."""
+    near = np.flatnonzero(problem.A_ineq @ y + problem.b_ineq >= -_START_TOL)
+    return np.concatenate([np.arange(problem.n_ineq, problem.n_con), near[::-1]])
 
-    The working set starts as the rows at y that solve_qp describes,
-    factored by _independent_factors unless factored, _phase1's (rows,
-    factors), factored exactly these rows.  max_iter defaults to
-    solve_qp's cap.  Each iteration moves toward the working-set
-    minimizer y_hat, or along a ray of unbounded descent, up to the first
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite step or multiplier raises instead
+def _active_set_loop(problem: QpProblem, y: np.ndarray, factors: WorkingFactors, max_iter=None):
+    """Primal active-set iteration from y on the working rows factors holds, updated in place.
+
+    y meets every row but the working rows, which every working-set
+    minimizer meets.  max_iter defaults to solve_qp's cap.  Each
+    iteration moves toward the working-set minimizer y_hat, or along a
+    ray of unbounded descent, up to the first
     blocking row, which joins; a row that WorkingFactors.join refuses
     (one in the working rows' span) does not block.  When no row blocks
     the unit step, or y already is y_hat, it checks the multiplier signs
@@ -546,11 +566,6 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, max_iter=None, factored=
     A, b, H, c, r = problem.A, problem.b, problem.H, problem.c, problem.n_ineq
     if max_iter is None:
         max_iter = max(200, 30 * (problem.n_con + 1))
-    candidates = np.flatnonzero(problem.A_ineq @ y + problem.b_ineq >= -1e-9)
-    order = np.concatenate([np.arange(r, problem.n_con), candidates[::-1]])
-    if factored is None or not np.array_equal(order, factored[0]):
-        factored = order, _independent_factors(A, order, problem.n_eq)
-    factors = factored[1]
     for it in range(max_iter):
         idx = factors.rows
         y_hat, ray = _working_subproblem(H, c, A, b, y, factors)
@@ -605,8 +620,9 @@ def _phase1(problem: QpProblem):
     subject to A_ineq y + b_ineq <= t, solved by the same loop from y0,
     drives the violation to 0.  That loop starts on the equality rows
     alone, factored in the auxiliary QP's variables.  Returns (y,
-    factored): the rows factored last and their factors, for the loop to
-    reuse, or None when the auxiliary QP ran.
+    factored): the rows factored last and their factors, which solve_qp
+    hands to the loop when they are the start rows at y, or None when
+    the auxiliary QP ran.
     """
     n, r = problem.n_var, problem.n_ineq
     eq_rows, y0 = np.arange(r, problem.n_con), np.zeros(n)
@@ -633,8 +649,7 @@ def _phase1(problem: QpProblem):
     del A1  # with equality rows aux.A is a stacked copy: freeing A1 lowers the loop's peak memory
     # t clears every violation, so the loop starts on the equality rows alone
     start = np.concatenate([y0, [viol * (1.0 + 1e-3) + 1e-6]])
-    factored = eq_rows, _independent_factors(aux.A, eq_rows, problem.n_eq)
-    y_aux = _active_set_loop(aux, start, factored=factored)[0]
+    y_aux = _active_set_loop(aux, start, _independent_factors(aux.A, eq_rows, problem.n_eq))[0]
     if y_aux[n] > 1e-9:
         raise Infeasible(f"no feasible point (minimal constraint violation {y_aux[n]:.3e})")
     return y_aux[:n], None
@@ -662,23 +677,27 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     problem : QpProblem
     max_iter : int, optional
         Active-set iteration cap; defaults to max(200, 30 * (n_con + 1)).
-    start : (n_var,) array, optional
-        A warm start, typically the solution of a nearby problem.  It
-        replaces phase 1 when it is finite and meets every constraint
-        within TOL_FEAS; any other start is ignored, and the result is
-        the cold one bit for bit.  Phase 1 (see _phase1) takes the
-        min-norm point of the equality rows, or else its projection onto
-        them and the violated rows when that is feasible, or else solves
-        an auxiliary QP.  Either way the working set starts as the
-        independent constraints active at the starting point, so a start
-        close to the optimum needs few iterations.  These start rows are
-        the equality rows, then the inequality rows within 1e-9 of
-        active (g_i >= -1e-9) in decreasing index: Bland's rule drops the
-        lowest index, and a row dropped near the tail of the factors
-        leaves few rows after it to re-triangularize.  Of two dependent
-        start rows the later one in this order is dropped.  The bound
-        rows that lead this order fix their variables in closed form,
-        and the others join one by one (see _independent_factors).
+    start : HotStart or (n_var,) array, optional
+        A hot start (see working_start and equality_start) for this
+        problem: the loop starts on its working rows and their factors,
+        which it updates in place, and runs no phase 1 and no
+        factorization.  Else a warm point, typically the solution of a
+        nearby problem.  It replaces phase 1 when it is finite and meets
+        every constraint within TOL_FEAS; any other start is ignored,
+        and the result is the cold one bit for bit.  Phase 1 (see
+        _phase1) takes the min-norm point of the equality rows, or else
+        its projection onto them and the violated rows when that is
+        feasible, or else solves an auxiliary QP.  From a point, the
+        working set starts as the independent constraints active there,
+        so a start close to the optimum needs few iterations.  These
+        start rows are the equality rows, then the inequality rows
+        within 1e-9 of active (g_i >= -1e-9) in decreasing index:
+        Bland's rule drops the lowest index, and a row dropped near the
+        tail of the factors leaves few rows after it to
+        re-triangularize.  Of two dependent start rows the later one in
+        this order is dropped.  The bound rows that lead this order fix
+        their variables in closed form, and the others join one by one
+        (see _independent_factors).
 
     Returns
     -------
@@ -692,13 +711,25 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     ------
     Infeasible, Unbounded, MaxIterations
     DimensionMismatch
-        When start does not have shape (n_var,).
+        When a start point does not have shape (n_var,).
+    InputError
+        When a hot start was built for another problem.
     """
-    y0 = None if start is None else _usable_start(problem, start)
-    phase1, factored = y0 is None, None
-    if phase1:
-        y0, factored = _phase1(problem)
-    y, lam, iterations, factors = _active_set_loop(problem, y0, max_iter, factored)
+    phase1 = False
+    if isinstance(start, HotStart):
+        if start.problem is not problem:
+            raise InputError("hot start was built for another problem")
+        y0, factors = start.y, start.factors
+    else:
+        y0 = None if start is None else _usable_start(problem, start)
+        phase1, factored = y0 is None, None
+        if phase1:
+            y0, factored = _phase1(problem)
+        rows = _start_rows(problem, y0)
+        if factored is None or not np.array_equal(rows, factored[0]):
+            factored = rows, _independent_factors(problem.A, rows, problem.n_eq)
+        factors = factored[1]
+    y, lam, iterations, factors = _active_set_loop(problem, y0, factors, max_iter)
     res = kkt_residuals(problem, y, lam)
     c_inf = float(np.abs(problem.c).max(initial=0.0))
     if not res.within_default_tolerances(c_inf, float(np.abs(lam).max(initial=0.0))):
@@ -746,24 +777,97 @@ def working_minimizer(solution: KktSolution, c: np.ndarray, b: np.ndarray) -> np
     return d
 
 
-@np.errstate(over="ignore", invalid="ignore")  # solve_qp ignores a non-finite start
-def working_start(solution: KktSolution, problem: QpProblem) -> np.ndarray:
-    """solution.y moved by one least-norm step back onto its working rows in problem.
+@dataclass(eq=False)
+class HotStart:
+    """A start for solve_qp on problem: a point y and the factors of its working rows.
 
-    problem is the training problem at nearby data.  The step
-    (WorkingFactors.onto) fixes each bound's variable at -b_i / s with
-    problem's b_i and s, so the bound rows hold exactly (up to the
-    change in the data where a bound row gains other nonzeros), and it
-    runs on the solution's factors of the old general rows, so these
-    hold at its end up to the square of that change.  The inactive rows
-    keep their slack up to its size.  Returns solution.y itself when
-    solution has no factors (it was not built by solve_qp) or problem's
-    rows differ in shape.
+    Every row that is not working holds at y.  The working rows hold up
+    to round-off, except those that joined near active, which the loop's
+    first working-set minimizer meets.  solve_qp updates factors in
+    place, so a HotStart starts one solve.
     """
-    old, factors = solution.problem, solution.factors
-    if old is None or factors is None or old.A.shape != problem.A.shape:
-        return solution.y
-    return factors.onto(solution.y, problem.A, problem.b)
+
+    problem: QpProblem
+    y: np.ndarray
+    factors: WorkingFactors
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite start is no hot start
+def _hot_start(problem: QpProblem, y: np.ndarray, factors: WorkingFactors) -> HotStart | None:
+    """y moved onto factors' rows (WorkingFactors.onto), then every other row near active joins.
+
+    As on the cold path, the rows within _START_TOL of active join, the
+    equality rows first and the inequality rows in decreasing index.  A
+    row violated at the moved y (g > 0, or g != 0 for an equality) that
+    cannot join, say because the working rows already fix y, would stay
+    violated through the solve: a wrong point within TOL_FEAS, a solver
+    error past it.  Then, or where y is not finite, there is no hot
+    start (None).
+    """
+    r, A = problem.n_ineq, problem.A
+    y = factors.onto(y, A, problem.b)
+    if not np.isfinite(y).all():
+        return None
+    g = problem.constraint_values(y)
+    g[r:] = np.abs(g[r:])
+    near = g >= -_START_TOL
+    near[factors.rows] = False
+    near = np.flatnonzero(near)
+    for i in np.concatenate([near[near >= r], near[near < r][::-1]]):
+        if not factors.join(i, A[i], TOL_INDEP * math.hypot(*A[i].tolist())) and g[i] > 0.0:
+            return None
+    return HotStart(problem, y, factors)
+
+
+def working_start(solution: KktSolution, problem: QpProblem) -> HotStart | None:
+    """A hot start for problem, at nearby data, on solution's working rows with copied factors.
+
+    The leading general rows whose entries are the same in problem keep
+    their factors; the rest join again at problem's data, as rows join
+    in the loop (one refused then is one of the other rows below).  A
+    bound whose entry changed keeps its place while it stays the row's
+    one nonzero.  solution.y then moves by one least-norm step
+    (WorkingFactors.onto) onto these rows, which it meets exactly up to
+    round-off, and every other row near active joins (see _hot_start).
+    So where the working set stays optimal the solve takes one
+    iteration.  None, for a cold start instead, when solution has no
+    factors (it was not built by solve_qp), problem's rows differ in
+    shape, a bound row gains a second nonzero or loses its one, or a
+    violated row cannot join.
+    """
+    old = solution.problem
+    if old is None or solution.factors is None or old.A.shape != problem.A.shape:
+        return None
+    A, factors = problem.A, solution.factors.copy()
+    p, general = factors.fixed.size, factors.general
+    changed = (A != old.A).any(axis=1)
+    moved = changed[factors.rows[:p]]
+    if moved.any():  # each such bound row must keep its one nonzero, on its variable
+        bounds = factors.rows[:p][moved]
+        single = np.count_nonzero(A[bounds], axis=1) == 1
+        if not (single.all() and A[bounds, factors.fixed[moved]].all()):
+            return None
+    k = int(np.append(changed[general], True).argmax())  # the first general row that changed
+    factors.rows = factors.rows[: p + k]
+    factors.T[k:] = factors.T[:, k:] = 0.0  # Q's columns k.. stay the complement of rows ..k
+    for i in general[k:]:
+        factors.join(i, A[i], TOL_INDEP * math.hypot(*A[i].tolist()))
+    return _hot_start(problem, solution.y, factors)
+
+
+def equality_start(problem: QpProblem) -> HotStart | None:
+    """A hot start at the least-norm point of every row of problem taken as an equality.
+
+    The rows are factored in start order (the equality rows, then the
+    inequalities in decreasing index).  Where they are independent the
+    point meets them all, so it is feasible, and the loop starts with
+    every row working.  None where a dependent row is violated there
+    (see _hot_start).
+    """
+    r = problem.n_ineq
+    rows = np.concatenate([np.arange(r, problem.n_con), np.arange(r)[::-1]])
+    factors = _independent_factors(problem.A, rows, problem.n_eq)
+    return _hot_start(problem, np.zeros(problem.n_var), factors)
 
 
 def licq_margin(solution: KktSolution, active) -> float:

@@ -21,8 +21,8 @@ not, semi_derivative raises AuxUnbounded.
 Without weakly active rows the auxiliary problem has equality rows only,
 and under LICQ they are the training solution's final working rows, so
 semi_derivative solves it as one KKT system on the training solver's
-factors (qp.working_minimizer); the auxiliary QP is solved by solve_qp
-only where some active row is weakly active.
+factors (qp.working_minimizer); the auxiliary QP is solved by solve_qp,
+from a hot start, only where some active row is weakly active.
 
 PointDerivative, built once per solved point, is the one place that chooses
 the route: the data gradient, the semi-derivative, or None for a fallback.
@@ -118,7 +118,9 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
     Without weakly active rows the strictly active rows are the training
     solution's working rows (LICQ holds), and dy is the minimizer over
     them on the training factors, qp.working_minimizer: no QP is solved.
-    With weakly active rows the auxiliary QP is solved by solve_qp.
+    With weakly active rows the auxiliary QP is solved by solve_qp,
+    started hot (qp.equality_start) at the least-norm point of all its
+    rows taken as equalities, which LICQ makes feasible: no phase 1.
 
     Raises
     ------
@@ -150,7 +152,7 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
     strict = strict[::-1]  # decreasing, as solve_qp orders start rows: the bounds lead
     problem = QpProblem(aux.H_aux, c, aux.rows[weak], mu[weak], aux.rows[strict], mu[strict])
     try:
-        return solve_qp(problem).y
+        return solve_qp(problem, start=qp.equality_start(problem)).y
     except Infeasible as exc:
         raise AuxInfeasible(str(exc)) from exc
     except Unbounded as exc:
@@ -202,12 +204,12 @@ def fd_directional_derivative(
     """One-sided finite-difference estimate (y(x + h dx) - y(x)) / h, h = FD_STEP.
 
     base_solution is the victim's solution at x.  Re-solves the training
-    problem once, at x + h dx, warm from base_solution through
-    solve_victim: a model without a feasible_start hook starts from the
-    base point stepped back onto its working rows at x + h dx, which an
-    active row moving outward by O(h) would otherwise leave infeasible,
-    and phase 1 runs only where that start is infeasible.  Solver errors
-    propagate.
+    problem once, at x + h dx, hot from base_solution through
+    solve_victim: on its working rows and a copy of its factors, the
+    base point stepped onto those rows at x + h dx, which an active row
+    moving outward by O(h) would otherwise leave infeasible.  Where no
+    hot start is usable it falls back to the model's feasible_start
+    hook, or to phase 1.  Solver errors propagate.
     """
     x = np.asarray(x, dtype=float)
     dx = np.asarray(dx, dtype=float)

@@ -40,8 +40,9 @@ class VictimModel:
         objective + sum_i lam_i * g_i with respect to (y, x).
     feasible_start : callable(x, y_prev) -> y, optional
         A point that is feasible for the training problem at data x:
-        built from y_prev, the solution at nearby data, for warm starts,
-        or from the data alone when y_prev is None, for cold starts.
+        built from y_prev, the solution at nearby data, for a warm solve
+        that has no hot start (see solve_victim), or from the data alone
+        when y_prev is None, for cold starts.
     """
 
     dim_data: int
@@ -58,22 +59,20 @@ def solve_victim(
     """Train the victim at data x (thin wrapper over solve_qp).
 
     warm is the solution at nearby data, or None for a cold solve.
-    solve_qp starts from model.feasible_start(x, warm.y), with None in
-    place of warm.y on a cold solve.  A model without that hook starts
-    from qp.working_start(warm, problem): warm.y moved by one least-norm
-    step, on warm's factors, back onto warm's working rows at x (or
-    warm.y itself when warm was not built by solve_qp), or from phase 1
-    on a cold solve.  A start that is not feasible at x falls back to
-    phase 1, so the start changes the cost of the solve, not its result
-    beyond round-off.
+    solve_qp starts hot from qp.working_start(warm, problem): on warm's
+    working rows at x, with a copy of warm's factors, so a re-solve whose
+    working set stays optimal takes one iteration.  Where there is no
+    hot start (a cold solve, or see working_start), it starts from
+    model.feasible_start(x, warm.y), with None in place of warm.y on a
+    cold solve, or from phase 1 for a model without that hook.  A start
+    point that is not feasible at x falls back to phase 1, so the start
+    changes the cost of the solve, not its result beyond round-off.
     """
     x = np.asarray(x, dtype=float)
     problem = model.assemble(x)
-    hook = model.feasible_start
-    if hook is not None:
-        start = hook(x, None if warm is None else warm.y)
-    else:
-        start = None if warm is None else working_start(warm, problem)
+    start = None if warm is None else working_start(warm, problem)
+    if start is None and model.feasible_start is not None:
+        start = model.feasible_start(x, None if warm is None else warm.y)
     return solve_qp(problem, start=start)
 
 

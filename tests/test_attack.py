@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import semipoison.attack as attack_module
 import semipoison.sensitivity as sensitivity_module
 from semipoison.attack import (
     AttackConfig,
@@ -52,6 +53,7 @@ from _oracles import (
     kink_projection_model,
     soft_margin_svm,
 )
+from test_acceptance import SVM_SEEDS, svm_scenario
 
 
 def kink_config(**overrides):
@@ -807,6 +809,37 @@ def test_warm_and_cold_solves_agree_along_attack_trajectory(seed):
             assert vars(classify_active(problem, sol)) == vars(classify_active(problem, cold))
         prev = warm
     assert np.array_equal(x, trace.x_final)
+
+
+def test_acceptance_attacks_re_solve_in_one_iteration(monkeypatch):
+    """Work counts over the 10 n=20 acceptance attacks, deterministic where timings are not.
+
+    Each warm re-solve starts hot, on the solution it perturbs, so at
+    least 850 of the 952 take one active-set iteration (225 did from the
+    slack-reset start).  Each of the 176 auxiliary QPs starts from all
+    its rows taken as equalities, so none runs phase 1 (all 176 did).
+    """
+    warm_iterations, aux_phase1 = [], []
+    inner_victim, inner_aux = attack_module.solve_victim, sensitivity_module.solve_qp
+
+    def victim(model, x, warm=None):
+        sol = inner_victim(model, x, warm)
+        if warm is not None:
+            warm_iterations.append(sol.iterations)
+        return sol
+
+    def aux(problem, start=None):
+        sol = inner_aux(problem, start=start)
+        aux_phase1.append(sol.phase1)
+        return sol
+
+    monkeypatch.setattr(attack_module, "solve_victim", victim)
+    monkeypatch.setattr(sensitivity_module, "solve_qp", aux)
+    for seed in SVM_SEEDS:
+        data, model, config = svm_scenario(seed)
+        run_attack(data.features.ravel(), model, config)
+    assert len(warm_iterations) == 952 and warm_iterations.count(1) >= 850
+    assert len(aux_phase1) == 176 and not any(aux_phase1)
 
 
 def test_warm_and_cold_solves_agree_along_a_soft_margin_attack():

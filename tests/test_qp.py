@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from semipoison import errors, qp, sensitivity
+from semipoison import errors, qp, sensitivity, victims
 from semipoison.attack import AttackConfig, run_attack
 from semipoison.data import Dataset, normalize, synth_lane_change
 from semipoison.qp import (
@@ -20,7 +20,14 @@ from semipoison.qp import (
     kkt_residuals,
     solve_qp,
 )
-from semipoison.victims import SvmModel, svm_assemble, svm_feasible_start, svm_victim
+from semipoison.victims import (
+    SvmModel,
+    generic_parametric_qp,
+    solve_victim,
+    svm_assemble,
+    svm_feasible_start,
+    svm_victim,
+)
 
 from _oracles import enumerate_qp, independent_subset_mgs, lstsq_multipliers, soft_margin_svm
 
@@ -222,6 +229,31 @@ def test_active_and_weakly_active_classification():
     assert st2.weakly_active == [0]
 
 
+def test_classification_matches_the_per_row_definitions():
+    """classify_active's lists are the per-row definitions', in order and as Python ints.
+
+    On criterion 8's problems, with every third multiplier set to 0 so
+    that active inequalities turn weakly active.
+    """
+    rng = np.random.default_rng(8)
+    weak = 0
+    for _ in range(300):
+        n_var = int(rng.integers(2, 7))
+        n_eq = int(rng.integers(0, min(3, n_var)))
+        prob = random_feasible_qp(rng, n_var, int(rng.integers(0, 9 - n_eq)), n_eq)
+        sol = solve_qp(prob)
+        sol.lam[::3] = 0.0
+        g, r = prob.constraint_values(sol.y), prob.n_ineq
+        active = [i for i in range(prob.n_con) if i >= r or abs(g[i]) <= qp.TOL_ACT]
+        weakly = [i for i in active if i < r and abs(sol.lam[i]) <= qp.TOL_MULT]
+        strict = [i for i in active if i not in weakly]
+        got = classify_active(prob, sol)
+        assert (got.active, got.weakly_active, got.strict) == (active, weakly, strict)
+        assert all(type(i) is int for i in got.active)
+        weak += len(weakly)
+    assert weak > 50
+
+
 def test_constraint_rows_stacked_once_inequalities_first():
     A_ineq, b_ineq = np.arange(6.0).reshape(3, 2), np.arange(3.0)
     A_eq, b_eq = np.array([[1.0, -1.0]]), np.array([5.0])
@@ -268,31 +300,59 @@ def test_multipliers_match_least_squares_reference():
 
 
 def _check_factors_per_iteration(monkeypatch):
-    """Run check_factors at every working-set subproblem of every active-set loop.
+    """check_factors at every working-set subproblem of every active-set loop and on every hot start.
 
     Returns the list that collects one list per loop: (m, opens) for each
     iteration, m being the working-row count and opens whether the first
-    working row is a bound row (one nonzero).
+    working row is a bound row (one nonzero).  A hot start's rows join
+    before its loop, so each hot start (qp.working_start, as solve_victim
+    calls it) adds a list too, with an entry before and after each row
+    that joins its factors.
     """
     inner_loop, inner_sub = qp._active_set_loop, qp._working_subproblem
-    loops, current = [], []
+    inner_start, inner_join = victims.working_start, qp.WorkingFactors.join
+    loops, current, hot = [], [], []
 
-    def loop(problem, y, max_iter=None, factored=None):
+    def loop(problem, y, factors, max_iter=None):
         current.append([])
         try:
-            return inner_loop(problem, y, max_iter, factored)
+            return inner_loop(problem, y, factors, max_iter)
         finally:
             loops.append(current.pop())
 
+    def opens(A, factors):
+        return factors.rows.size > 0 and np.count_nonzero(A[factors.rows[0]]) == 1
+
+    def joined(self, i, a, cut):
+        m = self.rows.size
+        ok = inner_join(self, i, a, cut)
+        if hot and ok:
+            A = hot[-1][0]
+            hot[-1][1].extend([(m, opens(A, self)), (self.rows.size, opens(A, self))])
+        return ok
+
+    def working_start(solution, problem):
+        hot.append((problem.A, []))
+        try:
+            start = inner_start(solution, problem)
+        finally:
+            joins = hot.pop()[1]
+            if joins:
+                loops.append(joins)
+        if start is not None:
+            check_factors(start.factors, problem.A)
+        return start
+
     def checked(H, c, A, b, y, factors):
         check_factors(factors, A)
-        m = factors.rows.size
         if current:  # working_minimizer's solves run outside any loop
-            current[-1].append((m, m > 0 and np.count_nonzero(A[factors.rows[0]]) == 1))
+            current[-1].append((factors.rows.size, opens(A, factors)))
         return inner_sub(H, c, A, b, y, factors)
 
     monkeypatch.setattr(qp, "_active_set_loop", loop)
     monkeypatch.setattr(qp, "_working_subproblem", checked)
+    monkeypatch.setattr(qp.WorkingFactors, "join", joined)
+    monkeypatch.setattr(victims, "working_start", working_start)
     return loops
 
 
@@ -324,10 +384,13 @@ def test_factors_stay_exact_through_updates(monkeypatch):
 def test_factors_stay_exact_along_an_svm_attack_chain(monkeypatch):
     """The same check along an n=40 SVM attack, whose solves start on bound rows.
 
-    Each re-solve starts on the slack-sign bounds active at its start, a
-    leading run of bound rows factored in closed form; margin and slack
-    rows then join and leave those factors.  At curvature bound 1 the
-    first trial steps are long, so some start rows leave again.
+    Each re-solve starts hot, on the previous solution's working rows
+    with the slack-sign bounds first, or, where there is no hot start, on
+    the bounds active at the slack-reset start, a leading run of bound
+    rows factored in closed form; margin and slack rows then join (in
+    the hot start or the loop) and leave those factors.  At curvature
+    bound 1 the first trial steps are long, so some start rows leave
+    again.
     """
     loops = _check_factors_per_iteration(monkeypatch)
     data = normalize(synth_lane_change(40, seed=3))
@@ -380,6 +443,73 @@ def test_factors_stay_exact_along_a_soft_margin_attack(monkeypatch):
     assert counts["joins"] >= 1 and counts["drops"] >= 1
     adds, drops = _joins_and_drops(loops)
     assert adds > 50 and drops > 0
+
+
+def test_hot_start_factors_are_exact_where_every_row_moves():
+    """On generic_parametric_qp fixtures every row's entries depend on x.
+
+    So at x + dx every general working row joins the copied factors
+    again.  The hot start's factors pass check_factors, the start meets
+    the base solution's working rows to round-off, the base factors are
+    left alone, and the solve from the start ends at the cold solve's
+    point.  Most such re-solves take one iteration.
+    """
+    rng = np.random.default_rng(34)
+    iterations = collections.Counter()
+    for _ in range(300):
+        dim_var, dim_data = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        n_eq, n_ineq = int(rng.integers(0, 2)), int(rng.integers(1, 6))
+        model = generic_parametric_qp(int(rng.integers(0, 2**31 - 1)), dim_var, dim_data, n_ineq, n_eq)
+        x, dx = 0.2 * rng.standard_normal(dim_data), 1e-3 * rng.standard_normal(dim_data)
+        try:
+            base = solve_victim(model, x)
+        except errors.SolverError:
+            continue
+        kept = [(k, getattr(base.factors, k).copy()) for k in FACTOR_FIELDS]
+        problem = model.assemble(x + dx)
+        start = qp.working_start(base, problem)
+        assert all(np.array_equal(getattr(base.factors, k), v) for k, v in kept)
+        if start is None:
+            iterations["none"] += 1
+            continue
+        check_factors(start.factors, problem.A)
+        g = problem.constraint_values(start.y)[base.factors.rows]
+        assert np.abs(g).max(initial=0.0) <= 1e-13 * (1.0 + np.abs(start.y).max())
+        sol, cold = solve_qp(problem, start=start), solve_qp(problem)
+        assert np.abs(sol.y - cold.y).max() <= 1e-10 * (1.0 + np.abs(cold.y).max())
+        iterations[sol.iterations] += 1
+    assert iterations[1] > 200 and iterations["none"] < 10
+
+
+def test_hot_starts_are_exact_along_an_n20_svm_attack(monkeypatch):
+    """The seed-0 n=20 acceptance attack's warm re-solves start hot, all but one.
+
+    check_factors passes on each hot start's factors, and on every
+    iteration after it; all but a few re-solves take one iteration.  The
+    one without a hot start is a long line-search trial, after which a
+    margin row is violated at a vertex where the working rows fix every
+    variable.
+    """
+    loops = _check_factors_per_iteration(monkeypatch)
+    starts, inner = [], victims.working_start
+
+    def counted(solution, problem):
+        start = inner(solution, problem)
+        starts.append(start)
+        return start
+
+    monkeypatch.setattr(victims, "working_start", counted)
+    data = normalize(synth_lane_change(20, seed=0))
+    model = svm_victim(SvmModel(data.features, data.labels, C=10.0))
+    selector = np.zeros((1, model.dim_var))
+    selector[0, :2] = [1.0, -1.0]
+    config = AttackConfig(
+        np.zeros(1), 3.0, selector, point_dim=2, curvature_bound=20.0, tol_target=1e-10,
+        tol_improve=1e-14, seed=0,
+    )
+    assert len(run_attack(data.features.ravel(), model, config).records) == 200
+    assert len(starts) == 202 and sum(s is None for s in starts) <= 2
+    assert sum(len(its) == 1 for its in loops) >= 200  # one iteration: hot starts and the cold one
 
 
 def test_bound_on_a_fixed_or_determined_variable_is_refused():
@@ -816,31 +946,35 @@ def test_phase1_factors_match_a_recomputation(monkeypatch):
     all three of phase 1's hand-overs: a feasible equality point, a
     feasible projection, and the t-loop's start on the equality rows.
     The t-loop's start factors the equality rows again in its own
-    variables; they are compared by value.
+    variables; they are compared by value.  Phase 1 hands its rows and
+    factors to solve_qp, which hands the factors to the loop.
     """
     inner_loop, inner_phase1 = qp._active_set_loop, qp._phase1
     handed = collections.Counter()
     in_phase1 = []
 
-    def checked(problem, y, max_iter=None, factored=None):
-        if factored is not None:
-            rows, factors = factored
-            again = _independent_factors(problem.A, rows, problem.n_eq)
-            pairs = [(getattr(again, k), getattr(factors, k)) for k in FACTOR_FIELDS]
-            if in_phase1:
-                assert all(np.array_equal(a, b) for a, b in pairs)
-                handed["t-loop"] += 1
-            else:
-                assert all(a.tobytes() == b.tobytes() for a, b in pairs)
-                handed[rows.size > problem.n_eq] += 1
-        return inner_loop(problem, y, max_iter, factored)
+    def recomputed(problem, rows, factors):
+        again = _independent_factors(problem.A, rows, problem.n_eq)
+        return [(getattr(again, k), getattr(factors, k)) for k in FACTOR_FIELDS]
+
+    def checked(problem, y, factors, max_iter=None):
+        if in_phase1:  # the t-loop, on the equality rows of the auxiliary QP
+            eq_rows = np.arange(problem.n_ineq, problem.n_con)
+            assert all(np.array_equal(a, b) for a, b in recomputed(problem, eq_rows, factors))
+            handed["t-loop"] += 1
+        return inner_loop(problem, y, factors, max_iter)
 
     def phase1(problem):
         in_phase1.append(problem)
         try:
-            return inner_phase1(problem)
+            y, factored = inner_phase1(problem)
         finally:
             in_phase1.pop()
+        if factored is not None:
+            rows, factors = factored
+            assert all(a.tobytes() == b.tobytes() for a, b in recomputed(problem, rows, factors))
+            handed[rows.size > problem.n_eq] += 1
+        return y, factored
 
     monkeypatch.setattr(qp, "_active_set_loop", checked)
     monkeypatch.setattr(qp, "_phase1", phase1)
@@ -857,20 +991,21 @@ FACTOR_FIELDS = ["rows", "fixed", "Q", "T"]
 
 
 def test_oracle_trials_factor_each_start_once(monkeypatch):
-    """run_oracle_trials(500, seed=0) makes at most 1,092 factorizations.
+    """run_oracle_trials(500, seed=0) makes at most 500 factorizations.
 
     Phase 1 hands the rows it factored to the loop; its t-loop factors
-    the equality rows in its own variables (941 in all; 934 when it
-    bordered phase 1's equality factors instead).  The FD re-solve starts
-    warm on the base solution's working rows, and the derivative is
-    solved on the training factors.  Factoring the equality rows in
-    phase 1 and again at the start of both loops took 3,359; with a cold
-    auxiliary QP per trial and phase 1 in 331 of the 500 FD re-solves,
-    1,689.
+    the equality rows in its own variables.  The FD re-solve starts hot,
+    on a copy of the base solution's factors, so it factors nothing, and
+    the derivative is solved on the training factors: 441 in all (941
+    when the FD re-solve factored its start rows, 934 when the t-loop
+    bordered phase 1's equality factors instead).  Factoring the
+    equality rows in phase 1 and again at the start of both loops took
+    3,359; with a cold auxiliary QP per trial and phase 1 in 331 of the
+    500 FD re-solves, 1,689.
     """
     calls = _count_calls(monkeypatch, "_independent_factors")
     sensitivity.run_oracle_trials(500, seed=0)
-    assert calls["_independent_factors"] <= 1092
+    assert calls["_independent_factors"] <= 500
 
 
 # ---------------------------------------------------------------------------

@@ -338,7 +338,12 @@ def flat_direction_model():
 def _count_aux_solves(monkeypatch):
     """Calls of sensitivity.solve_qp, the auxiliary QP's solver; returns their list."""
     calls, inner = [], sensitivity.solve_qp
-    monkeypatch.setattr(sensitivity, "solve_qp", lambda problem: calls.append(problem) or inner(problem))
+
+    def counted(problem, start=None):
+        calls.append(problem)
+        return inner(problem, start=start)
+
+    monkeypatch.setattr(sensitivity, "solve_qp", counted)
     return calls
 
 
@@ -583,22 +588,25 @@ def test_oracle_trials_run_phase1_once_per_fixture(monkeypatch):
     assert len(phase1) == len(trials) == 503
 
 
-def test_hook_less_warm_without_usable_factors_starts_from_its_point(monkeypatch):
-    """A warm solution with no factors, or factors of other rows, gives its y as the start.
+def test_hook_less_warm_without_usable_factors_runs_phase1(monkeypatch):
+    """A warm solution with no factors, or factors of other rows, gives no hot start: phase 1 runs.
 
     The first is built by hand; the second solves a fixture with one
-    more inequality row.
+    more inequality row.  Either solve is the cold one.
     """
     model = generic_parametric_qp(5)
     x = np.full(3, 0.1)
     sol = solve_victim(model, x)
     bare = KktSolution(sol.y, sol.lam, sol.value)
     other = solve_victim(generic_parametric_qp(5, n_ineq=4), x)
+    assert qp.working_start(bare, sol.problem) is None
+    assert qp.working_start(other, sol.problem) is None
     starts, inner = [], victims.solve_qp
     monkeypatch.setattr(victims, "solve_qp", lambda p, start: starts.append(start) or inner(p, start=start))
     for warm in (bare, other):
-        assert np.abs(solve_victim(model, x, warm=warm).y - sol.y).max() <= 1e-9
-    assert starts[0] is bare.y and starts[1] is other.y
+        again = solve_victim(model, x, warm=warm)
+        assert again.phase1 and np.array_equal(again.y, sol.y)
+    assert starts == [None, None]
 
 
 @pytest.mark.parametrize("keep_problem", [False, True])

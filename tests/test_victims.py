@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from semipoison import errors, victims
-from semipoison.qp import TOL_FEAS, classify_active, solve_qp, working_start
+from semipoison.qp import TOL_FEAS, QpProblem, classify_active, solve_qp, working_start
 from semipoison.victims import (
     SvmModel,
     generic_parametric_qp,
@@ -306,9 +306,79 @@ def test_warm_start_reads_a_bound_entry_at_the_new_data():
     x = np.array([0.1])
     problem = model.assemble(x)
     start = working_start(warm, problem)
-    assert abs(problem.constraint_values(start)[0]) <= 1e-15
+    assert start.factors.fixed.tolist() == [0]  # the bound keeps its place
+    assert abs(problem.constraint_values(start.y)[0]) <= 1e-15
     sol = solve_victim(model, x, warm=warm)
-    assert not sol.phase1 and sol.y[0] == pytest.approx(1.0 / 1.1, abs=1e-15)
+    assert not sol.phase1 and sol.iterations == 1
+    assert sol.y[0] == pytest.approx(1.0 / 1.1, abs=1e-15)
+
+
+def _vertex_model(bound_coupling=0.0):
+    """min 0.5 |y - (5, 5)|^2 subject to y_0 + bound_coupling x y_1 <= 1, y_1 <= 1, y_0 + y_1 <= 2 + x.
+
+    At x = 0 the optimum is the vertex (1, 1): the two bounds are the
+    working rows, with multipliers 4, and row 2 passes through the
+    vertex with a zero multiplier, not working.
+    """
+    rows_M = np.zeros((3, 2, 1))
+    rows_M[0, 1, 0] = bound_coupling
+    return victims._AffineQpFamily(
+        H=np.eye(2), c0=np.array([-5.0, -5.0]), Cx=np.zeros((2, 1)),
+        rows_a=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), rows_M=rows_M,
+        rows_b0=np.array([-1.0, -1.0, -2.0]), rows_beta=np.array([[0.0], [0.0], [-1.0]]), n_ineq=3,
+    ).as_victim()
+
+
+def test_violated_row_that_cannot_join_gives_no_hot_start():
+    """A row violated at the hot start that cannot join the working rows means a cold solve.
+
+    At x = -5e-9 row 2 cuts the vertex (1, 1) off by 5e-9, inside
+    TOL_FEAS, and cannot join: the two bounds fix every variable.  A loop
+    started on them would end at the vertex, 2.5e-9 from the optimum,
+    with that violation kept.  So there is no hot start, and the re-solve
+    is the cold one.  At x = +5e-9 row 2 moves away and the hot start
+    takes one iteration.
+    """
+    model = _vertex_model()
+    warm = solve_victim(model, np.zeros(1))
+    assert warm.factors.rows.tolist() == [0, 1] and warm.lam.tolist() == [4.0, 4.0, 0.0]
+    x = np.array([-5e-9])
+    assert working_start(warm, model.assemble(x)) is None
+    sol, cold = solve_victim(model, x, warm=warm), solve_victim(model, x)
+    assert sol.phase1 and np.abs(sol.y - cold.y).max() <= 1e-12
+    assert_allclose(cold.y, [1.0 - 2.5e-9, 1.0 - 2.5e-9], rtol=0.0, atol=1e-15)
+    moved_away = solve_victim(model, -x, warm=warm)
+    assert not moved_away.phase1 and moved_away.iterations == 1
+    assert moved_away.y.tolist() == [1.0, 1.0]
+
+
+def test_bound_row_that_gains_a_second_nonzero_gives_no_hot_start():
+    """Row 0 bounds y_0 at x = 0 and couples y_1 in at x = 0.1: no hot start, a cold solve."""
+    model = _vertex_model(bound_coupling=1.0)
+    warm = solve_victim(model, np.zeros(1))
+    assert warm.factors.fixed.tolist() == [0, 1]
+    x = np.array([0.1])
+    assert working_start(warm, model.assemble(x)) is None
+    sol = solve_victim(model, x, warm=warm)
+    assert sol.phase1 and np.array_equal(sol.y, solve_victim(model, x).y)
+
+
+def test_hot_start_that_overflows_is_none():
+    """A bound entry of 1e-300 with offset 1e300 puts the start at -b / s = inf: no hot start."""
+    warm = solve_qp(QpProblem([[1.0]], [0.0], A_ineq=[[-1.0]], b_ineq=[1.0]))
+    assert warm.factors.fixed.tolist() == [0]
+    huge = QpProblem([[1.0]], [0.0], A_ineq=[[-1e-300]], b_ineq=[1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert working_start(warm, huge) is None
+
+
+def test_hot_start_built_for_another_problem_is_refused():
+    model = _vertex_model()
+    warm = solve_victim(model, np.zeros(1))
+    start = working_start(warm, model.assemble(np.ones(1)))
+    with pytest.raises(errors.InputError, match="another problem"):
+        solve_qp(model.assemble(np.ones(1)), start=start)
 
 
 def _outcome(solve):
