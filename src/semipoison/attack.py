@@ -57,7 +57,9 @@ class AttackConfig:
     curvature_bound is the L estimate behind the step rule: a direction
     with derivative dG gets the trial length -dG / curvature_bound, which
     fixed-L mode applies once and backtracking mode halves until the
-    objective decreases.  Candidate directions are fixed: see feasible_directions.
+    objective decreases.  Candidate directions are fixed: a point's
+    feasible axis rows, then its steepest row on the linear route, or
+    else the sampled set of feasible_directions.
     """
 
     target: np.ndarray
@@ -266,13 +268,15 @@ def _random_rows(point_dim: int, count: int, rng) -> np.ndarray:
 
 
 def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rng=None):
-    """Candidate unit directions for one data point, as rows of length point_dim.
+    """Sampled candidate unit directions for one data point, as rows of length point_dim.
 
     The +/- coordinate axes of the point plus RANDOM_DIRS random unit
     vectors drawn from rng, keeping those along which a tiny step of the
     point stays inside both the norm ball around x_base and the box.  A
     row v moves the point's coordinates x[point_index * point_dim :
-    (point_index + 1) * point_dim] and no others.
+    (point_index + 1) * point_dim] and no others.  The attack scores
+    this set on the aux and fd routes, and on the linear route only
+    where the point's steepest row or every axis row is infeasible.
 
     Raises EmptyDirectionSet when nothing survives the filter (the point
     is pinned at a corner of the feasible region, or delta is zero).
@@ -390,17 +394,39 @@ def _try_step(model, x, solution, d, dg, value, config, x_base, selector, *, k, 
             return None
 
 
+def _point_rows(ev, x, p, config, x_base, rng, n_probed: int) -> np.ndarray:
+    """The rows point p is scored on besides its n_probed feasible axis rows, the probe's.
+
+    On the linear route the steepest row is the best unit row, so where
+    it and some axis row are feasible it is the only one.  Else the rows
+    are feasible_directions' past its leading axis rows, and the steepest
+    row where it is feasible.  Raises EmptyDirectionSet as
+    feasible_directions does.
+    """
+    pd = config.point_dim
+    v_st = ev.steepest_direction(p, pd)  # None off the linear route
+    steep = v_st is not None and _feasible_mask(x, x_base, p, v_st[None], config)[0]
+    if steep and n_probed:
+        # the draw feasible_directions makes, unused: later rounds see the same random rows
+        rng.standard_normal((RANDOM_DIRS, pd))
+        return v_st[None]
+    rows = feasible_directions(x, p, config, x_base=x_base, rng=rng)[n_probed:]
+    return np.vstack([rows, v_st]) if steep else rows
+
+
 def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector):
     """One accepted step, or the reason none exists.
 
     Probes every point at once, then works through the points in
-    decreasing probe magnitude; a point whose candidates, plus its
-    steepest direction when the data gradient is known, yield no strict
-    decrease is set aside for the rest of the round.  Every direction is
-    a row of length point_dim moving one point.  Raises
-    EmptyDirectionSet when no point can move at all, Stalled when movable
-    points admit no sampled descent (with the smallest derivative seen as
-    certificate when it clears -TOL_STALL).
+    decreasing probe magnitude; a point whose candidates yield no strict
+    decrease is set aside for the rest of the round.  A point's
+    candidates are its probe rows (its feasible axis rows) and the rows
+    _point_rows adds: on the linear route, where the steepest row is the
+    best unit row there is, that row alone; elsewhere the sampled set.
+    Every direction is a row of length point_dim moving one point.
+    Raises EmptyDirectionSet when no point can move at all, Stalled when
+    movable points admit no candidate descent (with the smallest
+    derivative seen as certificate when it clears -TOL_STALL).
     """
     pd = config.point_dim
     n_points = model.dim_data // pd
@@ -409,7 +435,8 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
     V = np.tile(_axis_rows(pd), (n_points, 1))
     owner = np.repeat(np.arange(n_points), 2 * pd)  # each point's +/- axes, consecutively
     ok = _feasible_mask(x, x_base, owner, V, config)
-    probe_vals, probe_routes = ev.dG(owner[ok], V[ok])
+    V = V[ok]
+    probe_vals, probe_routes = ev.dG(owner[ok], V)
     evaluated = [probe_vals]
     scores = np.full(n_points, np.inf)
     np.minimum.at(scores, owner[ok], probe_vals)
@@ -420,17 +447,14 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
 
     empty = 0
     for p in order:
+        lo, hi = first[p], first[p + 1]
         try:
-            cands = feasible_directions(x, p, config, x_base=x_base, rng=rng)
+            rows = _point_rows(ev, x, p, config, x_base, rng, hi - lo)
         except EmptyDirectionSet:
             empty += 1
             continue
-        v_st = ev.steepest_direction(p, pd)
-        if v_st is not None and _feasible_mask(x, x_base, p, v_st[None], config)[0]:
-            cands = np.vstack([cands, v_st])
-        # cands opens with p's feasible axis rows, which the probe scored: score the rest
-        lo, hi = first[p], first[p + 1]
-        new_vals, new_routes = ev.dG(p, cands[hi - lo :])
+        cands = np.vstack([V[lo:hi], rows])  # p's probe rows keep their probe scores
+        new_vals, new_routes = ev.dG(p, rows)
         evaluated.append(new_vals)
         vals = np.concatenate([probe_vals[lo:hi], new_vals])
         routes = probe_routes[lo:hi] + new_routes
@@ -511,7 +535,7 @@ def run_attack(x_bar, model: VictimModel, config: AttackConfig) -> AttackTrace:
 
     Termination reasons: "optimal" when the objective reaches tol_target,
     "budget" when no point can move inside the ball and box, "stalled"
-    when no sampled direction descends or the last improvement fell below
+    when no candidate direction descends or the last improvement fell below
     tol_improve, "max_iters" otherwise.  Deterministic in config.seed.
     """
     return _drive(x_bar, model, config, _attack_round)

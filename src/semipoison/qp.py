@@ -759,19 +759,23 @@ def solved_problem(solution: KktSolution) -> QpProblem:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
-def working_minimizer(solution: KktSolution, c: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Minimize 0.5 d'Hd + c'd subject to A[w] d + b[w] = 0 over the working rows w.
+def working_minimizer(
+    solution: KktSolution, factors: WorkingFactors, c: np.ndarray, b: np.ndarray
+) -> np.ndarray | None:
+    """Minimize 0.5 d'Hd + c'd subject to A[w] d + b[w] = 0 over the rows w factors holds.
 
-    H and A are solution.problem's, b holds one offset per constraint,
-    and the solve runs on the solution's factors through
-    _working_subproblem: one KKT solve, no factorization (Nocedal &
-    Wright, section 16.2).  Returns None where the objective decreases
-    without bound on that affine set, as solve_qp's Unbounded would.
+    H and A are solution.problem's, and b holds one offset per
+    constraint.  factors are the solution's own, or a copy of them with
+    one row dropped or joined (the sensitivity module's two pieces at a
+    kink); the solve runs on them through _working_subproblem: one KKT
+    solve, no factorization (Nocedal & Wright, section 16.2).  Returns
+    None where the objective decreases without bound on that affine set,
+    as solve_qp's Unbounded would.
 
     Raises MaxIterations when the minimizer is not finite.
     """
     problem = solved_problem(solution)
-    d = _working_subproblem(problem.H, c, problem.A, b, np.zeros_like(c), solution.factors)[0]
+    d = _working_subproblem(problem.H, c, problem.A, b, np.zeros_like(c), factors)[0]
     if d is not None and not np.isfinite(d).all():
         raise MaxIterations("working-set minimizer is not finite: the data are too large")
     return d

@@ -18,11 +18,17 @@ independent (LICQ).  H_aux must be positive definite on the null space of
 the strictly active rows (a strong second-order condition); where it is
 not, semi_derivative raises AuxUnbounded.
 
-Without weakly active rows the auxiliary problem has equality rows only,
-and under LICQ they are the training solution's final working rows, so
-semi_derivative solves it as one KKT system on the training solver's
-factors (qp.working_minimizer); the auxiliary QP is solved by solve_qp,
-from a hot start, only where some active row is weakly active.
+Under LICQ the strictly active rows are the training solution's working
+rows, less a weakly active one among them.  Without weakly active rows
+the auxiliary problem has equality rows only, and semi_derivative solves
+it as one KKT system on the training solver's factors
+(qp.working_minimizer).  With one weakly active row w the derivative is
+piecewise linear in dx, with two pieces (Jittorntrum 1984; Ralph & Dempe
+1995): piece 0 keeps w off, and piece 1, taken where piece 0 would
+violate w, holds it as an equality.  Each piece is one KKT solve on a
+copy of the training factors, without w or with it, built once per
+point.  The auxiliary QP is solved by solve_qp, from a hot start, only
+where two or more active rows are weakly active.
 
 PointDerivative, built once per solved point, is the one place that chooses
 the route: the data gradient, the semi-derivative, or None for a fallback.
@@ -30,6 +36,7 @@ the route: the data gradient, the semi-derivative, or None for a fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +72,10 @@ class AuxiliaryProblem:
     cross: np.ndarray  # C, (n_var, dim_data), as model.cross_hessian returns it
     jac: np.ndarray  # J, (n_con, dim_data), as model.grad_x_constraint returns it
     licq_margin: float  # smallest |R_jj| / |a_j| of the active rows; inf with none
+    # factors of each piece's equality rows (see semi_derivative), never updated:
+    # the working rows' alone without weakly active rows, (without w, with w)
+    # with one, none with more
+    pieces: tuple[qp.WorkingFactors, ...]
 
     @property
     def H_aux(self) -> np.ndarray:
@@ -85,7 +96,11 @@ def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) ->
 
     solution must come from solve_qp: its problem, the training problem at
     x, is not assembled again, and its working-set factors decide LICQ.
-    A KktSolution built without them raises InputError.
+    A KktSolution built without them raises InputError.  With one weakly
+    active row w it also builds the two pieces' factors: a copy of the
+    working rows' with w dropped (one WorkingFactors.drop) when w is a
+    working row, or with w joined (one WorkingFactors.join) when it is
+    not; the solution's own factors are the other piece.
 
     Raises RegularityFailure when LICQ fails, that is when an active row's
     residual off the rows before it is at most qp.TOL_INDEP of its norm:
@@ -108,17 +123,43 @@ def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) ->
     want = (problem.n_var, model.dim_data), (problem.n_con, model.dim_data)
     if got != want:
         raise DimensionMismatch(f"cross_hessian, grad_x_constraint shapes {got}, not {want}")
-    return AuxiliaryProblem(solution, structure, cross, jac, margin)
+    weak = structure.weakly_active
+    if len(weak) == 1:
+        pieces = _kink_pieces(solution, weak[0])
+    else:
+        pieces = () if weak else (solution.factors,)
+    return AuxiliaryProblem(solution, structure, cross, jac, margin, pieces)
+
+
+def _kink_pieces(solution: KktSolution, w: int) -> tuple[qp.WorkingFactors, qp.WorkingFactors]:
+    """Factors of the working rows without w and with w, one of them the solution's own.
+
+    Raises RegularityFailure where w does not join, being in the working
+    rows' span: LICQ fails, up to the round-off between licq_margin's
+    residual and the one join computes.
+    """
+    A, factors = solution.problem.A, solution.factors
+    other = factors.copy()
+    if w in factors.rows:
+        other.drop(w, A)
+        return other, factors
+    if not other.join(w, A[w], qp.TOL_INDEP * math.hypot(*A[w].tolist())):
+        raise RegularityFailure(f"weakly active row {w} depends on the working rows")
+    return factors, other
 
 
 def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
     """One-sided derivative dy of the solution map along dx.
 
     Positively homogeneous in dx: scaling dx by a > 0 scales dy by a.
-    Without weakly active rows the strictly active rows are the training
-    solution's working rows (LICQ holds), and dy is the minimizer over
-    them on the training factors, qp.working_minimizer: no QP is solved.
-    With weakly active rows the auxiliary QP is solved by solve_qp,
+    With at most one weakly active row no QP is solved.  Piece 0 is the
+    minimizer over the strictly active rows, which under LICQ are the
+    working rows less a weakly active one, on aux.pieces[0]
+    (qp.working_minimizer).  With one weakly active row w, and where piece
+    0 gives a_w'dy + (J dx)_w > 0, w holds as an equality instead: piece 1,
+    the minimizer on aux.pieces[1].  Piece 1's null space lies in piece
+    0's, so it has a minimizer wherever piece 0 has one.  With two or
+    more weakly active rows the auxiliary QP is solved by solve_qp,
     started hot (qp.equality_start) at the least-norm point of all its
     rows taken as equalities, which LICQ makes feasible: no phase 1.
 
@@ -127,8 +168,9 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
     AuxInfeasible
         Equality rows of the auxiliary problem are inconsistent.
     AuxUnbounded
-        The auxiliary objective is unbounded; the second-order regularity
-        condition fails at this point.
+        The auxiliary objective is unbounded, or piece 0 has no
+        minimizer; the second-order regularity condition fails at this
+        point.
     MaxIterations
         C dx, J dx or dy is not finite: the data are too large.
     """
@@ -143,8 +185,10 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
         raise MaxIterations("derivative data C dx, J dx is not finite: the data are too large")
 
     weak, strict = aux.structure.weakly_active, aux.structure.strict
-    if not weak:  # only working rows carry multipliers, so under LICQ strict is the working set
-        dy = qp.working_minimizer(aux.solution, c, mu)
+    if aux.pieces:
+        dy = qp.working_minimizer(aux.solution, aux.pieces[0], c, mu)
+        if weak and dy is not None and aux.rows[weak[0]] @ dy + mu[weak[0]] > 0.0:
+            dy = qp.working_minimizer(aux.solution, aux.pieces[1], c, mu)
         if dy is None:
             raise AuxUnbounded("auxiliary objective decreases without bound on the active rows")
         return dy
@@ -164,6 +208,9 @@ class PointDerivative:
 
     aux is the auxiliary problem, or None where LICQ fails.  gradient and
     along return None off their route, for the caller's finite difference.
+    Every factor either route solves on is built here, once: along costs
+    one or two KKT solves per direction where at most one row is weakly
+    active, and an auxiliary QP only where more are.
     """
 
     def __init__(self, model: VictimModel, x: np.ndarray, solution: KktSolution):
@@ -183,10 +230,11 @@ class PointDerivative:
         aux = self.aux
         if aux is None or aux.structure.weakly_active:
             return None
-        u = qp.working_minimizer(aux.solution, -grad_y, np.zeros(aux.rows.shape[0]))
+        factors = aux.solution.factors
+        u = qp.working_minimizer(aux.solution, factors, -grad_y, np.zeros(aux.rows.shape[0]))
         if u is None:
             return None
-        factors, nu = aux.solution.factors, np.zeros(aux.rows.shape[0])
+        nu = np.zeros(aux.rows.shape[0])
         nu[factors.rows] = factors.multipliers(grad_y - aux.H_aux @ u, aux.rows)
         return -(aux.cross.T @ u + aux.jac.T @ nu)
 

@@ -1,9 +1,9 @@
-"""Independent test oracles, the 1-D victim fixtures and a soft-margin SVM.
+"""Independent test oracles, the 1-D victim fixtures, planted kinks and a soft-margin SVM.
 
 Kept deliberately naive: correctness over speed.  The oracles share no
-code with the package beyond problem containers; the 1-D fixtures are
-affine QP families, and the soft-margin SVM is the package's own victim
-on its synthetic data.
+code with the package beyond problem containers; the 1-D fixtures and
+the planted kinks are affine QP families, and the soft-margin SVM is the
+package's own victim on its synthetic data.
 """
 
 from __future__ import annotations
@@ -254,3 +254,49 @@ def soft_margin_svm(n: int, seed: int, flips) -> tuple[VictimModel, np.ndarray]:
     labels[list(flips)] *= -1
     data = normalize(Dataset(data.features, labels, seed=seed))
     return svm_victim(SvmModel(data.features, data.labels, C=10.0)), data.features.ravel()
+
+
+def planted_kink_model(seed: int) -> tuple[VictimModel, np.ndarray, int]:
+    """A random affine QP family with one weakly active row planted exactly at x: (victim, x, w).
+
+    y* is drawn, and so are the rows: 0-4 strictly active ones (an
+    equality among them at times), the weakly active row w, and 0-2
+    inactive ones with slack 0.5-1.5; about 30 % of them are bounds (one
+    nonzero, which no x moves), the active ones on distinct variables.
+    The offsets put each active row exactly at 0 at (x, y*), the strict
+    rows get multipliers in [0.5, 2], and c0 makes y* stationary, so KKT
+    holds at x with g_w = 0 and lambda_w = 0, up to the round-off of
+    those products.  H is positive definite, so the second-order
+    condition holds.
+    """
+    rng = np.random.default_rng(seed)
+    n, dim_data = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    n_strict, n_free = int(rng.integers(0, n)), int(rng.integers(0, 3))
+    n_eq = int(n_strict > 0 and rng.random() < 0.3)
+    m = n_strict + 1 + n_free
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    H = Q @ np.diag(rng.uniform(0.5, 3.0, n)) @ Q.T
+    rows_a = rng.standard_normal((m, n))
+    rows_M = 0.3 * rng.standard_normal((m, n, dim_data))
+    bound = rng.random(m) < 0.3
+    var = np.append(rng.permutation(n), rng.integers(0, n, m))  # the active rows, 0..n_strict, differ
+    for i in np.flatnonzero(bound):
+        j = int(var[i])
+        rows_a[i] = 0.0
+        rows_a[i, j] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        rows_M[i] = 0.0
+    rows_beta = rng.standard_normal((m, dim_data))
+    y, x = rng.standard_normal(n), 0.2 * rng.standard_normal(dim_data)
+    lam, slack = np.zeros(m), np.zeros(m)
+    lam[:n_strict] = rng.uniform(0.5, 2.0, n_strict)  # rows n_strict - n_eq .. n_strict - 1: equalities
+    slack[n_strict + 1 :] = rng.uniform(0.5, 1.5, n_free)
+    # inequality rows in random order, then the equality rows
+    ineq = np.concatenate([np.arange(n_strict - n_eq), np.arange(n_strict, m)])
+    order = np.concatenate([rng.permutation(ineq), np.arange(n_strict - n_eq, n_strict)])
+    rows_a, rows_M, rows_beta, lam, slack = (a[order] for a in (rows_a, rows_M, rows_beta, lam, slack))
+    A = rows_a + rows_M @ x
+    rows_b0 = -(A @ y) - rows_beta @ x - slack
+    Cx = rng.standard_normal((n, dim_data))
+    c0 = -(H @ y + Cx @ x + A.T @ lam)
+    fam = _AffineQpFamily(H, c0, Cx, rows_a, rows_M, rows_b0, rows_beta, m - n_eq)
+    return fam.as_victim(), x, int(np.flatnonzero(order == n_strict)[0])

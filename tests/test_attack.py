@@ -1,13 +1,16 @@
 """Attack engine: direction search, stepping, stopping rules, baseline."""
 
+import copy
 import json
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 
 import semipoison.attack as attack_module
 import semipoison.sensitivity as sensitivity_module
@@ -816,8 +819,9 @@ def test_acceptance_attacks_re_solve_in_one_iteration(monkeypatch):
 
     Each warm re-solve starts hot, on the solution it perturbs, so at
     least 850 of the 952 take one active-set iteration (225 did from the
-    slack-reset start).  Each of the 176 auxiliary QPs starts from all
-    its rows taken as equalities, so none runs phase 1 (all 176 did).
+    slack-reset start).  The 176 derivatives of the aux rounds each have
+    one weakly active row, so they come from the two pieces on the
+    training factors, and no auxiliary QP runs (176 did).
     """
     warm_iterations, aux_phase1 = [], []
     inner_victim, inner_aux = attack_module.solve_victim, sensitivity_module.solve_qp
@@ -839,7 +843,116 @@ def test_acceptance_attacks_re_solve_in_one_iteration(monkeypatch):
         data, model, config = svm_scenario(seed)
         run_attack(data.features.ravel(), model, config)
     assert len(warm_iterations) == 952 and warm_iterations.count(1) >= 850
-    assert len(aux_phase1) == 176 and not any(aux_phase1)
+    assert aux_phase1 == []
+
+
+def steepest_is_feasible(ev, x, p, config, x_base):
+    v_st = ev.steepest_direction(p, config.point_dim)
+    return v_st is not None and bool(_feasible_mask(x, x_base, p, v_st[None], config)[0])
+
+
+def test_linear_route_shortcut_picks_the_sampled_sets_best_row(monkeypatch):
+    """Along the 10 acceptance attacks a shortcut point picks what its sampled set would.
+
+    A linear-route point with a feasible probe row and a feasible
+    steepest row is scored on those rows alone.  Its argmin (row and dG)
+    is the argmin over the sampled set that feasible_directions draws
+    from a copy of the RNG state, with the steepest row, and every point
+    leaves the RNG state where the sampled path leaves it.
+    """
+    real, seen = attack_module._point_rows, Counter()
+
+    def checking(ev, x, p, config, x_base, rng, n_probed):
+        replay = copy.deepcopy(rng)
+        try:
+            full = feasible_directions(x, p, config, x_base=x_base, rng=replay)
+        except EmptyDirectionSet:
+            full = None
+        try:
+            rows = real(ev, x, p, config, x_base, rng, n_probed)
+        finally:
+            assert rng.bit_generator.state == replay.bit_generator.state
+        if not (n_probed and steepest_is_feasible(ev, x, p, config, x_base)):
+            seen["sampled"] += 1
+            return rows
+        seen["shortcut"] += 1
+        v_st = ev.steepest_direction(p, config.point_dim)
+        assert_array_equal(rows, v_st[None])
+        short, full = np.vstack([full[:n_probed], v_st]), np.vstack([full, v_st])
+        short_vals, full_vals = ev.dG(p, short)[0], ev.dG(p, full)[0]
+        got, want = int(np.argmin(short_vals)), int(np.argmin(full_vals))
+        assert short[got].tobytes() == full[want].tobytes()
+        assert short_vals[got] == full_vals[want]
+        return rows
+
+    monkeypatch.setattr(attack_module, "_point_rows", checking)
+    for seed in SVM_SEEDS:
+        data, model, config = svm_scenario(seed)
+        run_attack(data.features.ravel(), model, config)
+    assert seen == {"shortcut": 859, "sampled": 3}  # one point per round: the linear, aux and fd rounds
+
+
+def boundary_point(delta, outward):
+    """The unconstrained fixture's one 2-D point on the ball's boundary, with its derivative.
+
+    The point sits at distance delta from x_base along the gradient g
+    (outward: its steepest row, -g / |g|, leaves the ball) or along -g.
+    Returns (ev, x, x_base, config).
+    """
+    model, _, _ = unconstrained_fixture()
+    x_base = np.array([0.3, -0.2])
+    config = AttackConfig(target=np.array([1.0, -1.0, 0.5]), delta=delta, point_dim=2)
+    selector = np.eye(3)
+    sol = solve_victim(model, x_base)
+    ev = _ObjectiveDerivative(model, x_base, sol, selector, config.target, 0.0)
+    g = ev.gradient / np.linalg.norm(ev.gradient)
+    x = x_base + (-delta if outward else delta) * g
+    sol = solve_victim(model, x)
+    value = objective(sol.y, config.target)
+    return _ObjectiveDerivative(model, x, sol, selector, config.target, value), x, x_base, config
+
+
+def test_linear_point_whose_steepest_row_leaves_the_ball_scores_the_sampled_set():
+    """The steepest row points out of the ball: the point's rows are feasible_directions' random rows."""
+    ev, x, x_base, config = boundary_point(1e-3, outward=True)
+    assert ev.gradient is not None and not steepest_is_feasible(ev, x, 0, config, x_base)
+    n_probed = int(_feasible_mask(x, x_base, 0, _axis_rows(2), config).sum())
+    assert 0 < n_probed < 4
+    rng, replay = np.random.default_rng(0), np.random.default_rng(0)
+    rows = attack_module._point_rows(ev, x, 0, config, x_base, rng, n_probed)
+    assert_array_equal(rows, feasible_directions(x, 0, config, x_base=x_base, rng=replay)[n_probed:])
+    assert 0 < len(rows) < RANDOM_DIRS
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def test_linear_point_with_no_feasible_axis_row_scores_the_sampled_set():
+    """A ball of radius 6e-10, the point on its boundary: no axis row is feasible, the steepest row is.
+
+    A probe step of 1e-9 stays in the ball only within about 34 degrees
+    of the inward normal, and the gradient is more than 34 degrees off
+    every axis.  The point's rows are then the sampled set's feasible
+    random rows and its steepest row; with no feasible random row it
+    cannot move (EmptyDirectionSet), as before the shortcut.
+    """
+    ev, x, x_base, config = boundary_point(6e-10, outward=False)
+    assert not _feasible_mask(x, x_base, 0, _axis_rows(2), config).any()
+    assert steepest_is_feasible(ev, x, 0, config, x_base)
+    v_st = ev.steepest_direction(0, 2)
+    outcomes = Counter()
+    for seed in range(8):
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            rows = attack_module._point_rows(ev, x, 0, config, x_base, rng, 0)
+        except EmptyDirectionSet:
+            with pytest.raises(EmptyDirectionSet):
+                feasible_directions(x, 0, config, x_base=x_base, rng=replay)
+            outcomes["empty"] += 1
+            continue
+        want = feasible_directions(x, 0, config, x_base=x_base, rng=replay)
+        assert_array_equal(rows, np.vstack([want, v_st]))
+        assert rng.bit_generator.state == replay.bit_generator.state
+        outcomes["rows"] += 1
+    assert outcomes["empty"] and outcomes["rows"]
 
 
 def test_warm_and_cold_solves_agree_along_a_soft_margin_attack():

@@ -30,11 +30,19 @@ def load_tracing():
 
 
 def test_tracer_hooks_present_and_recording(tmp_path, capsys):
+    """Three rounds in a ball of radius 0.01 reach every span.
+
+    The first step ends on the ball's boundary.  In the third round the
+    points searched first sit there with their steepest rows pointing
+    out, so they score the sampled set (attack.feasible_directions);
+    a linear-route point elsewhere scores its steepest row alone.
+    """
     tracer = load_tracing().Tracer()
     with tracer.installed(semipoison):
         assert tracer.missing == []
         code = semipoison.cli.main(
-            ["attack", "--synth-n", "8", "--max-iters", "2", "--out", str(tmp_path)]
+            ["attack", "--synth-n", "8", "--max-iters", "3", "--delta", "0.01",
+             "--out", str(tmp_path)]
         )
     assert code in (0, 4)
     names = {span[0] for span in tracer.spans}

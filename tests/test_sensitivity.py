@@ -1,10 +1,12 @@
 """Tests for directional derivatives of QP solution maps."""
 
 import dataclasses
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from semipoison import errors, qp, sensitivity, victims
 from semipoison.attack import (
@@ -31,7 +33,8 @@ from semipoison.victims import (
     toy_bilevel_model,
 )
 
-from _oracles import enumerate_qp, kink_projection_model
+from _oracles import bound_tracking_model, enumerate_qp, kink_projection_model, planted_kink_model
+from test_acceptance import svm_scenario
 
 
 def test_classify_active_threshold_cases():
@@ -385,52 +388,226 @@ def test_overflowing_derivative_raises_a_solver_error():
             semi_derivative(aux, np.array([dx]))
 
 
-def test_weakly_active_row_solves_the_auxiliary_qp(monkeypatch):
-    """At the kink the bound is weakly active: one auxiliary QP per direction."""
+def auxiliary_qp(aux, dx):
+    """The auxiliary QP along dx as one QpProblem: weakly active rows as inequalities."""
+    c, mu = aux.cross @ dx, aux.jac @ dx
+    weak, strict = aux.structure.weakly_active, aux.structure.strict
+    return QpProblem(aux.H_aux, c, aux.rows[weak], mu[weak], aux.rows[strict], mu[strict])
+
+
+def check_against_the_auxiliary_qp(aux, dx):
+    """semi_derivative(aux, dx) against solve_qp and enumerate_qp on the auxiliary QP, 1e-10 relative.
+
+    Returns dy.  The references call qp.solve_qp, which _count_aux_solves
+    does not count.
+    """
+    dy = semi_derivative(aux, dx)
+    problem = auxiliary_qp(aux, dx)
+    ref = solve_qp(problem).y
+    enum = enumerate_qp(problem.H, problem.c, problem.A_ineq, problem.b_ineq, problem.A_eq, problem.b_eq)[0]
+    scale = 1.0 + np.abs(ref).max()
+    assert np.abs(dy - ref).max() <= 1e-10 * scale
+    assert np.abs(dy - enum).max() <= 1e-10 * scale
+    return dy
+
+
+def test_weakly_active_row_takes_a_piece_not_the_auxiliary_qp(monkeypatch):
+    """At the kink the bound is weakly active: dy comes from a piece, equal to the QP's, with no QP."""
     model = kink_projection_model()
     x = np.array([0.0])
     aux = build_auxiliary(model, x, solve_victim(model, x))
     calls = _count_aux_solves(monkeypatch)
-    for k, dx in enumerate((1.0, -1.0, 2.0), start=1):
-        semi_derivative(aux, np.array([dx]))
+    for dx in (1.0, -1.0, 2.0):
+        dy = semi_derivative(aux, np.array([dx]))
+        assert_array_equal(dy, solve_qp(auxiliary_qp(aux, np.array([dx]))).y)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name, x, rate", [("kink", 0.0, lambda d: max(d, 0.0)),
+                                            ("tracking", 1.0, lambda d: min(d, 0.0))])
+def test_kink_pieces_match_the_auxiliary_qp_on_the_1d_fixtures(monkeypatch, name, x, rate):
+    """y = max(x, 0) at x = 0 and y = min(x, 1) at x = 1: both pieces, dx = +-1 and 2."""
+    model = kink_projection_model() if name == "kink" else bound_tracking_model()
+    x = np.array([x])
+    aux = build_auxiliary(model, x, solve_victim(model, x))
+    assert len(aux.structure.weakly_active) == 1
+    calls = _count_aux_solves(monkeypatch)
+    for dx in (1.0, -1.0, 2.0):
+        dy = check_against_the_auxiliary_qp(aux, np.array([dx]))
+        assert dy[0] == pytest.approx(rate(dx), abs=1e-12)
+    assert calls == []
+
+
+def test_kink_pieces_match_the_auxiliary_qp_on_planted_kinks(monkeypatch):
+    """300 random fixtures with one weakly active row w planted exactly at x.
+
+    Each is solved and checked along 4 random directions.  Both ways to
+    build the pieces are reached, with w a general row and a bound: w in
+    the working rows (piece 0 drops it) and w outside them (piece 1 joins
+    it), and so are both pieces.  No auxiliary QP is solved.
+    """
+    calls = _count_aux_solves(monkeypatch)
+    built, pieces = Counter(), Counter()
+    for seed in range(300):
+        model, x, w = planted_kink_model(seed)
+        sol = solve_victim(model, x)
+        aux = build_auxiliary(model, x, sol)
+        assert aux.structure.weakly_active == [w]
+        kind = "bound" if np.count_nonzero(aux.rows[w]) == 1 else "general"
+        built["drop" if w in sol.factors.rows else "join", kind] += 1
+        for dx in np.random.default_rng(seed).standard_normal((4, model.dim_data)):
+            dy = check_against_the_auxiliary_qp(aux, dx)
+            pieces[bool(aux.rows[w] @ dy + aux.jac[w] @ dx > -1e-12)] += 1
+    assert calls == []
+    assert min(built[k] for k in itertools.product(("drop", "join"), ("bound", "general"))) >= 10
+    assert min(pieces[False], pieces[True]) >= 400
+
+
+def test_kink_pieces_match_the_auxiliary_qp_along_the_seed4_attack(monkeypatch):
+    """All 176 derivatives of the seed-4 acceptance attack's aux rounds, with no auxiliary QP."""
+    calls = _count_aux_solves(monkeypatch)
+    checked, real_semi = [], sensitivity.semi_derivative
+
+    def checking_semi(aux, dx):
+        checked.append(len(aux.structure.weakly_active))
+        check_against_the_auxiliary_qp(aux, dx)
+        return real_semi(aux, dx)
+
+    monkeypatch.setattr(sensitivity, "semi_derivative", checking_semi)
+    data, model, config = svm_scenario(4)
+    run_attack(data.features.ravel(), model, config)
+    assert checked == [1] * 176
+    assert calls == []
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_flat_strict_null_space_raises_aux_unbounded(k):
+    """Where piece 0 has no minimizer the second-order condition fails: AuxUnbounded.
+
+    y_j = max(x_j, 0) for j < k has its kink at x = 0, and the last
+    variable is free: the objective is flat in it, and along that
+    coordinate it decreases without bound on the strict rows' null
+    space, as on the auxiliary QP's whole feasible set.  With k = 1 the
+    pieces find it, with k = 2 the auxiliary QP.
+    """
+    n = k + 1
+    rows = -np.eye(n)[:k]
+    model = VictimModel(
+        dim_data=n,
+        dim_var=n,
+        assemble=lambda x: QpProblem(np.diag([1.0] * k + [0.0]), -x, A_ineq=rows, b_ineq=np.zeros(k)),
+        grad_x_constraint=lambda x, y: np.zeros((k, n)),
+        cross_hessian=lambda x, y, lam: -np.eye(n),
+    )
+    x = np.zeros(n)
+    point = sensitivity.PointDerivative(model, x, solve_victim(model, x))
+    assert point.aux.structure.weakly_active == list(range(k))
+    free = np.eye(n)[k]
+    with pytest.raises(errors.AuxUnbounded):
+        semi_derivative(point.aux, free)
+    with pytest.raises(errors.Unbounded):
+        solve_qp(auxiliary_qp(point.aux, free))
+    assert point.along(free) is None
+    assert_array_equal(point.along(-np.eye(n)[0]), np.zeros(n))
+
+
+@pytest.mark.parametrize("row", [[-1.0, 0.0], [1.0, 1.0]], ids=["bound", "general"])
+def test_kink_piece_refuses_a_weakly_active_row_in_the_working_span(row):
+    """A weakly active copy of a working row does not join: RegularityFailure, as LICQ fails.
+
+    build_auxiliary's LICQ check stops such a row first; the pieces
+    refuse it too, where the two residuals differ by round-off.
+    """
+    a = np.array(row)
+    model = VictimModel(
+        dim_data=2,
+        dim_var=2,
+        assemble=lambda x: QpProblem(np.eye(2), -x, A_ineq=[a, a], b_ineq=[0.0, 0.0]),
+        grad_x_constraint=lambda x, y: np.zeros((2, 2)),
+        cross_hessian=lambda x, y, lam: -np.eye(2),
+    )
+    x = 2.0 * a
+    sol = solve_victim(model, x)
+    (w,) = classify_active(sol.problem, sol).weakly_active
+    assert w not in sol.factors.rows
+    with pytest.raises(errors.RegularityFailure, match="depends on the working rows"):
+        sensitivity._kink_pieces(sol, w)
+    with pytest.raises(errors.RegularityFailure, match="LICQ"):
+        build_auxiliary(model, x, sol)
+
+
+def orthant_corner_model():
+    """Projection of x onto {sum(y) <= 0, y0 >= 0, y1 >= 0, y3 <= 0, y4 <= 0, y5 <= 0} in R^6.
+
+    At ORTHANT_X the solution is y = 0 with multipliers (1, 0, 0, 1, 1,
+    1): rows 1 and 2 are weakly active, and the general row 0 and the
+    bounds 3-5 are strict.  The six rows are independent, so LICQ holds.
+    """
+    rows = np.zeros((6, 6))
+    rows[0] = 1.0
+    rows[[1, 2, 3, 4, 5], [0, 1, 3, 4, 5]] = [-1.0, -1.0, 1.0, 1.0, 1.0]
+    return VictimModel(
+        dim_data=6,
+        dim_var=6,
+        assemble=lambda x: QpProblem(np.eye(6), -x, A_ineq=rows, b_ineq=np.zeros(6)),
+        grad_x_constraint=lambda x, y: np.zeros((6, 6)),
+        cross_hessian=lambda x, y, lam: -np.eye(6),
+    )
+
+
+ORTHANT_X = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+
+
+def orthant_directions():
+    """Directions that leave rows 1 and 2 each off or on, and random ones."""
+    signs = [np.array([s0, s1, 0.5, 1.0, -1.0, 0.0]) for s0 in (-1.0, 1.0) for s1 in (-1.0, 1.0)]
+    return signs + list(np.random.default_rng(2).standard_normal((8, 6)))
+
+
+def test_two_weakly_active_rows_solve_the_auxiliary_qp(monkeypatch):
+    """With k = 2 weakly active rows each direction solves the auxiliary QP, as enumeration does."""
+    model = orthant_corner_model()
+    aux = build_auxiliary(model, ORTHANT_X, solve_victim(model, ORTHANT_X))
+    assert aux.structure.weakly_active == [1, 2] and aux.structure.strict == [0, 3, 4, 5]
+    assert aux.pieces == ()
+    calls = _count_aux_solves(monkeypatch)
+    on = Counter()
+    for k, dx in enumerate(orthant_directions(), start=1):
+        dy = check_against_the_auxiliary_qp(aux, dx)
         assert len(calls) == k
+        on[tuple(np.abs(dy[:2]) <= 1e-12)] += 1
+    assert len(on) == 4  # each of rows 1 and 2 is both off and on
 
 
 def test_auxiliary_qp_factors_its_bound_rows_in_closed_form(monkeypatch):
     """The auxiliary QP's strict rows go in decreasing index, so its bounds lead.
 
-    The seed-4 n=20 acceptance attack has 176 weakly active points, each
-    with 22 strict rows: 20 slack-sign bounds and 2 margin rows.  The
-    start's bound run is factored in closed form and only the rows after
-    it join: 2-5 joins per call, against 22-45 with the rows ascending.
+    At the orthant corner the strict rows are the general row 0 and the
+    bounds 3-5.  Taken as 5, 4, 3, 0, the bounds are fixed in closed form,
+    and only row 0 and the weakly active bounds 2 and 1 join the start:
+    3 joins per call, against 6 with the strict rows ascending.  In the
+    auxiliary QP the weak rows come first, so these are its rows 5, 1, 0.
     """
-    data = normalize(synth_lane_change(20, seed=4))
-    model = svm_victim(SvmModel(data.features, data.labels, C=10.0))
-    selector = np.zeros((1, model.dim_var))
-    selector[0, :2] = [1.0, -1.0]
-    cfg = AttackConfig(
-        target=np.zeros(1), delta=3.0, selector=selector, point_dim=2,
-        curvature_bound=20.0, tol_target=1e-10, tol_improve=1e-14, seed=4,
-    )
-    joins, per_call = [], []
-    real_join, real_semi = qp.WorkingFactors.join, sensitivity.semi_derivative
+    model = orthant_corner_model()
+    aux = build_auxiliary(model, ORTHANT_X, solve_victim(model, ORTHANT_X))
+    joins, at_start = [], []
+    real_join, real_start = qp.WorkingFactors.join, qp.equality_start
 
-    def counting_join(self, *args):
-        joins.append(None)
-        return real_join(self, *args)
+    def counting_join(self, i, *args):
+        joins.append(int(i))
+        return real_join(self, i, *args)
 
-    def counting_semi(aux, dx):
-        before = len(joins)
-        dy = real_semi(aux, dx)
-        if aux.structure.weakly_active:
-            per_call.append(len(joins) - before)
-        return dy
+    def counting_start(problem):
+        start = real_start(problem)
+        at_start.append(list(joins))
+        return start
 
     monkeypatch.setattr(qp.WorkingFactors, "join", counting_join)
-    monkeypatch.setattr(sensitivity, "semi_derivative", counting_semi)
-    run_attack(data.features.ravel(), model, cfg)
-    assert len(per_call) == 176
-    assert max(per_call) <= 5
+    monkeypatch.setattr(qp, "equality_start", counting_start)
+    for dx in orthant_directions():
+        del joins[:]
+        semi_derivative(aux, dx)
+    assert at_start == [[5, 1, 0]] * len(orthant_directions())
 
 
 def test_factor_route_matches_the_assembled_auxiliary_qp(monkeypatch):
@@ -484,7 +661,7 @@ def test_singular_adjoint_scores_by_aux_then_fd():
     sol = solve_victim(model, x)
     selector, target = np.eye(2), np.array([0.0, 1.0])
     ev = _ObjectiveDerivative(model, x, sol, selector, target, objective(sol.y, target))
-    assert qp.working_minimizer(sol, -ev.grad_y, np.zeros(sol.problem.n_con)) is None
+    assert qp.working_minimizer(sol, sol.factors, -ev.grad_y, np.zeros(sol.problem.n_con)) is None
     assert ev.gradient is None
     values, routes = ev.dG(0, np.array([[1.0, 0.0], [-1.0, 0.0]]))
     assert_allclose(values, [0.6, -0.6], rtol=1e-12)
@@ -615,7 +792,7 @@ def test_hook_less_warm_without_usable_factors_runs_phase1(monkeypatch):
     [
         lambda model, x, sol: build_auxiliary(model, x, sol),
         lambda model, x, sol: qp.licq_margin(sol, [1]),
-        lambda model, x, sol: qp.working_minimizer(sol, np.ones(model.dim_var), np.zeros(3)),
+        lambda model, x, sol: qp.working_minimizer(sol, sol.factors, np.ones(model.dim_var), np.zeros(3)),
     ],
     ids=["build_auxiliary", "licq_margin", "working_minimizer"],
 )

@@ -27,8 +27,6 @@ ALLOWED = [  # (file, stripped source text, why no test reaches it)
     ("qp.py", "d = -d", "the negative-curvature ray's sign flip: the pinned ray has gr'v <= 0"),
     ("sensitivity.py", "raise AuxInfeasible(str(exc)) from exc",
      "LICQ over every active row makes the auxiliary constraints consistent"),
-    ("sensitivity.py", "raise AuxUnbounded(str(exc)) from exc",
-     "no tested point with a weakly active row is flat on the strict rows' null space"),
 ]
 ALLOWED += 2 * [  # no point with a positive margin; no candidate scale with a finite value
     ("victims.py", "return np.zeros(3)", "_least_squares_wb's zero starts: no tested fit needs one"),
