@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -231,31 +232,41 @@ def _point_slots(point_index: int, point_dim: int) -> slice:
     return slice(point_index * point_dim, (point_index + 1) * point_dim)
 
 
-def _feasible_mask(x, x_base, owner, V, config: AttackConfig) -> np.ndarray:
-    """Rows V[i] along which a tiny step of point owner[i] stays in the ball and box.
+class _Feasibility:
+    """Which tiny steps of one point from x stay in the ball and the box.
 
-    owner is an index array or one index for every row.  The moved data's
-    squared distance is the current one with the owner's term replaced;
-    the box test reads the owner's coordinates only, as the other points
-    lie inside the box.
+    The moved data's squared distance is the current one with the owner's
+    term replaced, each point's remainder computed once per iterate; the
+    box test reads the owner's coordinates only, as the other points lie
+    inside the box.  A call's owner (an index, an index per row, or a
+    column of points against shared rows) broadcasts on V[..., 0].
     """
-    pd = config.point_dim
-    r = x - x_base
-    own = r.reshape(-1, pd)[owner]
-    moved = own + PROBE_STEP * V
-    dist = np.sqrt(np.maximum(r @ r - (own * own).sum(axis=-1), 0.0) + (moved * moved).sum(axis=1))
-    ok = dist <= config.delta + BOUNDARY_SLACK * max(1.0, config.delta)
-    if config.box_lo is not None:
-        trial = x.reshape(-1, pd)[owner] + PROBE_STEP * V
-        lo, hi = config.box_lo - BOUNDARY_SLACK, config.box_hi + BOUNDARY_SLACK
-        ok &= np.all((trial >= lo) & (trial <= hi), axis=1)
-    return ok
+
+    def __init__(self, x, x_base, config: AttackConfig):
+        self.x, self.x_base, self.config = x, x_base, config
+        r = x - x_base
+        self.own = r.reshape(-1, config.point_dim)
+        self.rest = np.maximum(r @ r - (self.own * self.own).sum(axis=-1), 0.0)
+
+    def __call__(self, owner, V) -> np.ndarray:
+        """The rows of V along which a step of PROBE_STEP of point owner stays feasible."""
+        config = self.config
+        moved = self.own[owner] + PROBE_STEP * V
+        dist = np.sqrt(self.rest[owner] + (moved * moved).sum(axis=-1))
+        ok = dist <= config.delta + BOUNDARY_SLACK * max(1.0, config.delta)
+        if config.box_lo is not None:
+            trial = self.x.reshape(self.own.shape)[owner] + PROBE_STEP * V
+            lo, hi = config.box_lo - BOUNDARY_SLACK, config.box_hi + BOUNDARY_SLACK
+            ok &= np.all((trial >= lo) & (trial <= hi), axis=-1)
+        return ok
 
 
+@cache
 def _axis_rows(point_dim: int) -> np.ndarray:
-    """Rows +e_j, -e_j of R^point_dim for every j, in that order."""
+    """Rows +e_j, -e_j of R^point_dim for every j, in that order (one read-only array)."""
     rows = np.eye(point_dim).repeat(2, axis=0)
     rows[1::2] = 0.0 - rows[1::2]  # +0.0 off the axis: traces never print -0.0
+    rows.flags.writeable = False
     return rows
 
 
@@ -294,7 +305,7 @@ def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rn
 
     pd = config.point_dim
     V = np.vstack([_axis_rows(pd), _random_rows(pd, RANDOM_DIRS, rng)])
-    V = V[_feasible_mask(x, x_base, point_index, V, config)]
+    V = V[_Feasibility(x, x_base, config)(point_index, V)]
     if not len(V):
         raise EmptyDirectionSet(f"no feasible perturbation direction for point {point_index}")
     return V
@@ -394,86 +405,93 @@ def _try_step(model, x, solution, d, dg, value, config, x_base, selector, *, k, 
             return None
 
 
-def _point_rows(ev, x, p, config, x_base, rng, n_probed: int) -> np.ndarray:
+def _point_rows(ev, feasible: _Feasibility, p, rng, n_probed: int) -> np.ndarray:
     """The rows point p is scored on besides its n_probed feasible axis rows, the probe's.
 
     On the linear route the steepest row is the best unit row, so where
     it and some axis row are feasible it is the only one.  Else the rows
     are feasible_directions' past its leading axis rows, and the steepest
-    row where it is feasible.  Raises EmptyDirectionSet as
-    feasible_directions does.
+    row where it is feasible; that row alone where the sampled set is
+    empty.  Raises EmptyDirectionSet as feasible_directions does, unless
+    the steepest row is feasible.
     """
-    pd = config.point_dim
-    v_st = ev.steepest_direction(p, pd)  # None off the linear route
-    steep = v_st is not None and _feasible_mask(x, x_base, p, v_st[None], config)[0]
+    config = feasible.config
+    v_st = ev.steepest_direction(p, config.point_dim)  # None off the linear route
+    steep = v_st is not None and feasible(p, v_st)
     if steep and n_probed:
         # the draw feasible_directions makes, unused: later rounds see the same random rows
-        rng.standard_normal((RANDOM_DIRS, pd))
+        rng.standard_normal((RANDOM_DIRS, config.point_dim))
         return v_st[None]
-    rows = feasible_directions(x, p, config, x_base=x_base, rng=rng)[n_probed:]
-    return np.vstack([rows, v_st]) if steep else rows
+    try:
+        rows = feasible_directions(feasible.x, p, config, x_base=feasible.x_base, rng=rng)
+    except EmptyDirectionSet:
+        if not steep:
+            raise
+        return v_st[None]  # the random rows were drawn before the raise
+    return np.vstack([rows[n_probed:], v_st]) if steep else rows[n_probed:]
 
 
 def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector):
     """One accepted step, or the reason none exists.
 
-    Probes every point at once, then works through the points in
-    decreasing probe magnitude; a point whose candidates yield no strict
-    decrease is set aside for the rest of the round.  A point's
-    candidates are its probe rows (its feasible axis rows) and the rows
-    _point_rows adds: on the linear route, where the steepest row is the
-    best unit row there is, that row alone; elsewhere the sampled set.
-    Every direction is a row of length point_dim moving one point.
+    Probes every point's +/- axis rows in one array pass (a ball and box
+    check, then one product with the data gradient on the linear route,
+    else a derivative per feasible row); one stable sort orders the
+    points by decreasing probe magnitude, ties by index, unprobed last.
+    A point whose candidates yield no strict decrease is set aside for
+    the rest of the round.  Its candidates are its probe rows, with their
+    probe scores, and the rows _point_rows adds: on the linear route,
+    where the steepest row is the best unit row there is, that row alone;
+    elsewhere the sampled set, with the steepest row where it is
+    feasible, or that row alone where the set is empty.  Every direction
+    is a row of length point_dim moving one point.
     Raises EmptyDirectionSet when no point can move at all, Stalled when
     movable points admit no candidate descent (with the smallest
     derivative seen as certificate when it clears -TOL_STALL).
     """
     pd = config.point_dim
-    n_points = model.dim_data // pd
     ev = _ObjectiveDerivative(model, x, solution, selector, config.target, value)
-
-    V = np.tile(_axis_rows(pd), (n_points, 1))
-    owner = np.repeat(np.arange(n_points), 2 * pd)  # each point's +/- axes, consecutively
-    ok = _feasible_mask(x, x_base, owner, V, config)
-    V = V[ok]
-    probe_vals, probe_routes = ev.dG(owner[ok], V)
-    evaluated = [probe_vals]
-    scores = np.full(n_points, np.inf)
-    np.minimum.at(scores, owner[ok], probe_vals)
-    first = np.searchsorted(owner[ok], np.arange(n_points + 1))  # probe row offsets by point
+    feasible = _Feasibility(x, x_base, config)
+    AX = _axis_rows(pd)
+    ok = feasible(np.s_[:, None], AX)  # every point against every +/- axis row: (points, 2 pd)
+    if ev.gradient is not None:  # every route "linear"
+        probe, routes = np.where(ok, (AX * ev.gradient.reshape(-1, 1, pd)).sum(-1), np.inf), None
+    else:  # one derivative per feasible row, point by point
+        probe, routes = np.full(ok.shape, np.inf), np.empty(ok.shape, dtype=object)
+        owner, axis = np.nonzero(ok)
+        probe[ok], routes[ok] = ev.dG(owner, AX[axis])
+    evaluated = []  # each searched point's new scores
+    scores = probe.min(axis=1)
     probed = np.isfinite(scores)
     # probed points by decreasing |score| (ties by index), then the unprobed ones
-    order = sorted(range(n_points), key=lambda p: (not probed[p], -abs(scores[p])))
-
+    order = np.lexsort((-np.abs(np.where(probed, scores, 0.0)), ~probed))
     empty = 0
-    for p in order:
-        lo, hi = first[p], first[p + 1]
+    for p in order.tolist():
         try:
-            rows = _point_rows(ev, x, p, config, x_base, rng, hi - lo)
+            rows = _point_rows(ev, feasible, p, rng, int(np.count_nonzero(ok[p])))
         except EmptyDirectionSet:
             empty += 1
             continue
-        cands = np.vstack([V[lo:hi], rows])  # p's probe rows keep their probe scores
         new_vals, new_routes = ev.dG(p, rows)
         evaluated.append(new_vals)
-        vals = np.concatenate([probe_vals[lo:hi], new_vals])
-        routes = probe_routes[lo:hi] + new_routes
-        best = int(np.argmin(vals))
+        # an infeasible axis row scores inf: chosen only where every row does, and then no step
+        vals = np.concatenate([probe[p], new_vals])
+        best = int(vals.argmin())
         dg = float(vals[best])
         if dg >= -TOL_STALL:
             continue
         d = np.zeros(x.size)
-        d[_point_slots(p, pd)] = cands[best]
+        d[_point_slots(p, pd)] = AX[best] if best < len(AX) else rows[best - len(AX)]
+        route = "linear" if routes is None else [*routes[p], *new_routes][best]
         outcome = _try_step(
-            model, x, solution, d, dg, value, config, x_base, selector,
-            k=k, point=p, route=routes[best],
+            model, x, solution, d, dg, value, config, x_base, selector, k=k, point=p, route=route
         )
         if outcome is not None:
             return outcome
 
-    if order and empty == len(order):
+    if order.size and empty == order.size:
         raise EmptyDirectionSet("no feasible perturbation direction remains for any point")
-    seen = np.concatenate(evaluated)  # no certificate where descent existed but every step failed
+    seen = np.concatenate([probe[ok], *evaluated])  # none where descent existed but no step did
     certificate = float(seen.min()) if seen.size and seen.min() >= -TOL_STALL else None
     raise Stalled("no candidate direction decreases the objective", certificate=certificate)
 

@@ -817,6 +817,8 @@ def _hot_start(problem: QpProblem, y: np.ndarray, factors: WorkingFactors) -> Ho
     near = g >= -_START_TOL
     near[factors.rows] = False
     near = np.flatnonzero(near)
+    if not near.size:
+        return HotStart(problem, y, factors)
     for i in np.concatenate([near[near >= r], near[near < r][::-1]]):
         if not factors.join(i, A[i], TOL_INDEP * math.hypot(*A[i].tolist())) and g[i] > 0.0:
             return None
@@ -884,8 +886,10 @@ def licq_margin(solution: KktSolution, active) -> float:
     a zero residual.
     """
     A, factors = solved_problem(solution).A, solution.factors
-    live, Z = set(factors.rows.tolist()), factors.null_space
-    extra = np.array([i for i in active if i not in live], dtype=int)
+    live, Z = np.zeros(A.shape[0], dtype=bool), factors.null_space
+    live[factors.rows] = True
+    active = np.asarray(active, dtype=int)
+    extra = active[~live[active]]
     if extra.size > Z.shape[1]:
         return 0.0
     resid = factors.r_diagonal

@@ -95,7 +95,8 @@ class SvmModel:
     Variables are ordered (w1, w2, b, xi_1, ..., xi_n).  The data vector
     is the row-major flattening of the n-by-2 feature matrix; labels are
     fixed and never perturbed.  ridge_eps adds curvature on b and xi so
-    the training problem is strictly convex (unique solution).
+    the training problem is strictly convex (unique solution).  Treat
+    instances as immutable: H, c and b are built once, on construction.
     """
 
     features: np.ndarray
@@ -117,6 +118,13 @@ class SvmModel:
             raise ValueError("C must be finite and positive")
         if not (np.isfinite(self.ridge_eps) and self.ridge_eps > 0):
             raise ValueError("ridge_eps must be finite and positive for a unique solution")
+        # the training QP's H, c and b, which no data moves: shared read-only by every assembly
+        n = self.n_points
+        self.H = np.diag(np.r_[1.0, 1.0, np.full(n + 1, self.ridge_eps)])
+        self.c = np.r_[np.zeros(3), np.full(n, self.C)]
+        self.b = np.r_[np.ones(n), np.zeros(n)]
+        for a in (self.H, self.c, self.b):
+            a.flags.writeable = False
 
     @property
     def n_points(self) -> int:
@@ -141,14 +149,7 @@ def svm_assemble(svm: SvmModel, x: np.ndarray) -> QpProblem:
     x = _check_x(x, svm.dim_data)
     n = svm.n_points
     pts = x.reshape(n, 2)
-    d = svm.dim_var
-    H = np.zeros((d, d))
-    H[0, 0] = H[1, 1] = 1.0
-    k = np.arange(2, d)
-    H[k, k] = svm.ridge_eps  # on b and the slacks
-    c = np.zeros(d)
-    c[3:] = svm.C
-    A = np.zeros((2 * n, d))
+    A = np.zeros((2 * n, svm.dim_var))
     y = svm.labels
     A[:n, 0] = -y * pts[:, 0]
     A[:n, 1] = -y * pts[:, 1]
@@ -156,9 +157,7 @@ def svm_assemble(svm: SvmModel, x: np.ndarray) -> QpProblem:
     i = np.arange(n)
     A[:, 3:] = -0.0  # the -I blocks' zeros are -0.0, as negated identities have them
     A[i, 3 + i] = A[n + i, 3 + i] = -1.0
-    b = np.zeros(2 * n)
-    b[:n] = 1.0
-    return QpProblem(H, c, A_ineq=A, b_ineq=b)
+    return QpProblem(svm.H, svm.c, A_ineq=A, b_ineq=svm.b)
 
 
 def svm_grad_x_constraint(svm: SvmModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -167,8 +166,7 @@ def svm_grad_x_constraint(svm: SvmModel, x: np.ndarray, y: np.ndarray) -> np.nda
     n = svm.n_points
     out = np.zeros((2 * n, svm.dim_data))
     rows = np.arange(n)
-    out[rows, 2 * rows] = -svm.labels * y[0]
-    out[rows, 2 * rows + 1] = -svm.labels * y[1]
+    out[:n].reshape(n, n, 2)[rows, rows] = -svm.labels[:, None] * y[:2]  # point i's block of row i
     return out
 
 

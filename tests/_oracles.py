@@ -1,9 +1,12 @@
 """Independent test oracles, the 1-D victim fixtures, planted kinks and a soft-margin SVM.
 
 Kept deliberately naive: correctness over speed.  The oracles share no
-code with the package beyond problem containers; the 1-D fixtures and
-the planted kinks are affine QP families, and the soft-margin SVM is the
-package's own victim on its synthetic data.
+code with the package beyond problem containers, except the reference
+attack round, which scores with the package's derivative object and
+draws the package's random rows, so that only the round's own search is
+compared; the 1-D fixtures and the planted kinks are affine QP families,
+and the soft-margin SVM is the package's own victim on its synthetic
+data.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ import itertools
 
 import numpy as np
 
+from semipoison import attack
 from semipoison.data import Dataset, normalize, synth_lane_change
+from semipoison.errors import EmptyDirectionSet, Stalled
 from semipoison.victims import SvmModel, VictimModel, _AffineQpFamily, svm_victim
 
 
@@ -300,3 +305,93 @@ def planted_kink_model(seed: int) -> tuple[VictimModel, np.ndarray, int]:
     c0 = -(H @ y + Cx @ x + A.T @ lam)
     fam = _AffineQpFamily(H, c0, Cx, rows_a, rows_M, rows_b0, rows_beta, m - n_eq)
     return fam.as_victim(), x, int(np.flatnonzero(order == n_strict)[0])
+
+
+def _reference_mask(x, x_base, owner, V, config):
+    """Rows V[i] along which a tiny step of point owner[i] stays in the ball and box, row by row."""
+    pd = config.point_dim
+    r = x - x_base
+    own = r.reshape(-1, pd)[owner]
+    moved = own + attack.PROBE_STEP * V
+    dist = np.sqrt(np.maximum(r @ r - (own * own).sum(axis=-1), 0.0) + (moved * moved).sum(axis=1))
+    ok = dist <= config.delta + attack.BOUNDARY_SLACK * max(1.0, config.delta)
+    if config.box_lo is not None:
+        trial = x.reshape(-1, pd)[owner] + attack.PROBE_STEP * V
+        lo, hi = config.box_lo - attack.BOUNDARY_SLACK, config.box_hi + attack.BOUNDARY_SLACK
+        ok &= np.all((trial >= lo) & (trial <= hi), axis=1)
+    return ok
+
+
+def _reference_point_rows(ev, x, p, config, x_base, rng, n_probed):
+    """A searched point's rows past its probe rows, with a one-row test of its steepest row."""
+    pd = config.point_dim
+    v_st = ev.steepest_direction(p, pd)
+    steep = v_st is not None and _reference_mask(x, x_base, p, v_st[None], config)[0]
+    if steep and n_probed:
+        rng.standard_normal((attack.RANDOM_DIRS, pd))
+        return v_st[None]
+    V = np.vstack([attack._axis_rows(pd), attack._random_rows(pd, attack.RANDOM_DIRS, rng)])
+    V = V[_reference_mask(x, x_base, p, V, config)]
+    if not len(V):
+        if steep:
+            return v_st[None]
+        raise EmptyDirectionSet(f"no feasible perturbation direction for point {p}")
+    rows = V[n_probed:]
+    return np.vstack([rows, v_st]) if steep else rows
+
+
+def reference_attack_round(model, x, value, solution, config, *, x_base, rng, k, selector, try_step):
+    """attack._attack_round point by point, with try_step in place of attack._try_step.
+
+    Reference for the round's array pass: the axis rows are tiled per
+    point and tested row by row, the probe scores are folded per point
+    with np.minimum.at, the points are ordered by a Python sort keyed on
+    (not probed, -|score|), and each searched point's steepest row gets a
+    one-row feasibility test.  A linear-route point whose steepest row is
+    feasible and whose sampled set is empty scores that row alone.
+    Derivatives come from the package's attack._ObjectiveDerivative.
+    """
+    pd = config.point_dim
+    n_points = model.dim_data // pd
+    ev = attack._ObjectiveDerivative(model, x, solution, selector, config.target, value)
+    V = np.tile(attack._axis_rows(pd), (n_points, 1))
+    owner = np.repeat(np.arange(n_points), 2 * pd)
+    ok = _reference_mask(x, x_base, owner, V, config)
+    V = V[ok]
+    probe_vals, probe_routes = ev.dG(owner[ok], V)
+    evaluated = [probe_vals]
+    scores = np.full(n_points, np.inf)
+    np.minimum.at(scores, owner[ok], probe_vals)
+    first = np.searchsorted(owner[ok], np.arange(n_points + 1))
+    probed = np.isfinite(scores)
+    order = sorted(range(n_points), key=lambda p: (not probed[p], -abs(scores[p])))
+    empty = 0
+    for p in order:
+        lo, hi = first[p], first[p + 1]
+        try:
+            rows = _reference_point_rows(ev, x, p, config, x_base, rng, hi - lo)
+        except EmptyDirectionSet:
+            empty += 1
+            continue
+        cands = np.vstack([V[lo:hi], rows])
+        new_vals, new_routes = ev.dG(p, rows)
+        evaluated.append(new_vals)
+        vals = np.concatenate([probe_vals[lo:hi], new_vals])
+        routes = probe_routes[lo:hi] + new_routes
+        best = int(np.argmin(vals))
+        dg = float(vals[best])
+        if dg >= -attack.TOL_STALL:
+            continue
+        d = np.zeros(x.size)
+        d[p * pd:(p + 1) * pd] = cands[best]
+        outcome = try_step(
+            model, x, solution, d, dg, value, config, x_base, selector,
+            k=k, point=p, route=routes[best],
+        )
+        if outcome is not None:
+            return outcome
+    if order and empty == len(order):
+        raise EmptyDirectionSet("no feasible perturbation direction remains for any point")
+    seen = np.concatenate(evaluated)
+    certificate = float(seen.min()) if seen.size and seen.min() >= -attack.TOL_STALL else None
+    raise Stalled("no candidate direction decreases the objective", certificate=certificate)

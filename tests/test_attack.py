@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import semipoison.attack as attack_module
+import semipoison.cli as cli_module
 import semipoison.sensitivity as sensitivity_module
 from semipoison.attack import (
     AttackConfig,
+    _attack_round,
     _axis_rows,
-    _feasible_mask,
+    _Feasibility,
     _ObjectiveDerivative,
     _random_rows,
     AttackTrace,
@@ -37,6 +39,7 @@ from semipoison.errors import (
     DimensionMismatch,
     EmptyDirectionSet,
     SemipoisonError,
+    Stalled,
 )
 from semipoison.qp import classify_active, solve_qp
 from semipoison.sensitivity import semi_derivative
@@ -54,6 +57,7 @@ from _oracles import (
     dense_feasible_mask,
     dense_kkt_gradient,
     kink_projection_model,
+    reference_attack_round,
     soft_margin_svm,
 )
 from test_acceptance import SVM_SEEDS, svm_scenario
@@ -309,10 +313,15 @@ def test_point_local_mask_matches_dense_reference():
         want = dense_feasible_mask(
             x, D, x_base, delta, lo_t if boxed else None, hi_t if boxed else None
         )
-        got = _feasible_mask(x, x_base, owner, np.tile(V, (n_points, 1)), cfg)
-        assert np.array_equal(got, want)
+        feasible = _Feasibility(x, x_base, cfg)
+        assert np.array_equal(feasible(owner, np.tile(V, (n_points, 1))), want)
+        # every point against the shared rows at once, as the round's probe asks
+        assert np.array_equal(feasible(np.s_[:, None], V).ravel(), want)
+        assert np.array_equal(feasible(np.arange(n_points)[:, None], V).ravel(), want)
         for p in range(n_points):  # one point at a time, as feasible_directions asks
-            assert np.array_equal(_feasible_mask(x, x_base, p, V, cfg), want[owner == p])
+            assert np.array_equal(feasible(p, V), want[owner == p])
+            for i in np.flatnonzero(owner == p):  # one row, as a steepest row is tested
+                assert feasible(p, V[i % len(V)]) == want[i]
         kept += int(want.sum())
         rejected += int((~want).sum())
     assert kept > 1000 and rejected > 1000
@@ -848,7 +857,7 @@ def test_acceptance_attacks_re_solve_in_one_iteration(monkeypatch):
 
 def steepest_is_feasible(ev, x, p, config, x_base):
     v_st = ev.steepest_direction(p, config.point_dim)
-    return v_st is not None and bool(_feasible_mask(x, x_base, p, v_st[None], config)[0])
+    return v_st is not None and bool(_Feasibility(x, x_base, config)(p, v_st))
 
 
 def test_linear_route_shortcut_picks_the_sampled_sets_best_row(monkeypatch):
@@ -862,14 +871,15 @@ def test_linear_route_shortcut_picks_the_sampled_sets_best_row(monkeypatch):
     """
     real, seen = attack_module._point_rows, Counter()
 
-    def checking(ev, x, p, config, x_base, rng, n_probed):
+    def checking(ev, feasible, p, rng, n_probed):
+        x, config, x_base = feasible.x, feasible.config, feasible.x_base
         replay = copy.deepcopy(rng)
         try:
             full = feasible_directions(x, p, config, x_base=x_base, rng=replay)
         except EmptyDirectionSet:
             full = None
         try:
-            rows = real(ev, x, p, config, x_base, rng, n_probed)
+            rows = real(ev, feasible, p, rng, n_probed)
         finally:
             assert rng.bit_generator.state == replay.bit_generator.state
         if not (n_probed and steepest_is_feasible(ev, x, p, config, x_base)):
@@ -916,10 +926,11 @@ def test_linear_point_whose_steepest_row_leaves_the_ball_scores_the_sampled_set(
     """The steepest row points out of the ball: the point's rows are feasible_directions' random rows."""
     ev, x, x_base, config = boundary_point(1e-3, outward=True)
     assert ev.gradient is not None and not steepest_is_feasible(ev, x, 0, config, x_base)
-    n_probed = int(_feasible_mask(x, x_base, 0, _axis_rows(2), config).sum())
+    feasible = _Feasibility(x, x_base, config)
+    n_probed = int(feasible(0, _axis_rows(2)).sum())
     assert 0 < n_probed < 4
     rng, replay = np.random.default_rng(0), np.random.default_rng(0)
-    rows = attack_module._point_rows(ev, x, 0, config, x_base, rng, n_probed)
+    rows = attack_module._point_rows(ev, feasible, 0, rng, n_probed)
     assert_array_equal(rows, feasible_directions(x, 0, config, x_base=x_base, rng=replay)[n_probed:])
     assert 0 < len(rows) < RANDOM_DIRS
     assert rng.bit_generator.state == replay.bit_generator.state
@@ -931,28 +942,194 @@ def test_linear_point_with_no_feasible_axis_row_scores_the_sampled_set():
     A probe step of 1e-9 stays in the ball only within about 34 degrees
     of the inward normal, and the gradient is more than 34 degrees off
     every axis.  The point's rows are then the sampled set's feasible
-    random rows and its steepest row; with no feasible random row it
-    cannot move (EmptyDirectionSet), as before the shortcut.
+    random rows and its steepest row, or that row alone where no random
+    row is feasible: over 1,000 RNG seeds the point is never set aside,
+    and the RNG state moves as feasible_directions moves it.
     """
     ev, x, x_base, config = boundary_point(6e-10, outward=False)
-    assert not _feasible_mask(x, x_base, 0, _axis_rows(2), config).any()
+    feasible = _Feasibility(x, x_base, config)
+    assert not feasible(0, _axis_rows(2)).any()
     assert steepest_is_feasible(ev, x, 0, config, x_base)
     v_st = ev.steepest_direction(0, 2)
     outcomes = Counter()
-    for seed in range(8):
+    for seed in range(1000):
         rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = attack_module._point_rows(ev, feasible, 0, rng, 0)
         try:
-            rows = attack_module._point_rows(ev, x, 0, config, x_base, rng, 0)
+            want = np.vstack([feasible_directions(x, 0, config, x_base=x_base, rng=replay), v_st])
+            outcomes["rows"] += 1
         except EmptyDirectionSet:
-            with pytest.raises(EmptyDirectionSet):
-                feasible_directions(x, 0, config, x_base=x_base, rng=replay)
-            outcomes["empty"] += 1
-            continue
-        want = feasible_directions(x, 0, config, x_base=x_base, rng=replay)
-        assert_array_equal(rows, np.vstack([want, v_st]))
+            want = v_st[None]
+            outcomes["steepest row alone"] += 1
+        assert_array_equal(rows, want)
         assert rng.bit_generator.state == replay.bit_generator.state
-        outcomes["rows"] += 1
-    assert outcomes["empty"] and outcomes["rows"]
+    assert outcomes["steepest row alone"] and outcomes["rows"]
+
+
+def round_tries(round_fn, state, accept=None):
+    """Every step a round tries from state, how it ends and the RNG state it leaves.
+
+    state is (model, x, value, solution, config, x_base, rng, selector),
+    the round runs on a copy of rng, and a recording try_step stands in
+    for attack._try_step: it accepts try number accept (None: none).
+    Each try is (point, direction bytes, dG bits, route); the end is
+    "accepted", "empty" or ("stalled", certificate bits or None).
+    """
+    model, x, value, solution, config, x_base, rng, selector = state
+    tries, rng = [], copy.deepcopy(rng)
+
+    def try_step(model, x, solution, d, dg, value, config, x_base, selector, *, k, point, route):
+        tries.append((point, d.tobytes(), float(dg).hex(), route))
+        return "accepted" if len(tries) - 1 == accept else None
+
+    try:
+        end = round_fn(
+            try_step, model, x, value, solution, config, x_base=x_base, rng=rng, k=1,
+            selector=selector,
+        )
+    except Stalled as exc:
+        end = ("stalled", None if exc.certificate is None else exc.certificate.hex())
+    except EmptyDirectionSet:
+        end = "empty"
+    return tries, end, rng.bit_generator.state
+
+
+def array_round(try_step, *args, **kwargs):
+    real, attack_module._try_step = attack_module._try_step, try_step
+    try:
+        return _attack_round(*args, **kwargs)
+    finally:
+        attack_module._try_step = real
+
+
+def reference_round(try_step, *args, **kwargs):
+    return reference_attack_round(*args, try_step=try_step, **kwargs)
+
+
+def assert_round_matches_reference(state):
+    """Rejecting every try, so every point is searched, and accepting the first."""
+    ends = []
+    for accept in (None, 0):
+        got = round_tries(array_round, state, accept)
+        assert got == round_tries(reference_round, state, accept)
+        ends.append(got[1])
+    return ends[0]
+
+
+def test_round_matches_the_reference_along_the_acceptance_and_box_attacks(monkeypatch, tmp_path):
+    """Each round of the 10 acceptance attacks and of the box reference attack, against the reference.
+
+    The box reference attack is `attack --synth-n 20 --seed 1
+    --bounds=-3,3,5,60 --tol-improve 1e-14`, run through the CLI.  At
+    every round both rounds try the same points, rows, dG bits and
+    routes, end alike and leave the same RNG state (round_tries).
+    """
+    ends, routes = Counter(), Counter()
+
+    def checking(model, x, value, solution, config, *, x_base, rng, k, selector):
+        end = assert_round_matches_reference((model, x, value, solution, config, x_base, rng, selector))
+        ends[end if isinstance(end, str) else end[0]] += 1
+        out = _attack_round(
+            model, x, value, solution, config, x_base=x_base, rng=rng, k=k, selector=selector
+        )
+        routes[out[2].route] += 1
+        return out
+
+    monkeypatch.setattr(attack_module, "_attack_round", checking)
+    for seed in SVM_SEEDS:
+        data, model, config = svm_scenario(seed)
+        run_attack(data.features.ravel(), model, config)
+    assert routes == {"linear": 859, "aux": 2, "fd": 1}
+    routes.clear()
+    argv = ["attack", "--synth-n", "20", "--seed", "1", "--bounds=-3,3,5,60", "--tol-improve", "1e-14"]
+    assert cli_module.main([*argv, "--out", str(tmp_path / "box")]) == 0
+    assert sum(routes.values()) == len((tmp_path / "box" / "trace.jsonl").read_text().splitlines())
+    assert ends["stalled"] == sum(ends.values())  # rejecting every try searches every point
+
+
+def random_round_state(kind, n, budget, boxed, faces, attained, seed):
+    """A round's state (see round_tries) for the reference comparison, or None where the solve fails.
+
+    kind "svm": n Gaussian 2-D points, some of them moved; "aux" and
+    "fd": kink_pair(kind) at a point on its kink (x_0 + x_2 = 0), the
+    pristine data at 0; "tiny": boundary_point's ball of radius 6e-10.
+    budget puts the iterate on the ball's boundary ("ball"), inside it
+    ("inside") or at the pristine data with a zero budget ("zero").
+    boxed adds a box around the iterate and the pristine data, with a
+    share faces of the coordinates moved onto its faces (both of a
+    point's: a corner).  attained sets the target to the current output.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "tiny":  # no axis row is feasible, the steepest row is
+        ev, x, x_base, config = boundary_point(6e-10, outward=False)
+        config = replace(config, seed=seed % 1000)
+        state = (ev.model, x, ev.value, ev.solution, config, x_base, rng, np.eye(3))
+        return state
+    if kind == "svm":
+        feats = rng.standard_normal((n, 2))
+        model = svm_victim(SvmModel(feats, np.where(feats[:, 0] > feats[:, 1], 1, -1)))
+        x_base = feats.ravel()
+        x = x_base + (rng.normal(0.0, 0.3, (n, 2)) * (rng.random((n, 1)) < 0.6)).ravel()
+        selector = np.zeros((1, model.dim_var))
+        selector[0, :2] = [1.0, -1.0]
+    else:
+        a, b, c = rng.uniform(-0.5, 0.5, 3)
+        model, x_base, x = kink_pair(kind), np.zeros(4), np.array([a, b, -a, c])
+        selector = np.eye(1)
+    if budget == "zero":
+        x = x_base.copy()
+    lo = hi = None
+    if boxed:
+        pts = np.vstack([x.reshape(-1, 2), x_base.reshape(-1, 2)])
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        face = rng.random(x.size) < faces
+        side = np.where(rng.random(x.size) < 0.5, np.tile(lo, x.size // 2), np.tile(hi, x.size // 2))
+        x[face] = side[face]
+    delta = float(np.linalg.norm(x - x_base)) * (rng.uniform(1.0, 2.0) if budget == "inside" else 1.0)
+    try:
+        solution = solve_victim(model, x)
+    except SemipoisonError:
+        return None
+    target = selector @ solution.y if attained else np.full(len(selector), 0.5)
+    config = AttackConfig(
+        target=target, delta=delta, selector=selector, point_dim=2, box_lo=lo, box_hi=hi,
+        curvature_bound=20.0, seed=seed % 1000,
+    )
+    value = objective(selector @ solution.y, target)
+    return model, x, value, solution, config, x_base, rng, selector
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@example(seed=0, kind="svm", n=4, budget="ball", boxed=True, faces=0.5, attained=True)
+@example(seed=1, kind="aux", n=2, budget="ball", boxed=True, faces=1.0, attained=False)
+@example(  # a point whose descending axis rows leave the ball: its infeasible rows must score inf
+    seed=128, kind="svm", n=2, budget="ball", boxed=False, faces=0.0, attained=False
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["svm", "svm", "aux", "fd", "tiny"]),
+    n=st.integers(2, 6),
+    budget=st.sampled_from(["ball", "ball", "inside", "zero"]),
+    boxed=st.booleans(),
+    faces=st.floats(0.0, 1.0),
+    attained=st.booleans(),
+)
+def test_round_matches_the_reference_on_random_ball_and_box_states(
+    seed, kind, n, budget, boxed, faces, attained
+):
+    """Random states (random_round_state) against the reference round, bit for bit (round_tries).
+
+    SVM points off the margin have all-zero gradient slices, and an
+    attained target zeroes every derivative, so zero probe values and a
+    zero stall certificate are compared with their signs; the kink pairs
+    take the aux and fd routes, and the tiny ball sets a point with no
+    feasible probe row on its steepest row alone.
+    """
+    state = random_round_state(kind, n, budget, boxed, faces, attained, seed)
+    if state is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert_round_matches_reference(state)
 
 
 def test_warm_and_cold_solves_agree_along_a_soft_margin_attack():
