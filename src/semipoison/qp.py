@@ -169,6 +169,20 @@ class QpProblem:
     def n_con(self) -> int:
         return self.n_ineq + self.n_eq
 
+    def with_rows(self, A: np.ndarray, rows: slice) -> QpProblem:
+        """This problem with constraint matrix A, which differs from self.A in the rows A[rows] alone.
+
+        Only A[rows], inequality rows, is checked, as construction checks
+        A_ineq (_as_matrix: shape and finiteness).  A is kept, not copied;
+        H, c and b are this problem's.
+        """
+        if A.shape != self.A.shape:
+            raise DimensionMismatch(f"A must have shape {self.A.shape}, got {A.shape}")
+        _as_matrix(A[rows], self.n_var, "A_ineq")
+        other, r = copy.copy(self), self.n_ineq
+        other.A, other.A_ineq, other.A_eq = A, A[:r], A[r:]
+        return other
+
     def constraint_values(self, y: np.ndarray) -> np.ndarray:
         return self.A @ y + self.b
 
@@ -299,6 +313,8 @@ class WorkingFactors:
     that joins fixes its variable, and one that leaves frees it.
     """
 
+    reduced = None  # _working_subproblem's decomposition of Z'HZ, and its H; updates drop it
+
     def __init__(self, n: int, bounds=None, fixed=None):
         """No general rows; bound row bounds[k], if given, fixes variable fixed[k]."""
         if fixed is None:  # every variable free
@@ -314,7 +330,7 @@ class WorkingFactors:
     def copy(self) -> WorkingFactors:
         """Factors whose updates leave these alone (rows and fixed are only ever replaced)."""
         other = copy.copy(self)
-        other.Q, other.T = self.Q.copy(), self.T.copy()
+        other.Q, other.T, other.reduced = self.Q.copy(), self.T.copy(), None
         return other
 
     @property
@@ -377,7 +393,7 @@ class WorkingFactors:
         beta = self._reflect(m, v, norm)
         T[:m, m] = (T[:m, :m] @ (Q[:, :m].T @ a)) / -beta
         T[m, m] = 1.0 / beta
-        self.rows = np.append(self.rows, i)
+        self.rows, self.reduced = np.append(self.rows, i), None
         return True
 
     def _reflect(self, m: int, v: np.ndarray, norm: float) -> float:
@@ -423,7 +439,7 @@ class WorkingFactors:
         self.T = np.zeros((T.shape[0] - 1, T.shape[0] - 1))
         self.T[:m, :m] = T[:m, 1 : m + 1]
         self.rows = np.insert(self.rows, p, i)
-        self.fixed = np.append(self.fixed, j)
+        self.fixed, self.reduced = np.append(self.fixed, j), None
         return True
 
     def drop(self, i: int, A: np.ndarray) -> None:
@@ -443,7 +459,7 @@ class WorkingFactors:
             T[:m, j:m] = T[:m, j:m] @ q
         T[j : m - 1] = T[j + 1 : m]  # the new R^-1 is T q without row j
         T[m - 1] = T[:, m - 1] = 0.0
-        self.rows = np.delete(rows, t)
+        self.rows, self.reduced = np.delete(rows, t), None
 
     def _free(self, t: int) -> None:
         """Bound t's variable j joins the free variables, its row the general rows, first.
@@ -469,35 +485,39 @@ def _working_subproblem(H, c, A, b, y, factors: WorkingFactors):
     when the minimizer exists).  Z'HZ is decomposed whole: a negative
     eigenvalue, or a flat direction with a nonzero reduced gradient,
     gives the ray; else the minimizer.  A 1 x 1 Z'HZ is its own
-    decomposition, as eigh would return it, and skips eigh's call.
+    decomposition, as eigh would return it, and skips eigh's call.  The
+    decomposition and its flatness decision stay on factors, with H
+    (factors.reduced), so a later call on the same factors and H, such
+    as working_minimizer's at a solution, decomposes nothing.  y None is
+    the zero point on zero offsets b, which needs no move onto the rows.
     """
-    y0 = factors.onto(y, A, b)
+    y0 = np.zeros_like(c) if y is None else factors.onto(y, A, b)
     Z = factors.null_space
     if Z.shape[1] == 0:
         return y0, None
-    g0 = H @ y0 + c
-    gr = Z.T @ g0
-    Hr = Z.T @ H @ Z
-    if Hr.shape[0] == 1:  # one null-space direction, as an SVM's working set leaves
-        w, V = Hr[0], np.ones((1, 1))
-    else:
-        w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
-    wmax = max(float(w.max(initial=0.0)), 1.0)
-    eps = 1e-11 * wmax
-    neg = w < -eps
-    pos = w > eps
-    if neg.any():
-        j = int(np.argmin(w))
-        d = Z @ V[:, j]
-        if gr @ V[:, j] > 0:
+    gr = Z.T @ (H @ y0 + c)
+    if factors.reduced is None or factors.reduced[0] is not H:
+        Hr = Z.T @ H @ Z
+        if Hr.shape[0] == 1:  # one null-space direction, as an SVM's working set leaves
+            w, V = Hr[0], np.ones((1, 1))
+        else:
+            w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
+        eps = 1e-11 * max(float(w.max(initial=0.0)), 1.0)
+        pos = w > eps
+        neg = int(np.argmin(w)) if (w < -eps).any() else None
+        factors.reduced = H, V, neg, V[:, pos], w[pos], np.count_nonzero(pos) < w.size
+    _, V, neg, Vp, wp, flat = factors.reduced
+    if neg is not None:
+        d = Z @ V[:, neg]
+        if gr @ V[:, neg] > 0:
             d = -d
         return None, d
-    if np.count_nonzero(pos) < gr.size:  # some null-space directions are flat
-        gz = gr - V[:, pos] @ (V[:, pos].T @ gr)
+    if flat:  # some null-space directions are flat
+        gz = gr - Vp @ (Vp.T @ gr)
         if np.abs(gz).max(initial=0.0) > 1e-9 * (1.0 + np.abs(gr).max(initial=0.0)):
             d = -(Z @ gz)
             return None, d / np.linalg.norm(d)
-    u = -V[:, pos] @ ((V[:, pos].T @ gr) / w[pos])  # zeros when no curvature is positive
+    u = -Vp @ ((Vp.T @ gr) / wp)  # zeros when no curvature is positive
     return y0 + Z @ u, None
 
 
@@ -768,14 +788,17 @@ def working_minimizer(
     constraint.  factors are the solution's own, or a copy of them with
     one row dropped or joined (the sensitivity module's two pieces at a
     kink); the solve runs on them through _working_subproblem: one KKT
-    solve, no factorization (Nocedal & Wright, section 16.2).  Returns
+    solve, no factorization (Nocedal & Wright, section 16.2).  On the
+    solution's own factors it reuses the solve's last decomposition of
+    Z'HZ, and zero offsets leave the zero point where it is.  Returns
     None where the objective decreases without bound on that affine set,
     as solve_qp's Unbounded would.
 
     Raises MaxIterations when the minimizer is not finite.
     """
     problem = solved_problem(solution)
-    d = _working_subproblem(problem.H, c, problem.A, b, np.zeros_like(c), factors)[0]
+    y = np.zeros_like(c) if b.any() else None  # zero offsets: the zero point is on the rows
+    d = _working_subproblem(problem.H, c, problem.A, b, y, factors)[0]
     if d is not None and not np.isfinite(d).all():
         raise MaxIterations("working-set minimizer is not finite: the data are too large")
     return d
@@ -854,7 +877,7 @@ def working_start(solution: KktSolution, problem: QpProblem) -> HotStart | None:
         if not (single.all() and A[bounds, factors.fixed[moved]].all()):
             return None
     k = int(np.append(changed[general], True).argmax())  # the first general row that changed
-    factors.rows = factors.rows[: p + k]
+    factors.rows, factors.reduced = factors.rows[: p + k], None
     factors.T[k:] = factors.T[:, k:] = 0.0  # Q's columns k.. stay the complement of rows ..k
     for i in general[k:]:
         factors.join(i, A[i], TOL_INDEP * math.hypot(*A[i].tolist()))
@@ -883,7 +906,7 @@ def licq_margin(solution: KktSolution, active) -> float:
     ratio of 1), then the general rows, with R from the solver's factors.
     The other active rows follow, factored in the working rows' null
     space on the free variables.  More of them than its dimension leave
-    a zero residual.
+    a zero residual; none of them, no QR.
     """
     A, factors = solved_problem(solution).A, solution.factors
     live, Z = np.zeros(A.shape[0], dtype=bool), factors.null_space
@@ -892,10 +915,10 @@ def licq_margin(solution: KktSolution, active) -> float:
     extra = active[~live[active]]
     if extra.size > Z.shape[1]:
         return 0.0
-    resid = factors.r_diagonal
+    resid, rows = factors.r_diagonal, factors.general
     if extra.size:
         R = np.linalg.qr(Z.T @ A[extra].T, mode="r")
-        resid = np.append(resid, np.abs(R.diagonal()))
-    norms = row_norms(A[np.append(factors.general, extra)])
+        resid, rows = np.append(resid, np.abs(R.diagonal())), np.append(rows, extra)
+    norms = row_norms(A[rows])
     ratio = np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0.0)  # a zero row fails
     return float(ratio.min(initial=1.0 if factors.fixed.size else np.inf))

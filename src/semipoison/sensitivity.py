@@ -225,7 +225,9 @@ class PointDerivative:
         With LICQ and no weakly active row, the working rows A_w are the
         strict set and dy is linear in dx: one adjoint solve,
         [[H, A_w'], [A_w, 0]] (u, nu) = (grad_y, 0), gives the gradient
-        -(C'u + J[w]'nu).  None also where Z'HZ is flat.
+        -(C'u + J[w]'nu).  It runs on the training solve's own factors and
+        decomposition of Z'HZ (qp.working_minimizer).  None also where
+        Z'HZ is flat.
         """
         aux = self.aux
         if aux is None or aux.structure.weakly_active:

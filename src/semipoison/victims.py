@@ -96,7 +96,9 @@ class SvmModel:
     is the row-major flattening of the n-by-2 feature matrix; labels are
     fixed and never perturbed.  ridge_eps adds curvature on b and xi so
     the training problem is strictly convex (unique solution).  Treat
-    instances as immutable: H, c and b are built once, on construction.
+    instances as immutable: H, c and b are built once, on construction,
+    and the training problem is built and checked in full once, by the
+    first svm_assemble, which keeps it as the base of every later one.
     """
 
     features: np.ndarray
@@ -125,6 +127,7 @@ class SvmModel:
         self.b = np.r_[np.ones(n), np.zeros(n)]
         for a in (self.H, self.c, self.b):
             a.flags.writeable = False
+        self.base: QpProblem | None = None  # built on first use: train assembles only once
 
     @property
     def n_points(self) -> int:
@@ -145,19 +148,26 @@ def svm_assemble(svm: SvmModel, x: np.ndarray) -> QpProblem:
     minimize 0.5*||w||^2 + 0.5*ridge*(b^2 + ||xi||^2) + C * sum(xi)
     s.t.     1 - xi_i - y_i * (w . x_i + b) <= 0     (margin, rows 0..n-1)
              -xi_i <= 0                              (slack sign, rows n..2n-1)
+
+    The first call builds and checks the problem in full and keeps it as
+    svm.base.  A later call copies the base's rows, rewrites the margin
+    rows' two data columns, and checks those rows alone
+    (QpProblem.with_rows): the same problem, for less work.
     """
     x = _check_x(x, svm.dim_data)
-    n = svm.n_points
+    n, base = svm.n_points, svm.base
     pts = x.reshape(n, 2)
-    A = np.zeros((2 * n, svm.dim_var))
+    A = np.zeros((2 * n, svm.dim_var)) if base is None else base.A.copy()
     y = svm.labels
-    A[:n, 0] = -y * pts[:, 0]
-    A[:n, 1] = -y * pts[:, 1]
+    A[:n, :2] = -y[:, None] * pts
+    if base is not None:
+        return base.with_rows(A, np.s_[:n])
     A[:n, 2] = -y
     i = np.arange(n)
     A[:, 3:] = -0.0  # the -I blocks' zeros are -0.0, as negated identities have them
     A[i, 3 + i] = A[n + i, 3 + i] = -1.0
-    return QpProblem(svm.H, svm.c, A_ineq=A, b_ineq=svm.b)
+    svm.base = QpProblem(svm.H, svm.c, A_ineq=A, b_ineq=svm.b)
+    return svm.base
 
 
 def svm_grad_x_constraint(svm: SvmModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -6,12 +6,18 @@ attack round, which scores with the package's derivative object and
 draws the package's random rows, so that only the round's own search is
 compared; the 1-D fixtures and the planted kinks are affine QP families,
 and the soft-margin SVM is the package's own victim on its synthetic
-data.
+data.  fresh_working_minimizer recomputes, on the package's factors,
+what qp.working_minimizer keeps from the solve.
+
+EXAMPLES scales the example counts of the hypothesis properties that
+guard the solver and the derivative: SEMIPOISON_TEST_EXAMPLES=10 runs
+them at 10x (default 1).  The package reads no such variable.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 
 import numpy as np
 
@@ -19,6 +25,8 @@ from semipoison import attack
 from semipoison.data import Dataset, normalize, synth_lane_change
 from semipoison.errors import EmptyDirectionSet, Stalled
 from semipoison.victims import SvmModel, VictimModel, _AffineQpFamily, svm_victim
+
+EXAMPLES = int(os.environ.get("SEMIPOISON_TEST_EXAMPLES", "1"))
 
 
 def enumerate_qp(H, c, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None, tol=1e-9):
@@ -179,6 +187,32 @@ def dense_kkt_gradient(H, rows, W, grad_y):
     K[nv:, :nv] = rows
     rhs = np.concatenate([np.asarray(grad_y, dtype=float), np.zeros(k)])
     return -(np.asarray(W, dtype=float).T @ np.linalg.solve(K, rhs))
+
+
+def fresh_working_minimizer(problem, factors, c, b):
+    """qp.working_minimizer's d with nothing kept: y moved from zero onto the rows, Z'HZ decomposed anew.
+
+    The same arithmetic in the same order as the package's reduced
+    solve before it kept its decomposition on the factors, so the two
+    agree bit for bit wherever the kept decomposition is the one this
+    computes.  None where the objective is unbounded on the rows.
+    """
+    H, y0 = problem.H, factors.onto(np.zeros_like(c), problem.A, b)
+    Z = factors.null_space
+    if Z.shape[1] == 0:
+        return y0
+    gr = Z.T @ (H @ y0 + c)
+    Hr = Z.T @ H @ Z
+    w, V = (Hr[0], np.ones((1, 1))) if Hr.shape[0] == 1 else np.linalg.eigh(0.5 * (Hr + Hr.T))
+    eps = 1e-11 * max(float(w.max(initial=0.0)), 1.0)
+    pos = w > eps
+    if (w < -eps).any():
+        return None
+    if np.count_nonzero(pos) < gr.size:
+        gz = gr - V[:, pos] @ (V[:, pos].T @ gr)
+        if np.abs(gz).max(initial=0.0) > 1e-9 * (1.0 + np.abs(gr).max(initial=0.0)):
+            return None
+    return y0 + Z @ (-V[:, pos] @ ((V[:, pos].T @ gr) / w[pos]))
 
 
 def axis_directions(slots, dim_data):

@@ -52,6 +52,7 @@ from semipoison.victims import (
 )
 
 from _oracles import (
+    EXAMPLES,
     axis_directions,
     bound_tracking_model,
     dense_feasible_mask,
@@ -550,7 +551,7 @@ def _attack_outcome(x_bar, model, cfg):
 LOG_SCALE = st.one_of(st.floats(-8.0, 8.0), st.floats(-12.0, 300.0))
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(derandomize=True, deadline=None, max_examples=60 * EXAMPLES)
 @example(  # |g|^2 once overflowed in steepest_direction: a RuntimeWarning, then a zero row
     seed=1, n=3, kind="gauss", log_c=171.0, log_eps=0.25, delta=1.0,
     boxed=False, pinned=0.0, step_mode="backtracking",
@@ -1099,7 +1100,7 @@ def random_round_state(kind, n, budget, boxed, faces, attained, seed):
     return model, x, value, solution, config, x_base, rng, selector
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(derandomize=True, deadline=None, max_examples=100 * EXAMPLES)
 @example(seed=0, kind="svm", n=4, budget="ball", boxed=True, faces=0.5, attained=True)
 @example(seed=1, kind="aux", n=2, budget="ball", boxed=True, faces=1.0, attained=False)
 @example(  # a point whose descending axis rows leave the ball: its infeasible rows must score inf

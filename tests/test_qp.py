@@ -29,7 +29,14 @@ from semipoison.victims import (
     svm_victim,
 )
 
-from _oracles import enumerate_qp, independent_subset_mgs, lstsq_multipliers, soft_margin_svm
+from _oracles import (
+    EXAMPLES,
+    enumerate_qp,
+    fresh_working_minimizer,
+    independent_subset_mgs,
+    lstsq_multipliers,
+    soft_margin_svm,
+)
 
 
 def random_feasible_qp(rng, n_var, n_ineq, n_eq=0, strictly_convex=True):
@@ -554,6 +561,130 @@ def test_bound_drop_frees_its_variable():
     assert factors.Q.shape == (4, 4)
 
 
+def test_with_rows_checks_the_rewritten_rows_and_the_shape_alone():
+    """A problem from with_rows keeps A as given, shares H, c and b, and checks A[rows] only.
+
+    Its A_ineq and A_eq are views of the new A.  A non-finite entry in
+    the rewritten rows raises construction's ValueError; outside them it
+    is not looked for.  A of another shape raises DimensionMismatch.
+    """
+    problem = QpProblem(np.eye(2), np.ones(2), [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [[1.0, 1.0]], [1.0])
+    A = problem.A.copy()
+    A[0, 0] = 3.0
+    moved = problem.with_rows(A, np.s_[:1])
+    assert moved.A is A and moved.A_ineq.base is A and moved.A_eq.base is A
+    assert moved.H is problem.H and moved.c is problem.c and moved.b is problem.b
+    assert (moved.n_ineq, moved.n_eq) == (2, 1) and problem.A[0, 0] == 1.0
+    A[1, 1] = np.nan
+    problem.with_rows(A, np.s_[:1])
+    with pytest.raises(ValueError, match="^A_ineq contains NaN or infinite entries$"):
+        problem.with_rows(A, np.s_[:2])
+    with pytest.raises(errors.DimensionMismatch, match="A must have shape"):
+        problem.with_rows(A[:2], np.s_[:1])
+
+
+def kept_decomposition_fixture():
+    """Six variables, factors on a bound (y_0) and a general row, rows 1 and 3 free to join.
+
+    Row 1 bounds y_1 and rows 2-4 are general.  With one bound and one
+    general row working, the null space has dimension 4, so the reduced
+    solve runs eigh; H's diagonal entries are distinct.
+    """
+    rng = np.random.default_rng(11)
+    A = np.vstack([_unit(0, -1.0, 6), _unit(1, 2.0, 6), rng.standard_normal((3, 6))])
+    problem = QpProblem(np.diag(np.arange(1.0, 7.0)), rng.standard_normal(6), A, rng.standard_normal(5))
+    factors = _independent_factors(problem.A, np.array([0, 2]), 0)
+    solution = qp.KktSolution(np.zeros(6), np.zeros(5), 0.0, problem=problem, factors=factors)
+    return problem, solution, rng.standard_normal(6), rng.standard_normal(5)
+
+
+def assert_fresh(solution, factors, c, b):
+    """working_minimizer on factors equals the computation that keeps nothing, bit for bit."""
+    got = qp.working_minimizer(solution, factors, c, b)
+    assert got.tobytes() == fresh_working_minimizer(solution.problem, factors, c, b).tobytes()
+
+
+def test_every_update_or_copy_of_the_factors_drops_the_kept_decomposition():
+    """Each way the factors change, and copy, leaves reduced at None; the next solve is fresh.
+
+    Every update starts from factors that keep the decomposition of
+    their own Z'HZ, so an update that kept it would read it on another
+    null space.  The factors copied from keep theirs.  The fresh solve
+    moves the zero point onto the rows; working_minimizer, given zero
+    offsets, does not, and agrees bit for bit (a bound with a positive
+    entry, row 1, included).
+    """
+    problem, solution, c, b = kept_decomposition_fixture()
+    A = problem.A
+    updates = {
+        "join a general row": lambda f: f.join(3, A[3], 1e-12) and f,
+        "join a bound": lambda f: f.join(1, A[1], 1e-12) and f,
+        "drop a general row": lambda f: f.drop(2, A) or f,
+        "drop a bound": lambda f: f.drop(0, A) or f,
+        "copy": lambda f: f.copy(),
+    }
+    for name, update in updates.items():
+        factors = solution.factors.copy()
+        assert factors.reduced is None
+        assert_fresh(solution, factors, c, b)
+        assert factors.reduced[0] is problem.H
+        kept = factors.reduced
+        changed = update(factors)
+        assert changed.reduced is None, name
+        assert_fresh(solution, changed, c, b)
+        assert_fresh(solution, changed, c, np.zeros(5))  # zero offsets: the zero point is not moved
+        if name == "copy":
+            assert factors.reduced is kept
+
+
+def test_working_start_truncation_drops_the_kept_decomposition(monkeypatch):
+    """The hot start's truncated factors keep no decomposition, even from a copy that kept one.
+
+    copy drops it already; here a copy that keeps it stands in, so that
+    the truncation is tested alone.  At the solution's own data no
+    general row changed and none joins, so the rows are the solution's.
+    """
+    data = normalize(synth_lane_change(8, seed=0))
+    svm = SvmModel(data.features, data.labels, C=10.0)
+    x = data.features.ravel()
+    solution = solve_qp(svm_assemble(svm, x), start=svm_feasible_start(svm, x, None))
+    assert solution.factors.reduced[0] is solution.problem.H
+    copy_dropping = qp.WorkingFactors.copy
+
+    def copy_keeping(self):
+        other = copy_dropping(self)
+        other.reduced = self.reduced
+        return other
+
+    monkeypatch.setattr(qp.WorkingFactors, "copy", copy_keeping)
+    start = qp.working_start(solution, svm_assemble(svm, x))
+    assert np.array_equal(start.factors.rows, solution.factors.rows)
+    assert start.factors.reduced is None
+    assert solution.factors.reduced[0] is solution.problem.H
+
+
+def test_a_decomposition_kept_under_one_H_is_never_read_under_another(monkeypatch):
+    """The same factors under another H, of other values or of equal ones, are decomposed again.
+
+    Under the H it was kept with, the decomposition is read: the second
+    solve on the same factors runs no eigh.
+    """
+    problem, solution, c, b = kept_decomposition_fixture()
+    factors, eigh, eighs = solution.factors, np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    qp.working_minimizer(solution, factors, c, b)
+    qp.working_minimizer(solution, factors, -c, b)
+    assert eighs == [(4, 4)]
+    monkeypatch.undo()  # fresh_working_minimizer runs eigh too
+    for H in (2.0 * problem.H, problem.H.copy()):
+        other = QpProblem(H, problem.c, problem.A, problem.b)
+        at_other = qp.KktSolution(solution.y, solution.lam, 0.0, problem=other, factors=factors)
+        assert_fresh(at_other, factors, c, b)
+        assert factors.reduced[0] is other.H
+    assert_fresh(solution, factors, c, b)
+    assert factors.reduced[0] is problem.H
+
+
 def test_every_variable_fixed_leaves_an_empty_free_block():
     """At a vertex of the box every variable is fixed, and the free block is empty.
 
@@ -805,7 +936,7 @@ def test_start_rows_are_in_decreasing_index():
 ROW_KINDS = ["fresh", "dup", "scaled", "zero"]
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(derandomize=True, deadline=None, max_examples=300 * EXAMPLES)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_var=st.integers(1, 4),

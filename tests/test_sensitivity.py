@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from semipoison import errors, qp, sensitivity, victims
+from semipoison import cli, errors, qp, sensitivity, victims
 from semipoison.attack import (
     AttackConfig,
     _ObjectiveDerivative,
@@ -33,7 +33,13 @@ from semipoison.victims import (
     toy_bilevel_model,
 )
 
-from _oracles import bound_tracking_model, enumerate_qp, kink_projection_model, planted_kink_model
+from _oracles import (
+    bound_tracking_model,
+    enumerate_qp,
+    fresh_working_minimizer,
+    kink_projection_model,
+    planted_kink_model,
+)
 from test_acceptance import svm_scenario
 
 
@@ -478,6 +484,67 @@ def test_kink_pieces_match_the_auxiliary_qp_along_the_seed4_attack(monkeypatch):
     run_attack(data.features.ravel(), model, config)
     assert checked == [1] * 176
     assert calls == []
+
+
+def test_kept_reduced_solve_is_the_fresh_one_along_the_reference_attacks(monkeypatch, tmp_path):
+    """Each adjoint and kink piece of the 10 acceptance attacks and the box attack, bit for bit.
+
+    Every qp.working_minimizer call, the gradient's adjoint on the
+    training solution's own factors and each semi-derivative piece,
+    returns fresh_working_minimizer's d on the same factors, which
+    decomposes Z'HZ anew and moves the zero point onto the rows; each
+    PointDerivative.gradient equals the gradient built from that d.
+    Every adjoint reads the decomposition the training solve kept (none
+    where the working rows fix every variable), and each point's piece 0
+    is decomposed once (here always a copy, the weakly active row being
+    a working row) and then read.  The box
+    attack is `attack --synth-n 20 --seed 1 --bounds=-3,3,5,60
+    --tol-improve 1e-14`, run through the CLI.
+    """
+    calls, auxes = Counter(), []
+    real_minimizer, real_gradient = qp.working_minimizer, sensitivity.PointDerivative.gradient
+    real_semi = sensitivity.semi_derivative
+
+    def checking_minimizer(solution, factors, c, b):
+        fresh = fresh_working_minimizer(solution.problem, factors, c, b)
+        kept = factors.reduced is not None and factors.reduced[0] is solution.problem.H
+        d = real_minimizer(solution, factors, c, b)
+        assert (d is None and fresh is None) or d.tobytes() == fresh.tobytes()
+        role = f"piece {auxes[-1].pieces.index(factors)}" if b.any() else "adjoint"
+        calls[role, factors is solution.factors, kept, factors.null_space.shape[1]] += 1
+        return d
+
+    def checking_gradient(self, grad_y):
+        g = real_gradient(self, grad_y)
+        if g is not None:
+            aux, factors = self.aux, self.aux.solution.factors
+            u = fresh_working_minimizer(aux.solution.problem, factors, -grad_y, np.zeros(aux.rows.shape[0]))
+            nu = np.zeros(aux.rows.shape[0])
+            nu[factors.rows] = factors.multipliers(grad_y - aux.H_aux @ u, aux.rows)
+            assert g.tobytes() == (-(aux.cross.T @ u + aux.jac.T @ nu)).tobytes()
+            calls["gradient"] += 1
+        return g
+
+    def recording_semi(aux, dx):
+        auxes.append(aux)
+        return real_semi(aux, dx)
+
+    monkeypatch.setattr(qp, "working_minimizer", checking_minimizer)
+    monkeypatch.setattr(sensitivity.PointDerivative, "gradient", checking_gradient)
+    monkeypatch.setattr(sensitivity, "semi_derivative", recording_semi)
+    for seed in range(10):
+        data, model, config = svm_scenario(seed)
+        run_attack(data.features.ravel(), model, config)
+    argv = ["attack", "--synth-n", "20", "--seed", "1", "--bounds=-3,3,5,60", "--tol-improve", "1e-14"]
+    assert cli.main([*argv, "--out", str(tmp_path / "box")]) == 0
+    gradients = calls.pop("gradient")
+    assert gradients == sum(v for k, v in calls.items() if k[0] == "adjoint") > 900
+    for (role, own, kept, dim), count in calls.items():
+        if role == "adjoint":  # on the solve's own decomposition, where the null space has one
+            assert own and kept == (dim > 0)
+        elif dim and not kept:  # a piece decomposes its factors once per point
+            assert role == "piece 0" and not own and count == len({id(aux) for aux in auxes})
+    assert sum(v for k, v in calls.items() if k[0] == "piece 0") == len(auxes) == 176
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from semipoison import errors, victims
+from semipoison import qp as qp_module
 from semipoison.qp import TOL_FEAS, QpProblem, classify_active, solve_qp, working_start
 from semipoison.victims import (
     SvmModel,
@@ -25,7 +26,12 @@ from semipoison.victims import (
     toy_lower_solution,
 )
 
-from _oracles import bound_tracking_model, kink_projection_model, validate_derivative_callbacks
+from _oracles import (
+    EXAMPLES,
+    bound_tracking_model,
+    kink_projection_model,
+    validate_derivative_callbacks,
+)
 
 
 def separable_svm(n=10, seed=42, C=10.0):
@@ -81,6 +87,83 @@ def test_svm_assemble_matches_the_identity_block_construction_bit_for_bit(n):
     prob = svm_assemble(svm, x)
     for got, want in ((prob.H, H), (prob.c, c), (prob.A, A), (prob.b, b)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# data entries: signed zeros, entries near 1e300 and the largest double, any finite float, rarely NaN or inf
+DATA_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1.7976931348623157e308, 5e-324]),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def svm_data_moves(draw):
+    """(labels, first, x): n <= 6 labels, the data vector of a model's first assembly and a later one.
+
+    x holds a repeated point half of the time, and a NaN or an inf in
+    one entry one time in ten.
+    """
+    n = draw(st.integers(1, 6))
+    labels = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    first, x = (np.array(draw(st.lists(DATA_ENTRY, min_size=2 * n, max_size=2 * n))) for _ in "ab")
+    if n > 1 and draw(st.booleans()):
+        x[2:4] = x[:2]
+    if draw(st.integers(0, 9)) == 0:
+        x[draw(st.integers(0, 2 * n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return labels, first, x
+
+
+@settings(derandomize=True, deadline=None, max_examples=200 * EXAMPLES)
+@given(case=svm_data_moves())
+def test_derived_svm_problem_equals_a_freshly_constructed_one(case):
+    """A later assembly, from the model's base, is the problem a first assembly constructs at x.
+
+    A, A_ineq and A_eq (their -0.0 zeros included), H, c, b and the row
+    counts agree bit for bit, and A_ineq and A_eq are views of A.  A
+    non-finite entry raises construction's ValueError, text and all,
+    and leaves the base alone.
+    """
+    labels, first, x = case
+    model = SvmModel(np.zeros((labels.size, 2)), labels)
+    base = svm_assemble(model, first)
+    kept = base.A.copy()
+    fresh_model = SvmModel(np.zeros((labels.size, 2)), labels)
+    if not np.isfinite(x).all():
+        with pytest.raises(ValueError) as derived_error:
+            svm_assemble(model, x)
+        with pytest.raises(ValueError) as fresh_error:
+            svm_assemble(fresh_model, x)
+        assert str(derived_error.value) == str(fresh_error.value)
+        assert model.base is base and fresh_model.base is None
+        return
+    derived, fresh = svm_assemble(model, x), svm_assemble(fresh_model, x)
+    assert model.base is base and base.A.tobytes() == kept.tobytes()
+    for name in ("A", "A_ineq", "A_eq", "H", "c", "b", "b_ineq", "b_eq"):
+        got, want = getattr(derived, name), getattr(fresh, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert (derived.n_var, derived.n_ineq, derived.n_eq) == (fresh.n_var, fresh.n_ineq, fresh.n_eq)
+    assert derived.A_ineq.base is derived.A and derived.A_eq.base is derived.A
+
+
+def test_a_model_checks_its_training_problem_in_full_once(monkeypatch):
+    """SvmModel builds no problem; its first assembly constructs and checks one, later ones none.
+
+    Each later assembly checks its rewritten margin rows alone, through
+    the row check construction uses (_as_matrix).
+    """
+    constructed, row_checks = [], []
+    post_init, as_matrix = QpProblem.__post_init__, qp_module._as_matrix
+    monkeypatch.setattr(QpProblem, "__post_init__", lambda self: constructed.append(self) or post_init(self))
+    monkeypatch.setattr(
+        qp_module, "_as_matrix", lambda a, n, name: row_checks.append(np.shape(a)) or as_matrix(a, n, name)
+    )
+    svm = separable_svm(n=6)
+    assert constructed == [] and svm.base is None
+    x = svm.features.ravel()
+    problems = [svm_assemble(svm, x + 0.01 * k) for k in range(5)]
+    assert constructed == [svm.base] == problems[:1]
+    assert row_checks == [(12, 9), ()] + 4 * [(6, 9)]  # A_ineq and no A_eq once, then the margin rows
 
 
 def test_svm_separable_solution_classifies_correctly():
@@ -273,7 +356,7 @@ def test_generic_fixture_deterministic():
     assert_allclose(pa.A_ineq, pb.A_ineq)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(derandomize=True, deadline=None, max_examples=200 * EXAMPLES)
 @given(
     seed=st.integers(0, 2**32 - 1),
     x=st.lists(st.floats(-0.2, 0.2), min_size=3, max_size=3),
@@ -399,7 +482,7 @@ def _relative_stationarity(problem, sol):
 LOG_SCALE = st.one_of(st.floats(-8.0, 8.0), st.floats(-8.0, 300.0))
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(derandomize=True, deadline=None, max_examples=300 * EXAMPLES)
 @example(seed=2, n=2, kind="gauss", log_c=-5.0, log_eps=-5.0)  # phase 1 stops short
 @example(seed=3, n=3, kind="collinear", log_c=196.75, log_eps=1.4375)  # see the test below
 @given(
