@@ -14,11 +14,11 @@ and is not factored; the other working rows are factored on the free
 variables only, so a working set of n - 3 bounds and a few general
 rows keeps n x 3 and 3 x 3 factors, not n x n ones.  A general row
 joins by one Householder reflection and leaves by one small QR; a
-bound that joins or leaves removes or adds one free variable.  Start
-rows that open with bounds are fixed in closed form, and the other
-start rows then join one by one, as rows join in the loop.  A hot start
-(working_start) skips that: it begins on a nearby solution's working
-rows, with a copy of their factors.
+bound that joins or leaves removes or adds one free variable.  Every
+solve starts from a HotStart, a point and its working rows' factors,
+which _hot_start makes from a copy of a nearby solution's (working_start),
+the rows active at a point (point_start, phase 1) or every row
+(equality_start): leading bounds are fixed in closed form, the rest join.
 
 Constraints are indexed inequalities first: constraint i is row i of
 the stacked matrix A = [A_ineq; A_eq], with offset b[i].  Multipliers
@@ -51,7 +51,7 @@ TOL_COMPLEMENTARITY = 1e-8
 
 _SYM_TOL = 1e-10
 _DROP_TOL = 1e-9
-_START_TOL = 1e-9  # an inequality row within this of active at the start is a start row
+_START_TOL = 1e-9  # a row within this of active at a hot start's point joins its working rows
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -559,12 +559,6 @@ def _independent_factors(A: np.ndarray, rows: np.ndarray, n_base: int) -> Workin
     return factors
 
 
-def _start_rows(problem: QpProblem, y: np.ndarray) -> np.ndarray:
-    """The equality rows, then the inequality rows near active at y (_START_TOL), highest first."""
-    near = np.flatnonzero(problem.A_ineq @ y + problem.b_ineq >= -_START_TOL)
-    return np.concatenate([np.arange(problem.n_ineq, problem.n_con), near[::-1]])
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step or multiplier raises instead
 def _active_set_loop(problem: QpProblem, y: np.ndarray, factors: WorkingFactors, max_iter=None):
     """Primal active-set iteration from y on the working rows factors holds, updated in place.
@@ -630,19 +624,17 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, factors: WorkingFactors,
     raise MaxIterations(f"active-set method did not converge in {max_iter} iterations")
 
 
-def _phase1(problem: QpProblem):
-    """Find a feasible point, or raise Infeasible.
+def _phase1(problem: QpProblem) -> HotStart:
+    """A start at a feasible point, or raise Infeasible.
 
     Equalities hold at the min-norm point y0 of their independent rows.
-    If y0 violates inequalities, its projection onto the equality rows
-    and the violated ones, in the loop's start order, is the start when
-    it meets every row within TOL_FEAS; else an auxiliary QP, min 0.5 t^2
-    subject to A_ineq y + b_ineq <= t, solved by the same loop from y0,
-    drives the violation to 0.  That loop starts on the equality rows
-    alone, factored in the auxiliary QP's variables.  Returns (y,
-    factored): the rows factored last and their factors, which solve_qp
-    hands to the loop when they are the start rows at y, or None when
-    the auxiliary QP ran.
+    _hot_start moves y0 onto them and the inequality rows it violates
+    beyond TOL_FEAS, in start order, on the factors made for that move;
+    that is the start when it meets every row within TOL_FEAS.  Else an
+    auxiliary QP, min 0.5 t^2 subject to A_ineq y + b_ineq <= t, solved
+    by the same loop from y0 on the equality rows alone, drives the
+    violation to 0, and its point is the start (point_start).  A
+    violation left above 1e-9, or one point_start refuses, is Infeasible.
     """
     n, r = problem.n_var, problem.n_ineq
     eq_rows, y0 = np.arange(r, problem.n_con), np.zeros(n)
@@ -655,38 +647,29 @@ def _phase1(problem: QpProblem):
     else:
         eq = WorkingFactors(n)
     g = problem.A_ineq @ y0 + problem.b_ineq
-    viol = float(g.max(initial=0.0))
-    if viol <= TOL_FEAS:
-        return y0, (eq_rows, eq)
-    rows = np.concatenate([eq_rows, np.flatnonzero(g > TOL_FEAS)[::-1]])
-    factors = _independent_factors(problem.A, rows, problem.n_eq)
-    y = factors.onto(y0, problem.A, problem.b)
-    if _usable_start(problem, y) is not None:
-        return y, (rows, factors)
+    violated = np.flatnonzero(g > TOL_FEAS)[::-1]
+    rows = np.concatenate([eq_rows, violated])
+    factors = _independent_factors(problem.A, rows, problem.n_eq) if violated.size else eq
+    start = _hot_start(problem, np.zeros(n), factors)  # the move from 0 ends where y0's would
+    if start is not None and _feasible(problem, problem.constraint_values(start.y)):
+        return start
     H1 = np.diag(np.append(np.zeros(n), 1.0))
     A1 = np.hstack([problem.A, np.where(np.arange(problem.n_con) < r, -1.0, 0.0)[:, None]])
     aux = QpProblem(H1, np.zeros(n + 1), A1[:r], problem.b_ineq, A1[r:], problem.b_eq)
     del A1  # with equality rows aux.A is a stacked copy: freeing A1 lowers the loop's peak memory
     # t clears every violation, so the loop starts on the equality rows alone
-    start = np.concatenate([y0, [viol * (1.0 + 1e-3) + 1e-6]])
-    y_aux = _active_set_loop(aux, start, _independent_factors(aux.A, eq_rows, problem.n_eq))[0]
-    if y_aux[n] > 1e-9:
+    y_t = np.append(y0, g.max(initial=0.0) * (1.0 + 1e-3) + 1e-6)
+    y_aux = _active_set_loop(aux, y_t, _independent_factors(aux.A, eq_rows, problem.n_eq))[0]
+    start = point_start(problem, y_aux[:n]) if y_aux[n] <= 1e-9 else None
+    if start is None:
         raise Infeasible(f"no feasible point (minimal constraint violation {y_aux[n]:.3e})")
-    return y_aux[:n], None
+    return start
 
 
-def _usable_start(problem: QpProblem, start) -> np.ndarray | None:
-    """start as a float vector when it is finite and feasible, else None."""
-    y = np.asarray(start, dtype=float)
-    if y.shape != (problem.n_var,):
-        raise DimensionMismatch(f"start must have shape ({problem.n_var},), got {y.shape}")
-    if not np.isfinite(y).all():
-        return None
-    g = problem.constraint_values(y)
+def _feasible(problem: QpProblem, g: np.ndarray) -> bool:
+    """Every row of problem holds within TOL_FEAS, g being their values at a finite point."""
     r = problem.n_ineq
-    if g[:r].max(initial=0.0) > TOL_FEAS or np.abs(g[r:]).max(initial=0.0) > TOL_FEAS:
-        return None
-    return y
+    return g[:r].max(initial=0.0) <= TOL_FEAS and np.abs(g[r:]).max(initial=0.0) <= TOL_FEAS
 
 
 def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> KktSolution:
@@ -697,27 +680,13 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     problem : QpProblem
     max_iter : int, optional
         Active-set iteration cap; defaults to max(200, 30 * (n_con + 1)).
-    start : HotStart or (n_var,) array, optional
-        A hot start (see working_start and equality_start) for this
-        problem: the loop starts on its working rows and their factors,
-        which it updates in place, and runs no phase 1 and no
-        factorization.  Else a warm point, typically the solution of a
-        nearby problem.  It replaces phase 1 when it is finite and meets
-        every constraint within TOL_FEAS; any other start is ignored,
-        and the result is the cold one bit for bit.  Phase 1 (see
-        _phase1) takes the min-norm point of the equality rows, or else
-        its projection onto them and the violated rows when that is
-        feasible, or else solves an auxiliary QP.  From a point, the
-        working set starts as the independent constraints active there,
-        so a start close to the optimum needs few iterations.  These
-        start rows are the equality rows, then the inequality rows
-        within 1e-9 of active (g_i >= -1e-9) in decreasing index:
-        Bland's rule drops the lowest index, and a row dropped near the
-        tail of the factors leaves few rows after it to
-        re-triangularize.  Of two dependent start rows the later one in
-        this order is dropped.  The bound rows that lead this order fix
-        their variables in closed form, and the others join one by one
-        (see _independent_factors).
+    start : HotStart, optional
+        A start for this problem (working_start, point_start or
+        equality_start): the loop starts on its working rows and their
+        factors, which it updates in place, with no phase 1 and no
+        factorization.  None runs phase 1 (see _phase1), which builds
+        its start the same way.  A start changes the cost of a solve,
+        not its result beyond round-off.
 
     Returns
     -------
@@ -730,26 +699,18 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     Raises
     ------
     Infeasible, Unbounded, MaxIterations
-    DimensionMismatch
-        When a start point does not have shape (n_var,).
     InputError
-        When a hot start was built for another problem.
+        When start is not a HotStart (point_start makes one from a point)
+        or was built for another problem.
     """
-    phase1 = False
-    if isinstance(start, HotStart):
-        if start.problem is not problem:
-            raise InputError("hot start was built for another problem")
-        y0, factors = start.y, start.factors
-    else:
-        y0 = None if start is None else _usable_start(problem, start)
-        phase1, factored = y0 is None, None
-        if phase1:
-            y0, factored = _phase1(problem)
-        rows = _start_rows(problem, y0)
-        if factored is None or not np.array_equal(rows, factored[0]):
-            factored = rows, _independent_factors(problem.A, rows, problem.n_eq)
-        factors = factored[1]
-    y, lam, iterations, factors = _active_set_loop(problem, y0, factors, max_iter)
+    phase1 = start is None
+    if phase1:
+        start = _phase1(problem)
+    elif not isinstance(start, HotStart):
+        raise InputError("start must be a HotStart or None: qp.point_start makes one from a point")
+    elif start.problem is not problem:
+        raise InputError("hot start was built for another problem")
+    y, lam, iterations, factors = _active_set_loop(problem, start.y, start.factors, max_iter)
     res = kkt_residuals(problem, y, lam)
     c_inf = float(np.abs(problem.c).max(initial=0.0))
     if not res.within_default_tolerances(c_inf, float(np.abs(lam).max(initial=0.0))):
@@ -808,10 +769,9 @@ def working_minimizer(
 class HotStart:
     """A start for solve_qp on problem: a point y and the factors of its working rows.
 
-    Every row that is not working holds at y.  The working rows hold up
-    to round-off, except those that joined near active, which the loop's
-    first working-set minimizer meets.  solve_qp updates factors in
-    place, so a HotStart starts one solve.
+    The working rows hold at y up to round-off, except those that joined
+    near active, which the loop's first working-set minimizer meets.
+    solve_qp updates factors in place, so a HotStart starts one solve.
     """
 
     problem: QpProblem
@@ -823,16 +783,16 @@ class HotStart:
 def _hot_start(problem: QpProblem, y: np.ndarray, factors: WorkingFactors) -> HotStart | None:
     """y moved onto factors' rows (WorkingFactors.onto), then every other row near active joins.
 
-    As on the cold path, the rows within _START_TOL of active join, the
-    equality rows first and the inequality rows in decreasing index.  A
-    row violated at the moved y (g > 0, or g != 0 for an equality) that
-    cannot join, say because the working rows already fix y, would stay
-    violated through the solve: a wrong point within TOL_FEAS, a solver
-    error past it.  Then, or where y is not finite, there is no hot
-    start (None).
+    The rows within _START_TOL of active join, the equality rows first
+    and the inequality rows in decreasing index.  A row that cannot join,
+    say because the working rows already fix y, and that the moved y
+    violates beyond the round-off of its own terms, g_i > 1e-12 (|a_i|'|y|
+    + |b_i|) (|g_i| for an equality), would stay violated through the
+    solve: a wrong point within TOL_FEAS, a solver error past it.  Then,
+    or where y is not finite, there is no hot start (None).
     """
-    r, A = problem.n_ineq, problem.A
-    y = factors.onto(y, A, problem.b)
+    r, A, b = problem.n_ineq, problem.A, problem.b
+    y = factors.onto(y, A, b)
     if not np.isfinite(y).all():
         return None
     g = problem.constraint_values(y)
@@ -843,9 +803,37 @@ def _hot_start(problem: QpProblem, y: np.ndarray, factors: WorkingFactors) -> Ho
     if not near.size:
         return HotStart(problem, y, factors)
     for i in np.concatenate([near[near >= r], near[near < r][::-1]]):
-        if not factors.join(i, A[i], TOL_INDEP * math.hypot(*A[i].tolist())) and g[i] > 0.0:
+        if not factors.join(i, A[i], TOL_INDEP * math.hypot(*A[i].tolist())) and (
+            g[i] > 1e-12 * (np.abs(A[i]) @ np.abs(y) + abs(b[i]))
+        ):
             return None
     return HotStart(problem, y, factors)
+
+
+def point_start(problem: QpProblem, y) -> HotStart | None:
+    """A hot start at y, typically a nearby problem's solution, or None.
+
+    The start rows are the equality rows, then the inequality rows
+    active at y to round-off, g_i >= -1e-12 (1 + |b_i|), in decreasing
+    index: Bland's rule drops the lowest index, and a row dropped near
+    the tail of the factors leaves few rows after it to
+    re-triangularize.  Their independent rows are factored (the later of
+    two dependent ones is left out; see _independent_factors), and
+    _hot_start moves y onto them.  None where y is not finite, violates
+    a row beyond TOL_FEAS or _hot_start refuses it.  Raises
+    DimensionMismatch when y does not have shape (n_var,).
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape != (problem.n_var,):
+        raise DimensionMismatch(f"start must have shape ({problem.n_var},), got {y.shape}")
+    if not np.isfinite(y).all():
+        return None
+    g, r = problem.constraint_values(y), problem.n_ineq
+    if not _feasible(problem, g):
+        return None
+    active = np.flatnonzero(g[:r] >= -1e-12 * (1.0 + np.abs(problem.b_ineq)))
+    rows = np.concatenate([np.arange(r, problem.n_con), active[::-1]])
+    return _hot_start(problem, y, _independent_factors(problem.A, rows, problem.n_eq))
 
 
 def working_start(solution: KktSolution, problem: QpProblem) -> HotStart | None:
@@ -855,14 +843,11 @@ def working_start(solution: KktSolution, problem: QpProblem) -> HotStart | None:
     their factors; the rest join again at problem's data, as rows join
     in the loop (one refused then is one of the other rows below).  A
     bound whose entry changed keeps its place while it stays the row's
-    one nonzero.  solution.y then moves by one least-norm step
-    (WorkingFactors.onto) onto these rows, which it meets exactly up to
-    round-off, and every other row near active joins (see _hot_start).
-    So where the working set stays optimal the solve takes one
-    iteration.  None, for a cold start instead, when solution has no
-    factors (it was not built by solve_qp), problem's rows differ in
-    shape, a bound row gains a second nonzero or loses its one, or a
-    violated row cannot join.
+    one nonzero.  _hot_start moves solution.y onto these rows, so where
+    the working set stays optimal the solve takes one iteration.  None,
+    for another start instead, when solution has no factors (it was not
+    built by solve_qp), problem's rows differ in shape, a bound row
+    gains a second nonzero or loses its one, or _hot_start refuses.
     """
     old = solution.problem
     if old is None or solution.factors is None or old.A.shape != problem.A.shape:
@@ -890,8 +875,7 @@ def equality_start(problem: QpProblem) -> HotStart | None:
     The rows are factored in start order (the equality rows, then the
     inequalities in decreasing index).  Where they are independent the
     point meets them all, so it is feasible, and the loop starts with
-    every row working.  None where a dependent row is violated there
-    (see _hot_start).
+    every row working.  None where _hot_start refuses the point.
     """
     r = problem.n_ineq
     rows = np.concatenate([np.arange(r, problem.n_con), np.arange(r)[::-1]])

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadLabel, DimensionMismatch, OutOfDomain
-from .qp import KktSolution, QpProblem, solve_qp, working_start
+from .qp import KktSolution, QpProblem, point_start, solve_qp, working_start
 
 
 @dataclass(eq=False)
@@ -42,7 +42,8 @@ class VictimModel:
         A point that is feasible for the training problem at data x:
         built from y_prev, the solution at nearby data, for a warm solve
         that has no hot start (see solve_victim), or from the data alone
-        when y_prev is None, for cold starts.
+        when y_prev is None, for cold starts.  solve_victim starts from
+        it through qp.point_start, on the rows active there.
     """
 
     dim_data: int
@@ -59,20 +60,21 @@ def solve_victim(
     """Train the victim at data x (thin wrapper over solve_qp).
 
     warm is the solution at nearby data, or None for a cold solve.
-    solve_qp starts hot from qp.working_start(warm, problem): on warm's
+    solve_qp starts from qp.working_start(warm, problem): on warm's
     working rows at x, with a copy of warm's factors, so a re-solve whose
-    working set stays optimal takes one iteration.  Where there is no
-    hot start (a cold solve, or see working_start), it starts from
-    model.feasible_start(x, warm.y), with None in place of warm.y on a
-    cold solve, or from phase 1 for a model without that hook.  A start
-    point that is not feasible at x falls back to phase 1, so the start
-    changes the cost of the solve, not its result beyond round-off.
+    working set stays optimal takes one iteration.  Where that gives
+    None (a cold solve, or see working_start), it starts from
+    qp.point_start at model.feasible_start(x, warm.y), with None in
+    place of warm.y on a cold solve, and where that gives None too, or
+    the model has no such hook, from phase 1.  Every start is a
+    qp.HotStart, so the start changes the cost of the solve, not its
+    result beyond round-off.
     """
     x = np.asarray(x, dtype=float)
     problem = model.assemble(x)
     start = None if warm is None else working_start(warm, problem)
     if start is None and model.feasible_start is not None:
-        start = model.feasible_start(x, None if warm is None else warm.y)
+        start = point_start(problem, model.feasible_start(x, None if warm is None else warm.y))
     return solve_qp(problem, start=start)
 
 

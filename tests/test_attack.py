@@ -15,6 +15,7 @@ from numpy.testing import assert_array_equal
 import semipoison.attack as attack_module
 import semipoison.cli as cli_module
 import semipoison.sensitivity as sensitivity_module
+import semipoison.victims as victims_module
 from semipoison.attack import (
     AttackConfig,
     _attack_round,
@@ -854,6 +855,38 @@ def test_acceptance_attacks_re_solve_in_one_iteration(monkeypatch):
         run_attack(data.features.ravel(), model, config)
     assert len(warm_iterations) == 952 and warm_iterations.count(1) >= 850
     assert aux_phase1 == []
+
+
+def test_victim_solves_end_feasible_without_phase1(monkeypatch):
+    """No victim solve leaves an inequality violated beyond round-off, and none runs phase 1.
+
+    Over the 10 acceptance attacks and the soft-margin n=40 seed-0 attack
+    (labels 0, 1 and 25 flipped), which stalls after 159 steps: 962 and
+    1,000 solves.  Beyond round-off is g_i > 1e-12 (|a_i|'|y| + |b_i|).
+    When a point start could drop a violated start row as dependent, 430
+    of the latter's then 1,480 solves ended with a margin row violated by
+    up to 1.3e-10.
+    """
+    solves, violated, phase1 = [], [], []
+    inner = victims_module.solve_qp
+
+    def checked(problem, start=None):
+        sol = inner(problem, start=start)
+        g = problem.A_ineq @ sol.y + problem.b_ineq
+        noise = 1e-12 * (np.abs(problem.A_ineq) @ np.abs(sol.y) + np.abs(problem.b_ineq))
+        solves.append(sol)
+        violated.append(bool((g > noise).any()))
+        phase1.append(sol.phase1)
+        return sol
+
+    monkeypatch.setattr(victims_module, "solve_qp", checked)
+    for seed in SVM_SEEDS:
+        data, model, config = svm_scenario(seed)
+        run_attack(data.features.ravel(), model, config)
+    model, x = soft_margin_svm(40, 0, [0, 1, 25])
+    trace = run_attack(x, model, svm_config(model, max_iters=200))
+    assert trace.reason == "stalled" and len(trace.records) == 159
+    assert len(solves) == 962 + 1000 and not any(violated) and not any(phase1)
 
 
 def steepest_is_feasible(ev, x, p, config, x_base):

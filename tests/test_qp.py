@@ -18,6 +18,7 @@ from semipoison.qp import (
     _independent_factors,
     classify_active,
     kkt_residuals,
+    point_start,
     solve_qp,
 )
 from semipoison.victims import (
@@ -37,6 +38,11 @@ from _oracles import (
     lstsq_multipliers,
     soft_margin_svm,
 )
+
+
+def solve_from(prob, y):
+    """solve_qp started at the point y through point_start; the cold solve when y is None."""
+    return solve_qp(prob, start=None if y is None else point_start(prob, y))
 
 
 def random_feasible_qp(rng, n_var, n_ineq, n_eq=0, strictly_convex=True):
@@ -79,7 +85,7 @@ def test_consistent_redundant_equalities():
     assert sol.lam[1] == 0.0
     assert_allclose(sol.lam[0], -0.5, atol=1e-12)
     # the same with a warm start, which skips phase 1
-    warm = solve_qp(prob, start=sol.y)
+    warm = solve_from(prob, sol.y)
     assert warm.lam[1] == 0.0
     assert kkt_residuals(prob, warm.y, warm.lam).within_default_tolerances(0.0, 0.5)
 
@@ -647,7 +653,7 @@ def test_working_start_truncation_drops_the_kept_decomposition(monkeypatch):
     data = normalize(synth_lane_change(8, seed=0))
     svm = SvmModel(data.features, data.labels, C=10.0)
     x = data.features.ravel()
-    solution = solve_qp(svm_assemble(svm, x), start=svm_feasible_start(svm, x, None))
+    solution = solve_from(svm_assemble(svm, x), svm_feasible_start(svm, x, None))
     assert solution.factors.reduced[0] is solution.problem.H
     copy_dropping = qp.WorkingFactors.copy
 
@@ -698,7 +704,7 @@ def test_every_variable_fixed_leaves_an_empty_free_block():
         b_ineq=-np.ones(6),
     )
     for start in (None, np.zeros(3)):
-        sol = solve_qp(prob, start=start)
+        sol = solve_from(prob, start)
         factors = sol.factors
         check_factors(factors, prob.A)
         assert factors.Q.shape == factors.null_space.shape == (3, 0)
@@ -785,7 +791,7 @@ def test_negative_curvature_gives_a_ray_to_the_box():
         mp.setattr(qp, "_working_subproblem", spied)
         for start in (None, np.zeros(2), np.array([0.5, 0.0])):
             curved_rays.clear()
-            sol = solve_qp(prob, start=start)
+            sol = solve_from(prob, start)
             assert any(curved_rays)
             assert_allclose(sol.y, [-0.1, 1.0], rtol=0.0, atol=1e-12)
             assert_allclose(sol.value, -0.505, rtol=1e-12)
@@ -793,7 +799,7 @@ def test_negative_curvature_gives_a_ray_to_the_box():
 
 def test_solution_carries_its_problem():
     prob = QpProblem([[1.0]], [0.0], A_ineq=[[-1.0]], b_ineq=[1.0])
-    for sol in (solve_qp(prob), solve_qp(prob, start=np.array([2.0]))):
+    for sol in (solve_qp(prob), solve_from(prob, np.array([2.0]))):
         assert sol.problem is prob
         assert list(sol.factors.rows) == [0]
         check_factors(sol.factors, sol.problem.A)
@@ -802,7 +808,7 @@ def test_solution_carries_its_problem():
     for _ in range(40):
         prob, y_int = random_feasible_qp_and_point(rng, 5, 8, int(rng.integers(0, 3)))
         cold = solve_qp(prob)
-        for sol in (cold, solve_qp(prob, start=y_int)):
+        for sol in (cold, solve_from(prob, y_int)):
             assert sol.problem is prob
             check_factors(sol.factors, sol.problem.A)
             sizes.add(len(sol.factors.rows))
@@ -832,7 +838,7 @@ def test_warm_starts_on_criterion_8_problems():
         cold = solve_qp(prob)
         assert cold.phase1 and cold.iterations >= 1
         for start in (y_int, cold.y):
-            warm = solve_qp(prob, start=start)
+            warm = solve_from(prob, start)
             assert not warm.phase1
             assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
             warm_used += 1
@@ -843,7 +849,7 @@ def test_warm_starts_on_criterion_8_problems():
             starts.append(y_int + (1.0 - (a @ y_int + prob.b[0])) * a / (a @ a))
             assert prob.constraint_values(starts[-1])[0] > 0.5
         for start in starts:
-            fallback = solve_qp(prob, start=start)
+            fallback = solve_from(prob, start)
             assert fallback.phase1
             assert _same_bytes(fallback, cold)
             fallbacks += 1
@@ -853,12 +859,20 @@ def test_warm_starts_on_criterion_8_problems():
 def test_warm_start_shape_is_checked():
     prob = QpProblem(np.eye(2), np.zeros(2))
     with pytest.raises(errors.DimensionMismatch):
-        solve_qp(prob, start=np.zeros(3))
+        point_start(prob, np.zeros(3))
+
+
+def test_a_point_is_no_start():
+    """solve_qp starts from a HotStart or phase 1; a point goes through point_start first."""
+    prob = QpProblem(np.eye(2), np.zeros(2))
+    with pytest.raises(errors.InputError, match="point_start"):
+        solve_qp(prob, start=np.zeros(2))
+    assert not solve_qp(prob, start=point_start(prob, np.zeros(2))).phase1
 
 
 def test_warm_start_from_optimum_needs_one_iteration():
     prob = QpProblem([[1.0]], [0.0], A_ineq=[[-1.0]], b_ineq=[1.0])
-    sol = solve_qp(prob, start=np.array([1.0]))
+    sol = solve_from(prob, np.array([1.0]))
     assert not sol.phase1 and sol.iterations == 1
     assert_allclose(sol.lam, [1.0], atol=1e-10)
 
@@ -880,11 +894,12 @@ def test_row_in_working_span_does_not_join(n_var, tilt):
     """A warm start at a degenerate vertex reaches the cold solution.
 
     Row 2 is row 0 plus row 1 (its second entry off by `tilt`), offset by
-    1e-9, and the start is within 1e-9 of all three rows.  The start set
-    keeps rows 0 and 1, so the first step is a correction of length
-    about 1e-9 that row 2 blocks at t = 0.  Lying in the working rows'
-    span, row 2 must not join.  With n_var = 3 the last variable is free
-    and pulled to 1, so the working rows leave a null space.
+    1e-9, and the start is within 1e-9 of all three rows: on row 2, to
+    round-off, and 5e-10 inside rows 0 and 1.  Row 2 is the start row,
+    row 1 joins from the 1e-9 band, and row 0, lying in their span, must
+    not join; it holds at the start, so the start stands.  With n_var = 3
+    the last variable is free and pulled to 1, so the working rows leave
+    a null space.
     """
     A = np.zeros((3, n_var))
     A[0, 0] = A[1, 1] = A[2, 0] = 1.0
@@ -894,7 +909,7 @@ def test_row_in_working_span_does_not_join(n_var, tilt):
     start = np.where(np.arange(n_var) < 2, -5e-10, 0.0)
     assert np.abs(prob.constraint_values(start)).max() <= 1e-9
     cold = solve_qp(prob)
-    warm = solve_qp(prob, start=start)
+    warm = solve_from(prob, start)
     assert not warm.phase1
     assert_allclose(warm.y, cold.y, rtol=0.0, atol=1e-12)
     assert_allclose(warm.lam, cold.lam, rtol=0.0, atol=1e-12)
@@ -908,10 +923,72 @@ def test_nearly_dependent_blocking_row_joins():
     """
     H, c = np.eye(2), [-1.0, 0.0]
     A, b = [[1.0, 0.0], [1.0, 1e-6]], [0.0, 1e-6]
-    sol = solve_qp(QpProblem(H, c, A_ineq=A, b_ineq=b), start=[0.0, -2.0])
+    sol = solve_from(QpProblem(H, c, A_ineq=A, b_ineq=b), [0.0, -2.0])
     ref = enumerate_qp(H, c, A, b)
     assert_allclose(sol.y, ref[0], rtol=0.0, atol=1e-12)
     assert_allclose(sol.lam, ref[1], rtol=1e-9)
+
+
+def test_point_start_moves_onto_a_violated_start_row():
+    """A start row violated within TOL_FEAS is moved onto, not left violated.
+
+    min 0.5 |y - (5, 5)|^2 subject to y0 <= 1, y1 <= 1 and
+    y0 + y1 <= 2 + 9e-9, from (1 + 8.5e-9, 1).  Rows 1 and 0 are active
+    there to round-off, row 2 is 5e-10 inside: the start rows are rows 1
+    and 0, and the solve ends at the cold solution.  When the rows within
+    1e-9 of active were the start rows, row 0 was dropped as dependent on
+    rows 2 and 1, and the solve ended at (1 + 9e-9, 1), row 0 violated.
+    """
+    prob = QpProblem(
+        np.eye(2), [-5.0, -5.0], A_ineq=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        b_ineq=[-1.0, -1.0, -(2.0 + 9e-9)],
+    )
+    start = point_start(prob, [1.0 + 8.5e-9, 1.0])
+    assert sorted(start.factors.rows.tolist()) == [0, 1]
+    sol = solve_qp(prob, start=start)
+    assert not sol.phase1 and sol.iterations == 1
+    assert sol.y.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("eps, refused", [(4.4e-16, False), (2e-10, True)])
+def test_dependent_row_violated_beyond_round_off_refuses_the_start(eps, refused):
+    """A row that cannot join refuses the start only where g_i > 1e-12 (|a_i|'|y| + |b_i|).
+
+    Rows y0 <= 1, y1 <= 1 and y0 + y1 <= 2 + eps from (1 + eps, 1): all
+    three are active to round-off, so the start rows are rows 2, 1 and 0,
+    and row 0, dependent on the other two, is left out.  The point is on
+    rows 2 and 1 and violates row 0 by eps: 2 ulps, round-off of the
+    row's terms (|a_0|'|y| + |b_0| = 2), give a start that keeps it;
+    1e-10 of those terms give none, and the solve runs phase 1.
+    """
+    prob = QpProblem(
+        np.eye(2), [-5.0, -5.0], A_ineq=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        b_ineq=[-1.0, -1.0, -(2.0 + eps)],
+    )
+    y = np.array([1.0 + eps, 1.0])
+    assert 0.0 < prob.constraint_values(y)[0] <= 1.01 * eps
+    start = point_start(prob, y)
+    assert (start is None) == refused
+    if not refused:
+        assert start.factors.rows.tolist() == [1, 2] and start.y.tolist() == y.tolist()
+    sol = solve_from(prob, y)
+    assert sol.phase1 == refused
+    assert_allclose(sol.y, [1.0, 1.0], rtol=0.0, atol=1e-15)
+
+
+def test_violation_the_t_loop_leaves_beyond_round_off_is_infeasible():
+    """y0 >= 1 and y0 <= 1 - 2e-10: empty, by less than TOL_FEAS and the t-loop's 1e-9.
+
+    The origin's projection onto y0 >= 1 violates the other row by 2e-10,
+    and that row cannot join, so the t-loop runs.  Its point, y0 = 1 - 1e-10
+    at t = 1e-10, has both rows active; moved onto the later one it
+    violates the first by 2e-10, so point_start gives no start, and the
+    problem is infeasible.  The solve used to end at y0 = 1 - 2e-10, with
+    y0 >= 1 violated within TOL_FEAS.
+    """
+    prob = QpProblem(np.eye(2), np.zeros(2), A_ineq=[[-1.0, 0.0], [1.0, 0.0]], b_ineq=[1.0, -(1.0 - 2e-10)])
+    with pytest.raises(errors.Infeasible, match="minimal constraint violation 1.000e-10"):
+        solve_qp(prob)
 
 
 def test_start_rows_are_in_decreasing_index():
@@ -926,7 +1003,7 @@ def test_start_rows_are_in_decreasing_index():
     b = np.array([0.0, -1.0, 0.0, 0.0, 0.0])
     lam = np.array([1.0, 0.0, 2.0, 0.5, -0.7])  # rows 0-3 inequalities, row 4 an equality
     prob = QpProblem(np.eye(6), -(A.T @ lam), A[:4], b[:4], A[4:], b[4:])
-    sol = solve_qp(prob, start=np.zeros(6))
+    sol = solve_from(prob, np.zeros(6))
     assert not sol.phase1 and sol.iterations == 1
     assert sol.factors.rows.tolist() == [4, 3, 2, 0]
     assert_allclose(sol.lam, lam, atol=1e-12)
@@ -985,7 +1062,7 @@ def test_degenerate_rows_give_kkt_point_or_typed_error(
     prob = QpProblem(H, c, A[m:], b[m:], A[:m], b[:m])
     for start in (None, y_feas):
         try:
-            sol = solve_qp(prob, start=start)
+            sol = solve_from(prob, start)
         except errors.SemipoisonError:
             continue
         res = kkt_residuals(prob, sol.y, sol.lam)
@@ -1071,51 +1148,68 @@ def test_violated_row_in_the_equalities_span_goes_to_the_t_loop(monkeypatch):
 
 
 def test_phase1_factors_match_a_recomputation(monkeypatch):
-    """The factors phase 1 hands to the loop are _independent_factors' on its rows, bit for bit.
+    """Phase 1's start holds the factors of the rows it factored, bit for bit.
 
     The random QPs of criterion 8, with and without equality rows, reach
-    all three of phase 1's hand-overs: a feasible equality point, a
-    feasible projection, and the t-loop's start on the equality rows.
-    The t-loop's start factors the equality rows again in its own
-    variables; they are compared by value.  Phase 1 hands its rows and
-    factors to solve_qp, which hands the factors to the loop.
+    all three of phase 1's starts: the equality rows' min-norm point, its
+    projection onto them and the rows it violates, and the t-loop's point
+    (through point_start).  Each is _hot_start's on the factors phase 1
+    made last of the problem's rows; _hot_start on those rows factored
+    afresh gives the same point and factors.  The t-loop starts on the
+    equality rows, factored again in its own variables; they are
+    compared by value.
     """
-    inner_loop, inner_phase1 = qp._active_set_loop, qp._phase1
-    handed = collections.Counter()
-    in_phase1 = []
+    inner_loop, inner_factors = qp._active_set_loop, qp._independent_factors
+    inner_hot, inner_phase1 = qp._hot_start, qp._phase1
+    handed, last, in_phase1 = collections.Counter(), {}, []
 
-    def recomputed(problem, rows, factors):
-        again = _independent_factors(problem.A, rows, problem.n_eq)
-        return [(getattr(again, k), getattr(factors, k)) for k in FACTOR_FIELDS]
+    def factored(A, rows, n_base):
+        last[id(A)] = rows
+        return inner_factors(A, rows, n_base)
 
     def checked(problem, y, factors, max_iter=None):
         if in_phase1:  # the t-loop, on the equality rows of the auxiliary QP
             eq_rows = np.arange(problem.n_ineq, problem.n_con)
-            assert all(np.array_equal(a, b) for a, b in recomputed(problem, eq_rows, factors))
-            handed["t-loop"] += 1
+            again = inner_factors(problem.A, eq_rows, problem.n_eq)
+            assert all(np.array_equal(getattr(again, k), getattr(factors, k)) for k in FACTOR_FIELDS)
+            in_phase1[-1] = "t-loop"
         return inner_loop(problem, y, factors, max_iter)
 
+    def hot_start(problem, y, factors):
+        rows = last.get(id(problem.A), np.zeros(0, dtype=int))  # none: no rows, no call
+        start = inner_hot(problem, y, factors)
+        if start is not None:
+            again = inner_hot(problem, y, inner_factors(problem.A, rows, problem.n_eq))
+            assert again.y.tobytes() == start.y.tobytes()
+            assert all(
+                getattr(again.factors, k).tobytes() == getattr(start.factors, k).tobytes()
+                for k in FACTOR_FIELDS
+            )
+            if in_phase1[-1] != "t-loop":
+                in_phase1[-1] = "projection" if rows.size > problem.n_eq else "equality point"
+        return start
+
     def phase1(problem):
-        in_phase1.append(problem)
+        last.clear()
+        in_phase1.append(None)
         try:
-            y, factored = inner_phase1(problem)
+            start = inner_phase1(problem)
         finally:
-            in_phase1.pop()
-        if factored is not None:
-            rows, factors = factored
-            assert all(a.tobytes() == b.tobytes() for a, b in recomputed(problem, rows, factors))
-            handed[rows.size > problem.n_eq] += 1
-        return y, factored
+            handed[in_phase1.pop()] += 1
+        return start
 
     monkeypatch.setattr(qp, "_active_set_loop", checked)
+    monkeypatch.setattr(qp, "_independent_factors", factored)
+    monkeypatch.setattr(qp, "_hot_start", hot_start)
     monkeypatch.setattr(qp, "_phase1", phase1)
     rng = np.random.default_rng(2024)
     for _ in range(300):
         n_var = int(rng.integers(2, 7))
         n_eq = int(rng.integers(0, min(3, n_var)))
         n_ineq = int(rng.integers(0, 9 - n_eq))
-        solve_qp(random_feasible_qp(rng, n_var, n_ineq, n_eq))
-    assert handed[False] > 10 and handed[True] > 10 and handed["t-loop"] > 10
+        assert solve_qp(random_feasible_qp(rng, n_var, n_ineq, n_eq)).phase1
+    assert handed["equality point"] > 10 and handed["projection"] > 10 and handed["t-loop"] > 10
+    assert sum(handed.values()) == 300
 
 
 FACTOR_FIELDS = ["rows", "fixed", "Q", "T"]
@@ -1199,14 +1293,14 @@ def test_n160_svm_assembly_and_solve_copy_no_dense_arrays():
     svm = SvmModel(data.features, data.labels, C=10.0)
     x = data.features.ravel()
     start = svm_feasible_start(svm, x, None)
-    solve_qp(svm_assemble(svm, x), start=start)  # first-call allocations stay out of the count
+    solve_from(svm_assemble(svm, x), start)  # first-call allocations stay out of the count
     tracemalloc.start()
     try:
         prob = svm_assemble(svm, x)
         assembled = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        solve_qp(prob, start=start)
+        solve_from(prob, start)
         solved = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -1231,7 +1325,7 @@ def test_overflowing_objective_value_is_max_iterations():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(errors.MaxIterations, match="objective value at the KKT point"):
-            solve_qp(svm_assemble(svm, x), start=start)
+            solve_from(svm_assemble(svm, x), start)
 
 
 def test_row_norms_keep_every_bit_and_do_not_overflow():
@@ -1510,7 +1604,7 @@ def test_box_qps_match_enumeration_cold_and_warm(monkeypatch):
         prob, w = _box_qp(rng)
         ref = enumerate_qp(prob.H, prob.c, prob.A_ineq, prob.b_ineq)
         assert ref is not None
-        for sol in (solve_qp(prob), solve_qp(prob, start=w)):
+        for sol in (solve_qp(prob), solve_from(prob, w)):
             res = kkt_residuals(prob, sol.y, sol.lam)
             lam_inf = float(np.abs(sol.lam).max(initial=0.0))
             assert res.within_default_tolerances(float(np.abs(prob.c).max()), lam_inf)

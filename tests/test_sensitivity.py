@@ -809,7 +809,7 @@ def test_fd_re_solve_starts_warm_from_the_base_point(monkeypatch):
     for outward in (False, True):
         dx = np.array([0.0, 0.0, -1.0 if outward else 1.0])
         x_h = x + sensitivity.FD_STEP * dx
-        assert (qp._usable_start(model.assemble(x_h), base.y) is None) == outward
+        assert (qp.point_start(model.assemble(x_h), base.y) is None) == outward
         cold = (solve_victim(model, x_h).y - base.y) / sensitivity.FD_STEP
         assert len(phase1) == 1  # the patch sees a cold solve
         phase1.clear()
