@@ -15,10 +15,10 @@ variables only, so a working set of n - 3 bounds and a few general
 rows keeps n x 3 and 3 x 3 factors, not n x n ones.  A general row
 joins by one Householder reflection and leaves by one small QR; a
 bound that joins or leaves removes or adds one free variable.  Every
-solve starts from a HotStart, a point and its working rows' factors,
-which _hot_start makes from a copy of a nearby solution's (working_start),
-the rows active at a point (point_start, phase 1) or every row
-(equality_start): leading bounds are fixed in closed form, the rest join.
+solve starts from a HotStart, a point moved onto its working rows and
+their factors, which _hot_start makes from a copy of a nearby
+solution's (working_start) or the rows active at a point (point_start,
+phase 1): leading bounds are fixed in closed form, the rest join.
 
 Constraints are indexed inequalities first: constraint i is row i of
 the stacked matrix A = [A_ineq; A_eq], with offset b[i].  Multipliers
@@ -374,14 +374,15 @@ class WorkingFactors:
         bounds, fixed = self.rows[:p], self.fixed
         return np.concatenate([(g - lam @ A[self.rows[p:]])[fixed] / A[bounds, fixed], lam])
 
-    def join(self, i: int, a: np.ndarray, cut: float) -> bool:
+    def join(self, i: int, a: np.ndarray, cut: float | None = None) -> bool:
         """Row i, a, joins unless its residual off the working rows is at most cut; False then.
 
-        A bound fixes its variable (_fix).  A general row's residual is
-        |Q[:, m:]'a|, and one Householder reflection of Q[:, m:] adds the
-        row.  That residual and the reflector square no entry of a, so a
-        row of any finite scale joins.
+        cut defaults to TOL_INDEP |a|.  A bound fixes its variable (_fix).
+        A general row's residual is |Q[:, m:]'a|, and one Householder
+        reflection of Q[:, m:] adds the row.  That residual, the reflector
+        and |a| square no entry of a, so a row of any finite scale joins.
         """
+        cut = TOL_INDEP * math.hypot(*a.tolist()) if cut is None else cut
         if np.count_nonzero(a) == 1:
             j = int(np.flatnonzero(a)[0])
             return self._fix(i, j, float(a[j]), cut)
@@ -477,25 +478,23 @@ class WorkingFactors:
         self.fixed = np.delete(self.fixed, t)
 
 
-def _working_subproblem(H, c, A, b, y, factors: WorkingFactors):
-    """Minimize the objective subject to A[w] q + b[w] = 0 on factors' rows w, anchored near y.
+def _working_subproblem(H, c, y, factors: WorkingFactors):
+    """Minimize the objective over y + Z u, y on factors' rows and Z their null space's basis.
 
     Returns (y_hat, ray): the minimizer (None if unbounded) and a
-    direction of unbounded descent in the null space Z of A[w] (None
-    when the minimizer exists).  Z'HZ is decomposed whole: a negative
-    eigenvalue, or a flat direction with a nonzero reduced gradient,
-    gives the ray; else the minimizer.  A 1 x 1 Z'HZ is its own
-    decomposition, as eigh would return it, and skips eigh's call.  The
-    decomposition and its flatness decision stay on factors, with H
-    (factors.reduced), so a later call on the same factors and H, such
-    as working_minimizer's at a solution, decomposes nothing.  y None is
-    the zero point on zero offsets b, which needs no move onto the rows.
+    direction of unbounded descent in Z (None when the minimizer
+    exists).  Z'HZ is decomposed whole: a negative eigenvalue, or a flat
+    direction with a nonzero reduced gradient, gives the ray; else the
+    minimizer.  A 1 x 1 Z'HZ is its own decomposition, as eigh would
+    return it, and skips eigh's call.  The decomposition and its flatness
+    decision stay on factors, with H (factors.reduced), so a later call
+    on the same factors and H, such as working_minimizer's at a
+    solution, decomposes nothing.
     """
-    y0 = np.zeros_like(c) if y is None else factors.onto(y, A, b)
     Z = factors.null_space
     if Z.shape[1] == 0:
-        return y0, None
-    gr = Z.T @ (H @ y0 + c)
+        return y, None
+    gr = Z.T @ (H @ y + c)
     if factors.reduced is None or factors.reduced[0] is not H:
         Hr = Z.T @ H @ Z
         if Hr.shape[0] == 1:  # one null-space direction, as an SVM's working set leaves
@@ -518,7 +517,7 @@ def _working_subproblem(H, c, A, b, y, factors: WorkingFactors):
             d = -(Z @ gz)
             return None, d / np.linalg.norm(d)
     u = -Vp @ ((Vp.T @ gr) / wp)  # zeros when no curvature is positive
-    return y0 + Z @ u, None
+    return y + Z @ u, None
 
 
 def _independent_factors(A: np.ndarray, rows: np.ndarray, n_base: int) -> WorkingFactors:
@@ -555,7 +554,7 @@ def _independent_factors(A: np.ndarray, rows: np.ndarray, n_base: int) -> Workin
         factors = WorkingFactors(n)
     for k, (i, norm) in enumerate(zip(rows[p:], row_norms(A[rows[p:]])), p):
         if norm > 1e-14:
-            factors.join(i, A[i], 1e-12 if k < n_base else TOL_INDEP * norm)
+            factors.join(i, A[i], 1e-12 if k < n_base else None)
     return factors
 
 
@@ -563,26 +562,26 @@ def _independent_factors(A: np.ndarray, rows: np.ndarray, n_base: int) -> Workin
 def _active_set_loop(problem: QpProblem, y: np.ndarray, factors: WorkingFactors, max_iter=None):
     """Primal active-set iteration from y on the working rows factors holds, updated in place.
 
-    y meets every row but the working rows, which every working-set
-    minimizer meets.  max_iter defaults to solve_qp's cap.  Each
-    iteration moves toward the working-set minimizer y_hat, or along a
-    ray of unbounded descent, up to the first
-    blocking row, which joins; a row that WorkingFactors.join refuses
-    (one in the working rows' span) does not block.  When no row blocks
-    the unit step, or y already is y_hat, it checks the multiplier signs
-    at y_hat and returns, or drops a row with a negative one; but a unit
-    step that shrinks y by more than 1e5 leaves round-off of y's size in
-    y_hat, above the 1e-11 |y_hat| the stationarity test allows, so the
-    loop solves again from y_hat first.  Ties and drops follow Bland's
-    rule (smallest index).  Returns (y, lam, iterations, factors),
-    factors being the final working rows'.
+    y meets every row to round-off, as a HotStart's does; only the
+    loop's steps, which keep it on the working rows, move it.  max_iter
+    defaults to solve_qp's cap.  Each iteration moves toward the
+    working-set minimizer y_hat, or along a ray of unbounded descent, up
+    to the first blocking row, which joins; a row that
+    WorkingFactors.join refuses (one in the working rows' span) does not
+    block.  When no row blocks the unit step, or y already is y_hat, it
+    checks the multiplier signs at y_hat and returns, or drops a row
+    with a negative one; but a unit step that shrinks y by more than 1e5
+    leaves round-off of y's size in y_hat, above the 1e-11 |y_hat| the
+    stationarity test allows, so the loop solves again from y_hat first.
+    Ties and drops follow Bland's rule (smallest index).  Returns (y,
+    lam, iterations, factors), factors being the final working rows'.
     """
-    A, b, H, c, r = problem.A, problem.b, problem.H, problem.c, problem.n_ineq
+    A, H, c, r = problem.A, problem.H, problem.c, problem.n_ineq
     if max_iter is None:
         max_iter = max(200, 30 * (problem.n_con + 1))
     for it in range(max_iter):
         idx = factors.rows
-        y_hat, ray = _working_subproblem(H, c, A, b, y, factors)
+        y_hat, ray = _working_subproblem(H, c, y, factors)
         p = y_hat - y if ray is None else ray
         step = float(np.abs(p).max(initial=0.0))  # NaN when p holds one
         if not math.isfinite(step):
@@ -598,7 +597,7 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, factors: WorkingFactors,
                 t = np.full(r + 1, 1.0 if ray is None else np.inf)
                 np.divide(problem.A_ineq @ y + problem.b_ineq, -s, out=t[1:], where=can)
                 i = int(np.maximum(t, 0.0, out=t).argmin()) - 1
-                while i >= 0 and not factors.join(i, A[i], TOL_INDEP * math.hypot(*A[i].tolist())):
+                while i >= 0 and not factors.join(i, A[i]):
                     t[i + 1] = np.inf
                     i = int(t.argmin()) - 1
             if i >= 0:
@@ -630,11 +629,11 @@ def _phase1(problem: QpProblem) -> HotStart:
     Equalities hold at the min-norm point y0 of their independent rows.
     _hot_start moves y0 onto them and the inequality rows it violates
     beyond TOL_FEAS, in start order, on the factors made for that move;
-    that is the start when it meets every row within TOL_FEAS.  Else an
-    auxiliary QP, min 0.5 t^2 subject to A_ineq y + b_ineq <= t, solved
-    by the same loop from y0 on the equality rows alone, drives the
-    violation to 0, and its point is the start (point_start).  A
-    violation left above 1e-9, or one point_start refuses, is Infeasible.
+    that is the start unless _hot_start refuses it.  Else an auxiliary
+    QP, min 0.5 t^2 subject to A_ineq y + b_ineq <= t, solved by the
+    same loop from y0 on the equality rows alone, drives the violation
+    to 0, and its point is the start (point_start).  A violation left
+    above 1e-9, or one point_start refuses, is Infeasible.
     """
     n, r = problem.n_var, problem.n_ineq
     eq_rows, y0 = np.arange(r, problem.n_con), np.zeros(n)
@@ -651,7 +650,7 @@ def _phase1(problem: QpProblem) -> HotStart:
     rows = np.concatenate([eq_rows, violated])
     factors = _independent_factors(problem.A, rows, problem.n_eq) if violated.size else eq
     start = _hot_start(problem, np.zeros(n), factors)  # the move from 0 ends where y0's would
-    if start is not None and _feasible(problem, problem.constraint_values(start.y)):
+    if start is not None:
         return start
     H1 = np.diag(np.append(np.zeros(n), 1.0))
     A1 = np.hstack([problem.A, np.where(np.arange(problem.n_con) < r, -1.0, 0.0)[:, None]])
@@ -666,12 +665,6 @@ def _phase1(problem: QpProblem) -> HotStart:
     return start
 
 
-def _feasible(problem: QpProblem, g: np.ndarray) -> bool:
-    """Every row of problem holds within TOL_FEAS, g being their values at a finite point."""
-    r = problem.n_ineq
-    return g[:r].max(initial=0.0) <= TOL_FEAS and np.abs(g[r:]).max(initial=0.0) <= TOL_FEAS
-
-
 def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> KktSolution:
     """Solve a convex QP to a KKT point.
 
@@ -681,12 +674,12 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     max_iter : int, optional
         Active-set iteration cap; defaults to max(200, 30 * (n_con + 1)).
     start : HotStart, optional
-        A start for this problem (working_start, point_start or
-        equality_start): the loop starts on its working rows and their
-        factors, which it updates in place, with no phase 1 and no
-        factorization.  None runs phase 1 (see _phase1), which builds
-        its start the same way.  A start changes the cost of a solve,
-        not its result beyond round-off.
+        A start for this problem (working_start or point_start): the
+        loop starts at its point, on its working rows and their factors,
+        which it updates in place, with no phase 1 and no factorization.
+        None runs phase 1 (see _phase1), which builds its start the same
+        way.  A start changes the cost of a solve, not its result beyond
+        round-off.
 
     Returns
     -------
@@ -751,15 +744,15 @@ def working_minimizer(
     kink); the solve runs on them through _working_subproblem: one KKT
     solve, no factorization (Nocedal & Wright, section 16.2).  On the
     solution's own factors it reuses the solve's last decomposition of
-    Z'HZ, and zero offsets leave the zero point where it is.  Returns
-    None where the objective decreases without bound on that affine set,
-    as solve_qp's Unbounded would.
+    Z'HZ.  It starts from the zero point, moved onto the rows where b is
+    nonzero.  Returns None where the objective decreases without bound
+    on that affine set, as solve_qp's Unbounded would.
 
     Raises MaxIterations when the minimizer is not finite.
     """
     problem = solved_problem(solution)
-    y = np.zeros_like(c) if b.any() else None  # zero offsets: the zero point is on the rows
-    d = _working_subproblem(problem.H, c, problem.A, b, y, factors)[0]
+    y = factors.onto(np.zeros_like(c), problem.A, b) if b.any() else np.zeros_like(c)
+    d = _working_subproblem(problem.H, c, y, factors)[0]
     if d is not None and not np.isfinite(d).all():
         raise MaxIterations("working-set minimizer is not finite: the data are too large")
     return d
@@ -769,9 +762,9 @@ def working_minimizer(
 class HotStart:
     """A start for solve_qp on problem: a point y and the factors of its working rows.
 
-    The working rows hold at y up to round-off, except those that joined
-    near active, which the loop's first working-set minimizer meets.
-    solve_qp updates factors in place, so a HotStart starts one solve.
+    y meets the working rows, and every other row, to round-off
+    (_hot_start).  solve_qp updates factors in place, so a HotStart
+    starts one solve.
     """
 
     problem: QpProblem
@@ -781,33 +774,40 @@ class HotStart:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite start is no hot start
 def _hot_start(problem: QpProblem, y: np.ndarray, factors: WorkingFactors) -> HotStart | None:
-    """y moved onto factors' rows (WorkingFactors.onto), then every other row near active joins.
+    """y moved onto factors' rows (WorkingFactors.onto), with every other row near active joined.
 
-    The rows within _START_TOL of active join, the equality rows first
-    and the inequality rows in decreasing index.  A row that cannot join,
-    say because the working rows already fix y, and that the moved y
-    violates beyond the round-off of its own terms, g_i > 1e-12 (|a_i|'|y|
-    + |b_i|) (|g_i| for an equality), would stay violated through the
-    solve: a wrong point within TOL_FEAS, a solver error past it.  Then,
-    or where y is not finite, there is no hot start (None).
+    The rows within _START_TOL of active at the moved y join, equality
+    rows first and inequality rows in decreasing index, and y moves once
+    more if any joined: the only moves of a start onto its rows.  Where
+    y then violates a row not working beyond round-off (_meets_rows),
+    which would stay violated through the solve, the joined rows leave;
+    None where y on the start's own rows, or not finite, does too.
     """
     r, A, b = problem.n_ineq, problem.A, problem.b
     y = factors.onto(y, A, b)
-    if not np.isfinite(y).all():
-        return None
     g = problem.constraint_values(y)
     g[r:] = np.abs(g[r:])
-    near = g >= -_START_TOL
-    near[factors.rows] = False
-    near = np.flatnonzero(near)
-    if not near.size:
-        return HotStart(problem, y, factors)
-    for i in np.concatenate([near[near >= r], near[near < r][::-1]]):
-        if not factors.join(i, A[i], TOL_INDEP * math.hypot(*A[i].tolist())) and (
-            g[i] > 1e-12 * (np.abs(A[i]) @ np.abs(y) + abs(b[i]))
-        ):
-            return None
-    return HotStart(problem, y, factors)
+    g[factors.rows] = -np.inf
+    near = np.flatnonzero(g >= -_START_TOL)
+    if not near.size:  # every violated row is near, so none is
+        return HotStart(problem, y, factors) if np.isfinite(y).all() else None
+    joined = [i for i in (*near[near >= r], *near[near < r][::-1]) if factors.join(i, A[i])]
+    y_joined = factors.onto(y, A, b) if joined else y
+    if _meets_rows(problem, y_joined, factors.rows):
+        return HotStart(problem, y_joined, factors)
+    for i in joined[::-1]:  # a joined row moved y past a row that cannot join
+        factors.drop(i, A)
+    return HotStart(problem, y, factors) if _meets_rows(problem, y, factors.rows) else None
+
+
+def _meets_rows(problem: QpProblem, y: np.ndarray, working: np.ndarray) -> bool:
+    """y is finite, and g_i <= 1e-12 (|a_i|'|y| + |b_i|) (|g_i| for an equality) off working."""
+    g, r = problem.constraint_values(y), problem.n_ineq
+    g[r:] = np.abs(g[r:])
+    g[working] = 0.0
+    out = np.flatnonzero(g > 0.0)  # the bound is computed on the violated rows alone
+    noise = 1e-12 * (np.abs(problem.A[out]) @ np.abs(y) + np.abs(problem.b[out]))
+    return bool(np.isfinite(y).all()) and not (g[out] > noise).any()
 
 
 def point_start(problem: QpProblem, y) -> HotStart | None:
@@ -829,7 +829,7 @@ def point_start(problem: QpProblem, y) -> HotStart | None:
     if not np.isfinite(y).all():
         return None
     g, r = problem.constraint_values(y), problem.n_ineq
-    if not _feasible(problem, g):
+    if not (g[:r].max(initial=0.0) <= TOL_FEAS and np.abs(g[r:]).max(initial=0.0) <= TOL_FEAS):
         return None
     active = np.flatnonzero(g[:r] >= -1e-12 * (1.0 + np.abs(problem.b_ineq)))
     rows = np.concatenate([np.arange(r, problem.n_con), active[::-1]])
@@ -865,22 +865,8 @@ def working_start(solution: KktSolution, problem: QpProblem) -> HotStart | None:
     factors.rows, factors.reduced = factors.rows[: p + k], None
     factors.T[k:] = factors.T[:, k:] = 0.0  # Q's columns k.. stay the complement of rows ..k
     for i in general[k:]:
-        factors.join(i, A[i], TOL_INDEP * math.hypot(*A[i].tolist()))
+        factors.join(i, A[i])
     return _hot_start(problem, solution.y, factors)
-
-
-def equality_start(problem: QpProblem) -> HotStart | None:
-    """A hot start at the least-norm point of every row of problem taken as an equality.
-
-    The rows are factored in start order (the equality rows, then the
-    inequalities in decreasing index).  Where they are independent the
-    point meets them all, so it is feasible, and the loop starts with
-    every row working.  None where _hot_start refuses the point.
-    """
-    r = problem.n_ineq
-    rows = np.concatenate([np.arange(r, problem.n_con), np.arange(r)[::-1]])
-    factors = _independent_factors(problem.A, rows, problem.n_eq)
-    return _hot_start(problem, np.zeros(problem.n_var), factors)
 
 
 def licq_margin(solution: KktSolution, active) -> float:

@@ -27,8 +27,8 @@ piecewise linear in dx, with two pieces (Jittorntrum 1984; Ralph & Dempe
 1995): piece 0 keeps w off, and piece 1, taken where piece 0 would
 violate w, holds it as an equality.  Each piece is one KKT solve on a
 copy of the training factors, without w or with it, built once per
-point.  The auxiliary QP is solved by solve_qp, from a hot start, only
-where two or more active rows are weakly active.
+point.  The auxiliary QP is solved by solve_qp only where two or more
+active rows are weakly active.
 
 PointDerivative, built once per solved point, is the one place that chooses
 the route: the data gradient, the semi-derivative, or None for a fallback.
@@ -36,7 +36,6 @@ the route: the data gradient, the semi-derivative, or None for a fallback.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +142,7 @@ def _kink_pieces(solution: KktSolution, w: int) -> tuple[qp.WorkingFactors, qp.W
     if w in factors.rows:
         other.drop(w, A)
         return other, factors
-    if not other.join(w, A[w], qp.TOL_INDEP * math.hypot(*A[w].tolist())):
+    if not other.join(w, A[w]):
         raise RegularityFailure(f"weakly active row {w} depends on the working rows")
     return factors, other
 
@@ -160,8 +159,8 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
     the minimizer on aux.pieces[1].  Piece 1's null space lies in piece
     0's, so it has a minimizer wherever piece 0 has one.  With two or
     more weakly active rows the auxiliary QP is solved by solve_qp,
-    started hot (qp.equality_start) at the least-norm point of all its
-    rows taken as equalities, which LICQ makes feasible: no phase 1.
+    which starts it at phase 1's projection: the least-norm point of its
+    equality rows, moved onto the weakly active rows it violates.
 
     Raises
     ------
@@ -193,10 +192,10 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
             raise AuxUnbounded("auxiliary objective decreases without bound on the active rows")
         return dy
     # the weakly active rows as inequalities, the strict ones as equalities
-    strict = strict[::-1]  # decreasing, as solve_qp orders start rows: the bounds lead
+    strict = strict[::-1]  # decreasing, so the bounds lead phase 1's equality factors
     problem = QpProblem(aux.H_aux, c, aux.rows[weak], mu[weak], aux.rows[strict], mu[strict])
     try:
-        return solve_qp(problem, start=qp.equality_start(problem)).y
+        return solve_qp(problem).y
     except Infeasible as exc:
         raise AuxInfeasible(str(exc)) from exc
     except Unbounded as exc:

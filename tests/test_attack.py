@@ -14,6 +14,7 @@ from numpy.testing import assert_array_equal
 
 import semipoison.attack as attack_module
 import semipoison.cli as cli_module
+import semipoison.qp as qp_module
 import semipoison.sensitivity as sensitivity_module
 import semipoison.victims as victims_module
 from semipoison.attack import (
@@ -855,6 +856,37 @@ def test_acceptance_attacks_re_solve_in_one_iteration(monkeypatch):
         run_attack(data.features.ravel(), model, config)
     assert len(warm_iterations) == 952 and warm_iterations.count(1) >= 850
     assert aux_phase1 == []
+
+
+def test_acceptance_attacks_move_points_onto_rows_outside_the_loop(monkeypatch):
+    """No WorkingFactors.onto call over the 10 n=20 acceptance attacks comes from the loop.
+
+    A start's point moves onto its rows in qp._hot_start, once more
+    where a near-active row joins, and the loop's own steps keep it
+    there.  With the derivatives' working-set minimizers that is 1,196
+    calls for the 962 solves; 2,249 when the loop's first working-set
+    subproblem moved the start's point again.
+    """
+    in_loop, calls = [], []
+    inner_loop, inner_onto = qp_module._active_set_loop, qp_module.WorkingFactors.onto
+
+    def loop(*args):
+        in_loop.append(True)
+        try:
+            return inner_loop(*args)
+        finally:
+            in_loop.pop()
+
+    def onto(self, y, A, b):
+        calls.append(bool(in_loop))
+        return inner_onto(self, y, A, b)
+
+    monkeypatch.setattr(qp_module, "_active_set_loop", loop)
+    monkeypatch.setattr(qp_module.WorkingFactors, "onto", onto)
+    for seed in SVM_SEEDS:
+        data, model, config = svm_scenario(seed)
+        run_attack(data.features.ravel(), model, config)
+    assert 0 < len(calls) <= 1250 and not any(calls)
 
 
 def test_victim_solves_end_feasible_without_phase1(monkeypatch):

@@ -324,19 +324,20 @@ def _check_factors_per_iteration(monkeypatch):
     """
     inner_loop, inner_sub = qp._active_set_loop, qp._working_subproblem
     inner_start, inner_join = victims.working_start, qp.WorkingFactors.join
+    inner_min = qp.working_minimizer
     loops, current, hot = [], [], []
 
     def loop(problem, y, factors, max_iter=None):
-        current.append([])
+        current.append((problem.A, []))
         try:
             return inner_loop(problem, y, factors, max_iter)
         finally:
-            loops.append(current.pop())
+            loops.append(current.pop()[1])
 
     def opens(A, factors):
         return factors.rows.size > 0 and np.count_nonzero(A[factors.rows[0]]) == 1
 
-    def joined(self, i, a, cut):
+    def joined(self, i, a, cut=None):
         m = self.rows.size
         ok = inner_join(self, i, a, cut)
         if hot and ok:
@@ -356,14 +357,23 @@ def _check_factors_per_iteration(monkeypatch):
             check_factors(start.factors, problem.A)
         return start
 
-    def checked(H, c, A, b, y, factors):
+    def minimizer(solution, factors, c, b):
+        current.append((solution.problem.A, None))  # a solve outside any loop
+        try:
+            return inner_min(solution, factors, c, b)
+        finally:
+            current.pop()
+
+    def checked(H, c, y, factors):
+        A, its = current[-1]
         check_factors(factors, A)
-        if current:  # working_minimizer's solves run outside any loop
-            current[-1].append((factors.rows.size, opens(A, factors)))
-        return inner_sub(H, c, A, b, y, factors)
+        if its is not None:
+            its.append((factors.rows.size, opens(A, factors)))
+        return inner_sub(H, c, y, factors)
 
     monkeypatch.setattr(qp, "_active_set_loop", loop)
     monkeypatch.setattr(qp, "_working_subproblem", checked)
+    monkeypatch.setattr(qp, "working_minimizer", minimizer)
     monkeypatch.setattr(qp.WorkingFactors, "join", joined)
     monkeypatch.setattr(victims, "working_start", working_start)
     return loops
@@ -782,8 +792,8 @@ def test_negative_curvature_gives_a_ray_to_the_box():
     prob = QpProblem(H, c, A_ineq=np.vstack([np.eye(2), -np.eye(2)]), b_ineq=-np.ones(4))
     inner, curved_rays = qp._working_subproblem, []
 
-    def spied(H, c, A, b, y, factors):
-        y_hat, ray = inner(H, c, A, b, y, factors)
+    def spied(H, c, y, factors):
+        y_hat, ray = inner(H, c, y, factors)
         curved_rays.append(ray is not None and ray @ H @ ray < 0.0)
         return y_hat, ray
 
@@ -991,6 +1001,39 @@ def test_violation_the_t_loop_leaves_beyond_round_off_is_infeasible():
         solve_qp(prob)
 
 
+def test_row_joined_from_the_band_cannot_push_a_refused_row_past_round_off():
+    """y <= 0 and y >= 2e-10: empty, by 2e-10, inside a start's 1e-9 band.
+
+    The origin violates neither row beyond TOL_FEAS, so phase 1's start
+    is the origin, where both rows are near active.  Row 1 joins and
+    fixes y = 2e-10; row 0 cannot join, and the moved point violates it
+    by 2e-10, so row 1 leaves again, and the origin, which violates row
+    1 by 2e-10, is refused.  So is the t-loop's point, y = 1e-10, and
+    the problem is infeasible.  The start used to be checked before row
+    1 moved it, and the solve ended at y = 2e-10, row 0 violated.
+    """
+    prob = QpProblem(np.eye(1), [0.0], A_ineq=[[1.0], [-1.0]], b_ineq=[0.0, 2e-10])
+    with pytest.raises(errors.Infeasible, match="minimal constraint violation 1.000e-10"):
+        solve_qp(prob)
+
+
+def test_row_joined_from_the_band_that_breaks_another_leaves_a_feasible_start():
+    """y <= 1e-10 and y <= 5e-10 at c = 1: feasible, with the optimum y = -1.
+
+    Phase 1's start is the origin, which meets both rows, each inside
+    the 1e-9 band.  Row 1 joins and fixes y = 5e-10, past row 0 by
+    4e-10, and row 0 cannot join.  Row 1 then leaves again, and the
+    origin, on no row, is the start: one loop iteration reaches y = -1.
+    Refusing the origin instead sent phase 1 to its t-loop, whose point
+    was refused for the same reason, and the solve raised Infeasible.
+    """
+    prob = QpProblem(np.eye(1), [1.0], A_ineq=[[1.0], [1.0]], b_ineq=[-1e-10, -5e-10])
+    sol = solve_qp(prob)
+    np.testing.assert_array_equal(sol.y, [-1.0])
+    np.testing.assert_array_equal(sol.lam, [0.0, 0.0])
+    assert sol.phase1 and sol.iterations == 1 and sol.factors.rows.size == 0
+
+
 def test_start_rows_are_in_decreasing_index():
     """Working order: the equality rows, then the start's active rows, highest first.
 
@@ -1032,7 +1075,9 @@ def test_degenerate_rows_give_kkt_point_or_typed_error(
     inequalities with zero slack, so copies are active there together.
     A near-singular H has largest eigenvalue 1 and the others log-uniform
     down to 1e-13.  Cold and warm from that point, solve_qp returns a
-    point within the KKT tolerances or raises a SemipoisonError.
+    point within the KKT tolerances that violates no row beyond the
+    round-off of its own terms, g_i > 1e-12 (|a_i|'|y| + |b_i|) (|g_i|
+    for an equality), or raises a SemipoisonError.
     """
     rng = np.random.default_rng(seed)
     if near_singular:
@@ -1068,6 +1113,9 @@ def test_degenerate_rows_give_kkt_point_or_typed_error(
         res = kkt_residuals(prob, sol.y, sol.lam)
         lam_inf = float(np.abs(sol.lam).max(initial=0.0))
         assert res.within_default_tolerances(float(np.abs(c).max()), lam_inf)
+        g = prob.constraint_values(sol.y)
+        g[prob.n_ineq :] = np.abs(g[prob.n_ineq :])
+        assert (g <= 1e-12 * (np.abs(prob.A) @ np.abs(sol.y) + np.abs(prob.b))).all()
 
 
 # ---------------------------------------------------------------------------
@@ -1106,11 +1154,12 @@ def test_one_projection_starts_the_loop(monkeypatch):
     assert_allclose(sol.lam, ref[1], rtol=0.0, atol=1e-12)
 
 
-def test_projection_outside_another_row_runs_the_t_loop(monkeypatch):
+def test_projection_outside_another_row_joins_it_and_starts_the_loop(monkeypatch):
     """Projected onto row 0, the origin lands at (1, 0), outside row 1.
 
-    The auxiliary t-loop then runs from the origin, and the main loop
-    from its point reaches the enumerated optimum.
+    Row 1 then joins the start, and the point moves onto both rows, to
+    the feasible (1, 0.5): phase 1's projection starts the main loop, no
+    auxiliary t-loop runs, and the loop reaches the enumerated optimum.
     """
     H, c = np.eye(2), np.zeros(2)
     A, b = [[-1.0, 0.0], [1.0, -1.0]], [1.0, -0.5]
@@ -1118,7 +1167,7 @@ def test_projection_outside_another_row_runs_the_t_loop(monkeypatch):
     assert prob.constraint_values(np.array([1.0, 0.0]))[1] > qp.TOL_FEAS
     calls = _count_calls(monkeypatch, "_active_set_loop")
     sol = solve_qp(prob)
-    assert sol.phase1 and calls["_active_set_loop"] == 2  # the t-loop, then the main loop
+    assert sol.phase1 and calls["_active_set_loop"] == 1  # the main loop alone
     ref = enumerate_qp(H, c, A, b)
     assert_allclose(sol.y, ref[0], rtol=0.0, atol=1e-12)
     assert_allclose(sol.lam, ref[1], rtol=0.0, atol=1e-12)
@@ -1215,22 +1264,48 @@ def test_phase1_factors_match_a_recomputation(monkeypatch):
 FACTOR_FIELDS = ["rows", "fixed", "Q", "T"]
 
 
+def _count_t_loops(monkeypatch):
+    """Wrap phase 1 and the loop to record each loop phase 1 runs (its t-loop); returns the list."""
+    inner_loop, inner_phase1 = qp._active_set_loop, qp._phase1
+    t_loops, in_phase1 = [], []
+
+    def loop(problem, *args):
+        if in_phase1:
+            t_loops.append(problem)
+        return inner_loop(problem, *args)
+
+    def phase1(problem):
+        in_phase1.append(problem)
+        try:
+            return inner_phase1(problem)
+        finally:
+            in_phase1.pop()
+
+    monkeypatch.setattr(qp, "_active_set_loop", loop)
+    monkeypatch.setattr(qp, "_phase1", phase1)
+    return t_loops
+
+
 def test_oracle_trials_factor_each_start_once(monkeypatch):
-    """run_oracle_trials(500, seed=0) makes at most 500 factorizations.
+    """run_oracle_trials(500, seed=0) makes at most 500 factorizations and runs 3 t-loops.
 
     Phase 1 hands the rows it factored to the loop; its t-loop factors
     the equality rows in its own variables.  The FD re-solve starts hot,
     on a copy of the base solution's factors, so it factors nothing, and
-    the derivative is solved on the training factors: 441 in all (941
+    the derivative is solved on the training factors: 433 in all (941
     when the FD re-solve factored its start rows, 934 when the t-loop
     bordered phase 1's equality factors instead).  Factoring the
     equality rows in phase 1 and again at the start of both loops took
     3,359; with a cold auxiliary QP per trial and phase 1 in 331 of the
-    500 FD re-solves, 1,689.
+    500 FD re-solves, 1,689.  A projection whose violated rows join its
+    start from the band is moved onto them and starts the solve; checked
+    before that move, 4 more went to the t-loop (7, and 441 factorizations).
     """
     calls = _count_calls(monkeypatch, "_independent_factors")
+    t_loops = _count_t_loops(monkeypatch)
     sensitivity.run_oracle_trials(500, seed=0)
     assert calls["_independent_factors"] <= 500
+    assert len(t_loops) == 3
 
 
 # ---------------------------------------------------------------------------

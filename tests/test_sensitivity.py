@@ -647,34 +647,42 @@ def test_two_weakly_active_rows_solve_the_auxiliary_qp(monkeypatch):
 
 
 def test_auxiliary_qp_factors_its_bound_rows_in_closed_form(monkeypatch):
-    """The auxiliary QP's strict rows go in decreasing index, so its bounds lead.
+    """The auxiliary QP's strict rows go in decreasing index, so its bounds lead phase 1's start.
 
     At the orthant corner the strict rows are the general row 0 and the
-    bounds 3-5.  Taken as 5, 4, 3, 0, the bounds are fixed in closed form,
-    and only row 0 and the weakly active bounds 2 and 1 join the start:
-    3 joins per call, against 6 with the strict rows ascending.  In the
-    auxiliary QP the weak rows come first, so these are its rows 5, 1, 0.
+    bounds 3-5.  Taken as 5, 4, 3, 0, they are the auxiliary QP's
+    equality rows 2-5, and phase 1 fixes the bounds in closed form: only
+    row 0 and the weakly active bounds 2 and 1 join its start, as the
+    auxiliary QP's rows 5, 1, 0 (6 joins with the strict rows
+    ascending).  That start holds every row, so no t-loop runs: one loop
+    per derivative.
     """
     model = orthant_corner_model()
     aux = build_auxiliary(model, ORTHANT_X, solve_victim(model, ORTHANT_X))
-    joins, at_start = [], []
-    real_join, real_start = qp.WorkingFactors.join, qp.equality_start
+    joins, at_start, loops = [], [], []
+    real_join, real_phase1, real_loop = qp.WorkingFactors.join, qp._phase1, qp._active_set_loop
 
     def counting_join(self, i, *args):
         joins.append(int(i))
         return real_join(self, i, *args)
 
-    def counting_start(problem):
-        start = real_start(problem)
-        at_start.append(list(joins))
+    def phase1(problem):
+        start = real_phase1(problem)
+        at_start.append((list(joins), start.factors.rows[:3].tolist()))
         return start
 
+    def counting_loop(*args):
+        loops.append(1)
+        return real_loop(*args)
+
     monkeypatch.setattr(qp.WorkingFactors, "join", counting_join)
-    monkeypatch.setattr(qp, "equality_start", counting_start)
+    monkeypatch.setattr(qp, "_phase1", phase1)
+    monkeypatch.setattr(qp, "_active_set_loop", counting_loop)
     for dx in orthant_directions():
         del joins[:]
         semi_derivative(aux, dx)
-    assert at_start == [[5, 1, 0]] * len(orthant_directions())
+    assert at_start == [([5, 1, 0], [2, 3, 4])] * len(orthant_directions())
+    assert len(loops) == len(orthant_directions())
 
 
 def test_factor_route_matches_the_assembled_auxiliary_qp(monkeypatch):
