@@ -155,7 +155,7 @@ class StepRecord:
             "k": self.k,
             "objective": self.objective_value,
             "point": self.point,
-            "direction": [float(v) for v in self.direction],
+            "direction": self.direction.tolist(),
             "derivative": self.derivative,
             "step": self.step,
             "distance": self.distance,
@@ -195,9 +195,13 @@ def objective(selected: np.ndarray, target: np.ndarray) -> float:
         raise DimensionMismatch(
             f"selected output has shape {selected.shape}, target {target.shape}"
         )
-    r = selected - target
+    return _squared_norm(selected - target)
+
+
+def _squared_norm(r: np.ndarray) -> float:
+    """r'r, inf where it overflows: objective's arithmetic on a residual the caller built."""
     with np.errstate(over="ignore"):
-        return float(r @ r)
+        return float(r.dot(r))
 
 
 def project_to_feasible(x, x_base, delta, lo=None, hi=None) -> np.ndarray:
@@ -366,11 +370,10 @@ class _ObjectiveDerivative:
         if self.gradient is None:
             return None
         g = self.gradient[_point_slots(p, point_dim)]
-        with np.errstate(over="ignore"):
-            nrm = float(np.linalg.norm(g))
-        if nrm == np.inf:  # |g|^2 overflowed: take the row from a scaled copy
+        nrm = math.sqrt(_squared_norm(g))  # np.linalg.norm's arithmetic
+        if nrm == math.inf:  # |g|^2 overflowed: take the row from a scaled copy
             g = g / np.abs(g).max()
-            nrm = float(np.linalg.norm(g))
+            nrm = math.sqrt(g.dot(g))
         return -g / nrm if nrm > 0.0 else None
 
 
@@ -385,19 +388,19 @@ def _try_step(model, x, solution, d, dg, value, config, x_base, selector, *, k, 
     overflows: halving never makes inf smaller than MIN_STEP.
     """
     eta = -dg / config.curvature_bound  # positive: callers pass dg < 0
-    if not np.isfinite(eta):
+    if not math.isfinite(eta):
         return None
-    eta = min(eta, 2.0 * config.delta / float(np.linalg.norm(d)))
+    eta = min(eta, 2.0 * config.delta / math.sqrt(d.dot(d)))  # np.linalg.norm's arithmetic
     while True:
         trial = project_to_feasible(
             x + eta * d, x_base, config.delta, config.box_lo, config.box_hi
         )
-        if not np.array_equal(trial, x):
+        if (trial != x).any():
             sol = solve_victim(model, trial, warm=solution)
-            val = objective(selector @ sol.y, config.target)
+            val = _squared_norm(selector @ sol.y - config.target)  # objective, of checked arrays
             if val < value:
-                distance = float(np.linalg.norm(trial - x_base))
-                return trial, sol, StepRecord(k, val, point, d, dg, eta, distance, route)
+                r = trial - x_base
+                return trial, sol, StepRecord(k, val, point, d, dg, eta, math.sqrt(r.dot(r)), route)
         if config.step_mode == "fixed-L":
             return None
         eta *= 0.5

@@ -29,7 +29,6 @@ follow the same ordering, with stationarity
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -179,8 +178,8 @@ class QpProblem:
         if A.shape != self.A.shape:
             raise DimensionMismatch(f"A must have shape {self.A.shape}, got {A.shape}")
         _as_matrix(A[rows], self.n_var, "A_ineq")
-        other, r = copy.copy(self), self.n_ineq
-        other.A, other.A_ineq, other.A_eq = A, A[:r], A[r:]
+        other, r = object.__new__(QpProblem), self.n_ineq
+        other.__dict__ = {**self.__dict__, "A": A, "A_ineq": A[:r], "A_eq": A[r:]}
         return other
 
     def constraint_values(self, y: np.ndarray) -> np.ndarray:
@@ -205,7 +204,9 @@ class KktSolution:
     factors holds the final working rows and their factors (see
     WorkingFactors): the bounds first, then the general rows, each in
     the order they joined, start rows before the loop's.
-    working_minimizer, working_start and licq_margin read them.
+    working_minimizer, working_start and licq_margin read them.  g holds
+    A y + b as solve_qp's KKT gate computed it, which classify_active
+    reads; None on a solution built by hand.
     """
 
     y: np.ndarray
@@ -215,6 +216,7 @@ class KktSolution:
     phase1: bool = False
     problem: QpProblem | None = None
     factors: WorkingFactors | None = None
+    g: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -248,17 +250,20 @@ def kkt_residuals(problem: QpProblem, y: np.ndarray, lam: np.ndarray) -> KktResi
         raise DimensionMismatch(f"y must have shape ({problem.n_var},), got {y.shape}")
     if lam.shape != (problem.n_con,):
         raise DimensionMismatch(f"lam must have shape ({problem.n_con},), got {lam.shape}")
-    r = problem.n_ineq
     with np.errstate(over="ignore", invalid="ignore"):
-        g = problem.constraint_values(y)
-        grad = problem.H @ y + problem.c
-        if problem.n_con:
-            grad = grad + problem.A.T @ lam
-        stationarity = float(np.abs(grad).max(initial=0.0))
-        primal_ineq = float(np.maximum(g[:r], 0.0).max(initial=0.0))
-        primal_eq = float(np.abs(g[r:]).max(initial=0.0))
-        dual = float(np.maximum(-lam[:r], 0.0).max(initial=0.0))
-        complementarity = float(np.abs(lam[:r] * g[:r]).max(initial=0.0))
+        return _residuals(problem, lam, problem.constraint_values(y), problem.H @ y + problem.c)
+
+
+def _residuals(problem: QpProblem, lam, g, grad) -> KktResiduals:
+    """kkt_residuals from g = A y + b and grad = H y + c, evaluated at y by the caller."""
+    r = problem.n_ineq
+    if problem.n_con:
+        grad = grad + problem.A.T @ lam
+    stationarity = float(np.abs(grad).max(initial=0.0))
+    primal_ineq = float(np.maximum(g[:r], 0.0).max(initial=0.0))
+    primal_eq = float(np.abs(g[r:]).max(initial=0.0))
+    dual = float(np.maximum(-lam[:r], 0.0).max(initial=0.0))
+    complementarity = float(np.abs(lam[:r] * g[:r]).max(initial=0.0))
     return KktResiduals(stationarity, max(primal_ineq, primal_eq), dual, complementarity)
 
 
@@ -283,9 +288,11 @@ def classify_active(problem: QpProblem, solution: KktSolution) -> ActiveStructur
     inequality is weakly active when its multiplier magnitude is at most
     TOL_MULT; those are the constraints whose one-sided behaviour the
     auxiliary problem of the sensitivity module keeps as inequalities.
+    The constraint values are solution.g where solve_qp kept them for
+    problem, else evaluated here.
     """
-    r = problem.n_ineq
-    active = np.abs(problem.constraint_values(solution.y)) <= TOL_ACT
+    r, g = problem.n_ineq, solution.g if solution.problem is problem else None
+    active = np.abs(problem.constraint_values(solution.y) if g is None else g) <= TOL_ACT
     active[r:] = True
     weakly = np.abs(solution.lam) <= TOL_MULT
     weakly[r:] = False
@@ -310,10 +317,13 @@ class WorkingFactors:
     buffer T, taken as given like Q, holds R^-1 in its leading m x m
     block.  General rows join at the end and leave from anywhere, Q and
     T updated in place (Gill, Golub, Murray & Saunders 1974); a bound
-    that joins fixes its variable, and one that leaves frees it.
+    that joins fixes its variable, and one that leaves frees it.  norms
+    holds each general row's norm |a_i|, taken as it joins, which
+    licq_margin reads.
     """
 
     reduced = None  # _working_subproblem's decomposition of Z'HZ, and its H; updates drop it
+    norms: tuple[float, ...] = ()  # replaced, never changed in place, as rows and fixed are
 
     def __init__(self, n: int, bounds=None, fixed=None):
         """No general rows; bound row bounds[k], if given, fixes variable fixed[k]."""
@@ -329,8 +339,9 @@ class WorkingFactors:
 
     def copy(self) -> WorkingFactors:
         """Factors whose updates leave these alone (rows and fixed are only ever replaced)."""
-        other = copy.copy(self)
-        other.Q, other.T, other.reduced = self.Q.copy(), self.T.copy(), None
+        other = object.__new__(WorkingFactors)
+        other.rows, other.fixed, other.norms = self.rows, self.fixed, self.norms
+        other.Q, other.T = self.Q.copy(), self.T.copy()
         return other
 
     @property
@@ -382,7 +393,8 @@ class WorkingFactors:
         reflection of Q[:, m:] adds the row.  That residual, the reflector
         and |a| square no entry of a, so a row of any finite scale joins.
         """
-        cut = TOL_INDEP * math.hypot(*a.tolist()) if cut is None else cut
+        norm_a = math.hypot(*a.tolist())
+        cut = TOL_INDEP * norm_a if cut is None else cut
         if np.count_nonzero(a) == 1:
             j = int(np.flatnonzero(a)[0])
             return self._fix(i, j, float(a[j]), cut)
@@ -394,7 +406,8 @@ class WorkingFactors:
         beta = self._reflect(m, v, norm)
         T[:m, m] = (T[:m, :m] @ (Q[:, :m].T @ a)) / -beta
         T[m, m] = 1.0 / beta
-        self.rows, self.reduced = np.append(self.rows, i), None
+        self.rows, self.norms = np.concatenate((self.rows, (i,))), (*self.norms, norm_a)
+        self.reduced = None
         return True
 
     def _reflect(self, m: int, v: np.ndarray, norm: float) -> float:
@@ -439,8 +452,8 @@ class WorkingFactors:
         self.Q[j] = 0.0
         self.T = np.zeros((T.shape[0] - 1, T.shape[0] - 1))
         self.T[:m, :m] = T[:m, 1 : m + 1]
-        self.rows = np.insert(self.rows, p, i)
-        self.fixed, self.reduced = np.append(self.fixed, j), None
+        self.rows = np.concatenate((self.rows[:p], (i,), self.rows[p:]))
+        self.fixed, self.reduced = np.concatenate((self.fixed, (j,))), None
         return True
 
     def drop(self, i: int, A: np.ndarray) -> None:
@@ -450,7 +463,7 @@ class WorkingFactors:
         """
         t = int(np.flatnonzero(self.rows == i)[0])
         if t < self.fixed.size:
-            self._free(t)
+            self._free(t, A)
             t = self.fixed.size
         p, Q, T, rows = self.fixed.size, self.Q, self.T, self.rows
         j, m = t - p, rows.size - p  # row i is general row j of m
@@ -460,22 +473,24 @@ class WorkingFactors:
             T[:m, j:m] = T[:m, j:m] @ q
         T[j : m - 1] = T[j + 1 : m]  # the new R^-1 is T q without row j
         T[m - 1] = T[:, m - 1] = 0.0
-        self.rows, self.reduced = np.delete(rows, t), None
+        self.rows, self.reduced = np.concatenate((rows[:t], rows[t + 1 :])), None
+        self.norms = self.norms[:j] + self.norms[j + 1 :]
 
-    def _free(self, t: int) -> None:
+    def _free(self, t: int, A: np.ndarray) -> None:
         """Bound t's variable j joins the free variables, its row the general rows, first.
 
         Q gains the leading column e_j, so that R gains the leading row
-        (1, A[general, j]).  T's leading row stays zero, as drop deletes
-        that row and reads none of it.
+        (1, A[general, j]), and norms the row's norm |s|.  T's leading
+        row stays zero, as drop deletes that row and reads none of it.
         """
-        j, p, nf = self.fixed[t], self.fixed.size, self.T.shape[0]
+        j, p, nf, rows = self.fixed[t], self.fixed.size, self.T.shape[0], self.rows
         Q, T = np.zeros((self.Q.shape[0], nf + 1)), np.zeros((nf + 1, nf + 1))
         Q[:, 1:], Q[j, 0] = self.Q, 1.0
         T[1:, 1:] = self.T
         self.Q, self.T = Q, T
-        self.rows = np.insert(np.delete(self.rows, t), p - 1, self.rows[t])
-        self.fixed = np.delete(self.fixed, t)
+        self.rows = np.concatenate((rows[:t], rows[t + 1 : p], rows[t : t + 1], rows[p:]))
+        self.fixed = np.concatenate((self.fixed[:t], self.fixed[t + 1 :]))
+        self.norms = (abs(float(A[rows[t], j])), *self.norms)
 
 
 def _working_subproblem(H, c, y, factors: WorkingFactors):
@@ -574,7 +589,8 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, factors: WorkingFactors,
     leaves round-off of y's size in y_hat, above the 1e-11 |y_hat| the
     stationarity test allows, so the loop solves again from y_hat first.
     Ties and drops follow Bland's rule (smallest index).  Returns (y,
-    lam, iterations, factors), factors being the final working rows'.
+    lam, iterations, factors, grad), factors being the final working
+    rows' and grad H y + c, from which the multipliers were taken.
     """
     A, H, c, r = problem.A, problem.H, problem.c, problem.n_ineq
     if max_iter is None:
@@ -610,14 +626,15 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, factors: WorkingFactors,
                 continue
 
         # y_hat minimizes over the working set: check multiplier signs
-        lam_w = -factors.multipliers(H @ y_hat + c, A)  # A_w' lam_w = -(H y_hat + c)
+        grad = H @ y_hat + c
+        lam_w = -factors.multipliers(grad, A)  # A_w' lam_w = -(H y_hat + c)
         if not np.isfinite(lam_w).all():
             raise MaxIterations("working-set multipliers are not finite: the data are too large")
         negative = idx[(idx < r) & (lam_w < -_DROP_TOL)]
         if not negative.size:
             lam = np.zeros(problem.n_con)
             lam[idx] = np.where((idx >= r) | (lam_w > 0.0), lam_w, 0.0)
-            return y_hat, lam, it + 1, factors
+            return y_hat, lam, it + 1, factors, grad
         factors.drop(int(negative.min()), A)
         y = y_hat
     raise MaxIterations(f"active-set method did not converge in {max_iter} iterations")
@@ -703,8 +720,11 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
         raise InputError("start must be a HotStart or None: qp.point_start makes one from a point")
     elif start.problem is not problem:
         raise InputError("hot start was built for another problem")
-    y, lam, iterations, factors = _active_set_loop(problem, start.y, start.factors, max_iter)
-    res = kkt_residuals(problem, y, lam)
+    y, lam, iterations, factors, grad = _active_set_loop(problem, start.y, start.factors, max_iter)
+    with np.errstate(over="ignore", invalid="ignore"):  # the gate reads the loop's H y + c
+        g = problem.constraint_values(y)
+        res = _residuals(problem, lam, g, grad)
+        value = problem.objective_value(y)
     c_inf = float(np.abs(problem.c).max(initial=0.0))
     if not res.within_default_tolerances(c_inf, float(np.abs(lam).max(initial=0.0))):
         raise MaxIterations(
@@ -712,13 +732,13 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
             f"(stationarity {res.stationarity:.2e}, primal {res.primal:.2e}, "
             f"dual {res.dual:.2e}, complementarity {res.complementarity:.2e})"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = problem.objective_value(y)
     if not math.isfinite(value):
         raise MaxIterations(
             "objective value at the KKT point is not finite: the data are too large"
         )
-    return KktSolution(y, lam, value, iterations, phase1, problem, factors)
+    solution = KktSolution(y, lam, value, iterations, phase1, problem, factors)
+    solution.g = g
+    return solution
 
 
 def solved_problem(solution: KktSolution) -> QpProblem:
@@ -734,24 +754,27 @@ def solved_problem(solution: KktSolution) -> QpProblem:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
 def working_minimizer(
-    solution: KktSolution, factors: WorkingFactors, c: np.ndarray, b: np.ndarray
+    solution: KktSolution, factors: WorkingFactors, c: np.ndarray, b: np.ndarray | None
 ) -> np.ndarray | None:
     """Minimize 0.5 d'Hd + c'd subject to A[w] d + b[w] = 0 over the rows w factors holds.
 
     H and A are solution.problem's, and b holds one offset per
-    constraint.  factors are the solution's own, or a copy of them with
-    one row dropped or joined (the sensitivity module's two pieces at a
-    kink); the solve runs on them through _working_subproblem: one KKT
-    solve, no factorization (Nocedal & Wright, section 16.2).  On the
-    solution's own factors it reuses the solve's last decomposition of
-    Z'HZ.  It starts from the zero point, moved onto the rows where b is
-    nonzero.  Returns None where the objective decreases without bound
-    on that affine set, as solve_qp's Unbounded would.
+    constraint, or is None for zero offsets.  factors are the solution's
+    own, or a copy of them with one row dropped or joined (the
+    sensitivity module's two pieces at a kink); the solve runs on them
+    through _working_subproblem: one KKT solve, no factorization
+    (Nocedal & Wright, section 16.2).  On the solution's own factors it
+    reuses the solve's last decomposition of Z'HZ.  It starts from the
+    zero point, moved onto the rows where b is nonzero.  Returns None
+    where the objective decreases without bound on that affine set, as
+    solve_qp's Unbounded would.
 
     Raises MaxIterations when the minimizer is not finite.
     """
     problem = solved_problem(solution)
-    y = factors.onto(np.zeros_like(c), problem.A, b) if b.any() else np.zeros_like(c)
+    y = np.zeros_like(c)
+    if b is not None and b.any():
+        y = factors.onto(y, problem.A, b)
     d = _working_subproblem(problem.H, c, y, factors)[0]
     if d is not None and not np.isfinite(d).all():
         raise MaxIterations("working-set minimizer is not finite: the data are too large")
@@ -862,7 +885,7 @@ def working_start(solution: KktSolution, problem: QpProblem) -> HotStart | None:
         if not (single.all() and A[bounds, factors.fixed[moved]].all()):
             return None
     k = int(np.append(changed[general], True).argmax())  # the first general row that changed
-    factors.rows, factors.reduced = factors.rows[: p + k], None
+    factors.rows, factors.norms, factors.reduced = factors.rows[: p + k], factors.norms[:k], None
     factors.T[k:] = factors.T[:, k:] = 0.0  # Q's columns k.. stay the complement of rows ..k
     for i in general[k:]:
         factors.join(i, A[i])
@@ -873,22 +896,21 @@ def licq_margin(solution: KktSolution, active) -> float:
     """Smallest |R_jj| / |a_j| over the active rows: each row's residual off those before it.
 
     The working rows come first: the bounds, each with residual |s| (a
-    ratio of 1), then the general rows, with R from the solver's factors.
-    The other active rows follow, factored in the working rows' null
-    space on the free variables.  More of them than its dimension leave
-    a zero residual; none of them, no QR.
+    ratio of 1), then the general rows, with R and |a_j| from the
+    solver's factors (WorkingFactors.norms).  The other active rows
+    follow, factored in the working rows' null space on the free
+    variables.  More of them than its dimension leave a zero residual;
+    none of them, no QR.
     """
     A, factors = solved_problem(solution).A, solution.factors
-    live, Z = np.zeros(A.shape[0], dtype=bool), factors.null_space
-    live[factors.rows] = True
-    active = np.asarray(active, dtype=int)
-    extra = active[~live[active]]
-    if extra.size > Z.shape[1]:
+    working, Z = set(factors.rows.tolist()), factors.null_space
+    extra = [i for i in active if i not in working]
+    if len(extra) > Z.shape[1]:
         return 0.0
-    resid, rows = factors.r_diagonal, factors.general
-    if extra.size:
+    resid, norms = factors.r_diagonal, np.array(factors.norms)
+    if extra:
         R = np.linalg.qr(Z.T @ A[extra].T, mode="r")
-        resid, rows = np.append(resid, np.abs(R.diagonal())), np.append(rows, extra)
-    norms = row_norms(A[rows])
+        resid = np.append(resid, np.abs(R.diagonal()))
+        norms = np.append(norms, row_norms(A[extra]))
     ratio = np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0.0)  # a zero row fails
     return float(ratio.min(initial=1.0 if factors.fixed.size else np.inf))

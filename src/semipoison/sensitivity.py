@@ -225,14 +225,14 @@ class PointDerivative:
         strict set and dy is linear in dx: one adjoint solve,
         [[H, A_w'], [A_w, 0]] (u, nu) = (grad_y, 0), gives the gradient
         -(C'u + J[w]'nu).  It runs on the training solve's own factors and
-        decomposition of Z'HZ (qp.working_minimizer).  None also where
-        Z'HZ is flat.
+        decomposition of Z'HZ (qp.working_minimizer, with zero offsets).
+        None also where Z'HZ is flat.
         """
         aux = self.aux
         if aux is None or aux.structure.weakly_active:
             return None
         factors = aux.solution.factors
-        u = qp.working_minimizer(aux.solution, factors, -grad_y, np.zeros(aux.rows.shape[0]))
+        u = qp.working_minimizer(aux.solution, factors, -grad_y, None)
         if u is None:
             return None
         nu = np.zeros(aux.rows.shape[0])
@@ -311,7 +311,7 @@ def run_oracle_trials(n_trials: int, seed: int = 0) -> list[OracleTrial]:
         except (Infeasible, Unbounded, MaxIterations):
             results.append(OracleTrial(trial_seed, "skipped (solve)"))
             continue
-        g = sol.problem.constraint_values(sol.y)[:n_ineq]
+        g = sol.g[:n_ineq]
         # active rows need a multiplier above the margin, inactive ones a slack above it
         clean = np.all(np.where(np.abs(g) <= qp.TOL_ACT, sol.lam[:n_ineq], -g) > ORACLE_MARGIN)
         point = PointDerivative(model, x, sol) if clean else None

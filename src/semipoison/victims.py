@@ -127,7 +127,9 @@ class SvmModel:
         self.H = np.diag(np.r_[1.0, 1.0, np.full(n + 1, self.ridge_eps)])
         self.c = np.r_[np.zeros(3), np.full(n, self.C)]
         self.b = np.r_[np.ones(n), np.zeros(n)]
-        for a in (self.H, self.c, self.b):
+        k = np.arange(2 * n)  # data coordinate k moves point k // 2, so only margin row k // 2
+        self.jac_index = k // 2 * (2 * n) + k  # those entries' flat places in the (2n, 2n) Jacobian
+        for a in (self.H, self.c, self.b, self.jac_index):
             a.flags.writeable = False
         self.base: QpProblem | None = None  # built on first use: train assembles only once
 
@@ -175,10 +177,8 @@ def svm_assemble(svm: SvmModel, x: np.ndarray) -> QpProblem:
 def svm_grad_x_constraint(svm: SvmModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(2n, 2n) constraint Jacobian: margin row i depends on x only through point i."""
     _check_x(x, svm.dim_data)
-    n = svm.n_points
-    out = np.zeros((2 * n, svm.dim_data))
-    rows = np.arange(n)
-    out[:n].reshape(n, n, 2)[rows, rows] = -svm.labels[:, None] * y[:2]  # point i's block of row i
+    out = np.zeros((2 * svm.n_points, svm.dim_data))
+    out.ravel()[svm.jac_index] = np.multiply.outer(-svm.labels, y[:2]).ravel()  # row i, point i
     return out
 
 

@@ -192,11 +192,13 @@ def dense_kkt_gradient(H, rows, W, grad_y):
 def fresh_working_minimizer(problem, factors, c, b):
     """qp.working_minimizer's d with nothing kept: y moved from zero onto the rows, Z'HZ decomposed anew.
 
+    b None stands for zero offsets, as it does for qp.working_minimizer.
     The same arithmetic in the same order as the package's reduced
     solve before it kept its decomposition on the factors, so the two
     agree bit for bit wherever the kept decomposition is the one this
     computes.  None where the objective is unbounded on the rows.
     """
+    b = np.zeros(problem.n_con) if b is None else b
     H, y0 = problem.H, factors.onto(np.zeros_like(c), problem.A, b)
     Z = factors.null_space
     if Z.shape[1] == 0:

@@ -889,6 +889,140 @@ def test_acceptance_attacks_move_points_onto_rows_outside_the_loop(monkeypatch):
     assert 0 < len(calls) <= 1250 and not any(calls)
 
 
+def test_seed0_acceptance_attack_evaluates_each_solved_point_once(monkeypatch):
+    """Work per accepted step of the seed-0 acceptance attack: upper bounds on three counts.
+
+    Its 200 steps cost 202 victim solves.  A solve evaluates A y + b
+    once at its start (qp._hot_start) and once in its KKT gate, which
+    the solution keeps for classify_active: 413 constraint_values calls,
+    613 when classify_active took them again.  licq_margin reads the
+    working rows' norms from the factors, so row_norms runs only in the
+    cold first solve: 2 calls, 202 when licq_margin normed the rows
+    again.  A warm re-solve rejoins the general rows after the moved
+    point's margin row (qp.working_start): 290 joins.
+    """
+    calls = Counter()
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(qp_module.QpProblem, "constraint_values")
+    counted(qp_module, "row_norms")
+    counted(qp_module.WorkingFactors, "join")
+    data, model, config = svm_scenario(0)
+    steps = len(run_attack(data.features.ravel(), model, config).records)
+    assert steps == 200
+    assert calls["constraint_values"] <= 415 and calls["row_norms"] <= 2 and calls["join"] <= 290
+
+
+def _old_svm_jacobian(svm, y):
+    """svm_grad_x_constraint's blocks written by fancy index on an (n, n, 2) view: the reference."""
+    n = svm.n_points
+    out = np.zeros((2 * n, svm.dim_data))
+    rows = np.arange(n)
+    out[:n].reshape(n, n, 2)[rows, rows] = -svm.labels[:, None] * y[:2]
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, flips, ops",
+    [(20, None, ()), (40, [0, 1, 25], ("drop", "_fix")), (20, [0, 11], ("drop", "_fix", "_free"))],
+    ids=["n20", "soft-n40", "soft-n20"],
+)
+def test_values_a_solved_point_keeps_match_a_fresh_evaluation(monkeypatch, n, flips, ops):
+    """Each value kept for a later reader equals its fresh evaluation, along three seed-0 attacks.
+
+    The acceptance attack at n=20, the soft-margin n=40 attack (labels
+    0, 1 and 25 flipped), where slack-sign bounds join the working rows
+    (_fix) and leave them, and the soft-margin n=20 attack (labels 0 and
+    11 flipped), where a bound also leaves inside the active-set loop
+    (_free).  Each victim solution's g is A y + b bit for bit.  The
+    factors' norms equal row_norms of their general rows to round-off
+    after every join, drop, _fix and _free, and on every hot start
+    qp.working_start makes: each snapshot is checked against the rows of
+    the problem its factors were updated for, at the next solve or
+    kink-piece build.  A copy holds its source's norms and rows, checked
+    with the source.  The SVM Jacobian equals the reference construction
+    bit for bit.
+    """
+    snapshots, checked = [], Counter()
+
+    def snapshot(name, factors):
+        snapshots.append((name, factors.general, factors.norms))  # both replaced, never changed
+
+    def check_snapshots(A):
+        for name, general, norms in snapshots:
+            assert len(norms) == general.size
+            np.testing.assert_allclose(norms, qp_module.row_norms(A[general]), rtol=1e-15, atol=0.0)
+            checked[name] += 1
+        snapshots.clear()
+
+    def recorded(name):
+        inner = getattr(qp_module.WorkingFactors, name)
+
+        def op(self, *args):
+            out = inner(self, *args)
+            if name == "copy":  # a copy holds its source's rows, checked with the source's problem
+                assert out.norms == self.norms and np.array_equal(out.general, self.general)
+                checked[name] += 1
+            else:
+                snapshot(name, self)
+            return out
+
+        monkeypatch.setattr(qp_module.WorkingFactors, name, op)
+
+    for name in ("join", "drop", "_fix", "_free", "copy"):
+        recorded(name)
+    inner_start, inner_solve = victims_module.working_start, victims_module.solve_qp
+    inner_pieces = sensitivity_module._kink_pieces
+
+    def working_start(solution, problem):
+        start = inner_start(solution, problem)
+        if start is not None:
+            snapshot("working_start", start.factors)
+        return start
+
+    def solve(problem, start=None):
+        sol = inner_solve(problem, start=start)
+        assert sol.g.tobytes() == (problem.A @ sol.y + problem.b).tobytes()
+        check_snapshots(problem.A)
+        checked["g"] += 1
+        return sol
+
+    def pieces(solution, w):
+        out = inner_pieces(solution, w)
+        check_snapshots(solution.problem.A)
+        return out
+
+    monkeypatch.setattr(victims_module, "working_start", working_start)
+    monkeypatch.setattr(victims_module, "solve_qp", solve)
+    monkeypatch.setattr(sensitivity_module, "_kink_pieces", pieces)
+    if flips is None:
+        data, model, config = svm_scenario(0)
+        x = data.features.ravel()
+    else:
+        model, x = soft_margin_svm(n, 0, flips)
+        config = svm_config(model, max_iters=200)
+    svm, inner_jac = model.grad_x_constraint.args[0], model.grad_x_constraint
+
+    def jacobian(x, y):
+        out = inner_jac(x, y)
+        assert out.tobytes() == _old_svm_jacobian(svm, y).tobytes()
+        checked["jacobian"] += 1
+        return out
+
+    model.grad_x_constraint = jacobian
+    run_attack(x, model, config)
+    assert checked["g"] > 150 and checked["jacobian"] > 150 and snapshots == []
+    assert all(checked[name] > 0 for name in ("join", "copy", "working_start", *ops)), checked
+
+
 def test_victim_solves_end_feasible_without_phase1(monkeypatch):
     """No victim solve leaves an inequality violated beyond round-off, and none runs phase 1.
 
@@ -1291,6 +1425,27 @@ def test_backtracking_stops_at_the_round_off_floor():
     assert trace.final_objective <= 1e-12 * trace.initial_objective
     hist = trace.objective_history
     assert all(b < a for a, b in zip(hist, hist[1:]))
+
+
+def test_a_first_trial_step_that_overflows_is_rejected_without_a_solve(monkeypatch):
+    """-dg / curvature_bound = 1e10 / 1e-300 is inf: _try_step rejects the step and solves nothing.
+
+    Halving never brings an infinite trial step below MIN_STEP, so the
+    line search would not end without this exit.
+    """
+    model, _, _ = unconstrained_fixture()
+    x = np.array([0.3, -0.2])
+    solution = solve_victim(model, x)
+    config = AttackConfig(target=solution.y, delta=10.0, point_dim=2, curvature_bound=1e-300)
+    solves = []
+    monkeypatch.setattr(attack_module, "solve_victim", lambda *args, **kwargs: solves.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = attack_module._try_step(
+            model, x, solution, np.array([1.0, 0.0]), -1e10, 1.0, config, x, np.eye(3),
+            k=1, point=0, route="linear",
+        )
+    assert outcome is None and solves == []
 
 
 def test_convergence_check_factor_examples():

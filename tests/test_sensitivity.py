@@ -510,7 +510,7 @@ def test_kept_reduced_solve_is_the_fresh_one_along_the_reference_attacks(monkeyp
         kept = factors.reduced is not None and factors.reduced[0] is solution.problem.H
         d = real_minimizer(solution, factors, c, b)
         assert (d is None and fresh is None) or d.tobytes() == fresh.tobytes()
-        role = f"piece {auxes[-1].pieces.index(factors)}" if b.any() else "adjoint"
+        role = "adjoint" if b is None else f"piece {auxes[-1].pieces.index(factors)}"
         calls[role, factors is solution.factors, kept, factors.null_space.shape[1]] += 1
         return d
 
@@ -518,7 +518,7 @@ def test_kept_reduced_solve_is_the_fresh_one_along_the_reference_attacks(monkeyp
         g = real_gradient(self, grad_y)
         if g is not None:
             aux, factors = self.aux, self.aux.solution.factors
-            u = fresh_working_minimizer(aux.solution.problem, factors, -grad_y, np.zeros(aux.rows.shape[0]))
+            u = fresh_working_minimizer(aux.solution.problem, factors, -grad_y, None)
             nu = np.zeros(aux.rows.shape[0])
             nu[factors.rows] = factors.multipliers(grad_y - aux.H_aux @ u, aux.rows)
             assert g.tobytes() == (-(aux.cross.T @ u + aux.jac.T @ nu)).tobytes()

@@ -20,7 +20,6 @@ SRC = ROOT / "src" / "semipoison"
 ALLOWED = [  # (file, stripped source text, why no test reaches it)
     ("attack.py", "return x_base.copy()  # round-off exhausted; the base point is always feasible",
      "project_to_feasible's round-off exit: no tested projection exhausts its halvings"),
-    ("attack.py", "return None", "_try_step's non-finite first trial step, -dg / curvature_bound"),
     ("attack.py", 'raise Stalled("no decrease along the gradient direction", certificate=None)',
      "_gradient_round's rejected step: every tested baseline step decreases"),
     ("cli.py", "sys.exit(main())", "the __main__ guard: the console script calls main itself"),
