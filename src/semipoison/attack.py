@@ -29,7 +29,7 @@ from functools import cache
 import numpy as np
 
 from .data import open_output, write_table
-from .errors import DimensionMismatch, EmptyDirectionSet, SingularHessian, Stalled
+from .errors import DimensionMismatch, EmptyDirectionSet, InputError, SingularHessian, Stalled
 from .qp import KktSolution
 # build_auxiliary and semi_derivative are unused here; perfbench/tracing.py patches them by name
 from .sensitivity import PointDerivative, build_auxiliary, semi_derivative
@@ -59,8 +59,8 @@ class AttackConfig:
     with derivative dG gets the trial length -dG / curvature_bound, which
     fixed-L mode applies once and backtracking mode halves until the
     objective decreases.  Candidate directions are fixed: a point's
-    feasible axis rows, then its steepest row on the linear route, or
-    else the sampled set of feasible_directions.
+    feasible axis rows, then its steepest row on the linear route where
+    that row is feasible, or else the sampled set of feasible_directions.
     """
 
     target: np.ndarray
@@ -195,12 +195,8 @@ def objective(selected: np.ndarray, target: np.ndarray) -> float:
         raise DimensionMismatch(
             f"selected output has shape {selected.shape}, target {target.shape}"
         )
-    return _squared_norm(selected - target)
-
-
-def _squared_norm(r: np.ndarray) -> float:
-    """r'r, inf where it overflows: objective's arithmetic on a residual the caller built."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = selected - target
         return float(r.dot(r))
 
 
@@ -214,10 +210,13 @@ def project_to_feasible(x, x_base, delta, lo=None, hi=None) -> np.ndarray:
     and the combination is exact under floating point (verified against
     the same norm the caller would use).  A distance whose square
     overflows is taken again from scaled differences, without a warning.
+
+    Raises InputError where no pull lands in both and the base point lies
+    outside the box, which the pull relies on.
     """
     x_base = np.asarray(x_base, dtype=float)
     z = np.array(x, dtype=float, copy=True)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for shrink in (None, 0.0, 1e-15, 1e-12, 1e-9):
             if shrink is not None:  # pull toward the base point
                 z = x_base + (z - x_base) * ((delta / dist) * (1.0 - shrink))
@@ -229,6 +228,9 @@ def project_to_feasible(x, x_base, delta, lo=None, hi=None) -> np.ndarray:
                 dist = scale * float(np.linalg.norm((z - x_base) / scale))
             if dist <= delta:
                 return z
+    base = x_base.reshape(-1, np.size(lo)) if lo is not None else None
+    if base is not None and (np.clip(base, lo, hi) != base).any():
+        raise InputError("the base point must lie in the box: no pull toward it met ball and box")
     return x_base.copy()  # round-off exhausted; the base point is always feasible
 
 
@@ -291,7 +293,7 @@ def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rn
     row v moves the point's coordinates x[point_index * point_dim :
     (point_index + 1) * point_dim] and no others.  The attack scores
     this set on the aux and fd routes, and on the linear route only
-    where the point's steepest row or every axis row is infeasible.
+    where the point's steepest row is infeasible.
 
     Raises EmptyDirectionSet when nothing survives the filter (the point
     is pinned at a corner of the feasible region, or delta is zero).
@@ -370,7 +372,7 @@ class _ObjectiveDerivative:
         if self.gradient is None:
             return None
         g = self.gradient[_point_slots(p, point_dim)]
-        nrm = math.sqrt(_squared_norm(g))  # np.linalg.norm's arithmetic
+        nrm = math.sqrt(g.dot(g))  # np.linalg.norm's arithmetic
         if nrm == math.inf:  # |g|^2 overflowed: take the row from a scaled copy
             g = g / np.abs(g).max()
             nrm = math.sqrt(g.dot(g))
@@ -397,7 +399,8 @@ def _try_step(model, x, solution, d, dg, value, config, x_base, selector, *, k, 
         )
         if (trial != x).any():
             sol = solve_victim(model, trial, warm=solution)
-            val = _squared_norm(selector @ sol.y - config.target)  # objective, of checked arrays
+            r = selector @ sol.y - config.target
+            val = float(r.dot(r))  # objective's arithmetic, on checked arrays
             if val < value:
                 r = trial - x_base
                 return trial, sol, StepRecord(k, val, point, d, dg, eta, math.sqrt(r.dot(r)), route)
@@ -412,26 +415,17 @@ def _point_rows(ev, feasible: _Feasibility, p, rng, n_probed: int) -> np.ndarray
     """The rows point p is scored on besides its n_probed feasible axis rows, the probe's.
 
     On the linear route the steepest row is the best unit row, so where
-    it and some axis row are feasible it is the only one.  Else the rows
-    are feasible_directions' past its leading axis rows, and the steepest
-    row where it is feasible; that row alone where the sampled set is
-    empty.  Raises EmptyDirectionSet as feasible_directions does, unless
-    the steepest row is feasible.
+    it is feasible it is the only one.  Else the rows are
+    feasible_directions' past its leading axis rows, and it raises
+    EmptyDirectionSet as feasible_directions does.
     """
     config = feasible.config
     v_st = ev.steepest_direction(p, config.point_dim)  # None off the linear route
-    steep = v_st is not None and feasible(p, v_st)
-    if steep and n_probed:
+    if v_st is not None and feasible(p, v_st):
         # the draw feasible_directions makes, unused: later rounds see the same random rows
         rng.standard_normal((RANDOM_DIRS, config.point_dim))
         return v_st[None]
-    try:
-        rows = feasible_directions(feasible.x, p, config, x_base=feasible.x_base, rng=rng)
-    except EmptyDirectionSet:
-        if not steep:
-            raise
-        return v_st[None]  # the random rows were drawn before the raise
-    return np.vstack([rows[n_probed:], v_st]) if steep else rows[n_probed:]
+    return feasible_directions(feasible.x, p, config, x_base=feasible.x_base, rng=rng)[n_probed:]
 
 
 def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector):
@@ -444,10 +438,9 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
     A point whose candidates yield no strict decrease is set aside for
     the rest of the round.  Its candidates are its probe rows, with their
     probe scores, and the rows _point_rows adds: on the linear route,
-    where the steepest row is the best unit row there is, that row alone;
-    elsewhere the sampled set, with the steepest row where it is
-    feasible, or that row alone where the set is empty.  Every direction
-    is a row of length point_dim moving one point.
+    where the steepest row is the best unit row there is, that row alone
+    where it is feasible; elsewhere the sampled set.  Every direction is
+    a row of length point_dim moving one point.
     Raises EmptyDirectionSet when no point can move at all, Stalled when
     movable points admit no candidate descent (with the smallest
     derivative seen as certificate when it clears -TOL_STALL).
@@ -499,6 +492,7 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
     raise Stalled("no candidate direction decreases the objective", certificate=certificate)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is rejected or raises
 def _drive(x_bar, model: VictimModel, config: AttackConfig, round_fn) -> AttackTrace:
     """Repeat round_fn from pristine data until a stopping rule fires.
 

@@ -573,7 +573,6 @@ def _independent_factors(A: np.ndarray, rows: np.ndarray, n_base: int) -> Workin
     return factors
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite step or multiplier raises instead
 def _active_set_loop(problem: QpProblem, y: np.ndarray, factors: WorkingFactors, max_iter=None):
     """Primal active-set iteration from y on the working rows factors holds, updated in place.
 
@@ -682,6 +681,7 @@ def _phase1(problem: QpProblem) -> HotStart:
     return start
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
 def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> KktSolution:
     """Solve a convex QP to a KKT point.
 
@@ -721,10 +721,9 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
     elif start.problem is not problem:
         raise InputError("hot start was built for another problem")
     y, lam, iterations, factors, grad = _active_set_loop(problem, start.y, start.factors, max_iter)
-    with np.errstate(over="ignore", invalid="ignore"):  # the gate reads the loop's H y + c
-        g = problem.constraint_values(y)
-        res = _residuals(problem, lam, g, grad)
-        value = problem.objective_value(y)
+    g = problem.constraint_values(y)
+    res = _residuals(problem, lam, g, grad)  # the gate reads the loop's H y + c
+    value = problem.objective_value(y)
     c_inf = float(np.abs(problem.c).max(initial=0.0))
     if not res.within_default_tolerances(c_inf, float(np.abs(lam).max(initial=0.0))):
         raise MaxIterations(
@@ -752,7 +751,6 @@ def solved_problem(solution: KktSolution) -> QpProblem:
     return solution.problem
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
 def working_minimizer(
     solution: KktSolution, factors: WorkingFactors, c: np.ndarray, b: np.ndarray | None
 ) -> np.ndarray | None:
@@ -795,7 +793,6 @@ class HotStart:
     factors: WorkingFactors
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite start is no hot start
 def _hot_start(problem: QpProblem, y: np.ndarray, factors: WorkingFactors) -> HotStart | None:
     """y moved onto factors' rows (WorkingFactors.onto), with every other row near active joined.
 

@@ -147,6 +147,7 @@ def _kink_pieces(solution: KktSolution, w: int) -> tuple[qp.WorkingFactors, qp.W
     return factors, other
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
 def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
     """One-sided derivative dy of the solution map along dx.
 
@@ -178,8 +179,7 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"dx must have shape ({aux.dim_data},), got {dx.shape}")
     if not np.linalg.norm(dx) > 0:
         raise DimensionMismatch("dx must be nonzero")
-    with np.errstate(over="ignore", invalid="ignore"):
-        c, mu = aux.cross @ dx, aux.jac @ dx  # c = -v
+    c, mu = aux.cross @ dx, aux.jac @ dx  # c = -v
     if not (np.isfinite(c).all() and np.isfinite(mu).all()):
         raise MaxIterations("derivative data C dx, J dx is not finite: the data are too large")
 

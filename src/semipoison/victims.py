@@ -54,6 +54,7 @@ class VictimModel:
     feasible_start: Callable[[np.ndarray, np.ndarray | None], np.ndarray] | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises or falls back
 def solve_victim(
     model: VictimModel, x: np.ndarray, warm: KktSolution | None = None
 ) -> KktSolution:
@@ -68,7 +69,9 @@ def solve_victim(
     place of warm.y on a cold solve, and where that gives None too, or
     the model has no such hook, from phase 1.  Every start is a
     qp.HotStart, so the start changes the cost of the solve, not its
-    result beyond round-off.
+    result beyond round-off.  The whole call, model.assemble and
+    model.feasible_start included, runs with numpy's overflow and
+    invalid warnings off; QpProblem still rejects non-finite data.
     """
     x = np.asarray(x, dtype=float)
     problem = model.assemble(x)
@@ -212,21 +215,20 @@ def _least_squares_wb(svm: SvmModel, pts: np.ndarray) -> np.ndarray:
     margin is positive or no candidate's objective is finite.
     """
     n, C, eps = svm.n_points, svm.C, svm.ridge_eps
-    with np.errstate(all="ignore"):
-        theta = np.linalg.lstsq(np.column_stack([pts, np.ones(n)]), svm.labels, rcond=None)[0]
-        m = np.sort(svm.labels * (pts @ theta[:2] + theta[2]))
-        k = np.flatnonzero(m > 0.0)  # candidate k has k points with slack
-        if not k.size:
-            return np.zeros(3)
-        s = 1.0 / m[k]
-        s1 = np.concatenate([[0.0], np.cumsum(m)])[k]  # sum of the margins below m[k]
-        s2 = np.concatenate([[0.0], np.cumsum(m * m)])[k]
-        slack = k - s * s1  # sum of the slacks at scale s
-        slack_sq = k - 2.0 * s * s1 + s * s * s2
-        norm = theta[:2] @ theta[:2] + eps * theta[2] ** 2
-        # the objective over max(C, 1): the same minimizer, and C * slack cannot overflow
-        unit = max(C, 1.0)
-        value = (0.5 * s * s * norm + 0.5 * eps * slack_sq) / unit + (C / unit) * slack
+    theta = np.linalg.lstsq(np.column_stack([pts, np.ones(n)]), svm.labels, rcond=None)[0]
+    m = np.sort(svm.labels * (pts @ theta[:2] + theta[2]))
+    k = np.flatnonzero(m > 0.0)  # candidate k has k points with slack
+    if not k.size:
+        return np.zeros(3)
+    s = 1.0 / m[k]
+    s1 = np.concatenate([[0.0], np.cumsum(m)])[k]  # sum of the margins below m[k]
+    s2 = np.concatenate([[0.0], np.cumsum(m * m)])[k]
+    slack = k - s * s1  # sum of the slacks at scale s
+    slack_sq = k - 2.0 * s * s1 + s * s * s2
+    norm = theta[:2] @ theta[:2] + eps * theta[2] ** 2
+    # the objective over max(C, 1): the same minimizer, and C * slack cannot overflow
+    unit = max(C, 1.0)
+    value = (0.5 * s * s * norm + 0.5 * eps * slack_sq) / unit + (C / unit) * slack
     finite = np.isfinite(value)
     if not finite.any():
         return np.zeros(3)
@@ -244,8 +246,7 @@ def svm_feasible_start(svm: SvmModel, x: np.ndarray, y_prev: np.ndarray | None) 
     pts = _check_x(x, svm.dim_data).reshape(svm.n_points, 2)
     y = np.zeros(svm.dim_var)
     y[:3] = _least_squares_wb(svm, pts) if y_prev is None else y_prev[:3]
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite start means phase 1
-        y[3:] = np.maximum(0.0, 1.0 - svm.labels * (pts @ y[:2] + y[2]))
+    y[3:] = np.maximum(0.0, 1.0 - svm.labels * (pts @ y[:2] + y[2]))  # non-finite: phase 1
     return y
 
 

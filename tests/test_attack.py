@@ -40,13 +40,15 @@ from semipoison.data import normalize, synth_lane_change
 from semipoison.errors import (
     DimensionMismatch,
     EmptyDirectionSet,
+    InputError,
     SemipoisonError,
     Stalled,
 )
-from semipoison.qp import classify_active, solve_qp
+from semipoison.qp import QpProblem, classify_active, solve_qp
 from semipoison.sensitivity import semi_derivative
 from semipoison.victims import (
     SvmModel,
+    VictimModel,
     _AffineQpFamily,
     generic_parametric_qp,
     solve_victim,
@@ -287,6 +289,13 @@ def test_projection_of_an_overflowing_distance_lands_on_the_ball():
     z = project_to_feasible(x_base + [1e300, -1e300, 0.0], x_base, 2.0)
     assert float(np.linalg.norm(z - x_base)) <= 2.0
     np.testing.assert_allclose(z - x_base, [np.sqrt(2.0), -np.sqrt(2.0), 0.0], rtol=1e-12)
+
+
+def test_projection_from_a_base_point_outside_the_box_lands_in_both_or_raises():
+    """Base point 5, radius 1, box [0, 1]: the ball and the box do not meet (it returned [5.])."""
+    with pytest.raises(InputError, match="base point must lie in the box"):
+        project_to_feasible([10.0], [5.0], 1.0, [0.0], [1.0])
+    assert project_to_feasible([10.0], [1.5], 1.0, [0.0], [1.0]).tolist() == [1.0]  # they meet
 
 
 def test_point_local_mask_matches_dense_reference():
@@ -1136,34 +1145,35 @@ def test_linear_point_whose_steepest_row_leaves_the_ball_scores_the_sampled_set(
     assert rng.bit_generator.state == replay.bit_generator.state
 
 
-def test_linear_point_with_no_feasible_axis_row_scores_the_sampled_set():
+def test_linear_point_with_no_feasible_axis_row_scores_its_steepest_row_alone():
     """A ball of radius 6e-10, the point on its boundary: no axis row is feasible, the steepest row is.
 
     A probe step of 1e-9 stays in the ball only within about 34 degrees
     of the inward normal, and the gradient is more than 34 degrees off
-    every axis.  The point's rows are then the sampled set's feasible
-    random rows and its steepest row, or that row alone where no random
-    row is feasible: over 1,000 RNG seeds the point is never set aside,
-    and the RNG state moves as feasible_directions moves it.
+    every axis.  The point's one row is then its steepest row: over
+    1,000 RNG seeds the point is never set aside, the RNG state moves as
+    feasible_directions moves it, and that row scores below every
+    feasible random row, where there is one.
     """
     ev, x, x_base, config = boundary_point(6e-10, outward=False)
     feasible = _Feasibility(x, x_base, config)
     assert not feasible(0, _axis_rows(2)).any()
     assert steepest_is_feasible(ev, x, 0, config, x_base)
     v_st = ev.steepest_direction(0, 2)
+    best = ev.dG(0, v_st[None])[0][0]
     outcomes = Counter()
     for seed in range(1000):
         rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
         rows = attack_module._point_rows(ev, feasible, 0, rng, 0)
+        assert_array_equal(rows, v_st[None])
         try:
-            want = np.vstack([feasible_directions(x, 0, config, x_base=x_base, rng=replay), v_st])
-            outcomes["rows"] += 1
+            sampled = feasible_directions(x, 0, config, x_base=x_base, rng=replay)
+            assert (ev.dG(0, sampled)[0] > best).all()
+            outcomes["sampled set"] += 1
         except EmptyDirectionSet:
-            want = v_st[None]
-            outcomes["steepest row alone"] += 1
-        assert_array_equal(rows, want)
+            outcomes["empty sampled set"] += 1
         assert rng.bit_generator.state == replay.bit_generator.state
-    assert outcomes["steepest row alone"] and outcomes["rows"]
+    assert outcomes["empty sampled set"] and outcomes["sampled set"]
 
 
 def round_tries(round_fn, state, accept=None):
@@ -1362,13 +1372,47 @@ def test_warm_and_cold_solves_agree_along_a_soft_margin_attack():
 
 
 def test_steepest_direction_scales_a_gradient_whose_square_overflows():
-    """|g|^2 overflows for a slice near 1e160: the row comes from a scaled copy, unwarned."""
+    """|g|^2 overflows for a slice near 1e160: the row comes from a scaled copy, unwarned.
+
+    steepest_direction runs inside the error state run_attack sets.
+    """
     ev = object.__new__(_ObjectiveDerivative)
     ev.gradient = np.array([1.0, 2.0, 3e160, -4e160])
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):  # _drive's
         warnings.simplefilter("error")
         row = ev.steepest_direction(1, 2)
     np.testing.assert_allclose(row, [-0.6, 0.8], rtol=1e-15)
+
+
+def test_gradient_whose_square_overflows_runs_through_run_attack_unwarned(monkeypatch):
+    """y = -diag(1, 1e155) x on H = I: the data gradient at x = (1, 0) is (2, 2e155).
+
+    Its steepest row comes from a scaled copy, and every trial step moves
+    y by far more than the objective, 2.0, so the run stalls with no step
+    and a finite objective; nothing warns.
+    """
+    Cx = np.diag([1.0, 1e155])
+    model = VictimModel(
+        dim_data=2,
+        dim_var=2,
+        assemble=lambda x: QpProblem(np.eye(2), Cx @ x),
+        grad_x_constraint=lambda x, y: np.zeros((0, 2)),
+        cross_hessian=lambda x, y, lam: Cx,
+    )
+    rows, real = [], _ObjectiveDerivative.steepest_direction
+
+    def recording(ev, p, point_dim):
+        rows.append(real(ev, p, point_dim))
+        return rows[-1]
+
+    monkeypatch.setattr(_ObjectiveDerivative, "steepest_direction", recording)
+    config = AttackConfig(target=np.array([0.0, 1.0]), delta=1e-6, point_dim=2, max_iters=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_attack(np.array([1.0, 0.0]), model, config)
+    assert trace.reason == "stalled" and not trace.records and trace.final_objective == 2.0
+    assert len(rows) == 1
+    np.testing.assert_allclose(rows[0], [-1e-155, -1.0], rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -447,13 +447,38 @@ def test_bound_row_that_gains_a_second_nonzero_gives_no_hot_start():
 
 
 def test_hot_start_that_overflows_is_none():
-    """A bound entry of 1e-300 with offset 1e300 puts the start at -b / s = inf: no hot start."""
+    """A bound entry of 1e-300 with offset 1e300 puts the start at -b / s = inf: no hot start.
+
+    working_start runs inside the error state solve_victim sets.
+    """
     warm = solve_qp(QpProblem([[1.0]], [0.0], A_ineq=[[-1.0]], b_ineq=[1.0]))
     assert warm.factors.fixed.tolist() == [0]
     huge = QpProblem([[1.0]], [0.0], A_ineq=[[-1e-300]], b_ineq=[1e300])
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error")
         assert working_start(warm, huge) is None
+
+
+def test_start_that_overflows_gives_a_typed_error_through_the_public_entries():
+    """The same data through solve_qp and a warm solve_victim: Infeasible (y >= 1e600), unwarned."""
+    problems = [
+        QpProblem([[1.0]], [0.0], A_ineq=[[-1.0]], b_ineq=[1.0]),
+        QpProblem([[1.0]], [0.0], A_ineq=[[-1e-300]], b_ineq=[1e300]),
+    ]
+    model = victims.VictimModel(
+        dim_data=1,
+        dim_var=1,
+        assemble=lambda x: problems[int(x[0])],
+        grad_x_constraint=lambda x, y: np.zeros((1, 1)),
+        cross_hessian=lambda x, y, lam: np.zeros((1, 1)),
+    )
+    warm = solve_victim(model, np.zeros(1))
+    assert warm.factors.fixed.tolist() == [0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (lambda: solve_qp(problems[1]), lambda: solve_victim(model, np.ones(1), warm)):
+            with pytest.raises(errors.Infeasible, match="no feasible point"):
+                solve()
 
 
 def test_hot_start_built_for_another_problem_is_refused():

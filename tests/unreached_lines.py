@@ -6,8 +6,9 @@ Runs the tier-1 suite in this process under sys.settrace (about a minute)
 and prints every executable src/ line it never executes, with the reason
 ALLOWED gives for keeping it.  ALLOWED is keyed by file name and stripped
 source text, so it survives edits that move lines; each entry excuses
-one line.  Exits 1 when the suite fails or when a line outside ALLOWED is
-unreached; an entry that the suite now reaches is reported for deletion.
+one line.  Exits 1 when the suite fails, when a line outside ALLOWED is
+unreached, or when an ALLOWED entry is stale: the suite now reaches its
+line, or no src/ line matches it any more.
 """
 
 import sys
@@ -19,7 +20,8 @@ SRC = ROOT / "src" / "semipoison"
 
 ALLOWED = [  # (file, stripped source text, why no test reaches it)
     ("attack.py", "return x_base.copy()  # round-off exhausted; the base point is always feasible",
-     "project_to_feasible's round-off exit: no tested projection exhausts its halvings"),
+     "project_to_feasible's round-off exit with the base point in the box: no tested projection"
+     " from there exhausts its halvings"),
     ("attack.py", 'raise Stalled("no decrease along the gradient direction", certificate=None)',
      "_gradient_round's rejected step: every tested baseline step decreases"),
     ("cli.py", "sys.exit(main())", "the __main__ guard: the console script calls main itself"),
@@ -71,10 +73,11 @@ def main():
             left[key] -= allowed
             unreached, unexpected = unreached + 1, unexpected + (not allowed)
             print(f"{path.name}:{line}: {reasons[key] if allowed else 'NOT ALLOWED'}: {key[1]}")
-    for name, source in sorted(left.elements()):
-        print(f"{name}: now reached, delete from ALLOWED: {source}")
-    print(f"{unreached} unreached lines, {unexpected} not allowed")
-    return 1 if status or unexpected else 0
+    stale = sorted(left.elements())
+    for name, source in stale:
+        print(f"{name}: STALE (reached, or no such line), delete from ALLOWED: {source}")
+    print(f"{unreached} unreached lines, {unexpected} not allowed, {len(stale)} stale entries")
+    return 1 if status or unexpected or stale else 0
 
 
 if __name__ == "__main__":
