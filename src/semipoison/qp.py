@@ -204,9 +204,10 @@ class KktSolution:
     factors holds the final working rows and their factors (see
     WorkingFactors): the bounds first, then the general rows, each in
     the order they joined, start rows before the loop's.
-    working_minimizer, working_start and licq_margin read them.  g holds
-    A y + b as solve_qp's KKT gate computed it, which classify_active
-    reads; None on a solution built by hand.
+    working_minimizer and working_start read them, and the sensitivity
+    module decides LICQ on a copy of them.  g holds A y + b as solve_qp's
+    KKT gate computed it, which classify_active reads; None on a solution
+    built by hand.
     """
 
     y: np.ndarray
@@ -319,7 +320,7 @@ class WorkingFactors:
     T updated in place (Gill, Golub, Murray & Saunders 1974); a bound
     that joins fixes its variable, and one that leaves frees it.  norms
     holds each general row's norm |a_i|, taken as it joins, which
-    licq_margin reads.
+    licq_margin divides by.
     """
 
     reduced = None  # _working_subproblem's decomposition of Z'HZ, and its H; updates drop it
@@ -354,9 +355,14 @@ class WorkingFactors:
         return self.Q[:, self.rows.size - self.fixed.size :]
 
     @property
-    def r_diagonal(self) -> np.ndarray:
-        """|R_jj|: each general row's residual off the bounds and the general rows before it."""
-        return 1.0 / np.abs(self.T.diagonal()[: self.rows.size - self.fixed.size])
+    def licq_margin(self) -> float:
+        """Smallest |R_jj| / |a_j| over the rows: each one's residual off those before it.
+
+        A bound's is |s| / |s| = 1; a general row's |a_j| is the norm join
+        took (norms).  inf with no rows.
+        """
+        resid = 1.0 / np.abs(self.T.diagonal()[: self.rows.size - self.fixed.size])
+        return float((resid / np.array(self.norms)).min(initial=1.0 if self.fixed.size else np.inf))
 
     def onto(self, y: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
         """y with each fixed variable at -b_i / s, then moved onto A[general] q + b[general] = 0.
@@ -887,27 +893,3 @@ def working_start(solution: KktSolution, problem: QpProblem) -> HotStart | None:
     for i in general[k:]:
         factors.join(i, A[i])
     return _hot_start(problem, solution.y, factors)
-
-
-def licq_margin(solution: KktSolution, active) -> float:
-    """Smallest |R_jj| / |a_j| over the active rows: each row's residual off those before it.
-
-    The working rows come first: the bounds, each with residual |s| (a
-    ratio of 1), then the general rows, with R and |a_j| from the
-    solver's factors (WorkingFactors.norms).  The other active rows
-    follow, factored in the working rows' null space on the free
-    variables.  More of them than its dimension leave a zero residual;
-    none of them, no QR.
-    """
-    A, factors = solved_problem(solution).A, solution.factors
-    working, Z = set(factors.rows.tolist()), factors.null_space
-    extra = [i for i in active if i not in working]
-    if len(extra) > Z.shape[1]:
-        return 0.0
-    resid, norms = factors.r_diagonal, np.array(factors.norms)
-    if extra:
-        R = np.linalg.qr(Z.T @ A[extra].T, mode="r")
-        resid = np.append(resid, np.abs(R.diagonal()))
-        norms = np.append(norms, row_norms(A[extra]))
-    ratio = np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0.0)  # a zero row fails
-    return float(ratio.min(initial=1.0 if factors.fixed.size else np.inf))

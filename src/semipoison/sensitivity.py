@@ -12,11 +12,13 @@ QP assembled from the active constraints:
 
 where v = -C dx and mu = J dx, C being the Lagrangian's mixed second
 derivative in (y, x) and J the constraints' Jacobian in x.  Two regularity
-conditions back this construction.  build_auxiliary checks, from the
-solver's own factors, that the active constraint gradients are linearly
-independent (LICQ).  H_aux must be positive definite on the null space of
-the strictly active rows (a strong second-order condition); where it is
-not, semi_derivative raises AuxUnbounded.
+conditions back this construction.  The active constraint gradients
+must be linearly independent (LICQ): build_auxiliary joins each active
+row outside the training solver's working rows to a copy of its factors,
+as the active-set loop joins rows, and a refused join fails LICQ.  H_aux
+must be positive definite on the null space of the strictly active rows
+(a strong second-order condition); where it is not, semi_derivative
+raises AuxUnbounded.
 
 Under LICQ the strictly active rows are the training solution's working
 rows, less a weakly active one among them.  Without weakly active rows
@@ -25,10 +27,11 @@ it as one KKT system on the training solver's factors
 (qp.working_minimizer).  With one weakly active row w the derivative is
 piecewise linear in dx, with two pieces (Jittorntrum 1984; Ralph & Dempe
 1995): piece 0 keeps w off, and piece 1, taken where piece 0 would
-violate w, holds it as an equality.  Each piece is one KKT solve on a
-copy of the training factors, without w or with it, built once per
-point.  The auxiliary QP is solved by solve_qp only where two or more
-active rows are weakly active.
+violate w, holds it as an equality.  Each piece is one KKT solve on
+factors built once per point: piece 1 on the factors of every active
+row, the LICQ test's, and piece 0 on those without w, the training
+factors themselves where w is not a working row.  The auxiliary QP is
+solved by solve_qp only where two or more active rows are weakly active.
 
 PointDerivative, built once per solved point, is the one place that chooses
 the route: the data gradient, the semi-derivative, or None for a fallback.
@@ -70,10 +73,10 @@ class AuxiliaryProblem:
     structure: ActiveStructure
     cross: np.ndarray  # C, (n_var, dim_data), as model.cross_hessian returns it
     jac: np.ndarray  # J, (n_con, dim_data), as model.grad_x_constraint returns it
-    licq_margin: float  # smallest |R_jj| / |a_j| of the active rows; inf with none
+    licq_margin: float  # WorkingFactors.licq_margin of every active row's factors
     # factors of each piece's equality rows (see semi_derivative), never updated:
-    # the working rows' alone without weakly active rows, (without w, with w)
-    # with one, none with more
+    # every active row's without weakly active rows, (without w, with w) with
+    # one, the latter every active row's, none with more
     pieces: tuple[qp.WorkingFactors, ...]
 
     @property
@@ -95,15 +98,20 @@ def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) ->
 
     solution must come from solve_qp: its problem, the training problem at
     x, is not assembled again, and its working-set factors decide LICQ.
-    A KktSolution built without them raises InputError.  With one weakly
-    active row w it also builds the two pieces' factors: a copy of the
-    working rows' with w dropped (one WorkingFactors.drop) when w is a
-    working row, or with w joined (one WorkingFactors.join) when it is
-    not; the solution's own factors are the other piece.
+    A KktSolution built without them raises InputError.  Each active row
+    outside the working rows joins a copy of those factors, in active
+    order, through WorkingFactors.join, as rows join in the active-set
+    loop; with none, the solution's own factors serve.  With one weakly
+    active row w these factors of every active row are piece 1, and
+    piece 0 is the solution's own factors where w is the one row that
+    joined, else a copy without w (one WorkingFactors.drop).
 
-    Raises RegularityFailure when LICQ fails, that is when an active row's
-    residual off the rows before it is at most qp.TOL_INDEP of its norm:
-    the auxiliary problem then does not determine the derivative.  The
+    Raises RegularityFailure when LICQ fails, naming the first row whose
+    join is refused (its residual off the rows before it is at most
+    qp.TOL_INDEP of its norm, its variable is fixed already, or no
+    null-space direction is left), or where the factors' licq_margin is
+    at most qp.TOL_INDEP (a working row the solver kept below it): the
+    auxiliary problem then does not determine the derivative.  The
     second-order condition is not checked here; where it fails,
     semi_derivative raises AuxUnbounded.  A callback array of another
     shape than C's or J's raises DimensionMismatch.
@@ -111,7 +119,15 @@ def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) ->
     x = np.asarray(x, dtype=float)
     problem = qp.solved_problem(solution)
     structure = classify_active(problem, solution)
-    margin = qp.licq_margin(solution, structure.active)
+    A, factors = problem.A, solution.factors
+    working = set(factors.rows.tolist())
+    extra = [i for i in structure.active if i not in working]
+    if extra:
+        factors = factors.copy()
+    for i in extra:
+        if not factors.join(i, A[i]):
+            raise RegularityFailure(f"active row {i} depends on the other active rows (LICQ fails)")
+    margin = factors.licq_margin
     if not margin > qp.TOL_INDEP:
         raise RegularityFailure(
             f"active constraint gradients are dependent (LICQ margin {margin:.3e})"
@@ -123,28 +139,15 @@ def build_auxiliary(model: VictimModel, x: np.ndarray, solution: KktSolution) ->
     if got != want:
         raise DimensionMismatch(f"cross_hessian, grad_x_constraint shapes {got}, not {want}")
     weak = structure.weakly_active
-    if len(weak) == 1:
-        pieces = _kink_pieces(solution, weak[0])
+    if len(weak) != 1:
+        pieces = () if weak else (factors,)
+    elif extra == weak:
+        pieces = (solution.factors, factors)
     else:
-        pieces = () if weak else (solution.factors,)
+        without = factors.copy()
+        without.drop(weak[0], A)
+        pieces = (without, factors)
     return AuxiliaryProblem(solution, structure, cross, jac, margin, pieces)
-
-
-def _kink_pieces(solution: KktSolution, w: int) -> tuple[qp.WorkingFactors, qp.WorkingFactors]:
-    """Factors of the working rows without w and with w, one of them the solution's own.
-
-    Raises RegularityFailure where w does not join, being in the working
-    rows' span: LICQ fails, up to the round-off between licq_margin's
-    residual and the one join computes.
-    """
-    A, factors = solution.problem.A, solution.factors
-    other = factors.copy()
-    if w in factors.rows:
-        other.drop(w, A)
-        return other, factors
-    if not other.join(w, A[w]):
-        raise RegularityFailure(f"weakly active row {w} depends on the working rows")
-    return factors, other
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
@@ -221,17 +224,18 @@ class PointDerivative:
     def gradient(self, grad_y: np.ndarray) -> np.ndarray | None:
         """Data gradient of grad_y' y(x), or None unless the map is differentiable here.
 
-        With LICQ and no weakly active row, the working rows A_w are the
-        strict set and dy is linear in dx: one adjoint solve,
+        With LICQ and no weakly active row, the rows A_w of aux.pieces[0]
+        are the strict set and dy is linear in dx: one adjoint solve,
         [[H, A_w'], [A_w, 0]] (u, nu) = (grad_y, 0), gives the gradient
-        -(C'u + J[w]'nu).  It runs on the training solve's own factors and
-        decomposition of Z'HZ (qp.working_minimizer, with zero offsets).
-        None also where Z'HZ is flat.
+        -(C'u + J[w]'nu).  Where every active row is a working row it runs
+        on the training solve's own factors and decomposition of Z'HZ
+        (qp.working_minimizer, with zero offsets).  None also where Z'HZ
+        is flat.
         """
         aux = self.aux
         if aux is None or aux.structure.weakly_active:
             return None
-        factors = aux.solution.factors
+        factors = aux.pieces[0]
         u = qp.working_minimizer(aux.solution, factors, -grad_y, None)
         if u is None:
             return None

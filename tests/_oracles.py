@@ -7,7 +7,9 @@ draws the package's random rows, so that only the round's own search is
 compared; the 1-D fixtures and the planted kinks are affine QP families,
 and the soft-margin SVM is the package's own victim on its synthetic
 data.  fresh_working_minimizer recomputes, on the package's factors,
-what qp.working_minimizer keeps from the solve.
+what qp.working_minimizer keeps from the solve, and
+reference_licq_margin the LICQ margin by the QR that
+sensitivity.build_auxiliary no longer runs.
 
 EXAMPLES scales the example counts of the hypothesis properties that
 guard the solver and the derivative: SEMIPOISON_TEST_EXAMPLES=10 runs
@@ -341,6 +343,46 @@ def planted_kink_model(seed: int) -> tuple[VictimModel, np.ndarray, int]:
     c0 = -(H @ y + Cx @ x + A.T @ lam)
     fam = _AffineQpFamily(H, c0, Cx, rows_a, rows_M, rows_b0, rows_beta, m - n_eq)
     return fam.as_victim(), x, int(np.flatnonzero(order == n_strict)[0])
+
+
+def with_copied_row(model: VictimModel, i: int) -> VictimModel:
+    """An affine QP family's victim with a copy of its row i added as the last inequality row."""
+    fam = model.assemble.__self__
+    r = fam.n_ineq
+    rows = (fam.rows_a, fam.rows_M, fam.rows_b0, fam.rows_beta)
+    rows = (np.concatenate([a[:r], a[i : i + 1], a[r:]]) for a in rows)
+    return _AffineQpFamily(fam.H, fam.c0, fam.Cx, *rows, r + 1).as_victim()
+
+
+def reference_licq_margin(solution, active) -> float:
+    """Smallest |R_jj| / |a_j| over the active rows: the working rows first, the others by one QR.
+
+    The working rows' ratios are read off the solver's factors (1 for a
+    bound); the other active rows, in active order, are factored by a
+    QR of Z'A[extra]', Z the working rows' null space.  More of them
+    than its dimension leave a zero residual.  What
+    sensitivity.build_auxiliary computed before it joined those rows to
+    a copy of the factors.
+    """
+    A, factors = solution.problem.A, solution.factors
+    extra = [i for i in active if i not in factors.rows]
+    Z = factors.null_space
+    if len(extra) > Z.shape[1]:
+        return 0.0
+    resid = 1.0 / np.abs(factors.T.diagonal()[: factors.general.size])
+    norms = np.array(factors.norms)
+    if extra:
+        R = np.linalg.qr(Z.T @ A[extra].T, mode="r")
+        resid = np.append(resid, np.abs(R.diagonal()))
+        norms = np.append(norms, np.linalg.norm(A[extra], axis=1))
+    ratio = np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0.0)
+    return float(ratio.min(initial=1.0 if factors.fixed.size else np.inf))
+
+
+def qr_licq_margin(rows) -> float:
+    """Smallest |R_jj| / |a_j| of rows, k <= n of them, by a dense QR of rows' in their order."""
+    R = np.linalg.qr(np.asarray(rows, dtype=float).T, mode="r")
+    return float((np.abs(R.diagonal()) / np.linalg.norm(rows, axis=1)).min(initial=np.inf))
 
 
 def _reference_mask(x, x_base, owner, V, config):

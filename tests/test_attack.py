@@ -443,6 +443,25 @@ def test_gradient_baseline_stalls_when_data_only_enters_constraints():
     assert trace.stall_certificate == 0.0
 
 
+def test_gradient_baseline_stalls_where_its_fixed_l_step_overshoots():
+    """A rejected fixed-L step stalls the baseline with no certificate, and takes no step.
+
+    An unconstrained family at x = (0.3, 0.3) with target 0: the
+    objective is 0.917 and its gradient has norm 2.68.  The trial length
+    2.68 / 1e-3 is cut to the ball's diameter, and the trial, projected
+    onto the ball's boundary 3 away, has objective 13.9.  Fixed-L mode
+    tries no shorter step, so the round rejects it.
+    """
+    model = generic_parametric_qp(1, dim_var=3, dim_data=2, n_ineq=0, n_eq=0)
+    cfg = AttackConfig(
+        target=np.zeros(3), delta=3.0, point_dim=2, curvature_bound=1e-3, step_mode="fixed-L"
+    )
+    trace = run_gradient_baseline(np.array([0.3, 0.3]), model, cfg)
+    assert trace.reason == "stalled" and trace.records == []
+    assert trace.stall_certificate is None
+    assert trace.final_objective == pytest.approx(0.9168292224741639, rel=1e-12)
+
+
 def test_semi_derivative_attack_descends_where_baseline_stalls():
     model = bound_tracking_model()
     cfg = AttackConfig(target=np.array([0.5]), delta=2.0, curvature_bound=2.0, max_iters=50)
@@ -904,9 +923,9 @@ def test_seed0_acceptance_attack_evaluates_each_solved_point_once(monkeypatch):
     Its 200 steps cost 202 victim solves.  A solve evaluates A y + b
     once at its start (qp._hot_start) and once in its KKT gate, which
     the solution keeps for classify_active: 413 constraint_values calls,
-    613 when classify_active took them again.  licq_margin reads the
-    working rows' norms from the factors, so row_norms runs only in the
-    cold first solve: 2 calls, 202 when licq_margin normed the rows
+    613 when classify_active took them again.  The LICQ margin reads
+    the working rows' norms from the factors, so row_norms runs only in
+    the cold first solve: 2 calls, 202 when the margin normed the rows
     again.  A warm re-solve rejoins the general rows after the moved
     point's margin row (qp.working_start): 290 joins.
     """
@@ -956,8 +975,9 @@ def test_values_a_solved_point_keeps_match_a_fresh_evaluation(monkeypatch, n, fl
     after every join, drop, _fix and _free, and on every hot start
     qp.working_start makes: each snapshot is checked against the rows of
     the problem its factors were updated for, at the next solve or
-    kink-piece build.  A copy holds its source's norms and rows, checked
-    with the source.  The SVM Jacobian equals the reference construction
+    build_auxiliary, whose joins update a copy before a refused one
+    raises.  A copy holds its source's norms and rows, checked with the
+    source.  The SVM Jacobian equals the reference construction
     bit for bit.
     """
     snapshots, checked = [], Counter()
@@ -989,7 +1009,7 @@ def test_values_a_solved_point_keeps_match_a_fresh_evaluation(monkeypatch, n, fl
     for name in ("join", "drop", "_fix", "_free", "copy"):
         recorded(name)
     inner_start, inner_solve = victims_module.working_start, victims_module.solve_qp
-    inner_pieces = sensitivity_module._kink_pieces
+    inner_aux = sensitivity_module.build_auxiliary
 
     def working_start(solution, problem):
         start = inner_start(solution, problem)
@@ -1004,14 +1024,15 @@ def test_values_a_solved_point_keeps_match_a_fresh_evaluation(monkeypatch, n, fl
         checked["g"] += 1
         return sol
 
-    def pieces(solution, w):
-        out = inner_pieces(solution, w)
-        check_snapshots(solution.problem.A)
-        return out
+    def build_auxiliary(model, x, solution):
+        try:
+            return inner_aux(model, x, solution)
+        finally:
+            check_snapshots(solution.problem.A)
 
     monkeypatch.setattr(victims_module, "working_start", working_start)
     monkeypatch.setattr(victims_module, "solve_qp", solve)
-    monkeypatch.setattr(sensitivity_module, "_kink_pieces", pieces)
+    monkeypatch.setattr(sensitivity_module, "build_auxiliary", build_auxiliary)
     if flips is None:
         data, model, config = svm_scenario(0)
         x = data.features.ravel()

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from semipoison import cli, errors, qp, sensitivity, victims
@@ -34,11 +36,15 @@ from semipoison.victims import (
 )
 
 from _oracles import (
+    EXAMPLES,
     bound_tracking_model,
     enumerate_qp,
     fresh_working_minimizer,
     kink_projection_model,
     planted_kink_model,
+    qr_licq_margin,
+    reference_licq_margin,
+    with_copied_row,
 )
 from test_acceptance import svm_scenario
 
@@ -119,6 +125,54 @@ def test_licq_reads_active_rows_outside_the_working_set(copies, margin):
         aux = build_auxiliary(model, np.zeros(1), sol)
         assert aux.structure.weakly_active == [0]
         assert aux.licq_margin == pytest.approx(margin)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200 * EXAMPLES)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    copied=st.sampled_from([None, "bound", "general"]),
+    pick=st.integers(0, 4),
+)
+def test_licq_on_a_copy_of_the_factors_matches_the_qr_reference(seed, copied, pick):
+    """build_auxiliary's LICQ test agrees with the QR it replaced, on planted kinks and copied rows.
+
+    Each fixture is a planted kink, or one with a copy of one of its
+    active rows, a bound or a general one, added as an inequality: one
+    of the two copies is left outside the working rows.  Where
+    reference_licq_margin lies outside [0.5, 2] TOL_INDEP, both accept
+    the same row sets.  Where they accept, the margins agree to 1e-12
+    relative if the rows that joined are general.  A bound that joins
+    fixes its variable first, and the general rows' residuals are then
+    taken off it too, so there the margin is the dense QR's of the
+    active rows in the copy's order: the bounds, then the general rows.
+    """
+    model, x, _ = planted_kink_model(seed)
+    if copied is not None:
+        sol = solve_victim(model, x)
+        active = classify_active(sol.problem, sol).active
+        kind = [i for i in active if (np.count_nonzero(sol.problem.A[i]) == 1) == (copied == "bound")]
+        kind = kind or active
+        model = with_copied_row(model, kind[pick % len(kind)])
+    sol = solve_victim(model, x)
+    A, factors = sol.problem.A, sol.factors
+    active = classify_active(sol.problem, sol).active
+    reference = reference_licq_margin(sol, active)
+    try:
+        margin = build_auxiliary(model, x, sol).licq_margin
+    except errors.RegularityFailure:
+        margin = None
+    if not 0.5 * qp.TOL_INDEP <= reference <= 2.0 * qp.TOL_INDEP:
+        assert (margin is not None) == (reference > qp.TOL_INDEP)
+    if margin is None:
+        return
+    extra = [i for i in active if i not in factors.rows]
+    bound = [i for i in extra if np.count_nonzero(A[i]) == 1]
+    if not bound:
+        assert margin == pytest.approx(reference, rel=1e-12)
+        return
+    general = [i for i in extra if i not in bound]
+    order = [*factors.rows[: factors.fixed.size], *bound, *factors.general, *general]
+    assert margin == pytest.approx(qr_licq_margin(A[order]), rel=1e-12)
 
 
 @pytest.mark.parametrize("labels, solves", [([1.0, -1.0, 1.0], False), ([1.0, 1.0, -1.0], True)])
@@ -582,8 +636,8 @@ def test_flat_strict_null_space_raises_aux_unbounded(k):
 def test_kink_piece_refuses_a_weakly_active_row_in_the_working_span(row):
     """A weakly active copy of a working row does not join: RegularityFailure, as LICQ fails.
 
-    build_auxiliary's LICQ check stops such a row first; the pieces
-    refuse it too, where the two residuals differ by round-off.
+    build_auxiliary joins the row to a copy of the working rows' factors,
+    which would be piece 1, and the refused join raises, naming the row.
     """
     a = np.array(row)
     model = VictimModel(
@@ -597,9 +651,7 @@ def test_kink_piece_refuses_a_weakly_active_row_in_the_working_span(row):
     sol = solve_victim(model, x)
     (w,) = classify_active(sol.problem, sol).weakly_active
     assert w not in sol.factors.rows
-    with pytest.raises(errors.RegularityFailure, match="depends on the working rows"):
-        sensitivity._kink_pieces(sol, w)
-    with pytest.raises(errors.RegularityFailure, match="LICQ"):
+    with pytest.raises(errors.RegularityFailure, match=rf"active row {w} depends .* \(LICQ fails\)"):
         build_auxiliary(model, x, sol)
 
 
@@ -866,10 +918,9 @@ def test_hook_less_warm_without_usable_factors_runs_phase1(monkeypatch):
     "entry",
     [
         lambda model, x, sol: build_auxiliary(model, x, sol),
-        lambda model, x, sol: qp.licq_margin(sol, [1]),
         lambda model, x, sol: qp.working_minimizer(sol, sol.factors, np.ones(model.dim_var), np.zeros(3)),
     ],
-    ids=["build_auxiliary", "licq_margin", "working_minimizer"],
+    ids=["build_auxiliary", "working_minimizer"],
 )
 def test_hand_built_solution_raises_input_error(entry, keep_problem):
     """A KktSolution without solve_qp's problem or factors is named as the caller's error."""

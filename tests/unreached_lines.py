@@ -22,8 +22,6 @@ ALLOWED = [  # (file, stripped source text, why no test reaches it)
     ("attack.py", "return x_base.copy()  # round-off exhausted; the base point is always feasible",
      "project_to_feasible's round-off exit with the base point in the box: no tested projection"
      " from there exhausts its halvings"),
-    ("attack.py", 'raise Stalled("no decrease along the gradient direction", certificate=None)',
-     "_gradient_round's rejected step: every tested baseline step decreases"),
     ("cli.py", "sys.exit(main())", "the __main__ guard: the console script calls main itself"),
     ("qp.py", "d = -d", "the negative-curvature ray's sign flip: the pinned ray has gr'v <= 0"),
     ("sensitivity.py", "raise AuxInfeasible(str(exc)) from exc",
