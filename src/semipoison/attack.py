@@ -8,11 +8,11 @@ most sensitive point a short way along its best descent direction.  All
 iterates stay inside a norm ball around the pristine data and inside
 per-feature box bounds.
 
-Directional derivatives come from sensitivity.PointDerivative, the one
-place that chooses their route: the full data gradient at once where the
+Directional derivatives take one route per iterate, chosen from
+sensitivity.PointDerivative: the full data gradient at once where the
 solution map is differentiable at the current iterate, exact one-sided
-values from the auxiliary problem where it is only regular, and, where
-the object has neither, a one-sided finite difference of the objective.
+values from the auxiliary problem where LICQ holds, and a one-sided
+finite difference of the objective where it fails.
 
 A classical gradient attack that ignores the training constraints is
 included for comparison, as is a geometric-decay check for step-size
@@ -31,7 +31,7 @@ import numpy as np
 from .data import open_output, write_table
 from .errors import DimensionMismatch, EmptyDirectionSet, InputError, SingularHessian, Stalled
 from .qp import KktSolution
-# build_auxiliary and semi_derivative are unused here; perfbench/tracing.py patches them by name
+# build_auxiliary is unused here; perfbench/tracing.py patches it by name
 from .sensitivity import PointDerivative, build_auxiliary, semi_derivative
 from .victims import VictimModel, solve_victim
 
@@ -320,10 +320,11 @@ def feasible_directions(x, point_index, config: AttackConfig, *, x_base=None, rn
 class _ObjectiveDerivative:
     """Directional derivatives of the attack objective at a fixed iterate.
 
-    The chain rule grad_y' dy on the routes sensitivity.PointDerivative
-    chooses: its data gradient where the solution map is differentiable
-    here, its semi-derivative per direction otherwise, and a one-sided
-    finite difference of the objective where it returns neither.
+    The chain rule grad_y' dy on one route, chosen here once from
+    sensitivity.PointDerivative: "linear", its data gradient, where the
+    solution map is differentiable here; "fd", a one-sided finite
+    difference of the objective, where LICQ fails (no auxiliary problem);
+    "aux", semi_derivative on the auxiliary problem, everywhere else.
     """
 
     def __init__(self, model, x, solution, selector, target, value):
@@ -335,30 +336,31 @@ class _ObjectiveDerivative:
         self.value = value
         self.grad_y = 2.0 * (selector.T @ (selector @ solution.y - target))
         self.point = PointDerivative(model, self.x, solution)
-        self.gradient = self.point.gradient(self.grad_y)
+        self.gradient = g = self.point.gradient(self.grad_y)
+        self.route = "fd" if self.point.aux is None else "aux" if g is None else "linear"
 
-    def dG(self, owner, V: np.ndarray) -> tuple[np.ndarray, list[str]]:
-        """Derivatives along the rows of V, and the route behind each.
+    def dG(self, owner, V: np.ndarray) -> np.ndarray:
+        """Derivatives along the rows of V, on route.
 
         Row V[i] moves point owner[i] (an index array, or one index for all
         rows) in its V.shape[1] coordinates.  The linear route reads the
         owner's slice of the gradient; the aux and fd routes expand each
-        row to full length and pay one auxiliary QP or re-solve for it.
+        row to full length and pay one semi_derivative or re-solve for it.
+        AuxUnbounded propagates: where the second-order condition fails a
+        finite difference has no limit either.
         """
-        if self.gradient is not None:
+        if self.route == "linear":
             G = self.gradient.reshape(-1, V.shape[1])
-            return (V * G[owner]).sum(axis=1), ["linear"] * len(V)
-        owner = np.broadcast_to(owner, len(V))
-        scored = [self._per_direction(int(p), v) for p, v in zip(owner, V)]
-        return np.array([v for v, _ in scored], dtype=float), [r for _, r in scored]
-
-    def _per_direction(self, p, v) -> tuple[float, str]:
-        dx = np.zeros(self.x.size)
-        dx[_point_slots(p, v.size)] = v
-        dy = self.point.along(dx)
-        if dy is not None:
-            return float(self.grad_y @ dy), "aux"
-        return self._finite_difference(dx), "fd"
+            return (V * G[owner]).sum(axis=1)
+        values = []
+        for p, v in zip(np.broadcast_to(owner, len(V)).tolist(), V):
+            dx = np.zeros(self.x.size)
+            dx[_point_slots(p, v.size)] = v
+            if self.route == "aux":
+                values.append(float(self.grad_y @ semi_derivative(self.point.aux, dx)))
+            else:
+                values.append(self._finite_difference(dx))
+        return np.array(values, dtype=float)
 
     def _finite_difference(self, dx):
         sol = solve_victim(self.model, self.x + FD_OBJECTIVE_STEP * dx, warm=self.solution)
@@ -369,7 +371,7 @@ class _ObjectiveDerivative:
 
         None off the linear route or where g vanishes.
         """
-        if self.gradient is None:
+        if self.route != "linear":
             return None
         g = self.gradient[_point_slots(p, point_dim)]
         nrm = math.sqrt(g.dot(g))  # np.linalg.norm's arithmetic
@@ -450,12 +452,12 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
     feasible = _Feasibility(x, x_base, config)
     AX = _axis_rows(pd)
     ok = feasible(np.s_[:, None], AX)  # every point against every +/- axis row: (points, 2 pd)
-    if ev.gradient is not None:  # every route "linear"
-        probe, routes = np.where(ok, (AX * ev.gradient.reshape(-1, 1, pd)).sum(-1), np.inf), None
+    if ev.route == "linear":
+        probe = np.where(ok, (AX * ev.gradient.reshape(-1, 1, pd)).sum(-1), np.inf)
     else:  # one derivative per feasible row, point by point
-        probe, routes = np.full(ok.shape, np.inf), np.empty(ok.shape, dtype=object)
+        probe = np.full(ok.shape, np.inf)
         owner, axis = np.nonzero(ok)
-        probe[ok], routes[ok] = ev.dG(owner, AX[axis])
+        probe[ok] = ev.dG(owner, AX[axis])
     evaluated = []  # each searched point's new scores
     scores = probe.min(axis=1)
     probed = np.isfinite(scores)
@@ -468,7 +470,7 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
         except EmptyDirectionSet:
             empty += 1
             continue
-        new_vals, new_routes = ev.dG(p, rows)
+        new_vals = ev.dG(p, rows)
         evaluated.append(new_vals)
         # an infeasible axis row scores inf: chosen only where every row does, and then no step
         vals = np.concatenate([probe[p], new_vals])
@@ -478,9 +480,8 @@ def _attack_round(model, x, value, solution, config, *, x_base, rng, k, selector
             continue
         d = np.zeros(x.size)
         d[_point_slots(p, pd)] = AX[best] if best < len(AX) else rows[best - len(AX)]
-        route = "linear" if routes is None else [*routes[p], *new_routes][best]
         outcome = _try_step(
-            model, x, solution, d, dg, value, config, x_base, selector, k=k, point=p, route=route
+            model, x, solution, d, dg, value, config, x_base, selector, k=k, point=p, route=ev.route
         )
         if outcome is not None:
             return outcome

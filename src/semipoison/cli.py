@@ -42,7 +42,12 @@ from .data import (
     write_table,
 )
 from .errors import InputError, ParseError, SolverError
-from .sensitivity import PointDerivative, fd_directional_derivative, run_oracle_trials
+from .sensitivity import (
+    PointDerivative,
+    fd_directional_derivative,
+    run_oracle_trials,
+    semi_derivative,
+)
 from .victims import (
     SvmModel,
     generic_parametric_qp,
@@ -397,8 +402,8 @@ def toy_report() -> dict:
     The lower problem learns y(x) = |x|; the upper objective x + 2 y(x)
     is to be maximized over the data x.  At x = 0 the two one-sided
     rates are 3 (rightward) and 1 (leftward), so the right direction
-    wins, kink notwithstanding.  sensitivity.PointDerivative picks the
-    route, and finite differences give the rates where it has none.
+    wins, kink notwithstanding.  The semi-derivative gives the rates, or
+    finite differences where LICQ fails and PointDerivative has no aux.
     """
     model = toy_bilevel_model()
     xs = np.linspace(-1.0, 1.0, 201)
@@ -407,17 +412,15 @@ def toy_report() -> dict:
 
     x0 = np.zeros(1)
     sol = solve_victim(model, x0)
-    point = PointDerivative(model, x0, sol)
+    aux = PointDerivative(model, x0, sol).aux
+    if aux is None:  # the kink pins two bounds at once: LICQ fails, so take the defining limit
+        route = "finite-difference fallback"
+        along = functools.partial(fd_directional_derivative, model, x0, base_solution=sol)
+    else:
+        route, along = "one-sided derivative", functools.partial(semi_derivative, aux)
     rates = {}
-    route = "one-sided derivative"
     for label, dx in (("right", 1.0), ("left", -1.0)):
-        direction = np.array([dx])
-        dy = point.along(direction)
-        if dy is None:
-            # the kink pins two bounds at once, so fall back to the defining limit
-            dy = fd_directional_derivative(model, x0, direction, base_solution=sol)
-            route = "finite-difference fallback"
-        rates[label] = dx + 2.0 * float(dy[0])
+        rates[label] = dx + 2.0 * float(along(np.array([dx]))[0])
     chosen = 1 if rates["right"] >= rates["left"] else -1
     return {
         "grid_x": xs,

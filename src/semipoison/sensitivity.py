@@ -33,8 +33,8 @@ row, the LICQ test's, and piece 0 on those without w, the training
 factors themselves where w is not a working row.  The auxiliary QP is
 solved by solve_qp only where two or more active rows are weakly active.
 
-PointDerivative, built once per solved point, is the one place that chooses
-the route: the data gradient, the semi-derivative, or None for a fallback.
+PointDerivative, built once per solved point, holds what decides the route:
+aux, None where LICQ fails, and gradient, None off the differentiable points.
 """
 
 from __future__ import annotations
@@ -206,13 +206,12 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
 
 
 class PointDerivative:
-    """Derivatives of the solution map at one solved point, by the one route that applies.
+    """Derivatives of the solution map at one solved point, built once.
 
-    aux is the auxiliary problem, or None where LICQ fails.  gradient and
-    along return None off their route, for the caller's finite difference.
-    Every factor either route solves on is built here, once: along costs
-    one or two KKT solves per direction where at most one row is weakly
-    active, and an auxiliary QP only where more are.
+    aux is the auxiliary problem, or None where LICQ fails, for the
+    caller's finite difference.  Else gradient, where it is not None, or
+    semi_derivative(aux, dx): one or two KKT solves per direction on
+    factors built here, an auxiliary QP where several rows are weakly active.
     """
 
     def __init__(self, model: VictimModel, x: np.ndarray, solution: KktSolution):
@@ -242,13 +241,6 @@ class PointDerivative:
         nu = np.zeros(aux.rows.shape[0])
         nu[factors.rows] = factors.multipliers(grad_y - aux.H_aux @ u, aux.rows)
         return -(aux.cross.T @ u + aux.jac.T @ nu)
-
-    def along(self, dx: np.ndarray) -> np.ndarray | None:
-        """semi_derivative(aux, dx), or None where LICQ fails or it has no solution."""
-        try:
-            return None if self.aux is None else semi_derivative(self.aux, dx)
-        except (AuxInfeasible, AuxUnbounded):
-            return None
 
 
 def fd_directional_derivative(

@@ -436,7 +436,7 @@ def reference_attack_round(model, x, value, solution, config, *, x_base, rng, k,
     owner = np.repeat(np.arange(n_points), 2 * pd)
     ok = _reference_mask(x, x_base, owner, V, config)
     V = V[ok]
-    probe_vals, probe_routes = ev.dG(owner[ok], V)
+    probe_vals = ev.dG(owner[ok], V)
     evaluated = [probe_vals]
     scores = np.full(n_points, np.inf)
     np.minimum.at(scores, owner[ok], probe_vals)
@@ -452,10 +452,9 @@ def reference_attack_round(model, x, value, solution, config, *, x_base, rng, k,
             empty += 1
             continue
         cands = np.vstack([V[lo:hi], rows])
-        new_vals, new_routes = ev.dG(p, rows)
+        new_vals = ev.dG(p, rows)
         evaluated.append(new_vals)
         vals = np.concatenate([probe_vals[lo:hi], new_vals])
-        routes = probe_routes[lo:hi] + new_routes
         best = int(np.argmin(vals))
         dg = float(vals[best])
         if dg >= -attack.TOL_STALL:
@@ -464,7 +463,7 @@ def reference_attack_round(model, x, value, solution, config, *, x_base, rng, k,
         d[p * pd:(p + 1) * pd] = cands[best]
         outcome = try_step(
             model, x, solution, d, dg, value, config, x_base, selector,
-            k=k, point=p, route=routes[best],
+            k=k, point=p, route=ev.route,
         )
         if outcome is not None:
             return outcome

@@ -375,8 +375,7 @@ def kink_derivatives(x, target, V):
     model = kink_projection_model()
     sol = solve_victim(model, x)
     value = objective(sol.y, target)
-    vals, _ = _ObjectiveDerivative(model, x, sol, np.eye(1), target, value).dG(0, V)
-    return vals
+    return _ObjectiveDerivative(model, x, sol, np.eye(1), target, value).dG(0, V)
 
 
 def test_kink_objective_derivatives():
@@ -675,8 +674,8 @@ def test_linear_route_scores_match_semi_derivatives(seed):
     ev = _ObjectiveDerivative(model, x, sol, selector, target, value)
     assert ev.point.aux.structure.weakly_active == [] and ev.gradient is not None
     V = np.tile(_axis_rows(2), (x.size // 2, 1))
-    vals, routes = ev.dG(np.arange(2 * x.size) // 4, V)
-    assert routes == ["linear"] * len(V)
+    assert ev.route == "linear"
+    vals = ev.dG(np.arange(2 * x.size) // 4, V)
     D = axis_directions(slice(None), x.size)  # the same rows at full length
     expected = np.array([ev.grad_y @ semi_derivative(ev.point.aux, d) for d in D])
     assert np.count_nonzero(expected) > 0
@@ -713,9 +712,9 @@ def check_round_scores_each_point_row_once(monkeypatch, route):
         return real_dG(self, owner, V)
 
     if route == "aux":
-        real_semi = sensitivity_module.semi_derivative
+        real_semi = attack_module.semi_derivative
         monkeypatch.setattr(
-            sensitivity_module, "semi_derivative",
+            attack_module, "semi_derivative",
             lambda aux, dx: calls.append(dx.copy()) or real_semi(aux, dx),
         )
     else:
@@ -739,6 +738,42 @@ def test_aux_round_scores_each_point_row_once(monkeypatch):
 
 def test_fd_round_scores_each_point_row_once(monkeypatch):
     check_round_scores_each_point_row_once(monkeypatch, "fd")
+
+
+def test_each_round_scores_on_its_iterates_one_route(monkeypatch):
+    """Each round of the n=20 seed-3 and seed-4 attacks takes one route, chosen once.
+
+    Seed 3 has one round where LICQ fails and seed 4 two where a row is
+    weakly active.  No fd round calls semi_derivative, no aux round
+    calls _finite_difference, and a linear round calls neither.
+    """
+    rounds = []  # [route, semi_derivative calls, _finite_difference calls] per round
+    real_init = _ObjectiveDerivative.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        rounds.append([self.route, 0, 0])
+
+    def counting(slot, real):
+        def call(*args):
+            rounds[-1][slot] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(_ObjectiveDerivative, "__init__", init)
+    monkeypatch.setattr(attack_module, "semi_derivative", counting(1, semi_derivative))
+    monkeypatch.setattr(
+        _ObjectiveDerivative, "_finite_difference",
+        counting(2, _ObjectiveDerivative._finite_difference),
+    )
+    routes = {}
+    for seed in (3, 4):
+        rounds.clear()
+        data, model, config = svm_scenario(seed)
+        run_attack(data.features.ravel(), model, config)
+        routes[seed] = Counter(route for route, _, _ in rounds)
+        assert all((semi > 0, fd > 0) == (r == "aux", r == "fd") for r, semi, fd in rounds)
+    assert routes == {3: {"linear": 38, "fd": 1}, 4: {"linear": 103, "aux": 2}}
 
 
 def check_linear_route(model, x, sol, selector, target):
@@ -1119,7 +1154,7 @@ def test_linear_route_shortcut_picks_the_sampled_sets_best_row(monkeypatch):
         v_st = ev.steepest_direction(p, config.point_dim)
         assert_array_equal(rows, v_st[None])
         short, full = np.vstack([full[:n_probed], v_st]), np.vstack([full, v_st])
-        short_vals, full_vals = ev.dG(p, short)[0], ev.dG(p, full)[0]
+        short_vals, full_vals = ev.dG(p, short), ev.dG(p, full)
         got, want = int(np.argmin(short_vals)), int(np.argmin(full_vals))
         assert short[got].tobytes() == full[want].tobytes()
         assert short_vals[got] == full_vals[want]
@@ -1181,7 +1216,7 @@ def test_linear_point_with_no_feasible_axis_row_scores_its_steepest_row_alone():
     assert not feasible(0, _axis_rows(2)).any()
     assert steepest_is_feasible(ev, x, 0, config, x_base)
     v_st = ev.steepest_direction(0, 2)
-    best = ev.dG(0, v_st[None])[0][0]
+    best = ev.dG(0, v_st[None])[0]
     outcomes = Counter()
     for seed in range(1000):
         rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -1189,7 +1224,7 @@ def test_linear_point_with_no_feasible_axis_row_scores_its_steepest_row_alone():
         assert_array_equal(rows, v_st[None])
         try:
             sampled = feasible_directions(x, 0, config, x_base=x_base, rng=replay)
-            assert (ev.dG(0, sampled)[0] > best).all()
+            assert (ev.dG(0, sampled) > best).all()
             outcomes["sampled set"] += 1
         except EmptyDirectionSet:
             outcomes["empty sampled set"] += 1
@@ -1398,7 +1433,7 @@ def test_steepest_direction_scales_a_gradient_whose_square_overflows():
     steepest_direction runs inside the error state run_attack sets.
     """
     ev = object.__new__(_ObjectiveDerivative)
-    ev.gradient = np.array([1.0, 2.0, 3e160, -4e160])
+    ev.gradient, ev.route = np.array([1.0, 2.0, 3e160, -4e160]), "linear"
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):  # _drive's
         warnings.simplefilter("error")
         row = ev.steepest_direction(1, 2)

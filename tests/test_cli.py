@@ -14,6 +14,8 @@ import semipoison
 from semipoison import attack, cli, errors, sensitivity, victims
 from semipoison.data import Dataset, load_csv, normalize, synth_lane_change, write_csv
 
+from _oracles import kink_projection_model
+
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
@@ -783,6 +785,20 @@ def test_toy_report_values():
     assert len(report["grid_x"]) == 201
     assert abs(report["rate_right"] - 3.0) <= 1e-9
     assert abs(report["rate_left"] - 1.0) <= 1e-9
+    assert report["chosen_direction"] == 1
+
+
+def test_toy_report_takes_the_semi_derivative_where_licq_holds(monkeypatch):
+    """The toy's kink fails LICQ; at the kink of max(x, 0) the rates come from the aux problem.
+
+    The route is picked once, so both rates come from semi_derivative,
+    and no finite difference is taken.  x + 2 max(x, 0) has rates 3 and -1.
+    """
+    monkeypatch.setattr(cli, "toy_bilevel_model", kink_projection_model)
+    monkeypatch.setattr(cli, "fd_directional_derivative", lambda *args, **kwargs: pytest.fail())
+    report = cli.toy_report()
+    assert report["derivative_route"] == "one-sided derivative"
+    assert (report["rate_right"], report["rate_left"]) == (3.0, -1.0)
     assert report["chosen_direction"] == 1
 
 

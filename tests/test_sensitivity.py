@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from semipoison import cli, errors, qp, sensitivity, victims
+from semipoison import attack, cli, errors, qp, sensitivity, victims
 from semipoison.attack import (
     AttackConfig,
     _ObjectiveDerivative,
@@ -526,14 +527,14 @@ def test_kink_pieces_match_the_auxiliary_qp_on_planted_kinks(monkeypatch):
 def test_kink_pieces_match_the_auxiliary_qp_along_the_seed4_attack(monkeypatch):
     """All 176 derivatives of the seed-4 acceptance attack's aux rounds, with no auxiliary QP."""
     calls = _count_aux_solves(monkeypatch)
-    checked, real_semi = [], sensitivity.semi_derivative
+    checked, real_semi = [], attack.semi_derivative
 
     def checking_semi(aux, dx):
         checked.append(len(aux.structure.weakly_active))
         check_against_the_auxiliary_qp(aux, dx)
         return real_semi(aux, dx)
 
-    monkeypatch.setattr(sensitivity, "semi_derivative", checking_semi)
+    monkeypatch.setattr(attack, "semi_derivative", checking_semi)
     data, model, config = svm_scenario(4)
     run_attack(data.features.ravel(), model, config)
     assert checked == [1] * 176
@@ -557,7 +558,7 @@ def test_kept_reduced_solve_is_the_fresh_one_along_the_reference_attacks(monkeyp
     """
     calls, auxes = Counter(), []
     real_minimizer, real_gradient = qp.working_minimizer, sensitivity.PointDerivative.gradient
-    real_semi = sensitivity.semi_derivative
+    real_semi = attack.semi_derivative
 
     def checking_minimizer(solution, factors, c, b):
         fresh = fresh_working_minimizer(solution.problem, factors, c, b)
@@ -585,7 +586,7 @@ def test_kept_reduced_solve_is_the_fresh_one_along_the_reference_attacks(monkeyp
 
     monkeypatch.setattr(qp, "working_minimizer", checking_minimizer)
     monkeypatch.setattr(sensitivity.PointDerivative, "gradient", checking_gradient)
-    monkeypatch.setattr(sensitivity, "semi_derivative", recording_semi)
+    monkeypatch.setattr(attack, "semi_derivative", recording_semi)
     for seed in range(10):
         data, model, config = svm_scenario(seed)
         run_attack(data.features.ravel(), model, config)
@@ -628,8 +629,7 @@ def test_flat_strict_null_space_raises_aux_unbounded(k):
         semi_derivative(point.aux, free)
     with pytest.raises(errors.Unbounded):
         solve_qp(auxiliary_qp(point.aux, free))
-    assert point.along(free) is None
-    assert_array_equal(point.along(-np.eye(n)[0]), np.zeros(n))
+    assert_array_equal(semi_derivative(point.aux, -np.eye(n)[0]), np.zeros(n))
 
 
 @pytest.mark.parametrize("row", [[-1.0, 0.0], [1.0, 1.0]], ids=["bound", "general"])
@@ -773,15 +773,16 @@ def test_factor_route_matches_the_assembled_auxiliary_qp(monkeypatch):
     assert reached[False] > 50 and reached[True] > 150
 
 
-def test_singular_adjoint_scores_by_aux_then_fd():
-    """A flat Z'HZ: no adjoint, so each direction goes to the aux QP, then to FD.
+def test_singular_adjoint_scores_on_the_aux_route_and_raises_where_it_is_unbounded():
+    """A flat Z'HZ: no adjoint, so the point's one route is aux, and no direction goes to FD.
 
     The adjoint u minimizes 0.5 u'Hu - grad_y'u on the working rows' null
     space, and grad_y has a component along the flat direction, so it
     does not exist.  At x = (0.3, 0) the objective |y - (0, 1)|^2 has
     grad_y = (0.6, -2).
-    Along +-e1 the aux QP gives dy = +-e1; along e2 it is unbounded, and
-    the FD re-solve then meets the same flat direction and raises.
+    Along +-e1 the auxiliary problem gives dy = +-e1; along e2 it is
+    unbounded, the second-order condition fails, and AuxUnbounded
+    propagates: a finite-difference quotient has no limit there.
     """
     model = flat_direction_model()
     x = np.array([0.3, 0.0])
@@ -790,22 +791,40 @@ def test_singular_adjoint_scores_by_aux_then_fd():
     ev = _ObjectiveDerivative(model, x, sol, selector, target, objective(sol.y, target))
     assert qp.working_minimizer(sol, sol.factors, -ev.grad_y, np.zeros(sol.problem.n_con)) is None
     assert ev.gradient is None
-    values, routes = ev.dG(0, np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    assert_allclose(values, [0.6, -0.6], rtol=1e-12)
-    assert routes == ["aux", "aux"]
+    assert ev.route == "aux"
+    assert_allclose(ev.dG(0, np.array([[1.0, 0.0], [-1.0, 0.0]])), [0.6, -0.6], rtol=1e-12)
     e2 = np.array([0.0, 1.0])
     with pytest.raises(errors.AuxUnbounded):
         semi_derivative(ev.point.aux, e2)
     fd_calls = []
     fd = ev._finite_difference
     ev._finite_difference = lambda dx: fd_calls.append(dx) or fd(dx)
-    with pytest.raises(errors.Unbounded):
+    with pytest.raises(errors.AuxUnbounded):
         ev.dG(0, e2[None])
-    assert len(fd_calls) == 1
+    assert fd_calls == []
+
+
+def test_attack_at_a_flat_adjoint_raises_aux_unbounded_with_no_fd_re_solve(monkeypatch):
+    """run_attack from the flat-Z'HZ point: the probe's e2 row raises AuxUnbounded, unwarned.
+
+    No direction is re-solved by finite differences.  AuxUnbounded is a
+    SolverError, which the CLI maps to exit code 3.
+    """
+    fd_calls = []
+    monkeypatch.setattr(
+        _ObjectiveDerivative, "_finite_difference", lambda self, dx: fd_calls.append(dx)
+    )
+    config = AttackConfig(target=np.array([0.0, 1.0]), delta=1.0, point_dim=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.AuxUnbounded) as info:
+            run_attack(np.array([0.3, 0.0]), flat_direction_model(), config)
+    assert isinstance(info.value, errors.SolverError) and cli.EXIT_SOLVER == 3
+    assert fd_calls == []
 
 
 def test_point_derivative_picks_one_route_per_point():
-    """gradient, along or None at four points: smooth, kinked, non-regular, flat."""
+    """gradient, aux or no aux at four points: smooth, kinked, non-regular, flat."""
     # strictly complementary SVM point: the gradient gives every product grad_y' dy
     data = normalize(synth_lane_change(20, seed=0))
     model = svm_victim(SvmModel(data.features, data.labels, C=10.0))
@@ -822,18 +841,20 @@ def test_point_derivative_picks_one_route_per_point():
     kink = kink_projection_model()
     point = sensitivity.PointDerivative(kink, x0, solve_victim(kink, x0))
     assert point.gradient(np.ones(1)) is None
-    for dx in (np.ones(1), -np.ones(1)):
-        assert np.array_equal(point.along(dx), semi_derivative(point.aux, dx))
+    assert_array_equal(semi_derivative(point.aux, np.ones(1)), np.ones(1))
+    assert_array_equal(semi_derivative(point.aux, -np.ones(1)), np.zeros(1))
     # the toy's two bounds at x = 0 are dependent: LICQ fails
     toy = toy_bilevel_model()
     point = sensitivity.PointDerivative(toy, x0, solve_victim(toy, x0))
-    assert point.aux is None and point.along(np.ones(1)) is None
+    assert point.aux is None
     assert point.gradient(np.ones(1)) is None
     # flat Z'HZ: the auxiliary objective is unbounded along e2
     flat, x = flat_direction_model(), np.array([0.3, 0.0])
     point = sensitivity.PointDerivative(flat, x, solve_victim(flat, x))
-    assert point.along(np.array([0.0, 1.0])) is None
-    assert_allclose(point.along(np.array([1.0, 0.0])), [1.0, 0.0], rtol=1e-12)
+    assert point.gradient(np.ones(2)) is None
+    with pytest.raises(errors.AuxUnbounded):
+        semi_derivative(point.aux, np.array([0.0, 1.0]))
+    assert_allclose(semi_derivative(point.aux, np.array([1.0, 0.0])), [1.0, 0.0], rtol=1e-12)
 
 
 def test_gradient_baseline_raises_singular_hessian_on_flat_direction():
