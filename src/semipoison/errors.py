@@ -43,10 +43,6 @@ class RegularityFailure(SolverError):
     """Active constraint gradients are linearly dependent (LICQ fails)."""
 
 
-class AuxInfeasible(SolverError):
-    """Auxiliary problem has inconsistent equality rows."""
-
-
 class AuxUnbounded(SolverError):
     """Auxiliary problem is unbounded (second-order condition fails)."""
 

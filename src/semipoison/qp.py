@@ -326,12 +326,8 @@ class WorkingFactors:
     reduced = None  # _working_subproblem's decomposition of Z'HZ, and its H; updates drop it
     norms: tuple[float, ...] = ()  # replaced, never changed in place, as rows and fixed are
 
-    def __init__(self, n: int, bounds=None, fixed=None):
-        """No general rows; bound row bounds[k], if given, fixes variable fixed[k]."""
-        if fixed is None:  # every variable free
-            self.rows, self.fixed = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-            self.Q, self.T = np.eye(n), np.zeros((n, n))
-            return
+    def __init__(self, n: int, bounds=np.zeros(0, dtype=int), fixed=np.zeros(0, dtype=int)):
+        """No general rows; bound row bounds[k] fixes variable fixed[k] (none: Q = I)."""
         self.rows, self.fixed, nf = bounds, fixed, n - fixed.size
         free = np.ones(n, dtype=bool)
         free[fixed] = False
@@ -587,7 +583,7 @@ def _active_set_loop(problem: QpProblem, y: np.ndarray, factors: WorkingFactors,
 
     y meets every row to round-off, as a HotStart's does; only the
     loop's steps, which keep it on the working rows, move it.  max_iter
-    defaults to solve_qp's cap.  Each iteration moves toward the
+    defaults to max(200, 30 * (n_con + 1)).  Each iteration moves toward the
     working-set minimizer y_hat, or along a ray of unbounded descent, up
     to the first blocking row, which joins; a row that
     WorkingFactors.join refuses (one in the working rows' span) does not
@@ -691,14 +687,12 @@ def _phase1(problem: QpProblem) -> HotStart:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
-def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> KktSolution:
-    """Solve a convex QP to a KKT point.
+def solve_qp(problem: QpProblem, *, start=None) -> KktSolution:
+    """Solve a convex QP to a KKT point, in at most max(200, 30 * (n_con + 1)) iterations.
 
     Parameters
     ----------
     problem : QpProblem
-    max_iter : int, optional
-        Active-set iteration cap; defaults to max(200, 30 * (n_con + 1)).
     start : HotStart, optional
         A start for this problem (working_start or point_start): the
         loop starts at its point, on its working rows and their factors,
@@ -729,7 +723,7 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, start=None) -> 
         raise InputError("start must be a HotStart or None: qp.point_start makes one from a point")
     elif start.problem is not problem:
         raise InputError("hot start was built for another problem")
-    y, lam, iterations, factors, grad = _active_set_loop(problem, start.y, start.factors, max_iter)
+    y, lam, iterations, factors, grad = _active_set_loop(problem, start.y, start.factors)
     g = problem.constraint_values(y)
     res = _residuals(problem, lam, g, grad)  # the gate reads the loop's H y + c
     value = problem.objective_value(y)

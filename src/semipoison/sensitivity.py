@@ -45,7 +45,6 @@ import numpy as np
 
 from . import qp
 from .errors import (
-    AuxInfeasible,
     AuxUnbounded,
     DimensionMismatch,
     Infeasible,
@@ -164,12 +163,12 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
     0's, so it has a minimizer wherever piece 0 has one.  With two or
     more weakly active rows the auxiliary QP is solved by solve_qp,
     which starts it at phase 1's projection: the least-norm point of its
-    equality rows, moved onto the weakly active rows it violates.
+    equality rows, moved onto the weakly active rows it violates.  LICQ
+    makes its rows independent, so phase 1 finds a start: an Infeasible
+    there is round-off, and propagates as the SolverError it is.
 
     Raises
     ------
-    AuxInfeasible
-        Equality rows of the auxiliary problem are inconsistent.
     AuxUnbounded
         The auxiliary objective is unbounded, or piece 0 has no
         minimizer; the second-order regularity condition fails at this
@@ -199,8 +198,6 @@ def semi_derivative(aux: AuxiliaryProblem, dx: np.ndarray) -> np.ndarray:
     problem = QpProblem(aux.H_aux, c, aux.rows[weak], mu[weak], aux.rows[strict], mu[strict])
     try:
         return solve_qp(problem).y
-    except Infeasible as exc:
-        raise AuxInfeasible(str(exc)) from exc
     except Unbounded as exc:
         raise AuxUnbounded(str(exc)) from exc
 

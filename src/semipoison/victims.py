@@ -212,14 +212,12 @@ def _least_squares_wb(svm: SvmModel, pts: np.ndarray) -> np.ndarray:
     the scale with the lowest training objective wins.  For scale s the
     points with m_i < m_k carry slack 1 - s*m_i, so sorted margins and
     prefix sums price every candidate in O(n log n).  Zeros when no
-    margin is positive or no candidate's objective is finite.
+    candidate's objective is finite, as where no margin is positive.
     """
     n, C, eps = svm.n_points, svm.C, svm.ridge_eps
     theta = np.linalg.lstsq(np.column_stack([pts, np.ones(n)]), svm.labels, rcond=None)[0]
     m = np.sort(svm.labels * (pts @ theta[:2] + theta[2]))
     k = np.flatnonzero(m > 0.0)  # candidate k has k points with slack
-    if not k.size:
-        return np.zeros(3)
     s = 1.0 / m[k]
     s1 = np.concatenate([[0.0], np.cumsum(m)])[k]  # sum of the margins below m[k]
     s2 = np.concatenate([[0.0], np.cumsum(m * m)])[k]

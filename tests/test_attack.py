@@ -291,6 +291,15 @@ def test_projection_of_an_overflowing_distance_lands_on_the_ball():
     np.testing.assert_allclose(z - x_base, [np.sqrt(2.0), -np.sqrt(2.0), 0.0], rtol=1e-12)
 
 
+def test_projection_whose_every_pull_rounds_off_the_ball_returns_the_base_point():
+    """Doubles near 1e16 are 2 apart, so each pull of 1e16 + 8 to radius 1.5 lands 2 away."""
+    x_base = np.array([1e16])
+    for shrink in (0.0, 1e-15, 1e-12, 1e-9):  # the pulls the projection tries
+        assert (x_base + 8.0 * ((1.5 / 8.0) * (1.0 - shrink))) - x_base == [2.0]
+    z = project_to_feasible([1e16 + 8], x_base, 1.5)
+    assert z.tolist() == [1e16] and z is not x_base
+
+
 def test_projection_from_a_base_point_outside_the_box_lands_in_both_or_raises():
     """Base point 5, radius 1, box [0, 1]: the ball and the box do not meet (it returned [5.])."""
     with pytest.raises(InputError, match="base point must lie in the box"):

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -808,6 +809,16 @@ def test_toy_command_output(capsys):
     out = capsys.readouterr().out
     assert "chosen perturbation direction: +1" in out
     assert "3.000000" in out and "1.000000" in out
+
+
+@pytest.mark.filterwarnings("ignore:'semipoison.cli' found in sys.modules:RuntimeWarning")
+def test_module_run_as_a_script_exits_with_mains_code(monkeypatch, capsys):
+    """python -m semipoison.cli toy runs main through the __main__ guard and exits 0."""
+    monkeypatch.setattr(sys, "argv", ["semipoison", "toy"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("semipoison.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert "chosen perturbation direction: +1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -194,8 +194,9 @@ def test_infeasible_detected():
 
 def test_max_iterations():
     prob = QpProblem(np.eye(2), [-10.0, 0.0], A_ineq=[[1.0, 0.0]], b_ineq=[-1.0])
+    start = qp._phase1(prob)  # y = 0; the row y_1 <= 1 blocks the first step, so one is too few
     with pytest.raises(errors.MaxIterations):
-        solve_qp(prob, max_iter=1)
+        qp._active_set_loop(prob, start.y, start.factors, max_iter=1)
 
 
 def test_dimension_mismatch():
@@ -805,6 +806,18 @@ def test_negative_curvature_gives_a_ray_to_the_box():
             assert any(curved_rays)
             assert_allclose(sol.y, [-0.1, 1.0], rtol=0.0, atol=1e-12)
             assert_allclose(sol.value, -0.505, rtol=1e-12)
+
+
+def test_negative_curvature_ray_points_downhill():
+    """H = diag(1, -1), c = (0, 1), -1 <= y_1 <= 1: from 0 the curved direction e_1 climbs.
+
+    The ray turns to -e_1 and ends at y_1 = -1, value -1.5; the other end,
+    y_1 = 1, is a KKT point too, at value 0.5.
+    """
+    prob = QpProblem(np.diag([1.0, -1.0]), [0.0, 1.0], A_ineq=[[0.0, 1.0], [0.0, -1.0]],
+                     b_ineq=[-1.0, -1.0])
+    sol = solve_qp(prob)
+    assert sol.y.tolist() == [0.0, -1.0] and sol.value == -1.5
 
 
 def test_solution_carries_its_problem():

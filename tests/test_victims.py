@@ -587,3 +587,20 @@ def test_cold_solve_refines_a_minimizer_reached_from_far_away():
     started = solve_victim(svm_victim(svm), x)
     assert cold.phase1 and not started.phase1
     assert_allclose(cold.y, started.y, rtol=0.0, atol=1e-12)
+
+
+def test_cold_start_with_no_finite_scaled_fit_is_the_origin():
+    """Alternating labels on six collinear points, ridge_eps = 1e308.
+
+    The least-squares fit leaves two margins at -0.26 and none above
+    0.43, so at every candidate scale s >= 1 / 0.43 those two points
+    carry slack of at least 1.6, and 0.5 * ridge_eps times the sum of
+    their squares overflows.  The start is then w = b = 0 with every
+    slack 1, which meets every row.
+    """
+    pts = np.column_stack([np.arange(6.0), np.zeros(6)])
+    svm = SvmModel(pts, [1, -1] * 3, ridge_eps=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):  # as solve_victim sets it
+        start = svm_feasible_start(svm, pts.ravel(), None)
+    assert start.tolist() == [0.0] * 3 + [1.0] * 6
+    assert svm_assemble(svm, pts.ravel()).constraint_values(start).max() <= 0.0
